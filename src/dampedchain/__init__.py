@@ -3,9 +3,9 @@
 The library studies chains of the form ``P(eps) = (1 - eps) P0 + eps D``,
 where D is a rank-one teleport matrix, across four angles: stationary
 distributions (three independent solvers plus the eps -> 0 limits),
-eigenvalue-based power-series expansions of the stationary law in eps,
-explicit coupling-based convergence-rate bounds with a Monte Carlo meeting
-time simulator, and joint limits where eps -> 0 while the step count grows.
+power-series expansions of the stationary law in eps, explicit
+coupling-based convergence-rate bounds with a Monte Carlo meeting time
+simulator, and joint limits where eps -> 0 while the step count grows.
 """
 
 __version__ = "0.1.0"

@@ -1,27 +1,27 @@
-"""Eigenvalue analysis and power-series expansion of the stationary law in epsilon.
+"""Power-series expansion of the stationary law in epsilon, plus eigenvalue analysis.
 
-For an aperiodic single-class base matrix the d-averaged trajectory admits the
-decomposition
+The damped stationary law satisfies the identity
 
-    (d P0^n)_j = pi0_j + sum_l rho_l^n c_{j,l}        (distinct rho_l, |rho_l| < 1)
+    pi(eps) (I - (1 - eps) P0) = eps d.
 
-and feeding it into the geometric-mixture series yields a power series
+Writing pi(eps) = pi0 + a_1 eps + a_2 eps^2 + ... and matching powers of eps
+gives, for a single closed class with stationary law pi0,
 
-    pi(eps)_j = pi0_j + a_1[j] eps + a_2[j] eps^2 + ...
+    a_1 (I - P0) = d - pi0,        a_k (I - P0) = -a_{k-1} P0   (k >= 2).
 
-with coefficients
+Every coefficient row sums to zero, so each equation can be solved against
+the fundamental matrix Z = I - P0 + 1 pi0 instead of the singular I - P0:
+a Z = a (I - P0) for such rows, and a Z^-1 = a H with H = Z^-1 - 1 pi0 the
+deviation matrix (the group inverse of I - P0). One inverse of Z per class
+then yields every order by a vector-matrix product.
 
-    a_1[j] = d_j - pi0_j + sum_l c_{j,l} rho_l / (1 - rho_l),
-    a_n[j] = (-1)^(n-1) sum_l c_{j,l} rho_l^(n-1) / (1 - rho_l)^n   (n > 1).
+In the singular regime P0 is block diagonal over its closed classes, so the
+recursion runs per class with the renormalized damping weights and each class
+table is scaled by the class mass of the damping vector. A regular chain is
+the one-class case with mass 1.
 
-The trajectory coefficients c are recovered from eigenvalues plus trajectory
-samples by a Vandermonde solve, which avoids computing spectral projectors.
-Eigenvalues and coefficients are complex in general; the final table is real,
-and the imaginary residue is checked before being discarded.
-
-In the singular regime the same construction runs per closed class with the
-renormalized damping weights, and the class table is scaled by the class mass
-of the damping vector.
+``spectrum`` (eigenvalue reporting, decay rates of the bound families) and
+the trajectory fit ``spectral_coefficients`` are independent of the series.
 """
 
 from dataclasses import dataclass
@@ -32,6 +32,7 @@ from .core import DampingVector, Distribution, StochasticMatrix
 from .errors import (
     IllConditionedError,
     RegimeError,
+    SingularSystemError,
     SpectralStructureError,
     ValidationError,
 )
@@ -40,7 +41,6 @@ from .structure import ChainStructure, Regime, class_mass, restrict, restrict_da
 
 DEFAULT_CLUSTER_TOL = 1e-8
 VANDERMONDE_COND_LIMIT = 1e12
-IMAG_TOL = 1e-10
 CONSTANT_MATCH_TOL = 1e-6
 
 
@@ -150,6 +150,10 @@ def spectral_coefficients(
     constant must match the directly solved stationary distribution; a
     mismatch beyond 1e-6 means the trajectory carries polynomial-in-n terms,
     i.e. the matrix is defective, and no coefficient table exists.
+
+    The library no longer calls this fit: ``expansion`` uses the
+    deviation-matrix recursion. It stays as an independent oracle for the
+    series on small diagonalizable chains.
     """
     rhos = np.array([rep for rep, _ in spec.distinct], dtype=complex)
     mbar = len(rhos)
@@ -178,29 +182,16 @@ def spectral_coefficients(
     return SpectralCoefficients(pi0, tuple(rhos[1:]), coeffs[1:])
 
 
-def _expansion_table(d: np.ndarray, sc: SpectralCoefficients, cluster_tol: float, n_max: int) -> np.ndarray:
-    for rho in sc.rates:
-        if abs(1.0 - rho) < cluster_tol:
-            raise RegimeError(
-                "a non-leading eigenvalue sits at 1 within cluster_tol; the matrix is not a "
-                "single aperiodic class -- reclassify the regime"
-            )
-    m = sc.constant.shape[0]
-    table = np.zeros((n_max, m), dtype=complex)
-    table[0] = d - sc.constant
-    for rho, row in zip(sc.rates, sc.coeffs):
-        table[0] += row * rho / (1.0 - rho)
-    for n in range(2, n_max + 1):
-        acc = np.zeros(m, dtype=complex)
-        for rho, row in zip(sc.rates, sc.coeffs):
-            acc += row * rho ** (n - 1) / (1.0 - rho) ** n
-        table[n - 1] = (-1) ** (n - 1) * acc
-    residue = float(np.max(np.abs(table.imag))) if table.size else 0.0
-    if residue > IMAG_TOL:
-        raise SpectralStructureError(
-            f"imaginary residue {residue:.3e} in the coefficient table exceeds {IMAG_TOL:.0e}"
-        )
-    return table.real
+def _class_series(P0: StochasticMatrix, d: np.ndarray, n_max: int):
+    """Stationary law and coefficients a_1..a_n_max of one closed class."""
+    pi0 = stationary_direct(P0).pi.probs
+    Z_inv = np.linalg.inv(np.eye(P0.dim) - P0.entries + pi0)
+    coeffs = np.empty((n_max, P0.dim))
+    rhs = d - pi0
+    for k in range(n_max):
+        coeffs[k] = rhs @ Z_inv
+        rhs = -coeffs[k] @ P0.entries
+    return pi0, coeffs
 
 
 def expansion(
@@ -208,43 +199,32 @@ def expansion(
     d: DampingVector,
     structure: ChainStructure,
     n_max: int = 2,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> ExpansionSeries:
     """Power series of the damped stationary distribution around eps = 0.
 
-    Regular regime: one decomposition on the whole matrix. Singular regime:
-    per-class decompositions with renormalized damping, scaled by the class
-    masses of d. Complex arithmetic is used throughout; the final table must
-    be real up to an 1e-10 residue.
+    Runs the deviation-matrix recursion on each closed class with the damping
+    weights renormalized to the class, and scales the class table by the
+    class mass of d. A class whose stationary solve is singular holds several
+    closed classes, which is refused with RegimeError.
     """
     if n_max < 1:
         raise ValidationError("expansion order must be at least 1")
     if structure.regime is Regime.UNSUPPORTED:
         raise RegimeError("expansion requires a regular or singular chain")
 
-    if structure.regime is Regime.REGULAR:
-        spec = spectrum(P0, cluster_tol)
-        if spec.distinct[0][1] > 1:
-            raise RegimeError(
-                "eigenvalue 1 has multiplicity above 1; the chain has several closed "
-                "classes and must be treated as singular"
-            )
-        sc = spectral_coefficients(P0, d, spec)
-        return ExpansionSeries(Distribution(sc.constant, P0.row_tol), _expansion_table(d.weights, sc, cluster_tol, n_max))
-
     masses = class_mass(d.as_distribution(), structure)
     base = np.zeros(P0.dim)
     coeffs = np.zeros((n_max, P0.dim))
     for j, cls in enumerate(structure.classes):
-        sub = restrict(P0, cls)
-        sub_d = restrict_damping(d, cls)
-        spec = spectrum(sub, cluster_tol)
-        if spec.distinct[0][1] > 1:
-            raise RegimeError(f"closed class {cls.states} itself splits further; reclassify")
-        sc = spectral_coefficients(sub, sub_d, spec)
+        try:
+            pi0, table = _class_series(restrict(P0, cls), restrict_damping(d, cls).weights, n_max)
+        except SingularSystemError as exc:
+            raise RegimeError(
+                f"closed class {cls.states} splits further; the chain must be treated as singular"
+            ) from exc
         idx = list(cls.states)
-        base[idx] = masses[j] * sc.constant
-        coeffs[:, idx] = masses[j] * _expansion_table(sub_d.weights, sc, cluster_tol, n_max)
+        base[idx] = masses[j] * pi0
+        coeffs[:, idx] = masses[j] * table
     return ExpansionSeries(Distribution(base, max(P0.row_tol, 1e-10)), coeffs)
 
 

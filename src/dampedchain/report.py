@@ -13,7 +13,6 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from ._parallel import map_ordered
 from .bounds import (
     BoundReport,
     class_ergodicity_coefficients,
@@ -92,7 +91,7 @@ def stationary_section(chain: DampedChain, structure, epsilons, tol: float) -> d
             )
         return entry
 
-    section = {"by_epsilon": map_ordered(solve_at, epsilons)}
+    section = {"by_epsilon": [solve_at(eps) for eps in epsilons]}
     if structure.regime is not Regime.UNSUPPORTED:
         limit = limit_stationary(chain.p0, chain.damping, chain.damping.as_distribution(), structure)
         section["limit"] = rounded_list(limit.probs)

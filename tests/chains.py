@@ -4,6 +4,7 @@
 ``four_node`` a regular four-state chain whose second-order behaviour
 matters, and ``eight_node`` the two-network chain that splits into the
 closed classes {1..4} and {5..8} (the first block equals ``four_node``).
+``three_node_defective`` is a regular chain that is not diagonalizable.
 """
 
 import numpy as np
@@ -47,6 +48,17 @@ def eight_node_entries() -> np.ndarray:
     return P
 
 
+def three_node_defective_entries() -> np.ndarray:
+    # Edge list 1 3 / 2 1 / 2 3 / 3 1 / 3 2: the eigenvalue -1/2 has a 2x2 Jordan block.
+    return np.array(
+        [
+            [0, 0, 1],
+            [1 / 2, 0, 1 / 2],
+            [1 / 2, 1 / 2, 0],
+        ]
+    )
+
+
 def five_node():
     return StochasticMatrix(five_node_entries()), DampingVector.uniform(5)
 
@@ -57,6 +69,10 @@ def four_node():
 
 def eight_node():
     return StochasticMatrix(eight_node_entries()), DampingVector.uniform(8)
+
+
+def three_node_defective():
+    return StochasticMatrix(three_node_defective_entries()), DampingVector(np.array([0.6, 0.3, 0.1]))
 
 
 FIVE_NODE_PI = np.array([5 / 66, 8 / 33, 5 / 22, 5 / 22, 5 / 22])
@@ -116,3 +132,19 @@ def random_singular_chain(rng, sizes):
         offset += size
     weights = rng.random(m) + 0.1
     return StochasticMatrix(entries), DampingVector(weights / weights.sum())
+
+
+def random_web_chain(rng, m: int):
+    """Web graph: 5 distinct random out-links plus a ring edge and a self-loop per state.
+
+    Out-links get uniform weight and the damping is uniform. Such chains have
+    hundreds of nearly clustered eigenvalues, which no eigenvalue fit handles.
+    """
+    entries = np.zeros((m, m))
+    for i in range(m):
+        succ = (i + 1) % m
+        others = [k for k in range(m) if k != i and k != succ]
+        entries[i, rng.choice(others, 5, replace=False)] = 1.0
+        entries[i, [i, succ]] = 1.0
+    entries /= entries.sum(axis=1, keepdims=True)
+    return StochasticMatrix(entries), DampingVector.uniform(m)

@@ -19,6 +19,11 @@ def eight_node():
     return chains.eight_node()
 
 
+@pytest.fixture(scope="session")
+def three_node_defective():
+    return chains.three_node_defective()
+
+
 def naive_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Triple-loop matrix product, the independent oracle for matrix powers."""
     m, k = A.shape

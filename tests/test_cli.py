@@ -204,13 +204,15 @@ def test_damping_file_flag(capsys, tmp_path):
     assert entry["direct"]["pi"] == pytest.approx([0.4, 0.1, 0.1, 0.2, 0.2], abs=1e-10)
 
 
-def test_thread_cap_does_not_change_output(capsys, monkeypatch):
-    argv = ("stationary", "--input", FIVE, "--epsilon-grid", "0.05,0.1,0.2,0.4")
-    monkeypatch.setenv("DAMPED_CHAIN_THREADS", "1")
-    serial = run_json(capsys, *argv)
-    monkeypatch.setenv("DAMPED_CHAIN_THREADS", "4")
-    threaded = run_json(capsys, *argv)
-    assert serial == threaded
+def test_expand_defective_chain_with_damping_file(capsys, tmp_path):
+    # The eigenvalue -1/2 of this chain has a 2x2 Jordan block.
+    edges = tmp_path / "edges.txt"
+    edges.write_text("1 3\n2 1\n2 3\n3 1\n3 2\n")
+    weights = tmp_path / "weights.txt"
+    weights.write_text("0.6 0.3 0.1\n")
+    code, out = run_cli(capsys, "expand", "--input", str(edges), "--damping", str(weights))
+    assert code == 0, out
+    assert len(json.loads(out)["expansion"]["coefficients"]) == 2
 
 
 def test_matrix_echo_reingests_identically(capsys, tmp_path):

@@ -3,15 +3,18 @@ import pytest
 
 import chains
 from dampedchain import (
+    DampedChain,
     DampingVector,
     IllConditionedError,
     RegimeError,
     SpectralStructureError,
     StochasticMatrix,
+    build_damped_matrix,
     decompose,
     expansion,
     spectral_coefficients,
     spectrum,
+    stationary_direct,
     stationary_series,
 )
 
@@ -153,6 +156,41 @@ class TestExpansion:
             expansion(P, d, fake)
 
 
+class TestRecursionOracles:
+    @pytest.mark.parametrize("chain_name", ["five_node", "four_node"])
+    def test_matches_eigenvalue_sum_formula(self, chain_name, request):
+        # Independent route for diagonalizable chains: with (d P0^n)_j =
+        # pi0_j + sum_l c_{j,l} rho_l^n, summing the geometric mixture gives
+        #   a_1 = d - pi0 + sum_l c_l rho_l / (1 - rho_l),
+        #   a_n = (-1)^(n-1) sum_l c_l rho_l^(n-1) / (1 - rho_l)^n.
+        P, d = request.getfixturevalue(chain_name)
+        n_max = 6
+        sc = spectral_coefficients(P, d, spectrum(P))
+        oracle = np.zeros((n_max, P.dim), dtype=complex)
+        oracle[0] = d.weights - sc.constant
+        for rho, row in zip(sc.rates, sc.coeffs):
+            oracle[0] += row * rho / (1.0 - rho)
+            for n in range(2, n_max + 1):
+                oracle[n - 1] += (-1) ** (n - 1) * row * rho ** (n - 1) / (1.0 - rho) ** n
+        series = expansion(P, d, decompose(P), n_max=n_max)
+        np.testing.assert_allclose(np.abs(oracle.imag), 0.0, atol=1e-14)
+        np.testing.assert_allclose(series.coeffs, oracle.real, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(series.base.probs, sc.constant, rtol=0, atol=1e-14)
+
+    def test_web_chain_beyond_the_eigenvalue_fit(self):
+        # The eigenvalue fit refuses this chain (IllConditionedError); the
+        # recursion must agree with a direct solve up to its truncation.
+        P, d = chains.random_web_chain(np.random.default_rng(0), 100)
+        structure = decompose(P)
+        eps = 0.01
+        truth = stationary_direct(build_damped_matrix(DampedChain(P, d, eps))).pi.probs
+        third = expansion(P, d, structure, n_max=3).evaluate(eps)
+        fourth = expansion(P, d, structure, n_max=4)
+        # Order 3 is off by the dropped a_4 eps^4 (about 1e-10 here) and no more.
+        assert np.max(np.abs(third - truth)) <= 2 * np.max(np.abs(fourth.coeffs[3])) * eps**4
+        assert np.max(np.abs(fourth.evaluate(eps) - truth)) < 1e-11
+
+
 class TestEvaluate:
     def test_zero_epsilon_returns_base(self, five_node):
         P, d = five_node
@@ -185,7 +223,9 @@ class TestEvaluate:
         assert defect == pytest.approx(series.evaluate(0.3).sum() - 1.0, abs=1e-16)
 
 
-@pytest.mark.parametrize("chain_name", ["five_node", "four_node", "eight_node"])
+@pytest.mark.parametrize(
+    "chain_name", ["five_node", "four_node", "eight_node", "three_node_defective"]
+)
 def test_empirical_convergence_order(chain_name, request):
     P, d = request.getfixturevalue(chain_name)
     structure = decompose(P)
