@@ -69,10 +69,11 @@ from .coupling import (
     simulate_coupling_time,
 )
 from .bounds import (
+    BoundContext,
     BoundReport,
     ErgodicityReport,
     GeometricDecay,
-    SplitBoundContext,
+    bound_context,
     class_ergodicity_coefficients,
     coupling_bound,
     coupling_bound_multistep,

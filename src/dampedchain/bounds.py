@@ -15,6 +15,11 @@ Five bound families are implemented, numbered as the CLI exposes them:
 * family 7, ``coupling_bound_split``: the per-class version for singular
   chains, including the class-mass mismatch term.
 
+The constants of families 5, 6 and 7, and of the joint-limit bound in
+``triangular``, do not depend on the step count n. A command builds them once
+as a :class:`BoundContext` and evaluates that across its n-grid; the public
+per-n functions build a context and evaluate it once.
+
 The convention ``x^0 = 1`` applies throughout, including when x = 0.
 """
 
@@ -33,10 +38,21 @@ from .core import (
 from .coupling import overlap
 from .errors import ContractionError, RegimeError, ValidationError
 from .expansion import spectrum
-from .stationary import stationary_direct
-from .structure import ChainStructure, ClosedClass, Regime, class_mass, restrict
+from .stationary import class_stationary, stationary_direct
+from .structure import (
+    ChainStructure,
+    ClosedClass,
+    Regime,
+    class_mass,
+    restrict,
+    restrict_damping,
+)
 
 DEFAULT_DECAY_HORIZON = 200
+
+# Block lengths of the Delta_N profile in bound reports, also searched for
+# the smallest contracting block when a ContractionError is raised.
+PROFILE_STEPS = tuple(range(1, 13))
 
 # Deviations below this are indistinguishable from float rounding; the
 # amplitude scan stops there instead of dividing noise by a tiny rate**n.
@@ -48,13 +64,19 @@ def _pow(base: float, exponent: int) -> float:
 
 
 def min_row_overlap(entries: np.ndarray) -> float:
-    """Smallest pairwise row overlap ``min_{i,j} sum_k min(A[i,k], A[j,k])``."""
+    """Smallest pairwise row overlap ``min_{i,j} sum_k min(A[i,k], A[j,k])``.
+
+    Overlaps are never negative, so the scan stops at the first row that has
+    a partner with disjoint support.
+    """
     m = entries.shape[0]
     q = 1.0
     for i in range(m):
         mins = np.minimum(entries[i], entries[i + 1 :])
         if mins.size:
             q = min(q, float(mins.sum(axis=1).min()))
+        if q == 0.0:
+            break
     return q
 
 
@@ -78,6 +100,16 @@ class ErgodicityReport:
     def delta_pow(self, exponent: int) -> float:
         return _pow(self.delta, exponent)
 
+    @classmethod
+    def from_overlap(cls, step: int, q: float) -> "ErgodicityReport":
+        """The report of an N-step matrix whose minimal row overlap is ``q``."""
+        one_minus = max(0.0, 1.0 - q)
+        # Identical rows leave 1 - q at summation-noise level; without snapping,
+        # the N-th root would inflate that noise to a visibly nonzero delta.
+        if one_minus <= 1e-12:
+            return cls(step, 1.0, 0.0)
+        return cls(step, q, one_minus ** (1.0 / step))
+
 
 def ergodicity_coefficient(P0: StochasticMatrix, N: int) -> ErgodicityReport:
     """Compute ``Delta_N`` from the N-step matrix by brute pairwise comparison.
@@ -88,13 +120,7 @@ def ergodicity_coefficient(P0: StochasticMatrix, N: int) -> ErgodicityReport:
     """
     if N < 1:
         raise ValidationError("step count N must be at least 1")
-    q = min_row_overlap(matrix_power(P0, N).entries)
-    one_minus = max(0.0, 1.0 - q)
-    # Identical rows leave 1 - q at summation-noise level; without snapping,
-    # the N-th root would inflate that noise to a visibly nonzero delta.
-    if one_minus <= 1e-12:
-        return ErgodicityReport(N, 1.0, 0.0)
-    return ErgodicityReport(N, q, one_minus ** (1.0 / N))
+    return ErgodicityReport.from_overlap(N, min_row_overlap(matrix_power(P0, N).entries))
 
 
 def class_ergodicity_coefficients(
@@ -189,6 +215,184 @@ def stationary_gap_bound(
     return epsilon * (np.abs(d.weights - reference.probs) + decay.tail_factor)
 
 
+def _require_coupling_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon <= 1.0:
+        raise ValidationError("coupling bounds require epsilon in (0, 1]")
+
+
+def _class_dist(values: np.ndarray, cls: ClosedClass, mass: float) -> np.ndarray:
+    return values[list(cls.states)] / mass
+
+
+@dataclass(frozen=True)
+class BoundContext:
+    """The n-free constants of bound families 5, 6 and 7 and of the joint-limit bound.
+
+    Build once per command with :func:`bound_context`, then evaluate across a
+    grid of step counts and states. Families read:
+
+    * 5: ``start_overlap`` = Q(p, pi_eps) and ``one_step_overlap`` = Q(P0),
+      the raw minimal row overlap (not snapped like ``ErgodicityReport.overlap``);
+    * 6: ``start_overlap`` and ``profile[block]``; ``profile`` maps each
+      computed N to the whole matrix's ergodicity coefficient;
+    * 7 and the joint-limit bound: the per-class fields. A regular chain is
+      its own single class with both class masses 1. With class masses f and
+      superscript j for the restriction to class j renormalized by its mass,
+      ``start_gap[j] = f_p[j] (1 - Q(p^j, pi0^j))`` (0 when f_p[j] = 0),
+      ``damping_gap[j] = f_d[j] (1 - Q(d^j, pi0^j))``,
+      ``drift_scale[j] = |f_p[j] - f_d[j]|`` and, for family 7,
+      ``coupled[j] = f_d[j] (1 - Q(pi_eps^j, pi0^j)) + start_gap[j]``.
+
+    ``pi0`` holds the class laws from ``class_stationary``; pass them to
+    ``limit_stationary`` for the eps -> 0 limits without solving again.
+    Fields a command cannot use are left empty: per-class fields without a
+    regular or singular structure, ``start_overlap`` and ``coupled`` without
+    pi_eps.
+    """
+
+    P0: StochasticMatrix
+    structure: ChainStructure
+    epsilon: float
+    block: int
+    one_step_overlap: float
+    profile: dict
+    start_overlap: float
+    class_reports: tuple = ()
+    pi0: tuple = ()
+    start_gap: np.ndarray = None
+    damping_gap: np.ndarray = None
+    drift_scale: np.ndarray = None
+    coupled: np.ndarray = None
+
+    def onestep(self, n: int) -> float:
+        """Family 5: ``(1 - Q(p, pi_eps)) * ((1 - Q(P0)) (1 - eps))^n``."""
+        _require_coupling_epsilon(self.epsilon)
+        return (1.0 - self.start_overlap) * _pow(
+            (1.0 - self.one_step_overlap) * (1.0 - self.epsilon), n
+        )
+
+    def multistep(self, n: int) -> float:
+        """Family 6: both geometric factors carry ``floor(n / block) * block``."""
+        exponent = (n // self.block) * self.block
+        return (
+            (1.0 - self.start_overlap)
+            * self.profile[self.block].delta_pow(exponent)
+            * _pow(1.0 - self.epsilon, exponent)
+        )
+
+    def bound(self, n: int, class_index: int, state: int) -> float:
+        """Family 7 at one state of closed class ``class_index``."""
+        cls = self.structure.classes[class_index]
+        local = cls.states.index(state)
+        exponent = (n // self.block) * self.block
+        geometric = self.coupled[class_index] * self.class_reports[class_index].delta_pow(exponent)
+        drift = self.drift_scale[class_index] * self.pi0[class_index].probs[local]
+        return (geometric + drift) * _pow(1.0 - self.epsilon, n)
+
+    def bound_vector(self, n: int) -> np.ndarray:
+        """Family 7 at every state at step n, in natural state order."""
+        m = sum(cls.size for cls in self.structure.classes)
+        out = np.empty(m)
+        for j, cls in enumerate(self.structure.classes):
+            for state in cls.states:
+                out[state] = self.bound(n, j, state)
+        return out
+
+    def require_contraction(self) -> None:
+        """Raise ContractionError unless every class has ``Delta_block < 1``.
+
+        The message names the smallest N in ``PROFILE_STEPS`` at which every
+        class contracts, or says that none does.
+        """
+        bad = [j for j, rep in enumerate(self.class_reports) if rep.delta >= 1.0]
+        if not bad:
+            return
+        if self.structure.regime is Regime.SINGULAR:
+            matrices = [restrict(self.P0, cls) for cls in self.structure.classes]
+            problem = f"classes {bad} have Delta_{self.block} = 1"
+        else:
+            matrices = [self.P0]
+            problem = f"Delta_{self.block} = 1"
+        for N in PROFILE_STEPS:
+            if all(ergodicity_coefficient(M, N).delta < 1.0 for M in matrices):
+                hint = f"increase the block length to N = {N}, the smallest with Delta_N < 1"
+                break
+        else:
+            hint = f"no block length N <= {PROFILE_STEPS[-1]} has Delta_N < 1"
+        raise ContractionError(f"{problem}; {hint}")
+
+
+def bound_context(
+    P0: StochasticMatrix,
+    d: DampingVector,
+    p: Distribution,
+    structure: ChainStructure,
+    epsilon: float,
+    block: int,
+    pi_eps: Distribution = None,
+    steps=(),
+) -> BoundContext:
+    """Compute the constants of :class:`BoundContext` once.
+
+    ``steps`` lists the N at which the whole matrix's coefficient is needed;
+    a regular chain also gets ``block``, since its one class is the whole
+    matrix. ``one_step_overlap`` is set when ``steps`` contains 1. Pass
+    ``structure=None`` (and any ``d``) when only families 5 and 6 are wanted.
+    Nothing here checks that a family applies: family 5 checks epsilon when
+    evaluated, and callers of family 7 or the joint-limit bound call
+    ``require_contraction``.
+    """
+    if block < 1:
+        raise ValidationError("block length must be at least 1")
+    regime = None if structure is None else structure.regime
+    whole = set(steps) | ({block} if regime is Regime.REGULAR else set())
+    overlaps = {N: min_row_overlap(matrix_power(P0, N).entries) for N in sorted(whole)}
+    profile = {N: ErgodicityReport.from_overlap(N, q) for N, q in overlaps.items()}
+    start_overlap = None if pi_eps is None else overlap(p.probs, pi_eps.probs)
+
+    constants = (P0, structure, epsilon, block, overlaps.get(1), profile, start_overlap)
+    if regime not in (Regime.REGULAR, Regime.SINGULAR):
+        return BoundContext(*constants)
+
+    pi0 = class_stationary(P0, structure)
+    if regime is Regime.REGULAR:
+        return BoundContext(
+            *constants,
+            class_reports=(profile[block],),
+            pi0=pi0,
+            start_gap=np.array([1.0 - overlap(p.probs, pi0[0].probs)]),
+            damping_gap=np.array([1.0 - overlap(d.weights, pi0[0].probs)]),
+            drift_scale=np.zeros(1),
+        )
+
+    f_p = class_mass(p, structure)
+    f_d = class_mass(d.as_distribution(), structure)
+    start_gap = np.zeros(len(pi0))
+    damping_gap = np.zeros(len(pi0))
+    for j, cls in enumerate(structure.classes):
+        law = pi0[j].probs
+        if f_p[j] > 0.0:
+            start_gap[j] = f_p[j] * (1.0 - overlap(_class_dist(p.probs, cls, f_p[j]), law))
+        damping_gap[j] = f_d[j] * (1.0 - overlap(restrict_damping(d, cls).weights, law))
+    coupled = None
+    if pi_eps is not None:
+        coupled = start_gap + np.array(
+            [
+                f_d[j] * (1.0 - overlap(_class_dist(pi_eps.probs, cls, f_d[j]), pi0[j].probs))
+                for j, cls in enumerate(structure.classes)
+            ]
+        )
+    return BoundContext(
+        *constants,
+        class_reports=class_ergodicity_coefficients(P0, structure, block),
+        pi0=pi0,
+        start_gap=start_gap,
+        damping_gap=damping_gap,
+        drift_scale=np.abs(f_p - f_d),
+        coupled=coupled,
+    )
+
+
 def coupling_bound(
     P0: StochasticMatrix,
     p: Distribution,
@@ -197,11 +401,7 @@ def coupling_bound(
     n: int,
 ) -> float:
     """One-step coupling bound on ``max_j |p(n)_j - pi(eps)_j|`` (family 5)."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError("coupling bounds require epsilon in (0, 1]")
-    q_start = overlap(p.probs, pi_eps.probs)
-    q0 = min_row_overlap(P0.entries)
-    return (1.0 - q_start) * _pow((1.0 - q0) * (1.0 - epsilon), n)
+    return bound_context(P0, None, p, None, epsilon, 1, pi_eps, steps=(1,)).onestep(n)
 
 
 def coupling_bound_multistep(
@@ -216,51 +416,7 @@ def coupling_bound_multistep(
 
     Both geometric factors carry the exponent ``floor(n / block) * block``.
     """
-    if block < 1:
-        raise ValidationError("block length must be at least 1")
-    report = ergodicity_coefficient(P0, block)
-    q_start = overlap(p.probs, pi_eps.probs)
-    exponent = (n // block) * block
-    return (1.0 - q_start) * report.delta_pow(exponent) * _pow(1.0 - epsilon, exponent)
-
-
-def _class_dist(values: np.ndarray, cls: ClosedClass, mass: float) -> np.ndarray:
-    return values[list(cls.states)] / mass
-
-
-@dataclass(frozen=True)
-class SplitBoundContext:
-    """Precomputed constants of the per-class coupling bound (family 7).
-
-    Build once per (matrix, damping, start, epsilon, block) via
-    :func:`split_bound_context`, then evaluate cheaply across a grid of step
-    counts and states.
-    """
-
-    structure: ChainStructure
-    epsilon: float
-    block: int
-    coupled: np.ndarray
-    drift_scale: np.ndarray
-    pi0_by_class: tuple
-    deltas: tuple
-
-    def bound(self, n: int, class_index: int, state: int) -> float:
-        cls = self.structure.classes[class_index]
-        local = cls.states.index(state)
-        exponent = (n // self.block) * self.block
-        geometric = self.coupled[class_index] * _pow(self.deltas[class_index], exponent)
-        drift = self.drift_scale[class_index] * self.pi0_by_class[class_index][local]
-        return (geometric + drift) * _pow(1.0 - self.epsilon, n)
-
-    def bound_vector(self, n: int) -> np.ndarray:
-        """Per-state bounds at step n, in natural state order."""
-        m = sum(cls.size for cls in self.structure.classes)
-        out = np.empty(m)
-        for j, cls in enumerate(self.structure.classes):
-            for state in cls.states:
-                out[state] = self.bound(n, j, state)
-        return out
+    return bound_context(P0, None, p, None, epsilon, block, pi_eps, steps=(block,)).multistep(n)
 
 
 def split_bound_context(
@@ -271,49 +427,21 @@ def split_bound_context(
     block: int,
     structure: ChainStructure,
     pi_eps: Distribution = None,
-) -> SplitBoundContext:
-    """Assemble the constants of the family-7 bound.
+) -> BoundContext:
+    """Build a :class:`BoundContext` for family 7 and check that family 7 applies.
 
-    Requires the block-N ergodicity coefficient of every closed class to be
-    strictly below 1. A class carrying no mass under ``p`` contributes no
-    start-overlap term.
+    Requires a singular chain and the block-N ergodicity coefficient of every
+    closed class to be strictly below 1. A class carrying no mass under ``p``
+    contributes no start-overlap term.
     """
     if structure.regime is not Regime.SINGULAR:
         raise RegimeError("the split bound applies to singular chains; use families 5/6")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError("coupling bounds require epsilon in (0, 1]")
-    reports = class_ergodicity_coefficients(P0, structure, block)
-    bad = [j for j, rep in enumerate(reports) if rep.delta >= 1.0]
-    if bad:
-        raise ContractionError(
-            f"classes {bad} have Delta_{block} = 1; increase the block length"
-        )
+    _require_coupling_epsilon(epsilon)
     if pi_eps is None:
         pi_eps = stationary_direct(build_damped_matrix(DampedChain(P0, d, epsilon))).pi
-
-    f_d = class_mass(d.as_distribution(), structure)
-    f_p = class_mass(p, structure)
-    coupled = np.zeros(len(structure.classes))
-    drift_scale = np.zeros(len(structure.classes))
-    pi0_by_class = []
-    for j, cls in enumerate(structure.classes):
-        pi0_class = stationary_direct(restrict(P0, cls)).pi.probs
-        pi0_by_class.append(pi0_class)
-        pi_eps_class = _class_dist(pi_eps.probs, cls, f_d[j])
-        coupled[j] = f_d[j] * (1.0 - overlap(pi_eps_class, pi0_class))
-        if f_p[j] > 0.0:
-            p_class = _class_dist(p.probs, cls, f_p[j])
-            coupled[j] += f_p[j] * (1.0 - overlap(p_class, pi0_class))
-        drift_scale[j] = abs(f_p[j] - f_d[j])
-    return SplitBoundContext(
-        structure,
-        epsilon,
-        block,
-        coupled,
-        drift_scale,
-        tuple(pi0_by_class),
-        tuple(rep.delta for rep in reports),
-    )
+    context = bound_context(P0, d, p, structure, epsilon, block, pi_eps)
+    context.require_contraction()
+    return context
 
 
 def coupling_bound_split(

@@ -14,14 +14,11 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    PROFILE_STEPS,
     BoundReport,
-    class_ergodicity_coefficients,
-    coupling_bound,
-    coupling_bound_multistep,
-    ergodicity_coefficient,
+    bound_context,
     estimate_decay,
     estimate_decay_split,
-    split_bound_context,
     stationary_gap_bound,
 )
 from .core import DampedChain, Distribution, build_damped_matrix
@@ -168,13 +165,16 @@ def bounds_section(
     n_grid = list(range(0, horizon + 1))
     P_eps = build_damped_matrix(DampedChain(chain.p0, chain.damping, epsilon))
     pi_eps = stationary_direct(P_eps).pi
+    context = bound_context(
+        chain.p0, chain.damping, p, structure, epsilon, block, pi_eps, (*PROFILE_STEPS, block)
+    )
 
     for family in families:
         if family == "1":
             if structure.regime is not Regime.REGULAR:
                 raise RegimeError("bound family 1 needs a regular chain; use family 2")
-            decay = estimate_decay(chain.p0)
-            reference = stationary_direct(chain.p0).pi
+            reference = context.pi0[0]
+            decay = estimate_decay(chain.p0, pi0=reference)
             values = stationary_gap_bound(decay, chain.damping, reference, epsilon)
             reports.append(
                 BoundReport(
@@ -190,7 +190,7 @@ def bounds_section(
                 raise RegimeError("bound family 2 needs a singular chain; use family 1")
             decay = estimate_decay_split(chain.p0, structure)
             reference = limit_stationary(
-                chain.p0, chain.damping, chain.damping.as_distribution(), structure
+                chain.p0, chain.damping, chain.damping.as_distribution(), structure, context.pi0
             )
             values = stationary_gap_bound(decay, chain.damping, reference, epsilon)
             reports.append(
@@ -203,24 +203,17 @@ def bounds_section(
                 )
             )
         elif family == "5":
-            by_n = tuple(
-                (n, coupling_bound(chain.p0, p, pi_eps, epsilon, n)) for n in n_grid
-            )
+            by_n = tuple((n, context.onestep(n)) for n in n_grid)
             reports.append(BoundReport("coupling-onestep", "5", epsilon, {}, (), by_n))
         elif family == "6":
-            by_n = tuple(
-                (n, coupling_bound_multistep(chain.p0, p, pi_eps, epsilon, block, n))
-                for n in n_grid
-            )
+            by_n = tuple((n, context.multistep(n)) for n in n_grid)
             reports.append(
                 BoundReport("coupling-multistep", "6", epsilon, {"block": block}, (), by_n)
             )
         elif family == "7":
             if structure.regime is not Regime.SINGULAR:
                 raise RegimeError("bound family 7 needs a singular chain; use families 5/6")
-            context = split_bound_context(
-                chain.p0, chain.damping, p, epsilon, block, structure, pi_eps=pi_eps
-            )
+            context.require_contraction()
             reports.append(
                 BoundReport(
                     "coupling-split",
@@ -233,16 +226,13 @@ def bounds_section(
         else:
             raise RegimeError(f"unknown bound family {family!r}; choose from 1, 2, 5, 6, 7")
 
-    ergodicity = [
-        {"N": N, "delta": rounded(ergodicity_coefficient(chain.p0, N).delta)}
-        for N in range(1, 13)
-    ]
+    ergodicity = [{"N": N, "delta": rounded(context.profile[N].delta)} for N in PROFILE_STEPS]
     section = {"epsilon": rounded(epsilon), "reports": [_bound_record(r) for r in reports]}
     section["ergodicity"] = ergodicity
     if structure.regime is Regime.SINGULAR:
         section["class_ergodicity"] = [
             {"class": j + 1, "N": block, "delta": rounded(rep.delta)}
-            for j, rep in enumerate(class_ergodicity_coefficients(chain.p0, structure, block))
+            for j, rep in enumerate(context.class_reports)
         ]
     return section
 
@@ -260,7 +250,8 @@ def coupling_sim_section(
     kernel = build_coupling_kernel(P_eps)
     start = maximal_coupling(p, pi_eps)
     estimate = simulate_coupling_time(kernel, start, trials, seed, horizon)
-    bound = [coupling_bound(chain.p0, p, pi_eps, epsilon, n) for n in range(horizon + 1)]
+    context = bound_context(chain.p0, chain.damping, p, None, epsilon, 1, pi_eps, steps=(1,))
+    bound = [context.onestep(n) for n in range(horizon + 1)]
     return {
         "epsilon": rounded(epsilon),
         "trials": trials,

@@ -175,26 +175,41 @@ def stationary_series(
     )
 
 
+def class_stationary(P0: StochasticMatrix, structure: ChainStructure) -> tuple:
+    """Stationary law of each closed class, in ``structure.classes`` order.
+
+    A regular chain's one class covers every state, so its law is solved on P0
+    itself, in natural state order; a singular chain's on each restriction.
+    """
+    if structure.regime is Regime.REGULAR:
+        return (stationary_direct(P0).pi,)
+    return tuple(stationary_direct(restrict(P0, cls)).pi for cls in structure.classes)
+
+
 def limit_stationary(
     P0: StochasticMatrix,
     d: DampingVector,
     p: Distribution,
     structure: ChainStructure,
+    pi0: tuple = None,
 ) -> Distribution:
     """Limit of the n-step law of the undamped chain started from ``p``.
 
     Regular regime: the unique stationary distribution of P0, independent of
     ``p``. Singular regime: per-class stationary distributions scaled by the
     class masses of ``p``. Called with ``p`` equal to the damping weights this
-    is also the eps -> 0 limit of the damped stationary distributions.
+    is also the eps -> 0 limit of the damped stationary distributions. A
+    caller holding the class laws from :func:`class_stationary` passes them
+    as ``pi0``; otherwise they are solved here.
     """
     if structure.regime is Regime.UNSUPPORTED:
         raise RegimeError("limit distribution is only defined for regular or singular chains")
+    if pi0 is None:
+        pi0 = class_stationary(P0, structure)
     if structure.regime is Regime.REGULAR:
-        return stationary_direct(P0).pi
+        return pi0[0]
     masses = class_mass(p, structure)
     out = np.zeros(P0.dim)
     for j, cls in enumerate(structure.classes):
-        sub = stationary_direct(restrict(P0, cls)).pi
-        out[list(cls.states)] = masses[j] * sub.probs
+        out[list(cls.states)] = masses[j] * pi0[j].probs
     return Distribution(out, max(P0.row_tol, 1e-10))

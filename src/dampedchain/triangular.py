@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, build_damped_matrix
-from .bounds import class_ergodicity_coefficients, ergodicity_coefficient, overlap
-from .errors import ContractionError, RegimeError, ValidationError
-from .stationary import limit_stationary, stationary_direct
-from .structure import ChainStructure, Regime, class_mass, restrict, restrict_damping
+from .bounds import BoundContext, bound_context
+from .errors import RegimeError, ValidationError
+from .stationary import limit_stationary
+from .structure import ChainStructure, Regime
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,10 @@ def triangular_limit(
         raise ValidationError(f"t must lie in [0, infinity], got {t}")
     start_side = limit_stationary(P0, d, p, structure).probs
     damped_side = limit_stationary(P0, d, d.as_distribution(), structure).probs
+    return _mixture(start_side, damped_side, t)
+
+
+def _mixture(start_side: np.ndarray, damped_side: np.ndarray, t: float) -> TriangularLimit:
     weight = math.exp(-t)
     values = start_side * weight + damped_side * (1.0 - weight)
     return TriangularLimit(t, values, start_side, damped_side, weight)
@@ -90,44 +94,38 @@ def triangular_bound(
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValidationError("the bound requires epsilon in (0, 1]")
+    return _bound(_context(P0, d, p, structure, epsilon, block), n, t)
+
+
+def _context(
+    P0: StochasticMatrix,
+    d: DampingVector,
+    p: Distribution,
+    structure: ChainStructure,
+    epsilon: float,
+    block: int,
+) -> BoundContext:
     if structure.regime is Regime.UNSUPPORTED:
         raise RegimeError("triangular bounds require a regular or singular chain")
+    context = bound_context(P0, d, p, structure, epsilon, block)
+    context.require_contraction()
+    return context
 
-    exponent = (n // block) * block
-    if structure.regime is Regime.REGULAR:
-        rep = ergodicity_coefficient(P0, block)
-        if rep.delta >= 1.0:
-            raise ContractionError(f"Delta_{block} = 1; increase the block length")
-        pi0 = stationary_direct(P0).pi.probs
-        return (1.0 - overlap(p.probs, pi0)) * rep.delta_pow(exponent) + (
-            1.0 - overlap(d.weights, pi0)
-        ) * epsilon * block / (1.0 - rep.delta**block)
 
-    reports = class_ergodicity_coefficients(P0, structure, block)
-    bad = [j for j, rep in enumerate(reports) if rep.delta >= 1.0]
-    if bad:
-        raise ContractionError(f"classes {bad} have Delta_{block} = 1; increase the block length")
-    f_p = class_mass(p, structure)
-    f_d = class_mass(d.as_distribution(), structure)
-    discretization = abs(_survival(epsilon, n) - math.exp(-t))
-
+def _bound(context: BoundContext, n: int, t: float) -> float:
+    """The bound of :func:`triangular_bound`; a regular chain is one class with no drift."""
+    exponent = (n // context.block) * context.block
+    discretization = abs(_survival(context.epsilon, n) - math.exp(-t))
     worst = 0.0
-    for j, cls in enumerate(structure.classes):
-        idx = list(cls.states)
-        pi0_class = stationary_direct(restrict(P0, cls)).pi.probs
-        d_class = restrict_damping(d, cls).weights
-        term1 = 0.0
-        if f_p[j] > 0.0:
-            p_class = p.probs[idx] / f_p[j]
-            term1 = f_p[j] * (1.0 - overlap(p_class, pi0_class)) * reports[j].delta_pow(exponent)
+    for j, rep in enumerate(context.class_reports):
+        term1 = context.start_gap[j] * rep.delta_pow(exponent)
         term2 = (
-            f_d[j]
-            * (1.0 - overlap(d_class, pi0_class))
-            * epsilon
-            * block
-            / (1.0 - reports[j].delta**block)
+            context.damping_gap[j]
+            * context.epsilon
+            * context.block
+            / (1.0 - rep.delta**context.block)
         )
-        drift = abs(f_p[j] - f_d[j]) * float(pi0_class.max()) * discretization
+        drift = context.drift_scale[j] * float(context.pi0[j].probs.max()) * discretization
         worst = max(worst, term1 + term2 + drift)
     return worst
 
@@ -198,8 +196,10 @@ def triangular_sweep(
     grid = sorted(set(int(n) for n in n_grid))
     if not grid or grid[0] < 0:
         raise ValidationError("n grid must be non-empty with non-negative entries")
+    context = _context(P0, d, p, structure, epsilon, block)
+    start_side = limit_stationary(P0, d, p, structure, context.pi0).probs
+    damped_side = limit_stationary(P0, d, d.as_distribution(), structure, context.pi0).probs
     P_eps = build_damped_matrix(DampedChain(P0, d, epsilon))
-    damped_side = limit_stationary(P0, d, d.as_distribution(), structure).probs
 
     rows = []
     v = p.probs
@@ -209,8 +209,7 @@ def triangular_sweep(
             v = v @ P_eps.entries
         step = n
         t = epsilon * n
-        mix = triangular_limit(P0, d, p, structure, t)
-        rel = np.abs(mix.values - damped_side) / damped_side
-        bound = triangular_bound(P0, d, p, structure, epsilon, n, block, t)
-        rows.append(SweepRow(n, t, v.copy(), mix.values, rel, bound))
+        mixture = _mixture(start_side, damped_side, t).values
+        rel = np.abs(mixture - damped_side) / damped_side
+        rows.append(SweepRow(n, t, v.copy(), mixture, rel, _bound(context, n, t)))
     return TriangularSweep(epsilon, block, tuple(rows))

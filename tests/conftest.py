@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,24 @@ def naive_min_overlap(entries: np.ndarray) -> float:
                 s += min(entries[i, k], entries[j, k])
             q = min(q, s)
     return q
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call to the package function ``name``.
+
+    Every module binding of the function is replaced, so calls are counted
+    whichever module makes them, including the package's own internal calls.
+    """
+    calls = []
+    modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "dampedchain"]
+    for module in modules:
+        original = getattr(module, name, None)
+        if original is None:
+            continue
+
+        def spy(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls

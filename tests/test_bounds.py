@@ -18,12 +18,13 @@ from dampedchain import (
     estimate_decay,
     estimate_decay_split,
     limit_stationary,
+    min_row_overlap,
     propagate,
     split_bound_context,
     stationary_direct,
     stationary_gap_bound,
 )
-from conftest import naive_min_overlap
+from conftest import count_calls, naive_min_overlap
 
 # Composite tail constant of the five-node example's known decay envelope.
 FIVE_NODE_TAIL_FACTOR = (67 / 4488) * np.sqrt(34) + 49 / 132
@@ -51,6 +52,17 @@ class TestErgodicityCoefficient:
             power = np.linalg.matrix_power(P.entries, N)
             expected = (1.0 - naive_min_overlap(power)) ** (1.0 / N)
             assert ergodicity_coefficient(P, N).delta == pytest.approx(expected, abs=1e-12)
+        # Rows 0 and 1 share no support: the scan stops after row 0, at the
+        # exact minimum.
+        entries = np.array(
+            [
+                [0.5, 0.5, 0.0, 0.0],
+                [0.0, 0.0, 0.5, 0.5],
+                [0.25, 0.25, 0.25, 0.25],
+                [0.5, 0.0, 0.5, 0.0],
+            ]
+        )
+        assert min_row_overlap(entries) == naive_min_overlap(entries) == 0.0
 
     def test_four_node_has_disjoint_rows_at_one_step(self, four_node):
         P, _ = four_node
@@ -236,3 +248,29 @@ class TestCouplingBounds:
                 bounds_vec = context.bound_vector(n)
                 assert np.all(np.abs(law - pi_eps.probs) <= bounds_vec + 1e-12)
                 law = law @ P_eps.entries
+
+
+class TestOneContextPerCommand:
+    """Constants that do not depend on n are computed once per bounds section."""
+
+    @pytest.mark.parametrize("block", [2, 13])
+    def test_regular_section_scans_each_step_once(self, five_node, monkeypatch, block):
+        from dampedchain.report import bounds_section
+
+        P, d = five_node
+        scans = count_calls(monkeypatch, "min_row_overlap")
+        chain = DampedChain(P, d, 0.15)
+        bounds_section(chain, decompose(P), Distribution.uniform(5), 0.15, block, ["1", "5", "6"], 30)
+        # Delta_1..Delta_12 and the block: family 5 reuses Delta_1's raw overlap.
+        assert len(scans) <= 13
+
+    def test_singular_section_adds_one_scan_per_class(self, eight_node, monkeypatch):
+        from dampedchain.report import bounds_section
+
+        P, d = eight_node
+        structure = decompose(P)
+        scans = count_calls(monkeypatch, "min_row_overlap")
+        chain = DampedChain(P, d, 0.15)
+        families = ["2", "5", "6", "7"]
+        bounds_section(chain, structure, Distribution.uniform(8), 0.15, 2, families, 30)
+        assert len(scans) <= 12 + len(structure.classes)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chains
+from conftest import count_calls
 from dampedchain import (
     ContractionError,
     DampedChain,
@@ -115,8 +116,23 @@ class TestBound:
     def test_block_one_is_rejected_when_not_contracting(self, eight_node):
         P, d = eight_node
         s = decompose(P)
-        with pytest.raises(ContractionError):
+        with pytest.raises(ContractionError, match="to N = 2, the smallest"):
             triangular_bound(P, d, POINT_AT_FIRST, s, 0.1, 10, 1, 1.0)
+
+    def test_error_says_when_no_block_contracts(self):
+        # A 30-cycle with one self-loop is regular, but 12 steps from states 0
+        # and 15 reach disjoint arcs, so Delta_N = 1 for every N <= 12.
+        m = 30
+        entries = np.zeros((m, m))
+        for i in range(m):
+            entries[i, (i + 1) % m] = 1.0
+        entries[0] = [0.5, 0.5] + [0.0] * (m - 2)
+        P = StochasticMatrix(entries)
+        s = decompose(P)
+        assert s.regime.value == "regular"
+        d = chains.DampingVector.uniform(m)
+        with pytest.raises(ContractionError, match="no block length N <= 12"):
+            triangular_sweep(P, d, Distribution.uniform(m), s, 0.1, [0, 1], 3)
 
     @pytest.mark.parametrize("chain_name", ["five_node", "eight_node"])
     def test_bound_dominates_deviation_from_mixture(self, chain_name, request):
@@ -171,6 +187,19 @@ class TestSweep:
         devs = [np.max(np.abs(r.trajectory - chains.FIVE_NODE_PI)) for r in sweep.rows]
         assert devs[0] > devs[1] >= devs[2]
         assert devs[-1] < 3e-3
+
+    @pytest.mark.parametrize("chain_name", ["five_node", "eight_node"])
+    def test_constants_are_built_once(self, chain_name, request, monkeypatch):
+        P, d = request.getfixturevalue(chain_name)
+        s = decompose(P)
+        solves = count_calls(monkeypatch, "stationary_direct")
+        limits = count_calls(monkeypatch, "limit_stationary")
+        triangular_sweep(P, d, Distribution.point_mass(P.dim, 0), s, 0.1, range(0, 31))
+        # One solve per closed class; a regular chain's class is P0 itself.
+        assert len(solves) == len(s.classes)
+        if len(s.classes) == 1:
+            assert solves[0][0] is P
+        assert len(limits) == 2
 
     def test_diagonal_refinement_shrinks_deviation(self, eight_node):
         from dampedchain import steps_for
