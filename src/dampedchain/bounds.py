@@ -184,13 +184,23 @@ def estimate_decay(
 
 
 def estimate_decay_split(
-    P0: StochasticMatrix, structure: ChainStructure, horizon: int = DEFAULT_DECAY_HORIZON
+    P0: StochasticMatrix,
+    structure: ChainStructure,
+    horizon: int = DEFAULT_DECAY_HORIZON,
+    pi0: tuple = None,
 ) -> GeometricDecay:
-    """Worst-case decay constants over the closed classes (singular chains)."""
+    """Worst-case decay constants over the closed classes (singular chains).
+
+    A caller holding the class laws from :func:`class_stationary` passes them
+    as ``pi0``; otherwise each class's law is solved here.
+    """
     if not structure.classes:
         raise RegimeError("no closed classes to estimate decay on")
+    if pi0 is None:
+        pi0 = (None,) * len(structure.classes)
     per_class = [
-        estimate_decay(restrict(P0, cls), horizon=horizon) for cls in structure.classes
+        estimate_decay(restrict(P0, cls), pi0=law, horizon=horizon)
+        for cls, law in zip(structure.classes, pi0)
     ]
     return GeometricDecay(
         max(d.amplitude for d in per_class), max(d.rate for d in per_class)

@@ -144,7 +144,7 @@ def _load(args):
 
 def _inputs_echo(args, matrix, damping, p, epsilons) -> dict:
     return {
-        "matrix": [[float(x) for x in row] for row in matrix.entries],
+        "matrix": matrix.entries,
         "damping": [float(x) for x in damping.weights],
         "initial": [float(x) for x in p.probs],
         "epsilon": args.epsilon,

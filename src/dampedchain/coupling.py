@@ -83,10 +83,9 @@ class CouplingKernel:
 
     Rows are materialized on demand and memoized: the full kernel would be an
     m^2 x m^2 object, while the cache stays at one m x m table per distinct
-    pair actually visited. Concurrent readers are safe once a row exists; a
-    row may be computed twice under a race but both results are identical, so
-    it is observably computed once. Pass a matrix power of the one-step matrix
-    to obtain the subsampled (block-of-N-steps) variant.
+    pair actually visited. The kernel is not meant to be shared between
+    threads; the simulator reads it from one thread. Pass a matrix power of
+    the one-step matrix to obtain the subsampled (block-of-N-steps) variant.
     """
 
     def __init__(self, P: StochasticMatrix):
@@ -155,8 +154,8 @@ def simulate_coupling_time(
 
     Each trial draws from its own counter-based stream (Philox keyed by
     ``seed`` with the counter offset by the trial index), so trials are
-    independent, reproducible, and may be executed in any order or in
-    parallel with identical results.
+    independent and reproducible, and the result does not depend on the
+    order in which they run. Trials run one after another.
     """
     if trials < 1:
         raise ValidationError("at least one trial is required")

@@ -207,12 +207,57 @@ def load_damping(path, dim: int, row_tol: float = 1e-12) -> DampingVector:
         raise IngestError(f"damping failed validation: {exc}") from exc
 
 
+# Stands in a document for a matrix that dumps_with_matrix writes from its
+# array. No report or matrix document holds this string; json writes it as
+# "\u0000matrix".
+MATRIX_SLOT = "\x00matrix"
+
+
+def _matrix_pieces(entries: np.ndarray, indent: int):
+    """Yield ``json.dumps(entries.tolist(), indent=2)`` opened ``indent`` spaces in.
+
+    Rows are formatted one at a time from the array. An entry whose bits are
+    all zero writes ``0.0``; any other writes ``repr(float(x))``, which is
+    what json's float encoder writes, so ``-0.0`` stays ``-0.0``. A
+    non-finite entry raises ``ValueError``, as ``allow_nan=False`` does.
+    """
+    finite = np.isfinite(entries)
+    if not finite.all():
+        bad = float(entries[~finite][0])
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    outer = "\n" + " " * (indent + 2)
+    open_row = "[\n" + " " * (indent + 4)
+    close_row = outer + "]"
+    sep = ",\n" + " " * (indent + 4)
+    yield "[" + outer + open_row
+    for i, row in enumerate(entries):
+        if i:
+            yield close_row + "," + outer + open_row
+        tokens = ["0.0"] * len(row)
+        cols = np.flatnonzero((row != 0.0) | np.signbit(row))
+        for j, x in zip(cols.tolist(), row[cols].tolist()):
+            tokens[j] = repr(x)
+        yield sep.join(tokens)
+    yield close_row + "\n" + " " * indent + "]"
+
+
+def dumps_with_matrix(doc: dict, entries: np.ndarray) -> str:
+    """``json.dumps(doc, indent=2, allow_nan=False)`` of ``doc`` holding ``entries``.
+
+    ``doc`` holds :data:`MATRIX_SLOT` where the matrix goes; the text is the
+    same as with ``entries.tolist()`` in its place, but the matrix is written
+    row by row from the array instead of through json's per-float encoder.
+    """
+    text = json.dumps(doc, indent=2, allow_nan=False)
+    head, _, tail = text.partition(json.dumps(MATRIX_SLOT))
+    line = head[head.rfind("\n") + 1 :]
+    indent = len(line) - len(line.lstrip(" "))
+    return "".join([head, *_matrix_pieces(entries, indent), tail])
+
+
 def emit_matrix_json(matrix: StochasticMatrix, damping: DampingVector = None) -> str:
     """Serialize a matrix (and optional damping) losslessly to matrix JSON."""
-    doc = {
-        "dim": matrix.dim,
-        "matrix": [[float(x) for x in row] for row in matrix.entries],
-    }
+    doc = {"dim": matrix.dim, "matrix": MATRIX_SLOT}
     if damping is not None:
         doc["damping"] = [float(x) for x in damping.weights]
-    return json.dumps(doc, indent=2)
+    return dumps_with_matrix(doc, matrix.entries)

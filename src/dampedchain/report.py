@@ -25,6 +25,7 @@ from .core import DampedChain, Distribution, build_damped_matrix
 from .coupling import build_coupling_kernel, maximal_coupling, simulate_coupling_time
 from .errors import RegimeError
 from .expansion import expansion, spectrum
+from .io import MATRIX_SLOT, dumps_with_matrix
 from .stationary import (
     limit_stationary,
     stationary_direct,
@@ -188,7 +189,7 @@ def bounds_section(
         elif family == "2":
             if structure.regime is not Regime.SINGULAR:
                 raise RegimeError("bound family 2 needs a singular chain; use family 1")
-            decay = estimate_decay_split(chain.p0, structure)
+            decay = estimate_decay_split(chain.p0, structure, pi0=context.pi0)
             reference = limit_stationary(
                 chain.p0, chain.damping, chain.damping.as_distribution(), structure, context.pi0
             )
@@ -303,7 +304,10 @@ def build_report(command: str, inputs_echo: dict, sections: dict) -> dict:
 
 
 def serialize(report: dict) -> str:
-    return json.dumps(report, indent=2, allow_nan=False)
+    """The report as indent-2 JSON; the matrix echo is written from its array."""
+    inputs = report["inputs"]
+    shell = dict(report, inputs=dict(inputs, matrix=MATRIX_SLOT))
+    return dumps_with_matrix(shell, inputs["matrix"])
 
 
 def load_schema() -> dict:

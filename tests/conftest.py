@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import chains
 
@@ -75,3 +76,20 @@ def count_calls(monkeypatch, name: str) -> list:
 
         monkeypatch.setattr(module, name, spy)
     return calls
+
+
+# Floats whose JSON text is easy to get wrong: signed zero, the smallest
+# subnormal, a tiny normal, and values whose shortest repr has 16-17 digits.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 0.1 + 0.2, 1 / 3, 1.0]
+
+
+@st.composite
+def square_matrices(draw, elements):
+    """Square float64 arrays of side 1..6, some of whose rows hold a single 1.0."""
+    m = draw(st.integers(1, 6))
+    values = draw(st.lists(elements, min_size=m * m, max_size=m * m))
+    entries = np.array(values, dtype=np.float64).reshape(m, m)
+    for i in draw(st.sets(st.integers(0, m - 1))):
+        entries[i] = 0.0
+        entries[i, draw(st.integers(0, m - 1))] = 1.0
+    return entries

@@ -24,6 +24,7 @@ from dampedchain import (
     stationary_direct,
     stationary_gap_bound,
 )
+from dampedchain.stationary import class_stationary
 from conftest import count_calls, naive_min_overlap
 
 # Composite tail constant of the five-node example's known decay envelope.
@@ -134,6 +135,12 @@ class TestStationaryGapBound:
         pi_eps = stationary_direct(build_damped_matrix(DampedChain(P, d, eps))).pi
         bound = stationary_gap_bound(decay, d, reference, eps)
         assert np.all(np.abs(pi_eps.probs - reference.probs) <= bound + 1e-12)
+
+    def test_split_decay_with_class_laws_is_bit_equal(self, eight_node):
+        P, _ = eight_node
+        structure = decompose(P)
+        with_laws = estimate_decay_split(P, structure, pi0=class_stationary(P, structure))
+        assert with_laws == estimate_decay_split(P, structure)
 
     def test_estimate_decay_rejects_periodic(self):
         from dampedchain import StochasticMatrix
@@ -274,3 +281,14 @@ class TestOneContextPerCommand:
         families = ["2", "5", "6", "7"]
         bounds_section(chain, structure, Distribution.uniform(8), 0.15, 2, families, 30)
         assert len(scans) <= 12 + len(structure.classes)
+
+    def test_singular_section_solves_each_class_law_once(self, eight_node, monkeypatch):
+        from dampedchain.report import bounds_section
+
+        P, d = eight_node
+        solves = count_calls(monkeypatch, "stationary_direct")
+        chain = DampedChain(P, d, 0.15)
+        families = ["2", "5", "6", "7"]
+        bounds_section(chain, decompose(P), Distribution.uniform(8), 0.15, 2, families, 30)
+        # pi(eps) once and each of the two class laws once; family 2 reuses them.
+        assert len(solves) == 3

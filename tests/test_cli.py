@@ -247,3 +247,33 @@ def test_full_report_reproducible_from_its_own_echo(capsys, tmp_path):
     for section in ("structure", "stationary", "spectrum", "expansion", "bounds",
                     "coupling_sim", "triangular"):
         assert second[section] == first[section], section
+
+
+CSV_WITH_NEGATIVE_ZERO = "0.5,0.5,0.0\n0.25,0.25,0.5\n1.0,-0.0,0.0\n"
+ROUND_TRIP_ARGS = {
+    "structure": (),
+    "stationary": ("--epsilon-grid", "0.05,0.2"),
+    "expand": ("--epsilon", "0.1"),
+    "bounds": ("--epsilon", "0.1", "--coupling-N", "3"),
+    "coupling-sim": ("--epsilon", "0.1", "--seed", "3", "--trials", "300", "--horizon", "6"),
+    "triangular": ("--epsilon", "0.1", "--n-grid", "0:6", "--coupling-N", "3"),
+    "report": ("--epsilon", "0.1", "--seed", "3", "--trials", "300", "--horizon", "6",
+               "--coupling-N", "3"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP_ARGS))
+@pytest.mark.parametrize("chain", ["five", "four", "eight", "csv"])
+def test_report_text_is_what_json_writes(capsys, tmp_path, chain, command):
+    # The matrix echo is written from the array; the text must still be
+    # exactly json's indent-2 rendering of the parsed report.
+    if chain == "csv":
+        path = tmp_path / "m.csv"
+        path.write_text(CSV_WITH_NEGATIVE_ZERO)
+    else:
+        path = {"five": FIVE, "four": FOUR, "eight": EIGHT}[chain]
+    code, out = run_cli(capsys, command, "--input", str(path), *ROUND_TRIP_ARGS[command])
+    assert code == 0, out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    if chain == "csv":
+        assert "-0.0" in out

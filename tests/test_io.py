@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chains
 from dampedchain import (
@@ -15,6 +16,7 @@ from dampedchain import (
     ingest,
     load_damping,
 )
+from conftest import SPECIAL_FLOATS, square_matrices
 
 DATA = Path(__file__).parent / "data"
 
@@ -103,6 +105,36 @@ def test_json_round_trip_is_lossless(tmp_path):
     np.testing.assert_array_equal(back_matrix.entries, matrix.entries)
     np.testing.assert_array_equal(back_damping.weights, damping.weights)
     assert emit_matrix_json(back_matrix, back_damping) == text
+
+
+def old_emit(entries, damping=None):
+    doc = {"dim": entries.shape[0], "matrix": entries.tolist()}
+    if damping is not None:
+        doc["damping"] = damping.weights.tolist()
+    return json.dumps(doc, indent=2)
+
+
+PROBABILITIES = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices(PROBABILITIES), st.booleans())
+def test_emit_matches_json_of_nested_lists(entries, with_damping):
+    m = entries.shape[0]
+    # Rows of m entries in [0, 1] sum to within m of 1, so any of them validates.
+    matrix = StochasticMatrix(entries, row_tol=float(m))
+    damping = DampingVector.uniform(m) if with_damping else None
+    assert emit_matrix_json(matrix, damping) == old_emit(entries, damping)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[1.0]], [[0.5, 0.5], [1.0, -0.0]], [[5e-324, 1e-300, 1.0], [1 / 3, 1 / 3, 1 / 3], [0.0, 1.0, 0.0]]],
+    ids=["one-state", "negative-zero", "specials"],
+)
+def test_emit_fixed_matrices_match_json(entries):
+    entries = np.array(entries)
+    assert emit_matrix_json(StochasticMatrix(entries)) == old_emit(entries)
 
 
 def test_format_can_be_forced(tmp_path):
