@@ -8,6 +8,11 @@ ordered state pairs whose two marginal chains each move by the original
 matrix and whose diagonal is absorbing. The tail of the first meeting time of
 the pair bounds the distance of the chain's n-step law from stationarity,
 which is what the Monte Carlo simulator estimates.
+
+The coupling factorises, so the simulator never builds an m x m pair row:
+from (i, j) it draws i' from row i, lets the pair meet at i' with
+probability ``min(P[i, i'], P[j, i']) / P[i, i']``, and otherwise draws j'
+from the excess ``P[j] - min(P[i], P[j])``. That is O(m) work per move.
 """
 
 from dataclasses import dataclass, field
@@ -19,8 +24,13 @@ from .errors import DimensionMismatchError, ValidationError
 
 MARGINAL_TOL = 1e-12
 
-#: RNG algorithm used by the simulator; recorded in reports for reproducibility.
-GENERATOR_ID = "philox4x64"
+#: RNG algorithm and draw layout of the simulator (see ``simulate_coupling_time``);
+#: recorded in reports for reproducibility.
+GENERATOR_ID = "philox4x64-steptrial"
+
+#: The simulator advances trials in blocks of ``BLOCK_ELEMENTS // m`` (at least
+#: one), which bounds each block's working arrays at this many elements.
+BLOCK_ELEMENTS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -81,17 +91,15 @@ def maximal_coupling(p1: Distribution, p2: Distribution) -> CouplingJoint:
 class CouplingKernel:
     """Transition kernel of the paired chain, one maximal coupling per state pair.
 
-    Rows are materialized on demand and memoized: the full kernel would be an
-    m^2 x m^2 object, while the cache stays at one m x m table per distinct
-    pair actually visited. The kernel is not meant to be shared between
-    threads; the simulator reads it from one thread. Pass a matrix power of
-    the one-step matrix to obtain the subsampled (block-of-N-steps) variant.
+    The full kernel would be an m^2 x m^2 object; ``pair_law`` builds the
+    m x m row of one pair when asked and keeps nothing. The simulator does not
+    read these rows (it draws each move from the factorised coupling), so they
+    serve as the reference law. Pass a matrix power of the one-step matrix to
+    obtain the subsampled (block-of-N-steps) variant.
     """
 
     def __init__(self, P: StochasticMatrix):
         self._P = P
-        self._rows = {}
-        self._cdfs = {}
 
     @property
     def dim(self) -> int:
@@ -103,21 +111,11 @@ class CouplingKernel:
 
     def pair_law(self, i: int, j: int) -> np.ndarray:
         """Joint law of the next pair given the current pair ``(i, j)``."""
-        key = (i, j)
-        row = self._rows.get(key)
-        if row is None:
-            row, _ = _maximal_joint(self._P.entries[i], self._P.entries[j])
-            row.setflags(write=False)
-            self._rows[key] = row
-        return row
+        return _maximal_joint(self._P.entries[i], self._P.entries[j])[0]
 
     def pair_cdf(self, i: int, j: int) -> np.ndarray:
-        key = (i, j)
-        cdf = self._cdfs.get(key)
-        if cdf is None:
-            cdf = np.cumsum(self.pair_law(i, j).ravel())
-            self._cdfs[key] = cdf
-        return cdf
+        """Cumulative sums of ``pair_law(i, j)`` flattened row-major."""
+        return np.cumsum(self.pair_law(i, j).ravel())
 
 
 def build_coupling_kernel(P_eps: StochasticMatrix) -> CouplingKernel:
@@ -143,6 +141,40 @@ class CouplingTailEstimate:
     meta: dict = field(default_factory=dict)
 
 
+def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw: the number of cumulative entries <= ``u * total``.
+
+    ``cdf`` is one cumulative-sum vector (shared by every u) or one row per u;
+    ``total`` is its own last entry. As u < 1, the result is always a state
+    with positive mass, even where rounding leaves the total below 1.
+    """
+    if cdf.ndim == 1:
+        return np.searchsorted(cdf, u * cdf[-1], side="right")
+    return np.count_nonzero(cdf <= (u * cdf[:, -1])[:, None], axis=1)
+
+
+def _step_words(seed: int, step: int, first: int, count: int) -> np.ndarray:
+    """The four draw words of trials ``first .. first + count - 1`` at ``step``."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=(step << 128) + first))
+    return rng.random((count, 4))
+
+
+def _move(P: np.ndarray, row_cdf: np.ndarray, i, j, words):
+    """One maximal-coupling move of each pair ``(i[t], j[t])`` from its words."""
+    i_next = _draw(row_cdf[i], words[:, 0])
+    p_i = P[i, i_next]
+    meet = words[:, 1] * p_i < np.minimum(p_i, P[j, i_next])
+    j_next = i_next.copy()
+    apart = np.flatnonzero(~meet)
+    if apart.size:
+        P_i, P_j = P[i[apart]], P[j[apart]]
+        excess_cdf = np.cumsum(P_j - np.minimum(P_i, P_j), axis=1)
+        drawn = _draw(excess_cdf, words[apart, 2])
+        # An excess that rounding left without mass means equal rows: they meet.
+        j_next[apart] = np.where(excess_cdf[:, -1] > 0.0, drawn, i_next[apart])
+    return i_next, j_next
+
+
 def simulate_coupling_time(
     kernel: CouplingKernel,
     start_joint: CouplingJoint,
@@ -152,30 +184,55 @@ def simulate_coupling_time(
 ) -> CouplingTailEstimate:
     """Monte Carlo tail of the first time the paired chain hits the diagonal.
 
-    Each trial draws from its own counter-based stream (Philox keyed by
-    ``seed`` with the counter offset by the trial index), so trials are
-    independent and reproducible, and the result does not depend on the
-    order in which they run. Trials run one after another.
+    Draw layout (generator ``philox4x64-steptrial``): step s = 0 is the start
+    draw and step s = 1, 2, ... is the s-th kernel move; the tail up to
+    ``horizon`` reads steps 0 .. horizon. Trial t at step s reads the four
+    doubles ``Generator(Philox(key=seed, counter=(s << 128) + t)).random(4)``.
+    Every draw is an inverse CDF: the number of cumulative entries <= u times
+    the last cumulative entry.
+
+    - The start uses word 0 over ``cumsum(start_joint.joint.ravel())``; the
+      pair is ``divmod(index, m)``.
+    - A move from (i, j) uses word 0 to draw i' from ``P[i]``, meets at i'
+      when word 1 times ``P[i, i']`` is below ``min(P[i, i'], P[j, i'])``,
+      and otherwise uses word 2 to draw j' from ``P[j] - min(P[i], P[j])``
+      (if rounding leaves that excess without mass, the pair meets at i').
+      Word 3 is unused.
+
+    So trial t's path depends only on (seed, t): trials are independent,
+    reruns are bit-identical and the result does not depend on how trials are
+    grouped. Trials advance in lockstep, a block of ``BLOCK_ELEMENTS // m`` at
+    a time, so working memory is O(block * m) whatever ``trials`` is.
     """
     if trials < 1:
         raise ValidationError("at least one trial is required")
+    if horizon < 0:
+        raise ValidationError(f"horizon must be at least 0, got {horizon}")
+    if not 0 <= seed < 1 << 128:
+        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
     if start_joint.dim != kernel.dim:
         raise DimensionMismatchError(
             f"start joint dim {start_joint.dim} != kernel dim {kernel.dim}"
         )
     m = kernel.dim
+    P = kernel.matrix.entries
+    row_cdf = np.cumsum(P, axis=1)
     start_cdf = np.cumsum(start_joint.joint.ravel())
+    block = max(1, BLOCK_ELEMENTS // m)
     exceed = np.zeros(horizon + 1, dtype=np.int64)
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=trial << 128))
-        z = int(np.searchsorted(start_cdf, rng.random(), side="right"))
-        i, j = divmod(z, m)
-        n = 0
-        while i != j and n <= horizon:
-            exceed[n] += 1
-            z = int(np.searchsorted(kernel.pair_cdf(i, j), rng.random(), side="right"))
-            i, j = divmod(z, m)
-            n += 1
+    for first in range(0, trials, block):
+        trial = np.arange(first, min(first + block, trials))
+        i, j = np.divmod(_draw(start_cdf, _step_words(seed, 0, first, trial.size)[:, 0]), m)
+        for step in range(horizon + 1):
+            if step:
+                low = int(trial[0])
+                words = _step_words(seed, step, low, trial[-1] - low + 1)[trial - low]
+                i, j = _move(P, row_cdf, i, j, words)
+            apart = i != j
+            i, j, trial = i[apart], j[apart], trial[apart]
+            if not trial.size:
+                break
+            exceed[step] += trial.size
     tail = exceed / trials
     std_error = np.sqrt(tail * (1.0 - tail) / trials)
     return CouplingTailEstimate(tail, std_error, trials, seed, horizon)

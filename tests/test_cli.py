@@ -121,8 +121,16 @@ def test_coupling_sim_runs_and_is_deterministic(capsys):
     second = run_json(capsys, *args)
     assert first == second
     sim = first["coupling_sim"]
-    assert sim["generator"] == "philox4x64"
+    assert sim["generator"] == "philox4x64-steptrial"
     assert len(sim["tail"]) == 11
+
+
+@pytest.mark.parametrize("bad", [("--seed", "-1"), ("--seed", str(1 << 128)), ("--horizon", "-1")])
+def test_coupling_sim_rejects_bad_arguments(capsys, bad):
+    # The later --seed wins, so each case overrides the valid one.
+    code, out = run_cli(capsys, "coupling-sim", "--input", FIVE, "--seed", "9", *bad)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
 def test_report_is_byte_identical_and_schema_valid(capsys, tmp_path):

@@ -1,3 +1,6 @@
+import math
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,17 +9,91 @@ import chains
 from dampedchain import (
     DampedChain,
     Distribution,
+    ValidationError,
     build_coupling_kernel,
     build_damped_matrix,
+    matrix_power,
     maximal_coupling,
     simulate_coupling_time,
     stationary_direct,
 )
+from dampedchain import coupling
 
 
 def _dist(values):
     arr = np.asarray(values, dtype=float)
     return Distribution(arr / arr.sum())
+
+
+def binomial_central_interval(trials, p, level):
+    """Central interval [lo, hi] of Bin(trials, p) with at most level/2 in each tail."""
+    logs = [
+        math.lgamma(trials + 1) - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+        + (k * math.log(p) if k else 0.0) + ((trials - k) * math.log1p(-p) if k < trials else 0.0)
+        for k in range(trials + 1)
+    ]
+    pmf = np.exp(logs)
+    lo = int(np.count_nonzero(np.cumsum(pmf) <= level / 2))
+    hi = trials - int(np.count_nonzero(np.cumsum(pmf[::-1]) <= level / 2))
+    return lo, hi
+
+
+def exact_tail(kernel, start, horizon):
+    """P(T > n) for n = 0..horizon: the start law pushed through the off-diagonal
+    part of the pair kernel, with the diagonal as the absorbing set."""
+    m = kernel.dim
+    apart = [(i, j) for i in range(m) for j in range(m) if i != j]
+    flat = [i * m + j for i, j in apart]
+    K = np.array([kernel.pair_law(i, j).ravel()[flat] for i, j in apart])
+    mass = start.joint.ravel()[flat]
+    tail = []
+    for _ in range(horizon + 1):
+        tail.append(mass.sum())
+        mass = mass @ K
+    return np.array(tail)
+
+
+def reference_tail(kernel, start, trials, seed, horizon):
+    """The documented draw layout, one trial at a time in plain Python."""
+    rows = kernel.matrix.entries.tolist()
+    m = len(rows)
+    row_cdfs = [list(accumulate(row)) for row in rows]
+    start_cdf = list(accumulate(start.joint.ravel().tolist()))
+
+    def draw(cdf, u):
+        target = u * cdf[-1]
+        return sum(c <= target for c in cdf)
+
+    exceed = [0] * (horizon + 1)
+    for t in range(trials):
+
+        def words(step):
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=(step << 128) + t))
+            return rng.random(4).tolist()
+
+        i, j = divmod(draw(start_cdf, words(0)[0]), m)
+        for n in range(horizon + 1):
+            if n:
+                u0, u1, u2, _ = words(n)
+                k = draw(row_cdfs[i], u0)
+                if u1 * rows[i][k] < min(rows[i][k], rows[j][k]):
+                    i, j = k, k
+                else:
+                    excess = list(accumulate(b - min(a, b) for a, b in zip(rows[i], rows[j])))
+                    i, j = k, (draw(excess, u2) if excess[-1] > 0.0 else k)
+            if i == j:
+                break
+            exceed[n] += 1
+    return np.array(exceed) / trials
+
+
+def _simulation_case(chain, eps, initial, power=1):
+    P, d = chain
+    P_eps = build_damped_matrix(DampedChain(P, d, eps))
+    pi = stationary_direct(P_eps).pi
+    p = Distribution.uniform(P.dim) if initial == "uniform" else Distribution.point_mass(P.dim, 0)
+    kernel = build_coupling_kernel(P_eps if power == 1 else matrix_power(P_eps, power))
+    return kernel, maximal_coupling(p, pi)
 
 
 class TestMaximalCoupling:
@@ -88,14 +165,15 @@ class TestKernel:
         law = kernel.pair_law(0, 1)
         np.testing.assert_array_equal(law, np.outer(P.entries[0], P.entries[1]))
 
-    def test_rows_are_memoized(self, five_node):
+    def test_pair_cdf_accumulates_the_flat_pair_law(self, five_node):
         P, d = five_node
         kernel = build_coupling_kernel(build_damped_matrix(DampedChain(P, d, 0.15)))
-        assert kernel.pair_law(1, 2) is kernel.pair_law(1, 2)
+        cdf = kernel.pair_cdf(1, 2)
+        assert cdf.shape == (25,)
+        np.testing.assert_allclose(np.diff(cdf), kernel.pair_law(1, 2).ravel()[1:], atol=1e-15)
+        assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_multi_step_variant_couples_matrix_power(self, four_node):
-        from dampedchain import matrix_power
-
         P, d = four_node
         P_eps = build_damped_matrix(DampedChain(P, d, 0.1))
         two_step = matrix_power(P_eps, 2)
@@ -146,8 +224,12 @@ class TestSimulator:
         estimate = simulate_coupling_time(kernel, start, trials=trials, seed=7, horizon=12)
         miss = 1.0 - np.minimum(P_eps.entries[0], P_eps.entries[1]).sum()
         exact = (1.0 - start.diagonal_mass) * miss ** np.arange(13)
-        tolerance = 3.0 * np.sqrt(np.maximum(exact * (1 - exact), 1e-6) / trials)
-        assert np.all(np.abs(estimate.tail - exact) <= tolerance)
+        # Trials are independent, so each count is exactly Bin(trials, exact[n]);
+        # a normal band is wrong where less than one trial is expected.
+        for n in range(13):
+            count = round(estimate.tail[n] * trials)
+            lo, hi = binomial_central_interval(trials, exact[n], 0.0027)
+            assert lo <= count <= hi, f"n={n}: {count} outside [{lo}, {hi}]"
 
     def test_generator_is_identified(self, five_node):
         P, d = five_node
@@ -156,7 +238,7 @@ class TestSimulator:
         kernel = build_coupling_kernel(P_eps)
         start = maximal_coupling(Distribution.uniform(5), pi)
         estimate = simulate_coupling_time(kernel, start, trials=10, seed=0, horizon=3)
-        assert estimate.generator == "philox4x64"
+        assert estimate.generator == "philox4x64-steptrial"
 
     def test_tail_dominated_by_onestep_bound(self, five_node):
         from dampedchain import coupling_bound
@@ -173,3 +255,89 @@ class TestSimulator:
         for n in range(21):
             bound = coupling_bound(P, p, pi, eps, n)
             assert estimate.tail[n] <= bound + 3 * estimate.std_error[n] + 1e-12
+
+    @pytest.mark.parametrize(
+        "chain, eps, initial, power, horizon",
+        [
+            ("five_node", 0.15, "uniform", 1, 5),
+            ("four_node", 0.1, "point", 1, 20),
+            ("five_node", 0.15, "uniform", 2, 2),
+            ("four_node", 0.1, "point", 2, 8),
+        ],
+        ids=["five_node", "four_node", "five_node-block2", "four_node-block2"],
+    )
+    def test_tail_matches_exact_absorption(self, request, chain, eps, initial, power, horizon):
+        kernel, start = _simulation_case(request.getfixturevalue(chain), eps, initial, power)
+        trials = 100_000
+        exact = exact_tail(kernel, start, horizon)
+        # Up to the horizon at least 10 trials are expected, so 4 SE is a fair band.
+        assert exact[-1] * trials >= 10
+        estimate = simulate_coupling_time(kernel, start, trials=trials, seed=3, horizon=horizon)
+        se = np.sqrt(exact * (1.0 - exact) / trials)
+        assert np.all(np.abs(estimate.tail - exact) <= 4.0 * se)
+
+    @pytest.mark.parametrize("chain, initial", [("five_node", "uniform"), ("four_node", "point")])
+    def test_matches_per_trial_reference_loop(self, request, chain, initial):
+        kernel, start = _simulation_case(request.getfixturevalue(chain), 0.15, initial)
+        estimate = simulate_coupling_time(kernel, start, trials=3000, seed=42, horizon=15)
+        expected = reference_tail(kernel, start, trials=3000, seed=42, horizon=15)
+        assert expected[1] > 0.0
+        np.testing.assert_array_equal(estimate.tail, expected)
+
+    @pytest.mark.parametrize("elements", [1, 35, 5 * 2999])
+    def test_block_size_does_not_change_the_tail(self, five_node, monkeypatch, elements):
+        # Blocks of 1, 7 and 2999 trials: none divides 3001.
+        kernel, start = _simulation_case(five_node, 0.15, "uniform")
+        whole = simulate_coupling_time(kernel, start, trials=3001, seed=42, horizon=15)
+        monkeypatch.setattr(coupling, "BLOCK_ELEMENTS", elements)
+        blocked = simulate_coupling_time(kernel, start, trials=3001, seed=42, horizon=15)
+        np.testing.assert_array_equal(blocked.tail, whole.tail)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"seed": -1}, "seed"),
+            ({"seed": 1 << 128}, "seed"),
+            ({"horizon": -1}, "horizon"),
+            ({"trials": 0}, "trial"),
+        ],
+    )
+    def test_bad_arguments_are_rejected(self, five_node, kwargs, match):
+        kernel, start = _simulation_case(five_node, 0.15, "uniform")
+        args = {"trials": 10, "seed": 0, "horizon": 3, **kwargs}
+        with pytest.raises(ValidationError, match=match):
+            simulate_coupling_time(kernel, start, **args)
+
+    def test_largest_seed_is_accepted(self, five_node):
+        kernel, start = _simulation_case(five_node, 0.15, "uniform")
+        estimate = simulate_coupling_time(kernel, start, trials=10, seed=(1 << 128) - 1, horizon=3)
+        assert estimate.tail.shape == (4,)
+
+
+class TestDraw:
+    # The float cumsum of this row ends at nextafter(1, 0), below 1, and its
+    # last two states have no mass.
+    ROW = np.array([0.7, 0.2, 0.1, 0.0, 0.0])
+
+    def test_top_word_draws_last_state_with_mass(self):
+        cdf = np.cumsum(self.ROW)
+        assert cdf[-1] < 1.0
+        u = np.array([np.nextafter(1.0, 0.0)])
+        assert coupling._draw(cdf, u)[0] == 2
+        assert coupling._draw(cdf[None, :], u)[0] == 2
+
+    def test_zero_word_skips_leading_states_without_mass(self):
+        cdf = np.cumsum(self.ROW[::-1])
+        u = np.array([0.0])
+        assert coupling._draw(cdf, u)[0] == 2
+        assert coupling._draw(cdf[None, :], u)[0] == 2
+
+    def test_rows_equal_up_to_rounding_meet(self, monkeypatch):
+        # Row 1 is row 0 less one ulp, so its excess over row 0 is empty; with
+        # every word at its top the meet test fails all the same.
+        P = chains.StochasticMatrix(np.array([[0.3, 0.7], [0.3, np.nextafter(0.7, 0.0)]]))
+        top = np.nextafter(1.0, 0.0)
+        monkeypatch.setattr(coupling, "_step_words", lambda seed, step, first, count: np.full((count, 4), top))
+        start = maximal_coupling(Distribution.point_mass(2, 0), Distribution.point_mass(2, 1))
+        estimate = simulate_coupling_time(build_coupling_kernel(P), start, trials=3, seed=0, horizon=2)
+        np.testing.assert_array_equal(estimate.tail, [1.0, 0.0, 0.0])

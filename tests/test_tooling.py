@@ -22,3 +22,10 @@ def traced_names():
 def test_traced_function_exists(module_name, name):
     module = importlib.import_module(f"dampedchain.{module_name}")
     assert callable(getattr(module, name, None)), f"dampedchain.{module_name}.{name} is gone"
+
+
+def test_traced_pair_cdf_exists():
+    # perfbench/child.py wraps CouplingKernel.pair_cdf whenever it traces.
+    from dampedchain.coupling import CouplingKernel
+
+    assert callable(getattr(CouplingKernel, "pair_cdf", None)), "CouplingKernel.pair_cdf is gone"
