@@ -74,10 +74,8 @@ from .bounds import (
     ErgodicityReport,
     GeometricDecay,
     bound_context,
-    class_ergodicity_coefficients,
     coupling_bound,
     coupling_bound_multistep,
-    coupling_bound_split,
     ergodicity_coefficient,
     estimate_decay,
     estimate_decay_split,

@@ -12,17 +12,20 @@ Five bound families are implemented, numbered as the CLI exposes them:
 * family 6, ``coupling_bound_multistep``: the block-of-N variant driven by the
   ergodicity coefficient ``Delta_N = (1 - Q(P0^N))^(1/N)``, with floor(n/N)*N
   in both exponents.
-* family 7, ``coupling_bound_split``: the per-class version for singular
-  chains, including the class-mass mismatch term.
+* family 7, ``split_bound_context(...).bound_vector``: the per-class version
+  for singular chains, including the class-mass mismatch term.
 
-The constants of families 5, 6 and 7, and of the joint-limit bound in
-``triangular``, do not depend on the step count n. A command builds them once
-as a :class:`BoundContext` and evaluates that across its n-grid; the public
-per-n functions build a context and evaluate it once.
+The constants of families 5, 6 and 7, and of the joint-limit bound
+(``BoundContext.joint_limit``, evaluated by ``triangular``), do not depend on
+the step count n. A command builds them once as a :class:`BoundContext` and
+evaluates that across its n-grid; the public per-n functions build a context
+and evaluate it once. Every ``Delta_N`` comes from one walk through the powers
+of P0, one matrix product per step.
 
 The convention ``x^0 = 1`` applies throughout, including when x = 0.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +36,6 @@ from .core import (
     Distribution,
     StochasticMatrix,
     build_damped_matrix,
-    matrix_power,
 )
 from .coupling import overlap
 from .errors import ContractionError, RegimeError, ValidationError
@@ -111,6 +113,15 @@ class ErgodicityReport:
         return cls(step, q, one_minus ** (1.0 / step))
 
 
+def _powers(P0: StochasticMatrix, last: int):
+    """Yield ``(N, P0^N)`` for N = 1 .. last, each power one product from the previous."""
+    power = P0.entries
+    for N in range(1, last + 1):
+        if N > 1:
+            power = power @ P0.entries
+        yield N, power
+
+
 def ergodicity_coefficient(P0: StochasticMatrix, N: int) -> ErgodicityReport:
     """Compute ``Delta_N`` from the N-step matrix by brute pairwise comparison.
 
@@ -120,14 +131,9 @@ def ergodicity_coefficient(P0: StochasticMatrix, N: int) -> ErgodicityReport:
     """
     if N < 1:
         raise ValidationError("step count N must be at least 1")
-    return ErgodicityReport.from_overlap(N, min_row_overlap(matrix_power(P0, N).entries))
-
-
-def class_ergodicity_coefficients(
-    P0: StochasticMatrix, structure: ChainStructure, N: int
-) -> tuple:
-    """Per-closed-class ergodicity coefficients, computed on the restrictions."""
-    return tuple(ergodicity_coefficient(restrict(P0, cls), N) for cls in structure.classes)
+    for _, power in _powers(P0, N):
+        pass
+    return ErgodicityReport.from_overlap(N, min_row_overlap(power))
 
 
 @dataclass(frozen=True)
@@ -169,9 +175,8 @@ def estimate_decay(
     if pi0 is None:
         pi0 = stationary_direct(P0).pi
     amplitude = 0.0
-    power = P0.entries
     scale = 1.0
-    for _ in range(1, horizon + 1):
+    for _, power in _powers(P0, horizon):
         dev = float(np.max(np.abs(power - pi0.probs[np.newaxis, :])))
         if dev <= DECAY_NOISE_FLOOR:
             break
@@ -179,7 +184,6 @@ def estimate_decay(
         if scale <= 0.0:
             break
         amplitude = max(amplitude, dev / scale)
-        power = power @ P0.entries
     return GeometricDecay(amplitude, rate)
 
 
@@ -290,23 +294,48 @@ class BoundContext:
             * _pow(1.0 - self.epsilon, exponent)
         )
 
-    def bound(self, n: int, class_index: int, state: int) -> float:
-        """Family 7 at one state of closed class ``class_index``."""
-        cls = self.structure.classes[class_index]
-        local = cls.states.index(state)
-        exponent = (n // self.block) * self.block
-        geometric = self.coupled[class_index] * self.class_reports[class_index].delta_pow(exponent)
-        drift = self.drift_scale[class_index] * self.pi0[class_index].probs[local]
-        return (geometric + drift) * _pow(1.0 - self.epsilon, n)
-
     def bound_vector(self, n: int) -> np.ndarray:
-        """Family 7 at every state at step n, in natural state order."""
-        m = sum(cls.size for cls in self.structure.classes)
-        out = np.empty(m)
+        """Family 7 at every state at step n, in natural state order.
+
+        For a state inside closed class j the bound on |p(n)_state - pi(eps)_state| is
+
+            ( (f_d[j] (1 - Q(pi_eps^j, pi0^j)) + f_p[j] (1 - Q(p^j, pi0^j)))
+                * Delta_j^(floor(n/N)*N)
+              + |f_p[j] - f_d[j]| * pi0^j_state ) * (1 - eps)^n
+
+        where superscript j denotes restriction to the class renormalized by
+        the class mass, and f are class masses (see the class docstring).
+        """
+        exponent = (n // self.block) * self.block
+        survival = _pow(1.0 - self.epsilon, n)
+        out = np.empty(sum(cls.size for cls in self.structure.classes))
         for j, cls in enumerate(self.structure.classes):
-            for state in cls.states:
-                out[state] = self.bound(n, j, state)
+            geometric = self.coupled[j] * self.class_reports[j].delta_pow(exponent)
+            out[list(cls.states)] = (geometric + self.drift_scale[j] * self.pi0[j].probs) * survival
         return out
+
+    def joint_limit(self, n: int, t: float) -> float:
+        """Joint-limit bound on ``max_k |p_eps(n)_k - pi(t)_k|`` at finite (eps, n).
+
+        Per state k in class j, with N the block:
+
+            (1 - Q(p^j, pi0^j)) f_p[j] * Delta_j^(floor(n/N)N)
+              + (1 - Q(d^j, pi0^j)) f_d[j] * eps N / (1 - Delta_j^N)
+              + |f_p[j] - f_d[j]| * pi0^j_k * |(1 - eps)^n - exp(-t)|.
+
+        A regular chain is one class with both masses 1, so the last term
+        vanishes. The value is the maximum over states, and it requires every
+        class's ``Delta_N < 1`` (see :meth:`require_contraction`).
+        """
+        exponent = (n // self.block) * self.block
+        discretization = abs((1.0 - self.epsilon) ** n - math.exp(-t))
+        worst = 0.0
+        for j, rep in enumerate(self.class_reports):
+            term1 = self.start_gap[j] * rep.delta_pow(exponent)
+            term2 = self.damping_gap[j] * self.epsilon * self.block / (1.0 - rep.delta**self.block)
+            drift = self.drift_scale[j] * float(self.pi0[j].probs.max()) * discretization
+            worst = max(worst, term1 + term2 + drift)
+        return worst
 
     def require_contraction(self) -> None:
         """Raise ContractionError unless every class has ``Delta_block < 1``.
@@ -323,8 +352,12 @@ class BoundContext:
         else:
             matrices = [self.P0]
             problem = f"Delta_{self.block} = 1"
-        for N in PROFILE_STEPS:
-            if all(ergodicity_coefficient(M, N).delta < 1.0 for M in matrices):
+        # One walk per matrix, in step; each power is scanned only while every
+        # matrix before it contracts, so the search stops at the first such N.
+        for step in zip(*(_powers(M, PROFILE_STEPS[-1]) for M in matrices)):
+            N = step[0][0]
+            reports = (ErgodicityReport.from_overlap(N, min_row_overlap(A)) for _, A in step)
+            if all(rep.delta < 1.0 for rep in reports):
                 hint = f"increase the block length to N = {N}, the smallest with Delta_N < 1"
                 break
         else:
@@ -356,7 +389,7 @@ def bound_context(
         raise ValidationError("block length must be at least 1")
     regime = None if structure is None else structure.regime
     whole = set(steps) | ({block} if regime is Regime.REGULAR else set())
-    overlaps = {N: min_row_overlap(matrix_power(P0, N).entries) for N in sorted(whole)}
+    overlaps = {N: min_row_overlap(A) for N, A in _powers(P0, max(whole, default=0)) if N in whole}
     profile = {N: ErgodicityReport.from_overlap(N, q) for N, q in overlaps.items()}
     start_overlap = None if pi_eps is None else overlap(p.probs, pi_eps.probs)
 
@@ -394,7 +427,9 @@ def bound_context(
         )
     return BoundContext(
         *constants,
-        class_reports=class_ergodicity_coefficients(P0, structure, block),
+        class_reports=tuple(
+            ergodicity_coefficient(restrict(P0, cls), block) for cls in structure.classes
+        ),
         pi0=pi0,
         start_gap=start_gap,
         damping_gap=damping_gap,
@@ -452,37 +487,6 @@ def split_bound_context(
     context = bound_context(P0, d, p, structure, epsilon, block, pi_eps)
     context.require_contraction()
     return context
-
-
-def coupling_bound_split(
-    P0: StochasticMatrix,
-    d: DampingVector,
-    p: Distribution,
-    epsilon: float,
-    block: int,
-    n: int,
-    structure: ChainStructure,
-    class_index: int,
-    state: int,
-    pi_eps: Distribution = None,
-) -> float:
-    """Per-class coupling bound for singular chains (family 7).
-
-    For ``state`` inside closed class j the bound on |p(n)_state - pi(eps)_state| is
-
-        ( (f_d[j] (1 - Q(pi_eps^j, pi0^j)) + f_p[j] (1 - Q(p^j, pi0^j)))
-            * Delta_j^(floor(n/N)*N)
-          + |f_p[j] - f_d[j]| * pi0^j_state ) * (1 - eps)^n
-
-    where superscript j denotes restriction to the class renormalized by the
-    class mass, and f are class masses. For repeated evaluation over n or
-    states build a :func:`split_bound_context` instead.
-    """
-    cls = structure.classes[class_index]
-    if state not in cls.states:
-        raise ValidationError(f"state {state} is not in class {class_index}")
-    context = split_bound_context(P0, d, p, epsilon, block, structure, pi_eps)
-    return context.bound(n, class_index, state)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import json
 import sys
 
 from .core import DampedChain, DampingVector, Distribution
-from .errors import ChainError
+from .errors import ChainError, ValidationError
 from .io import DanglingPolicy, GraphFormat, ingest, load_damping
 from .report import (
     bounds_section,
@@ -195,6 +195,8 @@ def _plot_rows(command: str, sections: dict):
 
 def run_command(command: str, args) -> dict:
     """Execute one subcommand and return the report as a dict."""
+    if args.horizon < 0:
+        raise ValidationError(f"--horizon must be at least 0, got {args.horizon}")
     matrix, damping = _load(args)
     epsilons = _epsilons(args)
     p = _initial(args.initial, matrix.dim)

@@ -54,13 +54,6 @@ class ChainStructure:
     def class_count(self) -> int:
         return len(self.classes)
 
-    def class_of(self, state: int) -> int:
-        """Index of the closed class containing ``state`` (-1 if transient)."""
-        for j, cls in enumerate(self.classes):
-            if state in cls.states:
-                return j
-        return -1
-
 
 def _strongly_connected_components(adj, m):
     # Iterative Tarjan; recursion would overflow near the m ~ 5000 target.

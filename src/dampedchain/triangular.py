@@ -24,7 +24,7 @@ import numpy as np
 from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, build_damped_matrix
 from .bounds import BoundContext, bound_context
 from .errors import RegimeError, ValidationError
-from .stationary import limit_stationary
+from .stationary import class_stationary, limit_stationary
 from .structure import ChainStructure, Regime
 
 
@@ -58,8 +58,9 @@ def triangular_limit(
     """
     if t < 0.0 or math.isnan(t):
         raise ValidationError(f"t must lie in [0, infinity], got {t}")
-    start_side = limit_stationary(P0, d, p, structure).probs
-    damped_side = limit_stationary(P0, d, d.as_distribution(), structure).probs
+    pi0 = None if structure.regime is Regime.UNSUPPORTED else class_stationary(P0, structure)
+    start_side = limit_stationary(P0, d, p, structure, pi0).probs
+    damped_side = limit_stationary(P0, d, d.as_distribution(), structure, pi0).probs
     return _mixture(start_side, damped_side, t)
 
 
@@ -81,20 +82,12 @@ def triangular_bound(
 ) -> float:
     """Explicit bound on ``max_k |p_eps(n)_k - pi(t)_k|`` at finite (eps, n).
 
-    Regular regime, two terms:
-
-        (1 - Q(p, pi0)) * Delta^(floor(n/N)N)
-          + (1 - Q(d, pi0)) * eps N / (1 - Delta^N).
-
-    Singular regime adds, per state k in class j, the discretization term
-    ``|f_p[j] - f_d[j]| * pi0^j_k * R`` with ``R = |(1 - eps)^n - exp(-t)|``,
-    and the first two terms use class-local overlaps and coefficients. The
-    returned value is the maximum of the per-state bounds. Requires the
-    block-N ergodicity coefficient of every class to be below 1.
+    The formula is :meth:`BoundContext.joint_limit`'s. Requires the block-N
+    ergodicity coefficient of every class to be below 1.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValidationError("the bound requires epsilon in (0, 1]")
-    return _bound(_context(P0, d, p, structure, epsilon, block), n, t)
+    return _context(P0, d, p, structure, epsilon, block).joint_limit(n, t)
 
 
 def _context(
@@ -110,28 +103,6 @@ def _context(
     context = bound_context(P0, d, p, structure, epsilon, block)
     context.require_contraction()
     return context
-
-
-def _bound(context: BoundContext, n: int, t: float) -> float:
-    """The bound of :func:`triangular_bound`; a regular chain is one class with no drift."""
-    exponent = (n // context.block) * context.block
-    discretization = abs(_survival(context.epsilon, n) - math.exp(-t))
-    worst = 0.0
-    for j, rep in enumerate(context.class_reports):
-        term1 = context.start_gap[j] * rep.delta_pow(exponent)
-        term2 = (
-            context.damping_gap[j]
-            * context.epsilon
-            * context.block
-            / (1.0 - rep.delta**context.block)
-        )
-        drift = context.drift_scale[j] * float(context.pi0[j].probs.max()) * discretization
-        worst = max(worst, term1 + term2 + drift)
-    return worst
-
-
-def _survival(epsilon: float, n: int) -> float:
-    return (1.0 - epsilon) ** n
 
 
 def steps_for(t: float, epsilon: float) -> int:
@@ -211,5 +182,5 @@ def triangular_sweep(
         t = epsilon * n
         mixture = _mixture(start_side, damped_side, t).values
         rel = np.abs(mixture - damped_side) / damped_side
-        rows.append(SweepRow(n, t, v.copy(), mixture, rel, _bound(context, n, t)))
+        rows.append(SweepRow(n, t, v.copy(), mixture, rel, context.joint_limit(n, t)))
     return TriangularSweep(epsilon, block, tuple(rows))

@@ -8,11 +8,11 @@ from dampedchain import (
     Distribution,
     GeometricDecay,
     RegimeError,
+    StochasticMatrix,
+    bound_context,
     build_damped_matrix,
-    class_ergodicity_coefficients,
     coupling_bound,
     coupling_bound_multistep,
-    coupling_bound_split,
     decompose,
     ergodicity_coefficient,
     estimate_decay,
@@ -20,9 +20,11 @@ from dampedchain import (
     limit_stationary,
     min_row_overlap,
     propagate,
+    restrict,
     split_bound_context,
     stationary_direct,
     stationary_gap_bound,
+    triangular_bound,
 )
 from dampedchain.stationary import class_stationary
 from conftest import count_calls, naive_min_overlap
@@ -80,9 +82,9 @@ class TestErgodicityCoefficient:
         assert overlaps[(0, 1)] == 0.0
 
     def test_per_class_coefficients(self, eight_node):
-        P, _ = eight_node
+        P, d = eight_node
         structure = decompose(P)
-        reports = class_ergodicity_coefficients(P, structure, 2)
+        reports = bound_context(P, d, Distribution.uniform(8), structure, 0.1, 2).class_reports
         assert all(rep.delta < 1.0 for rep in reports)
         assert reports[0].delta == pytest.approx(np.sqrt(2 / 3), abs=1e-12)
 
@@ -210,21 +212,21 @@ class TestCouplingBounds:
         eps = 0.1
         p = Distribution.point_mass(8, 0)
         n = 400
-        bound = coupling_bound_split(P, d, p, eps, 2, n, structure, 1, 4)
+        bound = split_bound_context(P, d, p, eps, 2, structure).bound_vector(n)[4]
         assert bound / (1 - eps) ** n == pytest.approx(1 / 12, abs=1e-6)
 
     def test_split_bound_rejects_regular_chains(self, five_node):
         P, d = five_node
         structure = decompose(P)
         with pytest.raises(RegimeError):
-            coupling_bound_split(P, d, Distribution.uniform(5), 0.1, 2, 5, structure, 0, 0)
+            split_bound_context(P, d, Distribution.uniform(5), 0.1, 2, structure).bound_vector(5)[0]
 
     def test_split_bound_requires_contraction(self, eight_node):
         P, d = eight_node
         structure = decompose(P)
         # Both classes have disjoint-row pairs at one step, so block 1 fails.
         with pytest.raises(ContractionError):
-            coupling_bound_split(P, d, Distribution.uniform(8), 0.1, 1, 5, structure, 0, 0)
+            split_bound_context(P, d, Distribution.uniform(8), 0.1, 1, structure).bound_vector(5)[0]
 
     def test_bound_sequences_are_nonincreasing_in_n(self, five_node, eight_node):
         P5, d5 = five_node
@@ -239,7 +241,7 @@ class TestCouplingBounds:
         P8, d8 = eight_node
         structure = decompose(P8)
         context = split_bound_context(P8, d8, Distribution.point_mass(8, 0), eps, 2, structure)
-        split = [context.bound(n, 1, 4) for n in range(25)]
+        split = [context.bound_vector(n)[4] for n in range(25)]
         assert all(a >= b >= 0.0 for a, b in zip(split, split[1:]))
 
     def test_split_bound_dominates_per_state(self, eight_node):
@@ -292,3 +294,85 @@ class TestOneContextPerCommand:
         bounds_section(chain, decompose(P), Distribution.uniform(8), 0.15, 2, families, 30)
         # pi(eps) once and each of the two class laws once; family 2 reuses them.
         assert len(solves) == 3
+
+
+class TestInterleavedClasses:
+    """Family 7 and the joint-limit bound on a chain whose classes interleave."""
+
+    EPS = 0.15
+    # Non-uniform damping, so the class masses of d differ from those of p.
+    WEIGHTS = np.arange(1.0, 9.0) / 36.0
+
+    @pytest.fixture
+    def permuted(self, eight_node):
+        P, _ = eight_node
+        perm = np.random.default_rng(11).permutation(8)
+        Q = StochasticMatrix(P.entries[np.ix_(perm, perm)])
+        classes = decompose(Q).classes
+        assert any(cls.states[-1] - cls.states[0] >= cls.size for cls in classes)
+        return P, Q, perm
+
+    @staticmethod
+    def starts(perm):
+        """Pairs (start on the original chain, the same start on the permuted chain)."""
+        point = Distribution.point_mass(8, 0)
+        return [
+            (Distribution.uniform(8), Distribution.uniform(8)),
+            (point, Distribution(point.probs[perm])),
+        ]
+
+    def test_bounds_commute_with_permutation(self, permuted):
+        P, Q, perm = permuted
+        sP, sQ = decompose(P), decompose(Q)
+        d = DampingVector(self.WEIGHTS)
+        dq = DampingVector(self.WEIGHTS[perm])
+        for p, pq in self.starts(perm):
+            original = split_bound_context(P, d, p, self.EPS, 2, sP)
+            moved = split_bound_context(Q, dq, pq, self.EPS, 2, sQ)
+            for n in range(41):
+                np.testing.assert_allclose(
+                    moved.bound_vector(n), original.bound_vector(n)[perm], rtol=1e-12, atol=1e-15
+                )
+                t = self.EPS * n
+                expected = triangular_bound(P, d, p, sP, self.EPS, n, 2, t)
+                got = triangular_bound(Q, dq, pq, sQ, self.EPS, n, 2, t)
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_bound_vector_matches_per_state_formula(self, permuted):
+        _, Q, perm = permuted
+        d = DampingVector(self.WEIGHTS[perm])
+        structure = decompose(Q)
+        pi_eps = stationary_direct(build_damped_matrix(DampedChain(Q, d, self.EPS))).pi.probs
+        laws = [stationary_direct(restrict(Q, cls)).pi.probs for cls in structure.classes]
+        deltas = []
+        for cls in structure.classes:
+            block = Q.entries[np.ix_(cls.states, cls.states)]
+            deltas.append(np.sqrt(1.0 - naive_min_overlap(block @ block)))
+        for _, p in self.starts(perm):
+            context = split_bound_context(Q, d, p, self.EPS, 2, structure)
+            for n in range(41):
+                # The same arithmetic on the context's constants, one state at a time.
+                looped = np.full(8, np.nan)
+                for j, cls in enumerate(structure.classes):
+                    delta_n = context.class_reports[j].delta_pow((n // 2) * 2)
+                    for local, state in enumerate(cls.states):
+                        drift = context.drift_scale[j] * context.pi0[j].probs[local]
+                        looped[state] = (context.coupled[j] * delta_n + drift) * (1 - self.EPS) ** n
+                np.testing.assert_array_equal(context.bound_vector(n), looped)
+
+                # The family-7 formula from independently computed constants.
+                expected = np.full(8, np.nan)
+                for cls, law, delta in zip(structure.classes, laws, deltas):
+                    states = list(cls.states)
+                    f_p, f_d = p.probs[states].sum(), d.weights[states].sum()
+                    start = 0.0
+                    if f_p > 0:
+                        start = f_p * (1.0 - np.minimum(p.probs[states] / f_p, law).sum())
+                    coupled = f_d * (1.0 - np.minimum(pi_eps[states] / f_d, law).sum()) + start
+                    for local, state in enumerate(states):
+                        geometric = coupled * delta ** ((n // 2) * 2)
+                        drift = abs(f_p - f_d) * law[local]
+                        expected[state] = (geometric + drift) * (1.0 - self.EPS) ** n
+                np.testing.assert_allclose(
+                    context.bound_vector(n), expected, rtol=1e-12, atol=1e-15
+                )

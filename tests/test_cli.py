@@ -133,6 +133,13 @@ def test_coupling_sim_rejects_bad_arguments(capsys, bad):
     assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("command", ["bounds", "triangular", "report"])
+def test_negative_horizon_is_rejected(capsys, command):
+    code, out = run_cli(capsys, command, "--input", EIGHT, "--seed", "9", "--horizon", "-1")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
 def test_report_is_byte_identical_and_schema_valid(capsys, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -69,6 +69,14 @@ class TestLimit:
             limit = triangular_limit(P, d, Distribution.point_mass(5, 0), s, t)
             np.testing.assert_allclose(limit.values, chains.FIVE_NODE_PI, atol=1e-12)
 
+    def test_each_class_law_is_solved_once(self, eight_node, monkeypatch):
+        P, d = eight_node
+        s = decompose(P)
+        solves = count_calls(monkeypatch, "stationary_direct")
+        triangular_limit(P, d, POINT_AT_FIRST, s, 1.0)
+        # Both sides share the two class laws.
+        assert len(solves) == len(s.classes) == 2
+
     def test_unsupported_regime_rejected(self):
         P = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         d = chains.DampingVector.uniform(2)
