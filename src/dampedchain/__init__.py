@@ -78,7 +78,6 @@ from .bounds import (
     coupling_bound_multistep,
     ergodicity_coefficient,
     estimate_decay,
-    estimate_decay_split,
     min_row_overlap,
     split_bound_context,
     stationary_gap_bound,

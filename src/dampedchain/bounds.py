@@ -5,8 +5,9 @@ Five bound families are implemented, numbered as the CLI exposes them:
 * family 1, ``stationary_gap_bound`` with whole-matrix constants:
   per-state bound on |pi(eps) - pi(0)| of the form
   ``eps * (|d_j - pi0_j| + c * rate / (1 - rate))``.
-* family 2, the same formula with per-class constants and the d-limit as
-  reference, for chains that split into several closed classes.
+* family 2, the same formula with per-class constants
+  (``BoundContext.split_decay``) and the d-limit as reference, for chains
+  that split into several closed classes.
 * family 5, ``coupling_bound``: ``(1 - Q(p, pi_eps)) * (1 - Q(P0))^n * (1 - eps)^n``
   on |p(n)_j - pi(eps)_j|, from the one-step maximal coupling.
 * family 6, ``coupling_bound_multistep``: the block-of-N variant driven by the
@@ -19,8 +20,10 @@ The constants of families 5, 6 and 7, and of the joint-limit bound
 (``BoundContext.joint_limit``, evaluated by ``triangular``), do not depend on
 the step count n. A command builds them once as a :class:`BoundContext` and
 evaluates that across its n-grid; the public per-n functions build a context
-and evaluate it once. Every ``Delta_N`` comes from one walk through the powers
-of P0, one matrix product per step.
+and evaluate it once. Each ``Delta_N`` comes from one walk through the powers
+of a closed class's matrix (P0 itself on a regular chain), one product per
+step; a singular chain's whole-matrix ``Delta_N`` is 1 by structure. The
+``ContractionError`` search continues the walks of the classes that fail.
 
 The convention ``x^0 = 1`` applies throughout, including when x = 0.
 """
@@ -46,7 +49,7 @@ from .structure import (
     ClosedClass,
     Regime,
     class_mass,
-    restrict,
+    class_matrices,
     restrict_damping,
 )
 
@@ -113,13 +116,23 @@ class ErgodicityReport:
         return cls(step, q, one_minus ** (1.0 / step))
 
 
-def _powers(P0: StochasticMatrix, last: int):
-    """Yield ``(N, P0^N)`` for N = 1 .. last, each power one product from the previous."""
-    power = P0.entries
-    for N in range(1, last + 1):
-        if N > 1:
-            power = power @ P0.entries
+def _powers(P0: StochasticMatrix, last: int, start=(0, None)):
+    """Yield ``(N, P0^N)`` up to N = last, one product per step, continuing after ``start``."""
+    N, power = start
+    for N in range(N + 1, last + 1):
+        power = P0.entries if power is None else power @ P0.entries
         yield N, power
+
+
+def _scan(M: StochasticMatrix, steps, keep: int = 0):
+    """One walk through the powers of M: ``{N: Q(M^N)}`` for N in ``steps``, and M^keep."""
+    overlaps, kept = {}, None
+    for N, power in _powers(M, max(steps, default=0)):
+        if N in steps:
+            overlaps[N] = min_row_overlap(power)
+        if N == keep:
+            kept = power
+    return overlaps, kept
 
 
 def ergodicity_coefficient(P0: StochasticMatrix, N: int) -> ErgodicityReport:
@@ -131,9 +144,7 @@ def ergodicity_coefficient(P0: StochasticMatrix, N: int) -> ErgodicityReport:
     """
     if N < 1:
         raise ValidationError("step count N must be at least 1")
-    for _, power in _powers(P0, N):
-        pass
-    return ErgodicityReport.from_overlap(N, min_row_overlap(power))
+    return ErgodicityReport.from_overlap(N, _scan(P0, {N})[0][N])
 
 
 @dataclass(frozen=True)
@@ -187,30 +198,6 @@ def estimate_decay(
     return GeometricDecay(amplitude, rate)
 
 
-def estimate_decay_split(
-    P0: StochasticMatrix,
-    structure: ChainStructure,
-    horizon: int = DEFAULT_DECAY_HORIZON,
-    pi0: tuple = None,
-) -> GeometricDecay:
-    """Worst-case decay constants over the closed classes (singular chains).
-
-    A caller holding the class laws from :func:`class_stationary` passes them
-    as ``pi0``; otherwise each class's law is solved here.
-    """
-    if not structure.classes:
-        raise RegimeError("no closed classes to estimate decay on")
-    if pi0 is None:
-        pi0 = (None,) * len(structure.classes)
-    per_class = [
-        estimate_decay(restrict(P0, cls), pi0=law, horizon=horizon)
-        for cls, law in zip(structure.classes, pi0)
-    ]
-    return GeometricDecay(
-        max(d.amplitude for d in per_class), max(d.rate for d in per_class)
-    )
-
-
 def stationary_gap_bound(
     decay: GeometricDecay,
     d: DampingVector,
@@ -240,7 +227,7 @@ def _class_dist(values: np.ndarray, cls: ClosedClass, mass: float) -> np.ndarray
 
 @dataclass(frozen=True)
 class BoundContext:
-    """The n-free constants of bound families 5, 6 and 7 and of the joint-limit bound.
+    """The n-free constants of bound families 2, 5, 6 and 7 and of the joint-limit bound.
 
     Build once per command with :func:`bound_context`, then evaluate across a
     grid of step counts and states. Families read:
@@ -257,11 +244,14 @@ class BoundContext:
       ``drift_scale[j] = |f_p[j] - f_d[j]|`` and, for family 7,
       ``coupled[j] = f_d[j] (1 - Q(pi_eps^j, pi0^j)) + start_gap[j]``.
 
-    ``pi0`` holds the class laws from ``class_stationary``; pass them to
-    ``limit_stationary`` for the eps -> 0 limits without solving again.
-    Fields a command cannot use are left empty: per-class fields without a
-    regular or singular structure, ``start_overlap`` and ``coupled`` without
-    pi_eps.
+    Per class, ``matrices`` holds the ``class_matrices`` matrix (P0 itself on a
+    regular chain), walked once to the block, and ``block_powers`` its power
+    there, where ``require_contraction`` continues the walk; ``pi0`` holds the
+    class laws, for ``limit_stationary`` without solving again. A singular
+    chain's ``profile`` is 1 by structure and P0 is not walked: rows in
+    different closed classes never share support, so Q(P0^N) = 0. Fields a
+    command cannot use are left empty: per-class fields without a regular or
+    singular structure, ``start_overlap`` and ``coupled`` without pi_eps.
     """
 
     P0: StochasticMatrix
@@ -272,6 +262,8 @@ class BoundContext:
     profile: dict
     start_overlap: float
     class_reports: tuple = ()
+    matrices: tuple = ()
+    block_powers: tuple = ()
     pi0: tuple = ()
     start_gap: np.ndarray = None
     damping_gap: np.ndarray = None
@@ -337,24 +329,35 @@ class BoundContext:
             worst = max(worst, term1 + term2 + drift)
         return worst
 
+    def split_decay(self) -> GeometricDecay:
+        """Family 2: the worst-case :func:`estimate_decay` constants over the classes."""
+        if not self.matrices:
+            raise RegimeError("no closed classes to estimate decay on")
+        per_class = [estimate_decay(M, law) for M, law in zip(self.matrices, self.pi0)]
+        return GeometricDecay(max(d.amplitude for d in per_class), max(d.rate for d in per_class))
+
     def require_contraction(self) -> None:
         """Raise ContractionError unless every class has ``Delta_block < 1``.
 
         The message names the smallest N in ``PROFILE_STEPS`` at which every
-        class contracts, or says that none does.
+        class contracts, or says that none does. Q(P^N) never decreases with N,
+        so only N > block can qualify and only the failing classes can fail
+        there: the search continues their walks from the block.
         """
         bad = [j for j, rep in enumerate(self.class_reports) if rep.delta >= 1.0]
         if not bad:
             return
         if self.structure.regime is Regime.SINGULAR:
-            matrices = [restrict(self.P0, cls) for cls in self.structure.classes]
             problem = f"classes {bad} have Delta_{self.block} = 1"
         else:
-            matrices = [self.P0]
             problem = f"Delta_{self.block} = 1"
-        # One walk per matrix, in step; each power is scanned only while every
-        # matrix before it contracts, so the search stops at the first such N.
-        for step in zip(*(_powers(M, PROFILE_STEPS[-1]) for M in matrices)):
+        # The walks advance in step; each power is scanned only while every
+        # class before it contracts, so the search stops at the first such N.
+        walks = (
+            _powers(self.matrices[j], PROFILE_STEPS[-1], (self.block, self.block_powers[j]))
+            for j in bad
+        )
+        for step in zip(*walks):
             N = step[0][0]
             reports = (ErgodicityReport.from_overlap(N, min_row_overlap(A)) for _, A in step)
             if all(rep.delta < 1.0 for rep in reports):
@@ -377,37 +380,45 @@ def bound_context(
 ) -> BoundContext:
     """Compute the constants of :class:`BoundContext` once.
 
-    ``steps`` lists the N at which the whole matrix's coefficient is needed;
-    a regular chain also gets ``block``, since its one class is the whole
-    matrix. ``one_step_overlap`` is set when ``steps`` contains 1. Pass
-    ``structure=None`` (and any ``d``) when only families 5 and 6 are wanted.
-    Nothing here checks that a family applies: family 5 checks epsilon when
-    evaluated, and callers of family 7 or the joint-limit bound call
+    ``steps`` lists the N at which the whole matrix's coefficient is needed,
+    read from the walk of P0 when it is the class matrix or there is no regular
+    or singular structure; ``one_step_overlap`` is set when ``steps`` contains 1.
+    Pass ``structure=None`` (and any ``d``) when only families 5 and 6 are
+    wanted. Nothing here checks that a family applies: family 5 checks epsilon
+    when evaluated, and callers of family 7 or the joint-limit bound call
     ``require_contraction``.
     """
     if block < 1:
         raise ValidationError("block length must be at least 1")
     regime = None if structure is None else structure.regime
-    whole = set(steps) | ({block} if regime is Regime.REGULAR else set())
-    overlaps = {N: min_row_overlap(A) for N, A in _powers(P0, max(whole, default=0)) if N in whole}
-    profile = {N: ErgodicityReport.from_overlap(N, q) for N, q in overlaps.items()}
     start_overlap = None if pi_eps is None else overlap(p.probs, pi_eps.probs)
+    if regime is Regime.SINGULAR:
+        overlaps = {N: 0.0 for N in sorted(set(steps)) if N >= 1}
+    elif regime is Regime.REGULAR:
+        overlaps, block_power = _scan(P0, {*steps, block}, keep=block)
+    else:
+        overlaps, _ = _scan(P0, set(steps))
+    profile = {N: ErgodicityReport.from_overlap(N, q) for N, q in overlaps.items()}
 
     constants = (P0, structure, epsilon, block, overlaps.get(1), profile, start_overlap)
     if regime not in (Regime.REGULAR, Regime.SINGULAR):
         return BoundContext(*constants)
 
-    pi0 = class_stationary(P0, structure)
+    matrices = class_matrices(P0, structure)
+    pi0 = class_stationary(P0, structure, matrices)
     if regime is Regime.REGULAR:
         return BoundContext(
             *constants,
             class_reports=(profile[block],),
+            matrices=matrices,
+            block_powers=(block_power,),
             pi0=pi0,
             start_gap=np.array([1.0 - overlap(p.probs, pi0[0].probs)]),
             damping_gap=np.array([1.0 - overlap(d.weights, pi0[0].probs)]),
             drift_scale=np.zeros(1),
         )
 
+    walks = [_scan(M, {block}, keep=block) for M in matrices]
     f_p = class_mass(p, structure)
     f_d = class_mass(d.as_distribution(), structure)
     start_gap = np.zeros(len(pi0))
@@ -427,9 +438,9 @@ def bound_context(
         )
     return BoundContext(
         *constants,
-        class_reports=tuple(
-            ergodicity_coefficient(restrict(P0, cls), block) for cls in structure.classes
-        ),
+        class_reports=tuple(ErgodicityReport.from_overlap(block, q[block]) for q, _ in walks),
+        matrices=matrices,
+        block_powers=tuple(power for _, power in walks),
         pi0=pi0,
         start_gap=start_gap,
         damping_gap=damping_gap,

@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .stationary import stationary_direct
-from .structure import ChainStructure, Regime, class_mass, restrict, restrict_damping
+from .structure import ChainStructure, Regime, class_mass, class_matrices, restrict_damping
 
 DEFAULT_CLUSTER_TOL = 1e-8
 VANDERMONDE_COND_LIMIT = 1e12
@@ -215,9 +215,9 @@ def expansion(
     masses = class_mass(d.as_distribution(), structure)
     base = np.zeros(P0.dim)
     coeffs = np.zeros((n_max, P0.dim))
-    for j, cls in enumerate(structure.classes):
+    for j, (cls, M) in enumerate(zip(structure.classes, class_matrices(P0, structure))):
         try:
-            pi0, table = _class_series(restrict(P0, cls), restrict_damping(d, cls).weights, n_max)
+            pi0, table = _class_series(M, restrict_damping(d, cls).weights, n_max)
         except SingularSystemError as exc:
             raise RegimeError(
                 f"closed class {cls.states} splits further; the chain must be treated as singular"

@@ -18,7 +18,6 @@ from .bounds import (
     BoundReport,
     bound_context,
     estimate_decay,
-    estimate_decay_split,
     stationary_gap_bound,
 )
 from .core import DampedChain, Distribution, build_damped_matrix
@@ -32,7 +31,7 @@ from .stationary import (
     stationary_power,
     stationary_series,
 )
-from .structure import Regime
+from .structure import Regime, class_matrices
 from .triangular import triangular_sweep
 
 SIGNIFICANT_DIGITS = 12
@@ -109,11 +108,7 @@ def spectrum_section(chain: DampedChain, structure) -> dict:
         }
 
     if structure.regime is Regime.SINGULAR:
-        from .structure import restrict
-
-        return {
-            "per_class": [spectrum_entry(restrict(chain.p0, cls)) for cls in structure.classes]
-        }
+        return {"per_class": [spectrum_entry(M) for M in class_matrices(chain.p0, structure)]}
     return spectrum_entry(chain.p0)
 
 
@@ -153,6 +148,16 @@ def _bound_record(report: BoundReport) -> dict:
     return record
 
 
+# Each bound family's report name, and the regime it needs with the family to use instead.
+FAMILIES = {
+    "1": ("stationary-gap", Regime.REGULAR, "use family 2"),
+    "2": ("stationary-gap-split", Regime.SINGULAR, "use family 1"),
+    "5": ("coupling-onestep", None, None),
+    "6": ("coupling-multistep", None, None),
+    "7": ("coupling-split", Regime.SINGULAR, "use families 5/6"),
+}
+
+
 def bounds_section(
     chain: DampedChain,
     structure,
@@ -162,70 +167,47 @@ def bounds_section(
     families,
     horizon: int,
 ) -> dict:
-    reports = []
+    """The bounds of ``families`` in order, computed once every family's precondition holds."""
     n_grid = list(range(0, horizon + 1))
     P_eps = build_damped_matrix(DampedChain(chain.p0, chain.damping, epsilon))
     pi_eps = stationary_direct(P_eps).pi
     context = bound_context(
         chain.p0, chain.damping, p, structure, epsilon, block, pi_eps, (*PROFILE_STEPS, block)
     )
-
     for family in families:
-        if family == "1":
-            if structure.regime is not Regime.REGULAR:
-                raise RegimeError("bound family 1 needs a regular chain; use family 2")
-            reference = context.pi0[0]
-            decay = estimate_decay(chain.p0, pi0=reference)
-            values = stationary_gap_bound(decay, chain.damping, reference, epsilon)
-            reports.append(
-                BoundReport(
-                    "stationary-gap",
-                    "1",
-                    epsilon,
-                    {"amplitude": decay.amplitude, "rate": decay.rate},
-                    tuple(values),
+        if family not in FAMILIES:
+            raise RegimeError(f"unknown bound family {family!r}; choose from 1, 2, 5, 6, 7")
+        _, regime, instead = FAMILIES[family]
+        if regime not in (None, structure.regime):
+            raise RegimeError(f"bound family {family} needs a {regime.value} chain; {instead}")
+        if family == "5":
+            context.onestep(0)  # refuses epsilon outside (0, 1]
+        elif family == "7":
+            context.require_contraction()
+
+    reports = []
+    for family in families:
+        constants, per_state, by_n = {}, (), ()
+        if family in ("1", "2"):
+            if family == "1":
+                reference = context.pi0[0]
+                decay = estimate_decay(chain.p0, pi0=reference)
+            else:
+                decay = context.split_decay()
+                reference = limit_stationary(
+                    chain.p0, chain.damping, chain.damping.as_distribution(), structure, context.pi0
                 )
-            )
-        elif family == "2":
-            if structure.regime is not Regime.SINGULAR:
-                raise RegimeError("bound family 2 needs a singular chain; use family 1")
-            decay = estimate_decay_split(chain.p0, structure, pi0=context.pi0)
-            reference = limit_stationary(
-                chain.p0, chain.damping, chain.damping.as_distribution(), structure, context.pi0
-            )
-            values = stationary_gap_bound(decay, chain.damping, reference, epsilon)
-            reports.append(
-                BoundReport(
-                    "stationary-gap-split",
-                    "2",
-                    epsilon,
-                    {"amplitude": decay.amplitude, "rate": decay.rate},
-                    tuple(values),
-                )
-            )
+            constants = {"amplitude": decay.amplitude, "rate": decay.rate}
+            per_state = tuple(stationary_gap_bound(decay, chain.damping, reference, epsilon))
         elif family == "5":
             by_n = tuple((n, context.onestep(n)) for n in n_grid)
-            reports.append(BoundReport("coupling-onestep", "5", epsilon, {}, (), by_n))
         elif family == "6":
+            constants = {"block": block}
             by_n = tuple((n, context.multistep(n)) for n in n_grid)
-            reports.append(
-                BoundReport("coupling-multistep", "6", epsilon, {"block": block}, (), by_n)
-            )
-        elif family == "7":
-            if structure.regime is not Regime.SINGULAR:
-                raise RegimeError("bound family 7 needs a singular chain; use families 5/6")
-            context.require_contraction()
-            reports.append(
-                BoundReport(
-                    "coupling-split",
-                    "7",
-                    epsilon,
-                    {"block": block, "n": horizon},
-                    tuple(context.bound_vector(horizon)),
-                )
-            )
         else:
-            raise RegimeError(f"unknown bound family {family!r}; choose from 1, 2, 5, 6, 7")
+            constants = {"block": block, "n": horizon}
+            per_state = tuple(context.bound_vector(horizon))
+        reports.append(BoundReport(FAMILIES[family][0], family, epsilon, constants, per_state, by_n))
 
     ergodicity = [{"N": N, "delta": rounded(context.profile[N].delta)} for N in PROFILE_STEPS]
     section = {"epsilon": rounded(epsilon), "reports": [_bound_record(r) for r in reports]}

@@ -28,7 +28,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .structure import ChainStructure, Regime, class_mass, restrict
+from .structure import ChainStructure, Regime, class_mass, class_matrices
 
 DEFAULT_SOLVER_TOL = 1e-10
 DEFAULT_SERIES_TOL = 1e-12
@@ -175,15 +175,11 @@ def stationary_series(
     )
 
 
-def class_stationary(P0: StochasticMatrix, structure: ChainStructure) -> tuple:
-    """Stationary law of each closed class, in ``structure.classes`` order.
-
-    A regular chain's one class covers every state, so its law is solved on P0
-    itself, in natural state order; a singular chain's on each restriction.
-    """
-    if structure.regime is Regime.REGULAR:
-        return (stationary_direct(P0).pi,)
-    return tuple(stationary_direct(restrict(P0, cls)).pi for cls in structure.classes)
+def class_stationary(P0: StochasticMatrix, structure: ChainStructure, matrices=None) -> tuple:
+    """Stationary law of each closed class, on its ``class_matrices`` matrix or ``matrices``."""
+    if matrices is None:
+        matrices = class_matrices(P0, structure)
+    return tuple(stationary_direct(M).pi for M in matrices)
 
 
 def limit_stationary(

@@ -199,6 +199,17 @@ def restrict(P0: StochasticMatrix, cls: ClosedClass) -> StochasticMatrix:
     return StochasticMatrix(P0.entries[np.ix_(idx, idx)], P0.row_tol)
 
 
+def class_matrices(P0: StochasticMatrix, structure: ChainStructure) -> tuple:
+    """The matrix of each closed class, in ``structure.classes`` order.
+
+    A regular chain's one class covers every state in natural order, so its
+    matrix is P0 itself; any other chain's are one :func:`restrict` per class.
+    """
+    if structure.regime is Regime.REGULAR:
+        return (P0,)
+    return tuple(restrict(P0, cls) for cls in structure.classes)
+
+
 def restrict_damping(d: DampingVector, cls: ClosedClass) -> DampingVector:
     """Damping weights renormalized to one closed class: d_k / f, f = class mass."""
     idx = list(cls.states)

@@ -16,7 +16,6 @@ from dampedchain import (
     decompose,
     ergodicity_coefficient,
     estimate_decay,
-    estimate_decay_split,
     limit_stationary,
     min_row_overlap,
     propagate,
@@ -25,9 +24,11 @@ from dampedchain import (
     stationary_direct,
     stationary_gap_bound,
     triangular_bound,
+    triangular_sweep,
 )
-from dampedchain.stationary import class_stationary
-from conftest import count_calls, naive_min_overlap
+from dampedchain.bounds import PROFILE_STEPS, ErgodicityReport
+from dampedchain.expansion import expansion
+from conftest import count_calls, naive_matmul, naive_min_overlap
 
 # Composite tail constant of the five-node example's known decay envelope.
 FIVE_NODE_TAIL_FACTOR = (67 / 4488) * np.sqrt(34) + 49 / 132
@@ -133,16 +134,20 @@ class TestStationaryGapBound:
         P, d = eight_node
         structure = decompose(P)
         reference = limit_stationary(P, d, d.as_distribution(), structure)
-        decay = estimate_decay_split(P, structure)
+        decay = bound_context(P, d, d.as_distribution(), structure, eps, 2).split_decay()
         pi_eps = stationary_direct(build_damped_matrix(DampedChain(P, d, eps))).pi
         bound = stationary_gap_bound(decay, d, reference, eps)
         assert np.all(np.abs(pi_eps.probs - reference.probs) <= bound + 1e-12)
 
     def test_split_decay_with_class_laws_is_bit_equal(self, eight_node):
-        P, _ = eight_node
+        P, d = eight_node
         structure = decompose(P)
-        with_laws = estimate_decay_split(P, structure, pi0=class_stationary(P, structure))
-        assert with_laws == estimate_decay_split(P, structure)
+        context = bound_context(P, d, Distribution.uniform(8), structure, 0.1, 2)
+        # Each class's decay with its law solved afresh; the context reuses its own.
+        per_class = [estimate_decay(restrict(P, cls)) for cls in structure.classes]
+        expected = (max(c.amplitude for c in per_class), max(c.rate for c in per_class))
+        decay = context.split_decay()
+        assert (decay.amplitude, decay.rate) == expected
 
     def test_estimate_decay_rejects_periodic(self):
         from dampedchain import StochasticMatrix
@@ -282,7 +287,8 @@ class TestOneContextPerCommand:
         chain = DampedChain(P, d, 0.15)
         families = ["2", "5", "6", "7"]
         bounds_section(chain, structure, Distribution.uniform(8), 0.15, 2, families, 30)
-        assert len(scans) <= 12 + len(structure.classes)
+        # Delta_N of the whole matrix is 1 by structure; each class is scanned at the block.
+        assert len(scans) == len(structure.classes)
 
     def test_singular_section_solves_each_class_law_once(self, eight_node, monkeypatch):
         from dampedchain.report import bounds_section
@@ -294,6 +300,108 @@ class TestOneContextPerCommand:
         bounds_section(chain, decompose(P), Distribution.uniform(8), 0.15, 2, families, 30)
         # pi(eps) once and each of the two class laws once; family 2 reuses them.
         assert len(solves) == 3
+
+
+class TestOneWalkPerClass:
+    """Each closed class is restricted and walked once per command."""
+
+    FAMILIES = ["2", "5", "6", "7"]
+
+    def test_singular_section_restricts_each_class_once(self, eight_node, monkeypatch):
+        from dampedchain.report import bounds_section
+
+        P, d = eight_node
+        structure = decompose(P)
+        restricts = count_calls(monkeypatch, "restrict")
+        chain = DampedChain(P, d, 0.15)
+        bounds_section(chain, structure, Distribution.uniform(8), 0.15, 2, self.FAMILIES, 30)
+        assert len(restricts) == len(structure.classes)
+
+    def test_sweep_restricts_each_class_once(self, eight_node, monkeypatch):
+        P, d = eight_node
+        structure = decompose(P)
+        restricts = count_calls(monkeypatch, "restrict")
+        triangular_sweep(P, d, Distribution.uniform(8), structure, 0.1, range(31), 2)
+        assert len(restricts) == len(structure.classes)
+
+    def test_regular_chain_is_never_restricted(self, five_node, monkeypatch):
+        from dampedchain.report import bounds_section
+
+        P, d = five_node
+        structure = decompose(P)
+        restricts = count_calls(monkeypatch, "restrict")
+        expansion(P, d, structure, n_max=3)
+        chain = DampedChain(P, d, 0.15)
+        bounds_section(chain, structure, Distribution.uniform(5), 0.15, 2, ["1", "5", "6"], 30)
+        triangular_sweep(P, d, Distribution.uniform(5), structure, 0.1, range(31), 2)
+        assert restricts == []
+
+    def test_preconditions_are_checked_before_any_family_runs(self, eight_node, monkeypatch):
+        from dampedchain.report import bounds_section
+
+        P, d = eight_node
+        decays = count_calls(monkeypatch, "estimate_decay")
+        spectra = count_calls(monkeypatch, "spectrum")
+        chain = DampedChain(P, d, 0.15)
+        with pytest.raises(ContractionError, match="to N = 2, the smallest"):
+            bounds_section(chain, decompose(P), Distribution.uniform(8), 0.15, 1, self.FAMILIES, 30)
+        assert decays == [] and spectra == []
+
+    def test_singular_section_walks_each_class_once(self, eight_node, monkeypatch):
+        from dampedchain.report import bounds_section
+
+        P, d = eight_node
+        walks = count_calls(monkeypatch, "_powers")
+        chain = DampedChain(P, d, 0.15)
+        bounds_section(chain, decompose(P), Distribution.uniform(8), 0.15, 2, ["5", "6", "7"], 30)
+        # One walk per 4-state class matrix; the 8-state P0 is never walked.
+        assert [args[0].dim for args in walks] == [4, 4]
+
+    def test_search_never_walks_the_whole_singular_matrix(self, eight_node, monkeypatch):
+        from dampedchain.report import bounds_section
+
+        P, d = eight_node
+        scans = count_calls(monkeypatch, "min_row_overlap")
+        chain = DampedChain(P, d, 0.15)
+        with pytest.raises(ContractionError, match="to N = 2, the smallest"):
+            bounds_section(chain, decompose(P), Distribution.uniform(8), 0.15, 1, ["7"], 30)
+        # Both classes at the block, then both again at N = 2.
+        assert [args[0].shape for args in scans] == [(4, 4)] * 4
+
+    def test_search_continues_from_the_block(self, monkeypatch):
+        # A 4-cycle with a self-loop at state 0: Delta_1 = Delta_2 = 1 and Delta_3 < 1.
+        entries = np.roll(np.eye(4), 1, axis=1)
+        entries[0] = [0.5, 0.5, 0.0, 0.0]
+        P = StochasticMatrix(entries)
+        d = DampingVector(np.full(4, 0.25))
+        scans = count_calls(monkeypatch, "min_row_overlap")
+        with pytest.raises(ContractionError) as info:
+            triangular_sweep(P, d, Distribution.uniform(4), decompose(P), 0.1, range(5), 2)
+        assert str(info.value) == (
+            "Delta_2 = 1; increase the block length to N = 3, the smallest with Delta_N < 1"
+        )
+        # Delta_2 once in the context, then Delta_3; N = 1 and 2 are not scanned again.
+        assert len(scans) == 2
+
+    def test_profile_and_class_reports_match_brute_powers(self, eight_node):
+        P, d = eight_node
+        perm = np.random.default_rng(11).permutation(8)
+        Q = StochasticMatrix(P.entries[np.ix_(perm, perm)])
+        structure = decompose(Q)
+        power = np.eye(8)
+        for N in PROFILE_STEPS:
+            power = naive_matmul(power, Q.entries)
+            context = bound_context(
+                Q, DampingVector(d.weights[perm]), Distribution.uniform(8), structure, 0.1, N,
+                steps=PROFILE_STEPS,
+            )
+            assert context.profile[N] == ErgodicityReport.from_overlap(N, naive_min_overlap(power))
+            for cls, report in zip(structure.classes, context.class_reports):
+                block = power[np.ix_(cls.states, cls.states)]
+                expected = ErgodicityReport.from_overlap(N, naive_min_overlap(block))
+                assert report.step == N
+                assert report.overlap == pytest.approx(expected.overlap, abs=1e-14)
+                assert report.delta == pytest.approx(expected.delta, abs=1e-12)
 
 
 class TestInterleavedClasses:
