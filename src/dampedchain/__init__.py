@@ -25,7 +25,6 @@ from .errors import (
     ContractionError,
     ConvergenceError,
     DimensionMismatchError,
-    IllConditionedError,
     IngestError,
     RegimeError,
     SingularSystemError,
@@ -56,7 +55,6 @@ from .expansion import (
     Spectrum,
     evaluate_expansion,
     expansion,
-    spectral_coefficients,
     spectrum,
 )
 from .coupling import (

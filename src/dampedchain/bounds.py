@@ -33,13 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    DampedChain,
-    DampingVector,
-    Distribution,
-    StochasticMatrix,
-    build_damped_matrix,
-)
+from .core import DampedChain, DampingVector, Distribution, StochasticMatrix
 from .coupling import overlap
 from .errors import ContractionError, RegimeError, ValidationError
 from .expansion import spectrum
@@ -494,7 +488,7 @@ def split_bound_context(
         raise RegimeError("the split bound applies to singular chains; use families 5/6")
     _require_coupling_epsilon(epsilon)
     if pi_eps is None:
-        pi_eps = stationary_direct(build_damped_matrix(DampedChain(P0, d, epsilon))).pi
+        pi_eps = stationary_direct(DampedChain(P0, d, epsilon)).pi
     context = bound_context(P0, d, p, structure, epsilon, block, pi_eps)
     context.require_contraction()
     return context

@@ -27,6 +27,7 @@ from .expansion import expansion, spectrum
 from .io import MATRIX_SLOT, dumps_with_matrix
 from .stationary import (
     limit_stationary,
+    series_sums,
     stationary_direct,
     stationary_power,
     stationary_series,
@@ -75,16 +76,19 @@ def _solution_entry(solution) -> dict:
 
 
 def stationary_section(chain: DampedChain, structure, epsilons, tol: float) -> dict:
+    iteration_tol = min(tol, 1e-12)
+    sums = series_sums(chain.p0, chain.damping, [eps for eps in epsilons if eps > 0.0], iteration_tol)
+
     def solve_at(eps):
-        P_eps = build_damped_matrix(DampedChain(chain.p0, chain.damping, eps))
+        damped = DampedChain(chain.p0, chain.damping, eps)
         entry = {"epsilon": rounded(eps)}
-        entry["direct"] = _solution_entry(stationary_direct(P_eps, solver_tol=max(tol, 1e-10)))
+        entry["direct"] = _solution_entry(stationary_direct(damped, solver_tol=max(tol, 1e-10)))
         entry["power"] = _solution_entry(
-            stationary_power(P_eps, Distribution.uniform(chain.dim), tol=min(tol, 1e-12))
+            stationary_power(damped, Distribution.uniform(chain.dim), tol=iteration_tol)
         )
         if eps > 0.0:
             entry["series"] = _solution_entry(
-                stationary_series(chain.p0, chain.damping, eps, tol=min(tol, 1e-12))
+                stationary_series(chain.p0, chain.damping, eps, iteration_tol, sums)
             )
         return entry
 
@@ -169,8 +173,7 @@ def bounds_section(
 ) -> dict:
     """The bounds of ``families`` in order, computed once every family's precondition holds."""
     n_grid = list(range(0, horizon + 1))
-    P_eps = build_damped_matrix(DampedChain(chain.p0, chain.damping, epsilon))
-    pi_eps = stationary_direct(P_eps).pi
+    pi_eps = stationary_direct(DampedChain(chain.p0, chain.damping, epsilon)).pi
     context = bound_context(
         chain.p0, chain.damping, p, structure, epsilon, block, pi_eps, (*PROFILE_STEPS, block)
     )

@@ -10,9 +10,18 @@ Three independent routes to the stationary distribution are provided:
       pi(eps)_j = eps * sum_l (d P0^l)_j (1 - eps)^l.
 
 The series route needs no structural assumptions on P0 and is what makes the
-eps -> 0 analysis tractable. ``limit_stationary`` returns the eps -> 0 limit
-for both regimes, including its dependence on the initial distribution in the
-singular case.
+eps -> 0 analysis tractable. ``series_sums`` serves a whole eps grid from one
+walk of ``d P0^l``, to the longest series length on the grid, adding each step
+into one accumulator row per eps; ``stationary_series`` is its one-eps case.
+
+The power and series routes and every residual only push row vectors through
+P0 or P(eps), by ``vecmat`` (sparse for sparse P0, and the rank-one form for
+P(eps)); none of them builds the dense P(eps). The direct route, the one that
+does not depend on the structure of P0, factors the dense system assembled in
+place from P0 and d.
+
+``limit_stationary`` returns the eps -> 0 limit for both regimes, including
+its dependence on the initial distribution in the singular case.
 """
 
 import enum
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DampingVector, Distribution, StochasticMatrix, build_damped_matrix, DampedChain
+from .core import DampedChain, DampingVector, Distribution, StochasticMatrix
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -56,32 +65,49 @@ class StationarySolution:
     residual: float
 
 
-def _residual(pi: np.ndarray, P: np.ndarray) -> float:
-    return float(np.max(np.abs(pi @ P - pi)))
+def _residual(pi: np.ndarray, P) -> float:
+    return float(np.max(np.abs(P.vecmat(pi) - pi)))
 
 
-def stationary_direct(P: StochasticMatrix, solver_tol: float = DEFAULT_SOLVER_TOL) -> StationarySolution:
+def _direct_system(P) -> np.ndarray:
+    """``P^T - I`` with the normalization row of ones in place of the last equation.
+
+    For a :class:`DampedChain` the system ``(1 - eps) P0^T + eps d 1^T - I`` is
+    assembled in one m x m buffer, without forming P(eps) on its own.
+    """
+    if isinstance(P, DampedChain):
+        A = (1.0 - P.epsilon) * P.p0.entries.T
+        A += P.epsilon * P.damping.weights[:, np.newaxis]
+    else:
+        A = P.entries.T.copy()
+    m = P.dim
+    A[np.arange(m), np.arange(m)] -= 1.0
+    A[m - 1, :] = 1.0
+    return A
+
+
+def stationary_direct(P, solver_tol: float = DEFAULT_SOLVER_TOL) -> StationarySolution:
     """Solve ``(P^T - I) pi = 0`` with the normalization row replacing the last equation.
 
-    LU with partial pivoting; the solution is checked against ``solver_tol``.
+    ``P`` is a :class:`StochasticMatrix` or a :class:`DampedChain`, whose
+    P(eps) enters only through the system matrix. LU with partial pivoting;
+    the solution is checked against ``solver_tol``.
     A residual beyond tolerance (or an exactly singular factorization) means
     the system has extra null directions -- several closed classes at
     eps = 0 -- and the caller should solve per class on the restricted
     matrices instead.
     """
     m = P.dim
-    A = P.entries.T - np.eye(m)
-    A[m - 1, :] = 1.0
     b = np.zeros(m)
     b[m - 1] = 1.0
     try:
-        pi = np.linalg.solve(A, b)
+        pi = np.linalg.solve(_direct_system(P), b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "stationary system is singular; the matrix has several closed classes "
             "-- solve per class on structure.restrict(P0, cls)"
         ) from exc
-    res = _residual(pi, P.entries)
+    res = _residual(pi, P)
     if not np.isfinite(res) or res > solver_tol:
         raise SingularSystemError(
             f"stationary solve residual {res:.3e} exceeds {solver_tol:.1e}; the matrix "
@@ -91,13 +117,15 @@ def stationary_direct(P: StochasticMatrix, solver_tol: float = DEFAULT_SOLVER_TO
 
 
 def stationary_power(
-    P: StochasticMatrix,
+    P,
     p0: Distribution,
     tol: float = DEFAULT_SERIES_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> StationarySolution:
     """Power iteration from ``p0`` until successive iterates are ``tol``-close.
 
+    ``P`` is a :class:`StochasticMatrix` or a :class:`DampedChain`; each step
+    is one ``P.vecmat`` product, the rank-one form for a damped chain.
     Convergence is measured in total variation between successive iterates,
     which is cheap; the residual against P is recomputed for the report.
     Raises ConvergenceError carrying the last iterate when ``max_iter`` is
@@ -109,26 +137,16 @@ def stationary_power(
         raise ValidationError("tolerance must be positive")
     prev = p0.probs
     for it in range(max_iter):
-        nxt = prev @ P.entries
+        nxt = P.vecmat(prev)
         if 0.5 * np.abs(nxt - prev).sum() < tol:
-            res = _residual(nxt, P.entries)
+            res = _residual(nxt, P)
             return StationarySolution(Distribution(nxt, max(P.row_tol, 1e-9)), Method.POWER, it, res)
         prev = nxt
     raise ConvergenceError(
         f"power method did not converge within {max_iter} iterations",
         last_iterate=prev,
-        residual=_residual(prev, P.entries),
+        residual=_residual(prev, P),
     )
-
-
-def trajectory(d: np.ndarray, P0: np.ndarray, length: int) -> np.ndarray:
-    """Rows ``d @ P0**l`` for l = 0..length-1, built by iterated products."""
-    out = np.empty((length, d.shape[0]))
-    v = d
-    for l in range(length):
-        out[l] = v
-        v = v @ P0
-    return out
 
 
 def series_length(epsilon: float, tol: float) -> int:
@@ -143,11 +161,57 @@ def series_length(epsilon: float, tol: float) -> int:
     return L
 
 
+@dataclass(frozen=True)
+class SeriesSums:
+    """Truncated series ``eps * sum_{l <= L} (1 - eps)^l d P0^l``, one row per epsilon.
+
+    ``lengths[k]`` is the L of ``epsilons[k]`` at truncation tolerance ``tol``;
+    ``sums[k]`` is its sum, before renormalization.
+    """
+
+    epsilons: tuple
+    tol: float
+    lengths: tuple
+    sums: np.ndarray
+
+
+def series_sums(
+    P0: StochasticMatrix,
+    d: DampingVector,
+    epsilons,
+    tol: float = DEFAULT_SERIES_TOL,
+) -> SeriesSums:
+    """Sum the series for every epsilon of a grid from one walk of ``d P0^l``.
+
+    The walk runs to the longest series length on the grid, max L products by
+    P0, and adds each step into every row whose series is still open, so the
+    memory is one row per epsilon whatever the walk's length.
+    """
+    epsilons = tuple(float(eps) for eps in epsilons)
+    if not all(0.0 < eps <= 1.0 for eps in epsilons):
+        raise ValidationError("series representation requires epsilon in (0, 1]")
+    if P0.dim != d.dim:
+        raise DimensionMismatchError(f"matrix dim {P0.dim} != damping dim {d.dim}")
+    lengths = tuple(series_length(eps, tol) for eps in epsilons)
+    open_until = np.array(lengths)
+    decay = 1.0 - np.array(epsilons)
+    weights = np.array(epsilons)
+    sums = np.zeros((len(epsilons), P0.dim))
+    v = d.weights
+    for l in range(max(lengths, default=-1) + 1):
+        if l > 0:
+            v = P0.vecmat(v)
+        sums += weights[:, np.newaxis] * v
+        weights = np.where(open_until > l, weights * decay, 0.0)
+    return SeriesSums(epsilons, tol, lengths, sums)
+
+
 def stationary_series(
     P0: StochasticMatrix,
     d: DampingVector,
     epsilon: float,
     tol: float = DEFAULT_SERIES_TOL,
+    sums: SeriesSums = None,
 ) -> StationarySolution:
     """Evaluate the geometric-mixture series for the damped stationary law.
 
@@ -155,24 +219,19 @@ def stationary_series(
     trajectory entry lies in [0, 1] the dropped tail is below ``tol`` per
     coordinate. The truncated sum is renormalized (its exact mass is
     ``1 - (1 - eps)^(L + 1)``), which perturbs entries by less than ``tol``.
+    This is the one-epsilon case of :func:`series_sums`; a caller solving a
+    grid passes the ``sums`` of one walk over it, made with the same ``tol``.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError("series representation requires epsilon in (0, 1]")
-    if P0.dim != d.dim:
-        raise DimensionMismatchError(f"matrix dim {P0.dim} != damping dim {d.dim}")
-    L = series_length(epsilon, tol)
-    acc = np.zeros(P0.dim)
-    v = d.weights
-    weight = epsilon
-    for _ in range(L + 1):
-        acc += weight * v
-        v = v @ P0.entries
-        weight *= 1.0 - epsilon
-    pi = acc / acc.sum()
-    P_eps = build_damped_matrix(DampedChain(P0, d, epsilon))
-    return StationarySolution(
-        Distribution(pi, P0.row_tol), Method.SERIES, L, _residual(pi, P_eps.entries)
-    )
+    if sums is None:
+        sums = series_sums(P0, d, (epsilon,), tol)
+    if sums.tol != tol:
+        raise ValidationError(f"series sums were made with tol {sums.tol}, not {tol}")
+    if epsilon not in sums.epsilons:
+        raise ValidationError(f"epsilon {epsilon} is not on the grid of the series sums")
+    k = sums.epsilons.index(epsilon)
+    pi = sums.sums[k] / sums.sums[k].sum()
+    residual = _residual(pi, DampedChain(P0, d, epsilon))
+    return StationarySolution(Distribution(pi, P0.row_tol), Method.SERIES, sums.lengths[k], residual)
 
 
 def class_stationary(P0: StochasticMatrix, structure: ChainStructure, matrices=None) -> tuple:

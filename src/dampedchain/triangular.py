@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, build_damped_matrix
+from .core import DampedChain, DampingVector, Distribution, StochasticMatrix
 from .bounds import BoundContext, bound_context
 from .errors import RegimeError, ValidationError
 from .stationary import class_stationary, limit_stationary
@@ -160,7 +160,7 @@ def triangular_sweep(
     For each n the sweep pairs the n-step law of the damped chain with the
     mixture at ``t = eps * n`` and evaluates the explicit bound. Trajectories
     are advanced incrementally, so a dense grid costs one vector-matrix
-    product per step.
+    product per step, by the rank-one form of P(eps) (``DampedChain.vecmat``).
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValidationError("sweep requires epsilon in (0, 1]")
@@ -170,14 +170,14 @@ def triangular_sweep(
     context = _context(P0, d, p, structure, epsilon, block)
     start_side = limit_stationary(P0, d, p, structure, context.pi0).probs
     damped_side = limit_stationary(P0, d, d.as_distribution(), structure, context.pi0).probs
-    P_eps = build_damped_matrix(DampedChain(P0, d, epsilon))
+    chain = DampedChain(P0, d, epsilon)
 
     rows = []
     v = p.probs
     step = 0
     for n in grid:
         for _ in range(n - step):
-            v = v @ P_eps.entries
+            v = chain.vecmat(v)
         step = n
         t = epsilon * n
         mixture = _mixture(start_side, damped_side, t).values

@@ -42,6 +42,18 @@ def naive_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def naive_vecmat(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Double-loop row vector times matrix, the oracle for ``vecmat``."""
+    m = entries.shape[0]
+    out = np.zeros(m)
+    for j in range(m):
+        s = 0.0
+        for i in range(m):
+            s += x[i] * entries[i, j]
+        out[j] = s
+    return out
+
+
 def naive_min_overlap(entries: np.ndarray) -> float:
     """Scalar-loop minimal pairwise row overlap."""
     m = entries.shape[0]

@@ -15,7 +15,9 @@ from dampedchain import (
     propagate,
     tv_distance,
 )
-from conftest import naive_matmul
+from conftest import naive_matmul, naive_vecmat
+from dampedchain.core import SPARSE_MAX_DENSITY
+from dampedchain.io import ingest
 
 
 class TestValidation:
@@ -121,6 +123,44 @@ class TestMatrixPower:
         combined = matrix_power(P, a + b).entries
         product = matrix_power(P, a).entries @ matrix_power(P, b).entries
         np.testing.assert_allclose(combined, product, atol=1e-10)
+
+
+def _random_law(m: int, seed: int) -> np.ndarray:
+    x = np.random.default_rng(seed).random(m)
+    return x / x.sum()
+
+
+class TestVecmat:
+    @pytest.mark.parametrize("m, sparse", [(300, True), (240, True), (200, False), (60, False)])
+    def test_matches_naive_loop_on_both_sides_of_cutoff(self, m, sparse):
+        P, _ = chains.random_web_chain(np.random.default_rng(m), m)
+        assert (7 / m <= SPARSE_MAX_DENSITY) == sparse
+        assert (P._nonzeros is not None) == sparse
+        x = _random_law(m, 1)
+        np.testing.assert_allclose(P.vecmat(x), naive_vecmat(x, P.entries), rtol=0, atol=1e-15)
+
+    def test_csv_matrix_keeps_dense_product(self, tmp_path):
+        P, _ = chains.random_regular_chain(np.random.default_rng(3), 30)
+        path = tmp_path / "dense.csv"
+        path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in P.entries) + "\n")
+        P, _ = ingest(path)
+        assert P._nonzeros is None
+        x = _random_law(30, 2)
+        np.testing.assert_allclose(P.vecmat(x), naive_vecmat(x, P.entries), rtol=0, atol=1e-15)
+
+    def test_single_state(self):
+        P = StochasticMatrix(np.array([[1.0]]))
+        np.testing.assert_array_equal(P.vecmat(np.array([0.7])), [0.7])
+        chain = DampedChain(P, DampingVector.uniform(1), 0.3)
+        assert chain.vecmat(np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [300, 12])
+    def test_damped_product_is_rank_one_form(self, m):
+        P0, _ = chains.random_web_chain(np.random.default_rng(m), m)
+        chain = DampedChain(P0, DampingVector(_random_law(m, 3)), 0.15)
+        x = _random_law(m, 4)
+        expected = naive_vecmat(x, build_damped_matrix(chain).entries)
+        np.testing.assert_allclose(chain.vecmat(x), expected, rtol=0, atol=1e-15)
 
 
 class TestPropagate:

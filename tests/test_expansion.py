@@ -5,18 +5,18 @@ import chains
 from dampedchain import (
     DampedChain,
     DampingVector,
-    IllConditionedError,
     RegimeError,
     SpectralStructureError,
     StochasticMatrix,
     build_damped_matrix,
     decompose,
     expansion,
-    spectral_coefficients,
     spectrum,
     stationary_direct,
     stationary_series,
 )
+from dampedchain.errors import IllConditionedError
+from dampedchain.expansion import spectral_coefficients
 
 
 class TestSpectrum:

@@ -1,7 +1,11 @@
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import chains
+from conftest import count_calls
 from dampedchain import (
     ConvergenceError,
     DampedChain,
@@ -19,6 +23,11 @@ from dampedchain import (
     stationary_series,
     tv_distance,
 )
+from dampedchain import report
+from dampedchain.io import ingest
+from dampedchain.stationary import series_sums
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestDirect:
@@ -163,3 +172,133 @@ class TestLimit:
                 for eps in (0.2, 0.1, 0.05, 0.025)
             ]
             assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+
+
+EPS_GRID = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.85)
+
+
+def reference_power(P_eps: np.ndarray, tol: float):
+    """Power iteration by plain ``x @ P(eps)``: (iterations, law)."""
+    prev = np.full(P_eps.shape[0], 1.0 / P_eps.shape[0])
+    it = 0
+    while True:
+        nxt = prev @ P_eps
+        if 0.5 * np.abs(nxt - prev).sum() < tol:
+            return it, nxt
+        prev = nxt
+        it += 1
+
+
+def reference_series_length(eps: float, tol: float) -> int:
+    L = 0
+    while (1.0 - eps) ** (L + 1) >= tol:
+        L += 1
+    return L
+
+
+def seeded_damping(m: int) -> DampingVector:
+    weights = np.random.default_rng(m).uniform(0.5, 1.5, m)
+    return DampingVector(weights / weights.sum())
+
+
+class TestStationarySection:
+    """The report's stationary section: one series walk, no dense P(eps)."""
+
+    def test_no_damped_matrix_and_one_walk_of_max_length(self, monkeypatch):
+        P0, _ = chains.random_web_chain(np.random.default_rng(7), 300)
+        chain = DampedChain(P0, seeded_damping(300), EPS_GRID[0])
+        builds = count_calls(monkeypatch, "build_damped_matrix")
+        products = []
+        vecmat = StochasticMatrix.vecmat
+        monkeypatch.setattr(
+            StochasticMatrix, "vecmat", lambda self, x: products.append(self) or vecmat(self, x)
+        )
+        walks = []
+        sums = report.series_sums
+
+        def spy(*args, **kwargs):
+            before = len(products)
+            result = sums(*args, **kwargs)
+            walks.append(len(products) - before)
+            return result
+
+        monkeypatch.setattr(report, "series_sums", spy)
+        report.stationary_section(chain, decompose(P0), EPS_GRID, 1e-10)
+        assert builds == []
+        assert walks == [max(reference_series_length(eps, 1e-12) for eps in EPS_GRID)]
+
+    @pytest.mark.parametrize("m", [300, 12])
+    def test_counts_and_laws_match_dense_reference(self, m):
+        P0, _ = chains.random_web_chain(np.random.default_rng(m), m)
+        d = seeded_damping(m)
+        section = report.stationary_section(DampedChain(P0, d, EPS_GRID[0]), decompose(P0), EPS_GRID, 1e-10)
+        for eps, entry in zip(EPS_GRID, section["by_epsilon"]):
+            iterations, law = reference_power(build_damped_matrix(DampedChain(P0, d, eps)).entries, 1e-12)
+            assert entry["power"]["iterations_or_terms"] == iterations
+            assert entry["series"]["iterations_or_terms"] == reference_series_length(eps, 1e-12)
+            for method in ("direct", "power", "series"):
+                np.testing.assert_allclose(entry[method]["pi"], law, rtol=0, atol=1e-11)
+
+    def test_grid_walk_gives_the_one_epsilon_laws_bit_for_bit(self, eight_node):
+        P, d = eight_node
+        sums = series_sums(P, d, EPS_GRID)
+        for eps in EPS_GRID:
+            shared = stationary_series(P, d, eps, sums=sums)
+            alone = stationary_series(P, d, eps)
+            np.testing.assert_array_equal(shared.pi.probs, alone.pi.probs)
+            assert shared.iterations_or_terms == alone.iterations_or_terms
+        with pytest.raises(ValidationError, match="grid"):
+            stationary_series(P, d, 0.25, sums=sums)
+        with pytest.raises(ValidationError, match="tol"):
+            stationary_series(P, d, 0.1, tol=1e-14, sums=sums)
+
+    def test_in_place_direct_system_matches_built_matrix(self, five_node, eight_node):
+        for P, d in (five_node, eight_node):
+            for eps in (0.05, 0.5, 1.0):
+                chain = DampedChain(P, d, eps)
+                np.testing.assert_array_equal(
+                    stationary_direct(chain).pi.probs,
+                    stationary_direct(build_damped_matrix(chain)).pi.probs,
+                )
+        P, d = eight_node
+        with pytest.raises(SingularSystemError, match="per class"):
+            stationary_direct(DampedChain(P, d, 0.0))
+
+
+def exact_damped_law(path, eps: float) -> list:
+    """pi(eps) of an edge-list chain with uniform damping, by Gaussian elimination in Fractions."""
+    edges = [tuple(int(t) - 1 for t in line.split()) for line in open(path) if line[0].isdigit()]
+    m = 1 + max(max(e) for e in edges)
+    out = [sum(1 for s, _ in edges if s == i) for i in range(m)]
+    e = Fraction(eps)
+    P = [[e / m for _ in range(m)] for _ in range(m)]
+    for s, t in edges:
+        P[s][t] += (1 - e) / out[s]
+    # Rows of (P^T - I | 0) with the normalization row last.
+    A = [[P[j][i] - (i == j) for j in range(m)] + [Fraction(0)] for i in range(m - 1)]
+    A.append([Fraction(1)] * m + [Fraction(1)])
+    for c in range(m):
+        pivot = next(r for r in range(c, m) if A[r][c] != 0)
+        A[c], A[pivot] = A[pivot], A[c]
+        for r in range(m):
+            if r != c and A[r][c] != 0:
+                f = A[r][c] / A[c][c]
+                A[r] = [a - f * b for a, b in zip(A[r], A[c])]
+    return [float(A[i][m] / A[i][i]) for i in range(m)]
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.15, 0.5, 1.0])
+def test_every_route_matches_exact_rational_solve(eps):
+    path = DATA / "eight_node_edges.txt"
+    P, _ = ingest(path)
+    d = DampingVector.uniform(P.dim)
+    exact = exact_damped_law(path, eps)
+    chain = DampedChain(P, d, eps)
+    routes = (
+        stationary_direct(chain),
+        stationary_power(chain, Distribution.uniform(P.dim), tol=1e-15),
+        stationary_series(P, d, eps, tol=1e-15),
+        stationary_series(P, d, eps, 1e-15, series_sums(P, d, (0.05, 0.15, 0.5, 1.0), 1e-15)),
+    )
+    for solution in routes:
+        np.testing.assert_allclose(solution.pi.probs, exact, rtol=0, atol=1e-12)
