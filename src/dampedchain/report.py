@@ -77,9 +77,10 @@ def _solution_entry(solution) -> dict:
 
 def stationary_section(chain: DampedChain, structure, epsilons, tol: float) -> dict:
     iteration_tol = min(tol, 1e-12)
-    sums = series_sums(chain.p0, chain.damping, [eps for eps in epsilons if eps > 0.0], iteration_tol)
+    sums = None
 
     def solve_at(eps):
+        nonlocal sums
         damped = DampedChain(chain.p0, chain.damping, eps)
         entry = {"epsilon": rounded(eps)}
         entry["direct"] = _solution_entry(stationary_direct(damped, solver_tol=max(tol, 1e-10)))
@@ -87,6 +88,13 @@ def stationary_section(chain: DampedChain, structure, epsilons, tol: float) -> d
             stationary_power(damped, Distribution.uniform(chain.dim), tol=iteration_tol)
         )
         if eps > 0.0:
+            if sums is None:
+                # One walk serves the grid. It starts only after the first
+                # series eps has passed the direct and power solves, and it
+                # skips eps outside (0, 1], so a bad tolerance or eps still
+                # fails where each eps is solved in turn, with the same error.
+                grid = [e for e in epsilons if 0.0 < e <= 1.0]
+                sums = series_sums(chain.p0, chain.damping, grid, iteration_tol)
             entry["series"] = _solution_entry(
                 stationary_series(chain.p0, chain.damping, eps, iteration_tol, sums)
             )

@@ -151,7 +151,11 @@ def stationary_power(
 
 def series_length(epsilon: float, tol: float) -> int:
     """Smallest L with ``(1 - eps)^(L + 1) < tol`` (the rigorous tail bound)."""
-    if epsilon >= 1.0:
+    if not tol > 0:
+        raise ValidationError("tolerance must be positive")
+    if not 0.0 < epsilon <= 1.0:
+        raise ValidationError("series representation requires epsilon in (0, 1]")
+    if epsilon == 1.0:
         return 0
     L = 0
     tail = 1.0 - epsilon
@@ -188,11 +192,9 @@ def series_sums(
     memory is one row per epsilon whatever the walk's length.
     """
     epsilons = tuple(float(eps) for eps in epsilons)
-    if not all(0.0 < eps <= 1.0 for eps in epsilons):
-        raise ValidationError("series representation requires epsilon in (0, 1]")
+    lengths = tuple(series_length(eps, tol) for eps in epsilons)
     if P0.dim != d.dim:
         raise DimensionMismatchError(f"matrix dim {P0.dim} != damping dim {d.dim}")
-    lengths = tuple(series_length(eps, tol) for eps in epsilons)
     open_until = np.array(lengths)
     decay = 1.0 - np.array(epsilons)
     weights = np.array(epsilons)

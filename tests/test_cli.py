@@ -133,6 +133,25 @@ def test_coupling_sim_rejects_bad_arguments(capsys, bad):
     assert json.loads(out)["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("stationary", "--tol", "0"), "tolerance must be positive"),
+        (("stationary", "--tol=-1e-3"), "tolerance must be positive"),
+        (("report", "--seed", "7", "--tol", "0"), "tolerance must be positive"),
+        (("stationary", "--epsilon-grid", "0,0.1,1.5", "--tol", "0"), "tolerance must be positive"),
+        (("stationary", "--epsilon-grid", "0.1,1.5"), "epsilon must lie in [0, 1], got 1.5"),
+        (("stationary", "--epsilon-grid", "0.1,-0.2"), "epsilon must lie in [0, 1], got -0.2"),
+        (("stationary", "--epsilon-grid", "0.1,nan"), "epsilon must lie in [0, 1], got nan"),
+    ],
+)
+def test_stationary_rejects_bad_tolerance_and_grid(capsys, argv, message):
+    # Each eps is checked as it is solved, so the first bad input names itself.
+    code, out = run_cli(capsys, *argv, "--input", FIVE)
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "ValidationError", "message": message}
+
+
 @pytest.mark.parametrize("command", ["bounds", "triangular", "report"])
 def test_negative_horizon_is_rejected(capsys, command):
     code, out = run_cli(capsys, command, "--input", EIGHT, "--seed", "9", "--horizon", "-1")

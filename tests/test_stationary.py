@@ -25,7 +25,7 @@ from dampedchain import (
 )
 from dampedchain import report
 from dampedchain.io import ingest
-from dampedchain.stationary import series_sums
+from dampedchain.stationary import series_length, series_sums
 
 DATA = Path(__file__).parent / "data"
 
@@ -115,6 +115,25 @@ class TestSeries:
         P, d = five_node
         with pytest.raises(ValidationError):
             stationary_series(P, d, 0.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+    def test_non_positive_tolerance_is_rejected(self, five_node, tol):
+        # A tail bound below every float would never be reached.
+        P, d = five_node
+        with pytest.raises(ValidationError, match="tolerance must be positive"):
+            series_length(0.1, tol)
+        with pytest.raises(ValidationError, match="tolerance must be positive"):
+            series_sums(P, d, (0.1, 0.5), tol)
+        with pytest.raises(ValidationError, match="tolerance must be positive"):
+            stationary_series(P, d, 0.1, tol)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.2, 1.5, float("nan")])
+    def test_epsilon_outside_unit_interval_is_rejected(self, five_node, eps):
+        P, d = five_node
+        with pytest.raises(ValidationError, match=r"epsilon in \(0, 1\]"):
+            series_length(eps, 1e-12)
+        with pytest.raises(ValidationError, match=r"epsilon in \(0, 1\]"):
+            series_sums(P, d, (0.1, eps))
 
     def test_halving_tolerance_moves_result_at_most_tol(self, five_node):
         P, d = five_node
