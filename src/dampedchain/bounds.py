@@ -20,10 +20,13 @@ The constants of families 5, 6 and 7, and of the joint-limit bound
 (``BoundContext.joint_limit``, evaluated by ``triangular``), do not depend on
 the step count n. A command builds them once as a :class:`BoundContext` and
 evaluates that across its n-grid; the public per-n functions build a context
-and evaluate it once. Each ``Delta_N`` comes from one walk through the powers
-of a closed class's matrix (P0 itself on a regular chain), one product per
-step; a singular chain's whole-matrix ``Delta_N`` is 1 by structure. The
-``ContractionError`` search continues the walks of the classes that fail.
+and evaluate it once. Every per-class constant reads the class matrices and
+laws of the structure (``ChainStructure.matrices`` and ``.laws``), and a
+regular chain is the one-class case. Each ``Delta_N`` comes from one walk
+through the powers of a closed class's matrix (P0 itself on a regular chain),
+one product per step; a singular chain's whole-matrix ``Delta_N`` is 1 by
+structure. The ``ContractionError`` search continues the walks of the
+classes that fail.
 
 The convention ``x^0 = 1`` applies throughout, including when x = 0.
 """
@@ -37,15 +40,8 @@ from .core import DampedChain, DampingVector, Distribution, StochasticMatrix
 from .coupling import overlap
 from .errors import ContractionError, RegimeError, ValidationError
 from .expansion import spectrum
-from .stationary import class_stationary, stationary_direct
-from .structure import (
-    ChainStructure,
-    ClosedClass,
-    Regime,
-    class_mass,
-    class_matrices,
-    restrict_damping,
-)
+from .stationary import stationary_direct
+from .structure import ChainStructure, ClosedClass, Regime, class_mass, restrict_damping
 
 DEFAULT_DECAY_HORIZON = 200
 
@@ -231,21 +227,22 @@ class BoundContext:
     * 6: ``start_overlap`` and ``profile[block]``; ``profile`` maps each
       computed N to the whole matrix's ergodicity coefficient;
     * 7 and the joint-limit bound: the per-class fields. A regular chain is
-      its own single class with both class masses 1. With class masses f and
-      superscript j for the restriction to class j renormalized by its mass,
+      its own single class. With class masses f and superscript j for the
+      restriction to class j renormalized by its mass, and pi0^j the class law
+      ``structure.laws[j]``,
       ``start_gap[j] = f_p[j] (1 - Q(p^j, pi0^j))`` (0 when f_p[j] = 0),
       ``damping_gap[j] = f_d[j] (1 - Q(d^j, pi0^j))``,
       ``drift_scale[j] = |f_p[j] - f_d[j]|`` and, for family 7,
       ``coupled[j] = f_d[j] (1 - Q(pi_eps^j, pi0^j)) + start_gap[j]``.
 
-    Per class, ``matrices`` holds the ``class_matrices`` matrix (P0 itself on a
-    regular chain), walked once to the block, and ``block_powers`` its power
-    there, where ``require_contraction`` continues the walk; ``pi0`` holds the
-    class laws, for ``limit_stationary`` without solving again. A singular
-    chain's ``profile`` is 1 by structure and P0 is not walked: rows in
-    different closed classes never share support, so Q(P0^N) = 0. Fields a
-    command cannot use are left empty: per-class fields without a regular or
-    singular structure, ``start_overlap`` and ``coupled`` without pi_eps.
+    Each class matrix ``structure.matrices[j]`` (P0 itself on a regular
+    chain) is walked once to the block, and ``block_powers`` holds its power
+    there, where ``require_contraction`` continues the walk. On a regular
+    chain that walk also gives ``profile``; a singular chain's ``profile`` is
+    1 by structure and P0 is not walked: rows in different closed classes
+    never share support, so Q(P0^N) = 0. Fields a command cannot use are left
+    empty: per-class fields without a regular or singular structure,
+    ``start_overlap`` and ``coupled`` without pi_eps.
     """
 
     P0: StochasticMatrix
@@ -256,9 +253,7 @@ class BoundContext:
     profile: dict
     start_overlap: float
     class_reports: tuple = ()
-    matrices: tuple = ()
     block_powers: tuple = ()
-    pi0: tuple = ()
     start_gap: np.ndarray = None
     damping_gap: np.ndarray = None
     drift_scale: np.ndarray = None
@@ -295,9 +290,9 @@ class BoundContext:
         exponent = (n // self.block) * self.block
         survival = _pow(1.0 - self.epsilon, n)
         out = np.empty(sum(cls.size for cls in self.structure.classes))
-        for j, cls in enumerate(self.structure.classes):
+        for j, (cls, law) in enumerate(zip(self.structure.classes, self.structure.laws)):
             geometric = self.coupled[j] * self.class_reports[j].delta_pow(exponent)
-            out[list(cls.states)] = (geometric + self.drift_scale[j] * self.pi0[j].probs) * survival
+            out[list(cls.states)] = (geometric + self.drift_scale[j] * law.probs) * survival
         return out
 
     def joint_limit(self, n: int, t: float) -> float:
@@ -316,18 +311,22 @@ class BoundContext:
         exponent = (n // self.block) * self.block
         discretization = abs((1.0 - self.epsilon) ** n - math.exp(-t))
         worst = 0.0
-        for j, rep in enumerate(self.class_reports):
+        for j, (rep, law) in enumerate(zip(self.class_reports, self.structure.laws)):
             term1 = self.start_gap[j] * rep.delta_pow(exponent)
             term2 = self.damping_gap[j] * self.epsilon * self.block / (1.0 - rep.delta**self.block)
-            drift = self.drift_scale[j] * float(self.pi0[j].probs.max()) * discretization
+            drift = self.drift_scale[j] * float(law.probs.max()) * discretization
             worst = max(worst, term1 + term2 + drift)
         return worst
 
     def split_decay(self) -> GeometricDecay:
-        """Family 2: the worst-case :func:`estimate_decay` constants over the classes."""
-        if not self.matrices:
+        """Families 1 and 2: the worst-case :func:`estimate_decay` constants over the classes.
+
+        On a regular chain, the one class, these are P0's own constants.
+        """
+        if not self.class_reports:
             raise RegimeError("no closed classes to estimate decay on")
-        per_class = [estimate_decay(M, law) for M, law in zip(self.matrices, self.pi0)]
+        structure = self.structure
+        per_class = [estimate_decay(M, law) for M, law in zip(structure.matrices, structure.laws)]
         return GeometricDecay(max(d.amplitude for d in per_class), max(d.rate for d in per_class))
 
     def require_contraction(self) -> None:
@@ -347,9 +346,9 @@ class BoundContext:
             problem = f"Delta_{self.block} = 1"
         # The walks advance in step; each power is scanned only while every
         # class before it contracts, so the search stops at the first such N.
+        matrices = self.structure.matrices
         walks = (
-            _powers(self.matrices[j], PROFILE_STEPS[-1], (self.block, self.block_powers[j]))
-            for j in bad
+            _powers(matrices[j], PROFILE_STEPS[-1], (self.block, self.block_powers[j])) for j in bad
         )
         for step in zip(*walks):
             N = step[0][0]
@@ -386,56 +385,36 @@ def bound_context(
         raise ValidationError("block length must be at least 1")
     regime = None if structure is None else structure.regime
     start_overlap = None if pi_eps is None else overlap(p.probs, pi_eps.probs)
-    if regime is Regime.SINGULAR:
-        overlaps = {N: 0.0 for N in sorted(set(steps)) if N >= 1}
-    elif regime is Regime.REGULAR:
-        overlaps, block_power = _scan(P0, {*steps, block}, keep=block)
+    per_class = regime in (Regime.REGULAR, Regime.SINGULAR)
+    if per_class:
+        # A regular chain's one class is P0, so its walk also gives the profile.
+        regular = regime is Regime.REGULAR
+        scanned = {*steps, block} if regular else {block}
+        walks = [_scan(M, scanned, keep=block) for M in structure.matrices]
+        overlaps = walks[0][0] if regular else {N: 0.0 for N in steps if N >= 1}
     else:
         overlaps, _ = _scan(P0, set(steps))
     profile = {N: ErgodicityReport.from_overlap(N, q) for N, q in overlaps.items()}
-
     constants = (P0, structure, epsilon, block, overlaps.get(1), profile, start_overlap)
-    if regime not in (Regime.REGULAR, Regime.SINGULAR):
+    if not per_class:
         return BoundContext(*constants)
 
-    matrices = class_matrices(P0, structure)
-    pi0 = class_stationary(P0, structure, matrices)
-    if regime is Regime.REGULAR:
-        return BoundContext(
-            *constants,
-            class_reports=(profile[block],),
-            matrices=matrices,
-            block_powers=(block_power,),
-            pi0=pi0,
-            start_gap=np.array([1.0 - overlap(p.probs, pi0[0].probs)]),
-            damping_gap=np.array([1.0 - overlap(d.weights, pi0[0].probs)]),
-            drift_scale=np.zeros(1),
-        )
-
-    walks = [_scan(M, {block}, keep=block) for M in matrices]
     f_p = class_mass(p, structure)
     f_d = class_mass(d.as_distribution(), structure)
-    start_gap = np.zeros(len(pi0))
-    damping_gap = np.zeros(len(pi0))
-    for j, cls in enumerate(structure.classes):
-        law = pi0[j].probs
+    start_gap = np.zeros(structure.class_count)
+    damping_gap = np.zeros(structure.class_count)
+    coupled = None if pi_eps is None else np.zeros(structure.class_count)
+    for j, (cls, law) in enumerate(zip(structure.classes, structure.laws)):
         if f_p[j] > 0.0:
-            start_gap[j] = f_p[j] * (1.0 - overlap(_class_dist(p.probs, cls, f_p[j]), law))
-        damping_gap[j] = f_d[j] * (1.0 - overlap(restrict_damping(d, cls).weights, law))
-    coupled = None
-    if pi_eps is not None:
-        coupled = start_gap + np.array(
-            [
-                f_d[j] * (1.0 - overlap(_class_dist(pi_eps.probs, cls, f_d[j]), pi0[j].probs))
-                for j, cls in enumerate(structure.classes)
-            ]
-        )
+            start_gap[j] = f_p[j] * (1.0 - overlap(_class_dist(p.probs, cls, f_p[j]), law.probs))
+        damping_gap[j] = f_d[j] * (1.0 - overlap(restrict_damping(d, cls).weights, law.probs))
+        if pi_eps is not None:
+            eps_gap = f_d[j] * (1.0 - overlap(_class_dist(pi_eps.probs, cls, f_d[j]), law.probs))
+            coupled[j] = eps_gap + start_gap[j]
     return BoundContext(
         *constants,
         class_reports=tuple(ErgodicityReport.from_overlap(block, q[block]) for q, _ in walks),
-        matrices=matrices,
         block_powers=tuple(power for _, power in walks),
-        pi0=pi0,
         start_gap=start_gap,
         damping_gap=damping_gap,
         drift_scale=np.abs(f_p - f_d),

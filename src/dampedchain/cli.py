@@ -104,31 +104,41 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _parse_grid(raw: str):
-    if ":" in raw:
-        parts = [int(x) for x in raw.split(":")]
-        if len(parts) == 2:
-            start, stop, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            start, stop, step = parts
-        else:
-            raise ChainError(f"bad --n-grid {raw!r}; use 'a:b' or 'a:b:s'")
-        return list(range(start, stop + 1, step))
-    return [int(x) for x in raw.split(",")]
+    bad = f"bad --n-grid {raw!r}; use 'a:b', 'a:b:s' with s != 0, or a comma list of integers"
+    try:
+        parts = [int(x) for x in raw.split(":" if ":" in raw else ",")]
+    except ValueError:
+        raise ValidationError(bad) from None
+    if ":" not in raw:
+        return parts
+    if len(parts) not in (2, 3) or parts[2:] == [0]:
+        raise ValidationError(bad)
+    start, stop, step = (*parts, 1)[:3]
+    return list(range(start, stop + 1, step))
 
 
 def _initial(spec: str, dim: int) -> Distribution:
     if spec == "uniform":
         return Distribution.uniform(dim)
     if spec.startswith("point:"):
-        state = int(spec.split(":", 1)[1])
-        return Distribution.point_mass(dim, state - 1)
+        state = spec.split(":", 1)[1]
+        if not (state.isdecimal() and 1 <= int(state) <= dim):
+            raise ValidationError(
+                f"bad --initial {spec!r}; use 'point:K' with K a state id in 1..{dim}"
+            )
+        return Distribution.point_mass(dim, int(state) - 1)
     weights = load_damping(spec, dim)
     return Distribution(weights.weights)
 
 
 def _epsilons(args):
     if args.epsilon_grid:
-        return [float(x) for x in args.epsilon_grid.split(",")]
+        try:
+            return [float(x) for x in args.epsilon_grid.split(",")]
+        except ValueError:
+            raise ValidationError(
+                f"bad --epsilon-grid {args.epsilon_grid!r}; use comma-separated numbers"
+            ) from None
     return [args.epsilon if args.epsilon is not None else DEFAULT_EPSILON]
 
 

@@ -196,10 +196,6 @@ class DampedChain:
     def row_tol(self) -> float:
         return self.p0.row_tol
 
-    @cached_property
-    def matrix(self) -> StochasticMatrix:
-        return build_damped_matrix(self)
-
     def vecmat(self, x: np.ndarray) -> np.ndarray:
         """The row vector ``x @ P(eps)`` by the rank-one form; P(eps) is not built."""
         eps = self.epsilon

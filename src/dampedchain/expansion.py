@@ -18,7 +18,8 @@ then yields every order by a vector-matrix product.
 In the singular regime P0 is block diagonal over its closed classes, so the
 recursion runs per class with the renormalized damping weights and each class
 table is scaled by the class mass of the damping vector. A regular chain is
-the one-class case with mass 1.
+the one-class case. Each class's matrix and pi0 are read from the structure
+(``ChainStructure.matrices`` and ``.laws``), never solved here.
 
 ``spectrum`` (eigenvalue reporting, decay rates of the bound families) and
 the trajectory fit ``spectral_coefficients`` are independent of the series.
@@ -32,12 +33,11 @@ from .core import DampingVector, Distribution, StochasticMatrix
 from .errors import (
     IllConditionedError,
     RegimeError,
-    SingularSystemError,
     SpectralStructureError,
     ValidationError,
 )
 from .stationary import stationary_direct
-from .structure import ChainStructure, Regime, class_mass, class_matrices, restrict_damping
+from .structure import ChainStructure, Regime, class_mass, restrict_damping
 
 DEFAULT_CLUSTER_TOL = 1e-8
 VANDERMONDE_COND_LIMIT = 1e12
@@ -182,16 +182,15 @@ def spectral_coefficients(
     return SpectralCoefficients(pi0, tuple(rhos[1:]), coeffs[1:])
 
 
-def _class_series(P0: StochasticMatrix, d: np.ndarray, n_max: int):
-    """Stationary law and coefficients a_1..a_n_max of one closed class."""
-    pi0 = stationary_direct(P0).pi.probs
-    Z_inv = np.linalg.inv(np.eye(P0.dim) - P0.entries + pi0)
-    coeffs = np.empty((n_max, P0.dim))
+def _class_series(M: StochasticMatrix, pi0: np.ndarray, d: np.ndarray, n_max: int) -> np.ndarray:
+    """Coefficients a_1..a_n_max of one closed class with matrix M and stationary law pi0."""
+    Z_inv = np.linalg.inv(np.eye(M.dim) - M.entries + pi0)
+    coeffs = np.empty((n_max, M.dim))
     rhs = d - pi0
     for k in range(n_max):
         coeffs[k] = rhs @ Z_inv
-        rhs = -coeffs[k] @ P0.entries
-    return pi0, coeffs
+        rhs = -coeffs[k] @ M.entries
+    return coeffs
 
 
 def expansion(
@@ -202,10 +201,11 @@ def expansion(
 ) -> ExpansionSeries:
     """Power series of the damped stationary distribution around eps = 0.
 
-    Runs the deviation-matrix recursion on each closed class with the damping
-    weights renormalized to the class, and scales the class table by the
-    class mass of d. A class whose stationary solve is singular holds several
-    closed classes, which is refused with RegimeError.
+    Runs the deviation-matrix recursion on each closed class's matrix and law
+    (``structure.matrices`` and ``structure.laws``) with the damping weights
+    renormalized to the class, and scales the class table by the class mass
+    of d. A class whose stationary solve is singular holds several closed
+    classes, which ``structure.laws`` refuses with RegimeError.
     """
     if n_max < 1:
         raise ValidationError("expansion order must be at least 1")
@@ -215,16 +215,11 @@ def expansion(
     masses = class_mass(d.as_distribution(), structure)
     base = np.zeros(P0.dim)
     coeffs = np.zeros((n_max, P0.dim))
-    for j, (cls, M) in enumerate(zip(structure.classes, class_matrices(P0, structure))):
-        try:
-            pi0, table = _class_series(M, restrict_damping(d, cls).weights, n_max)
-        except SingularSystemError as exc:
-            raise RegimeError(
-                f"closed class {cls.states} splits further; the chain must be treated as singular"
-            ) from exc
+    for cls, mass, M, law in zip(structure.classes, masses, structure.matrices, structure.laws):
+        table = _class_series(M, law.probs, restrict_damping(d, cls).weights, n_max)
         idx = list(cls.states)
-        base[idx] = masses[j] * pi0
-        coeffs[:, idx] = masses[j] * table
+        base[idx] = mass * law.probs
+        coeffs[:, idx] = mass * table
     return ExpansionSeries(Distribution(base, max(P0.row_tol, 1e-10)), coeffs)
 
 

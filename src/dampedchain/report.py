@@ -3,8 +3,10 @@
 Reports are plain JSON with a fixed field order and two float conventions:
 analysis values carry 12 significant digits, while input echoes (matrix,
 damping, initial distribution) keep exact shortest round-trip floats so a
-report can be re-ingested and reproduced bit for bit. State ids in reports
-are 1-based, matching the edge-list input convention.
+report can be re-ingested and reproduced bit for bit with the same BLAS build
+and thread count (the multithreaded LU of the direct solver can move its last
+digits). State ids in reports are 1-based, matching the edge-list input
+convention.
 """
 
 import json
@@ -13,13 +15,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    PROFILE_STEPS,
-    BoundReport,
-    bound_context,
-    estimate_decay,
-    stationary_gap_bound,
-)
+from .bounds import PROFILE_STEPS, BoundReport, bound_context, stationary_gap_bound
 from .core import DampedChain, Distribution, build_damped_matrix
 from .coupling import build_coupling_kernel, maximal_coupling, simulate_coupling_time
 from .errors import RegimeError
@@ -32,7 +28,7 @@ from .stationary import (
     stationary_power,
     stationary_series,
 )
-from .structure import Regime, class_matrices
+from .structure import Regime
 from .triangular import triangular_sweep
 
 SIGNIFICANT_DIGITS = 12
@@ -120,7 +116,7 @@ def spectrum_section(chain: DampedChain, structure) -> dict:
         }
 
     if structure.regime is Regime.SINGULAR:
-        return {"per_class": [spectrum_entry(M) for M in class_matrices(chain.p0, structure)]}
+        return {"per_class": [spectrum_entry(M) for M in structure.matrices]}
     return spectrum_entry(chain.p0)
 
 
@@ -200,14 +196,11 @@ def bounds_section(
     for family in families:
         constants, per_state, by_n = {}, (), ()
         if family in ("1", "2"):
-            if family == "1":
-                reference = context.pi0[0]
-                decay = estimate_decay(chain.p0, pi0=reference)
-            else:
-                decay = context.split_decay()
-                reference = limit_stationary(
-                    chain.p0, chain.damping, chain.damping.as_distribution(), structure, context.pi0
-                )
+            # A regular chain is the one-class case of the split constants.
+            decay = context.split_decay()
+            reference = limit_stationary(
+                chain.p0, chain.damping, chain.damping.as_distribution(), structure
+            )
             constants = {"amplitude": decay.amplitude, "rate": decay.rate}
             per_state = tuple(stationary_gap_bound(decay, chain.damping, reference, epsilon))
         elif family == "5":

@@ -21,7 +21,9 @@ does not depend on the structure of P0, factors the dense system assembled in
 place from P0 and d.
 
 ``limit_stationary`` returns the eps -> 0 limit for both regimes, including
-its dependence on the initial distribution in the singular case.
+its dependence on the initial distribution in the singular case. It reads
+the class laws from the structure (``ChainStructure.laws``), which solves
+each closed class once with ``stationary_direct``.
 """
 
 import enum
@@ -37,7 +39,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .structure import ChainStructure, Regime, class_mass, class_matrices
+from .structure import ChainStructure, Regime, class_mass
 
 DEFAULT_SOLVER_TOL = 1e-10
 DEFAULT_SERIES_TOL = 1e-12
@@ -236,37 +238,25 @@ def stationary_series(
     return StationarySolution(Distribution(pi, P0.row_tol), Method.SERIES, sums.lengths[k], residual)
 
 
-def class_stationary(P0: StochasticMatrix, structure: ChainStructure, matrices=None) -> tuple:
-    """Stationary law of each closed class, on its ``class_matrices`` matrix or ``matrices``."""
-    if matrices is None:
-        matrices = class_matrices(P0, structure)
-    return tuple(stationary_direct(M).pi for M in matrices)
-
-
 def limit_stationary(
     P0: StochasticMatrix,
     d: DampingVector,
     p: Distribution,
     structure: ChainStructure,
-    pi0: tuple = None,
 ) -> Distribution:
     """Limit of the n-step law of the undamped chain started from ``p``.
 
     Regular regime: the unique stationary distribution of P0, independent of
     ``p``. Singular regime: per-class stationary distributions scaled by the
     class masses of ``p``. Called with ``p`` equal to the damping weights this
-    is also the eps -> 0 limit of the damped stationary distributions. A
-    caller holding the class laws from :func:`class_stationary` passes them
-    as ``pi0``; otherwise they are solved here.
+    is also the eps -> 0 limit of the damped stationary distributions. The
+    class laws are ``structure.laws``, solved once per structure.
     """
     if structure.regime is Regime.UNSUPPORTED:
         raise RegimeError("limit distribution is only defined for regular or singular chains")
-    if pi0 is None:
-        pi0 = class_stationary(P0, structure)
     if structure.regime is Regime.REGULAR:
-        return pi0[0]
-    masses = class_mass(p, structure)
+        return structure.laws[0]
     out = np.zeros(P0.dim)
-    for j, cls in enumerate(structure.classes):
-        out[list(cls.states)] = masses[j] * pi0[j].probs
+    for cls, mass, law in zip(structure.classes, class_mass(p, structure), structure.laws):
+        out[list(cls.states)] = mass * law.probs
     return Distribution(out, max(P0.row_tol, 1e-10))

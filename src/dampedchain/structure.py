@@ -6,18 +6,21 @@ The analysis splits by how the base matrix P0 partitions the state space:
 * singular  -- two or more closed aperiodic classes covering every state;
 * unsupported -- anything else (periodic classes or transient states).
 
-Transient states are detected and reported but not analysed further.
+Transient states are detected and reported but not analysed further. Every
+analysis runs class by class, a regular chain being the one-class case, on
+the per-class view that :class:`ChainStructure` builds once.
 """
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 import numpy as np
 
 from .core import DampingVector, Distribution, StochasticMatrix
-from .errors import RegimeError, ValidationError
+from .errors import RegimeError, SingularSystemError, ValidationError
 
 
 class Regime(enum.Enum):
@@ -44,15 +47,52 @@ class ClosedClass:
 
 @dataclass(frozen=True)
 class ChainStructure:
-    """Closed classes, transient states and the resulting regime."""
+    """Closed classes, transient states and the resulting regime of ``P0``.
+
+    ``matrices`` and ``laws`` are the per-class view, each built on first use,
+    so a command that shares one structure restricts and solves each closed
+    class once. ``P0`` takes no part in comparison, hashing or repr.
+    """
 
     classes: tuple
     transient_states: tuple
     regime: Regime
+    P0: StochasticMatrix = field(compare=False, repr=False)
 
     @property
     def class_count(self) -> int:
         return len(self.classes)
+
+    @cached_property
+    def matrices(self) -> tuple:
+        """The matrix of each closed class, in ``classes`` order.
+
+        A regular chain's one class covers every state in natural order, so its
+        matrix is P0 itself; any other chain's are one :func:`restrict` per class.
+        """
+        if self.regime is Regime.REGULAR:
+            return (self.P0,)
+        return tuple(restrict(self.P0, cls) for cls in self.classes)
+
+    @cached_property
+    def laws(self) -> tuple:
+        """Stationary law of each closed class, one direct solve of its matrix.
+
+        A class whose stationary system is singular holds several closed
+        classes, which is refused with RegimeError naming the class.
+        """
+        # stationary imports this module, so its solver is imported on first use.
+        from .stationary import stationary_direct
+
+        laws = []
+        for cls, M in zip(self.classes, self.matrices):
+            try:
+                laws.append(stationary_direct(M).pi)
+            except SingularSystemError as exc:
+                raise RegimeError(
+                    f"closed class {cls.states} splits further; the chain must be treated as singular"
+                ) from exc
+        return tuple(laws)
 
 
 def _strongly_connected_components(adj, m):
@@ -129,18 +169,17 @@ def _class_period(adj, states):
     return abs(g) if g != 0 else 1
 
 
-def decompose(P0: StochasticMatrix, edge_tol: float = 0.0) -> ChainStructure:
+def decompose(P0: StochasticMatrix) -> ChainStructure:
     """Split the state space into closed classes and classify the regime.
 
-    An edge i -> j exists when ``P0[i, j] > edge_tol`` (default: any strictly
-    positive entry). A strongly connected component is a closed class when no
-    edge leaves it; everything else is transient. The regime is regular for a
-    single aperiodic class covering all states, singular for several aperiodic
-    classes covering all states, and unsupported otherwise.
+    An edge i -> j exists when ``P0[i, j] > 0``. A strongly connected component
+    is a closed class when no edge leaves it; everything else is transient. The
+    regime is regular for a single aperiodic class covering all states,
+    singular for several aperiodic classes covering all states, and
+    unsupported otherwise.
     """
     m = P0.dim
-    entries = P0.entries
-    adj = [np.nonzero(entries[i] > edge_tol)[0].tolist() for i in range(m)]
+    adj = [np.flatnonzero(row).tolist() for row in P0.entries]
 
     components = _strongly_connected_components(adj, m)
 
@@ -163,7 +202,7 @@ def decompose(P0: StochasticMatrix, edge_tol: float = 0.0) -> ChainStructure:
         regime = Regime.SINGULAR
     else:
         regime = Regime.UNSUPPORTED
-    return ChainStructure(tuple(closed), tuple(transient), regime)
+    return ChainStructure(tuple(closed), tuple(transient), regime, P0)
 
 
 def class_mass(p: Distribution, structure: ChainStructure) -> np.ndarray:
@@ -197,17 +236,6 @@ def restrict(P0: StochasticMatrix, cls: ClosedClass) -> StochasticMatrix:
     _check_closed(P0, cls.states)
     idx = list(cls.states)
     return StochasticMatrix(P0.entries[np.ix_(idx, idx)], P0.row_tol)
-
-
-def class_matrices(P0: StochasticMatrix, structure: ChainStructure) -> tuple:
-    """The matrix of each closed class, in ``structure.classes`` order.
-
-    A regular chain's one class covers every state in natural order, so its
-    matrix is P0 itself; any other chain's are one :func:`restrict` per class.
-    """
-    if structure.regime is Regime.REGULAR:
-        return (P0,)
-    return tuple(restrict(P0, cls) for cls in structure.classes)
 
 
 def restrict_damping(d: DampingVector, cls: ClosedClass) -> DampingVector:

@@ -24,7 +24,7 @@ import numpy as np
 from .core import DampedChain, DampingVector, Distribution, StochasticMatrix
 from .bounds import BoundContext, bound_context
 from .errors import RegimeError, ValidationError
-from .stationary import class_stationary, limit_stationary
+from .stationary import limit_stationary
 from .structure import ChainStructure, Regime
 
 
@@ -58,9 +58,8 @@ def triangular_limit(
     """
     if t < 0.0 or math.isnan(t):
         raise ValidationError(f"t must lie in [0, infinity], got {t}")
-    pi0 = None if structure.regime is Regime.UNSUPPORTED else class_stationary(P0, structure)
-    start_side = limit_stationary(P0, d, p, structure, pi0).probs
-    damped_side = limit_stationary(P0, d, d.as_distribution(), structure, pi0).probs
+    start_side = limit_stationary(P0, d, p, structure).probs
+    damped_side = limit_stationary(P0, d, d.as_distribution(), structure).probs
     return _mixture(start_side, damped_side, t)
 
 
@@ -168,8 +167,8 @@ def triangular_sweep(
     if not grid or grid[0] < 0:
         raise ValidationError("n grid must be non-empty with non-negative entries")
     context = _context(P0, d, p, structure, epsilon, block)
-    start_side = limit_stationary(P0, d, p, structure, context.pi0).probs
-    damped_side = limit_stationary(P0, d, d.as_distribution(), structure, context.pi0).probs
+    start_side = limit_stationary(P0, d, p, structure).probs
+    damped_side = limit_stationary(P0, d, d.as_distribution(), structure).probs
     chain = DampedChain(P0, d, epsilon)
 
     rows = []

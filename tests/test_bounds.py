@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -336,6 +338,18 @@ class TestOneWalkPerClass:
         triangular_sweep(P, d, Distribution.uniform(5), structure, 0.1, range(31), 2)
         assert restricts == []
 
+    def test_report_restricts_and_solves_each_class_once(self, monkeypatch):
+        from dampedchain.cli import make_parser, run_command
+
+        path = str(Path(__file__).parent / "data" / "eight_node_edges.txt")
+        argv = ["report", "--input", path, "--epsilon", "0.1", "--seed", "7", "--trials", "200"]
+        restricts = count_calls(monkeypatch, "restrict")
+        solves = count_calls(monkeypatch, "stationary_direct")
+        run_command("report", make_parser().parse_args(argv))
+        assert [cls.size for _, cls in restricts] == [4, 4]
+        # Every other direct solve is of the whole 8-state P(eps).
+        assert [args[0].dim for args in solves if args[0].dim != 8] == [4, 4]
+
     def test_preconditions_are_checked_before_any_family_runs(self, eight_node, monkeypatch):
         from dampedchain.report import bounds_section
 
@@ -464,7 +478,7 @@ class TestInterleavedClasses:
                 for j, cls in enumerate(structure.classes):
                     delta_n = context.class_reports[j].delta_pow((n // 2) * 2)
                     for local, state in enumerate(cls.states):
-                        drift = context.drift_scale[j] * context.pi0[j].probs[local]
+                        drift = context.drift_scale[j] * structure.laws[j].probs[local]
                         looped[state] = (context.coupled[j] * delta_n + drift) * (1 - self.EPS) ** n
                 np.testing.assert_array_equal(context.bound_vector(n), looped)
 

@@ -143,6 +143,26 @@ def test_coupling_sim_rejects_bad_arguments(capsys, bad):
         (("stationary", "--epsilon-grid", "0.1,1.5"), "epsilon must lie in [0, 1], got 1.5"),
         (("stationary", "--epsilon-grid", "0.1,-0.2"), "epsilon must lie in [0, 1], got -0.2"),
         (("stationary", "--epsilon-grid", "0.1,nan"), "epsilon must lie in [0, 1], got nan"),
+        (
+            ("stationary", "--epsilon-grid", "0.1,x"),
+            "bad --epsilon-grid '0.1,x'; use comma-separated numbers",
+        ),
+        (
+            ("triangular", "--n-grid", "0:10:0"),
+            "bad --n-grid '0:10:0'; use 'a:b', 'a:b:s' with s != 0, or a comma list of integers",
+        ),
+        (
+            ("triangular", "--n-grid", "a:3"),
+            "bad --n-grid 'a:3'; use 'a:b', 'a:b:s' with s != 0, or a comma list of integers",
+        ),
+        (
+            ("stationary", "--initial", "point:x"),
+            "bad --initial 'point:x'; use 'point:K' with K a state id in 1..5",
+        ),
+        (
+            ("stationary", "--initial", "point:0"),
+            "bad --initial 'point:0'; use 'point:K' with K a state id in 1..5",
+        ),
     ],
 )
 def test_stationary_rejects_bad_tolerance_and_grid(capsys, argv, message):

@@ -91,12 +91,6 @@ class TestBuildDampedMatrix:
         at_half = build_damped_matrix(DampedChain(P, d, 0.5)).entries
         np.testing.assert_allclose(at_half, 0.5 * (at_zero + at_one), rtol=0, atol=1e-16)
 
-    def test_chain_caches_its_matrix(self, five_node):
-        P, d = five_node
-        chain = DampedChain(P, d, 0.3)
-        assert chain.matrix is chain.matrix
-        np.testing.assert_array_equal(chain.matrix.entries, build_damped_matrix(chain).entries)
-
 
 class TestMatrixPower:
     def test_power_zero_is_identity(self, five_node):

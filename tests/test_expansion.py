@@ -151,7 +151,7 @@ class TestExpansion:
         from dampedchain import ChainStructure, ClosedClass, Regime
 
         P, d = eight_node
-        fake = ChainStructure((ClosedClass(tuple(range(8)), 1),), (), Regime.REGULAR)
+        fake = ChainStructure((ClosedClass(tuple(range(8)), 1),), (), Regime.REGULAR, P)
         with pytest.raises(RegimeError, match="singular"):
             expansion(P, d, fake)
 

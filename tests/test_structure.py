@@ -150,3 +150,22 @@ def test_decompose_commutes_with_permutation(eight_node):
     # Mapping permuted class members back to original labels recovers the classes.
     found = {frozenset(int(perm[s_]) for s_ in c.states) for c in s.classes}
     assert found == {frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7})}
+
+
+class TestPerClassView:
+    def test_singular_class_matrices_and_laws(self, eight_node):
+        P, _ = eight_node
+        s = decompose(P)
+        for cls, M, law in zip(s.classes, s.matrices, s.laws):
+            np.testing.assert_array_equal(M.entries, P.entries[np.ix_(cls.states, cls.states)])
+            # An independent oracle: the law is a fixed point of its class matrix.
+            np.testing.assert_allclose(law.probs @ M.entries, law.probs, atol=1e-14)
+
+    def test_p0_takes_no_part_in_equality_or_repr(self, eight_node, five_node):
+        P8, _ = eight_node
+        P5, _ = five_node
+        s = decompose(P8)
+        moved = StochasticMatrix(P8.entries * 0.5 + np.eye(8) * 0.5)
+        assert s == decompose(moved) and hash(s) == hash(decompose(moved))
+        assert "P0" not in repr(s)
+        assert s != decompose(P5)
