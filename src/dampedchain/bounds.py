@@ -22,7 +22,9 @@ the step count n. A command builds them once as a :class:`BoundContext` and
 evaluates that across its n-grid; the public per-n functions build a context
 and evaluate it once. Every per-class constant reads the class matrices and
 laws of the structure (``ChainStructure.matrices`` and ``.laws``), and a
-regular chain is the one-class case. Each ``Delta_N`` comes from one walk
+regular chain is the one-class case. Every function that takes a
+:class:`ChainStructure` reads P0 from it (``structure.P0``), so the matrix and
+its classes cannot disagree. Each ``Delta_N`` comes from one walk
 through the powers of a closed class's matrix (P0 itself on a regular chain),
 one product per step; a singular chain's whole-matrix ``Delta_N`` is 1 by
 structure. The ``ContractionError`` search continues the walks of the
@@ -240,12 +242,12 @@ class BoundContext:
     there, where ``require_contraction`` continues the walk. On a regular
     chain that walk also gives ``profile``; a singular chain's ``profile`` is
     1 by structure and P0 is not walked: rows in different closed classes
-    never share support, so Q(P0^N) = 0. Fields a command cannot use are left
-    empty: per-class fields without a regular or singular structure,
-    ``start_overlap`` and ``coupled`` without pi_eps.
+    never share support, so Q(P0^N) = 0. An unsupported chain has no class
+    view, so ``profile`` comes from a walk of the whole matrix and the
+    per-class fields are left empty; ``start_overlap`` and ``coupled`` are
+    left empty without pi_eps.
     """
 
-    P0: StochasticMatrix
     structure: ChainStructure
     epsilon: float
     block: int
@@ -362,40 +364,37 @@ class BoundContext:
 
 
 def bound_context(
-    P0: StochasticMatrix,
+    structure: ChainStructure,
     d: DampingVector,
     p: Distribution,
-    structure: ChainStructure,
     epsilon: float,
     block: int,
     pi_eps: Distribution = None,
     steps=(),
 ) -> BoundContext:
-    """Compute the constants of :class:`BoundContext` once.
+    """Compute the constants of :class:`BoundContext` for the chain ``structure.P0`` once.
 
     ``steps`` lists the N at which the whole matrix's coefficient is needed,
-    read from the walk of P0 when it is the class matrix or there is no regular
-    or singular structure; ``one_step_overlap`` is set when ``steps`` contains 1.
-    Pass ``structure=None`` (and any ``d``) when only families 5 and 6 are
-    wanted. Nothing here checks that a family applies: family 5 checks epsilon
-    when evaluated, and callers of family 7 or the joint-limit bound call
-    ``require_contraction``.
+    read from the walk of P0 when it is the class matrix (a regular chain) or
+    the chain is unsupported; ``one_step_overlap`` is set when ``steps``
+    contains 1. Nothing here checks that a family applies: family 5 checks
+    epsilon when evaluated, and callers of family 7 or the joint-limit bound
+    call ``require_contraction``.
     """
     if block < 1:
         raise ValidationError("block length must be at least 1")
-    regime = None if structure is None else structure.regime
     start_overlap = None if pi_eps is None else overlap(p.probs, pi_eps.probs)
-    per_class = regime in (Regime.REGULAR, Regime.SINGULAR)
+    per_class = structure.regime is not Regime.UNSUPPORTED
     if per_class:
         # A regular chain's one class is P0, so its walk also gives the profile.
-        regular = regime is Regime.REGULAR
+        regular = structure.regime is Regime.REGULAR
         scanned = {*steps, block} if regular else {block}
         walks = [_scan(M, scanned, keep=block) for M in structure.matrices]
         overlaps = walks[0][0] if regular else {N: 0.0 for N in steps if N >= 1}
     else:
-        overlaps, _ = _scan(P0, set(steps))
+        overlaps, _ = _scan(structure.P0, set(steps))
     profile = {N: ErgodicityReport.from_overlap(N, q) for N, q in overlaps.items()}
-    constants = (P0, structure, epsilon, block, overlaps.get(1), profile, start_overlap)
+    constants = (structure, epsilon, block, overlaps.get(1), profile, start_overlap)
     if not per_class:
         return BoundContext(*constants)
 
@@ -423,18 +422,20 @@ def bound_context(
 
 
 def coupling_bound(
-    P0: StochasticMatrix,
+    structure: ChainStructure,
+    d: DampingVector,
     p: Distribution,
     pi_eps: Distribution,
     epsilon: float,
     n: int,
 ) -> float:
     """One-step coupling bound on ``max_j |p(n)_j - pi(eps)_j|`` (family 5)."""
-    return bound_context(P0, None, p, None, epsilon, 1, pi_eps, steps=(1,)).onestep(n)
+    return bound_context(structure, d, p, epsilon, 1, pi_eps, steps=(1,)).onestep(n)
 
 
 def coupling_bound_multistep(
-    P0: StochasticMatrix,
+    structure: ChainStructure,
+    d: DampingVector,
     p: Distribution,
     pi_eps: Distribution,
     epsilon: float,
@@ -445,16 +446,15 @@ def coupling_bound_multistep(
 
     Both geometric factors carry the exponent ``floor(n / block) * block``.
     """
-    return bound_context(P0, None, p, None, epsilon, block, pi_eps, steps=(block,)).multistep(n)
+    return bound_context(structure, d, p, epsilon, block, pi_eps, steps=(block,)).multistep(n)
 
 
 def split_bound_context(
-    P0: StochasticMatrix,
+    structure: ChainStructure,
     d: DampingVector,
     p: Distribution,
     epsilon: float,
     block: int,
-    structure: ChainStructure,
     pi_eps: Distribution = None,
 ) -> BoundContext:
     """Build a :class:`BoundContext` for family 7 and check that family 7 applies.
@@ -467,8 +467,8 @@ def split_bound_context(
         raise RegimeError("the split bound applies to singular chains; use families 5/6")
     _require_coupling_epsilon(epsilon)
     if pi_eps is None:
-        pi_eps = stationary_direct(DampedChain(P0, d, epsilon)).pi
-    context = bound_context(P0, d, p, structure, epsilon, block, pi_eps)
+        pi_eps = stationary_direct(DampedChain(structure.P0, d, epsilon)).pi
+    context = bound_context(structure, d, p, epsilon, block, pi_eps)
     context.require_contraction()
     return context
 

@@ -114,7 +114,7 @@ def _parse_grid(raw: str):
     if len(parts) not in (2, 3) or parts[2:] == [0]:
         raise ValidationError(bad)
     start, stop, step = (*parts, 1)[:3]
-    return list(range(start, stop + 1, step))
+    return list(range(start, stop + (1 if step > 0 else -1), step))
 
 
 def _initial(spec: str, dim: int) -> Distribution:
@@ -220,7 +220,7 @@ def run_command(command: str, args) -> dict:
     if command in ("stationary", "report"):
         sections["stationary"] = stationary_section(chain, structure, epsilons, args.tol)
     if command in ("expand", "report"):
-        sections["spectrum"] = spectrum_section(chain, structure)
+        sections["spectrum"] = spectrum_section(structure)
         sections["expansion"] = expansion_section(chain, structure, args.order, epsilons)
     if command in ("bounds", "report"):
         if args.theorem:
@@ -238,7 +238,7 @@ def run_command(command: str, args) -> dict:
         if args.seed is None:
             raise ChainError("--seed is required for the coupling simulation")
         sections["coupling_sim"] = coupling_sim_section(
-            chain, p, epsilons[0], args.trials, args.seed, args.horizon
+            chain, structure, p, epsilons[0], args.trials, args.seed, args.horizon
         )
     if command in ("triangular", "report"):
         grid = _parse_grid(args.n_grid) if args.n_grid else list(range(0, args.horizon + 1))

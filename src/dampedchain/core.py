@@ -83,9 +83,6 @@ class StochasticMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.entries[i]
-
     @cached_property
     def _nonzeros(self):
         """Row-compressed nonzeros (count per row, column ids, values), or None if too dense."""

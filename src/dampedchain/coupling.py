@@ -15,7 +15,7 @@ probability ``min(P[i, i'], P[j, i']) / P[i, i']``, and otherwise draws j'
 from the excess ``P[j] - min(P[i], P[j])``. That is O(m) work per move.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,7 +138,6 @@ class CouplingTailEstimate:
     seed: int
     horizon: int
     generator: str = GENERATOR_ID
-    meta: dict = field(default_factory=dict)
 
 
 def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

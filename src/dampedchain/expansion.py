@@ -193,13 +193,8 @@ def _class_series(M: StochasticMatrix, pi0: np.ndarray, d: np.ndarray, n_max: in
     return coeffs
 
 
-def expansion(
-    P0: StochasticMatrix,
-    d: DampingVector,
-    structure: ChainStructure,
-    n_max: int = 2,
-) -> ExpansionSeries:
-    """Power series of the damped stationary distribution around eps = 0.
+def expansion(structure: ChainStructure, d: DampingVector, n_max: int = 2) -> ExpansionSeries:
+    """Power series of the damped stationary distribution of ``structure.P0`` around eps = 0.
 
     Runs the deviation-matrix recursion on each closed class's matrix and law
     (``structure.matrices`` and ``structure.laws``) with the damping weights
@@ -213,14 +208,15 @@ def expansion(
         raise RegimeError("expansion requires a regular or singular chain")
 
     masses = class_mass(d.as_distribution(), structure)
-    base = np.zeros(P0.dim)
-    coeffs = np.zeros((n_max, P0.dim))
+    m = structure.P0.dim
+    base = np.zeros(m)
+    coeffs = np.zeros((n_max, m))
     for cls, mass, M, law in zip(structure.classes, masses, structure.matrices, structure.laws):
         table = _class_series(M, law.probs, restrict_damping(d, cls).weights, n_max)
         idx = list(cls.states)
         base[idx] = mass * law.probs
         coeffs[:, idx] = mass * table
-    return ExpansionSeries(Distribution(base, max(P0.row_tol, 1e-10)), coeffs)
+    return ExpansionSeries(Distribution(base, max(structure.P0.row_tol, 1e-10)), coeffs)
 
 
 def evaluate_expansion(series: ExpansionSeries, epsilon: float) -> np.ndarray:

@@ -43,10 +43,6 @@ def rounded_list(values) -> list:
     return [rounded(v) for v in np.asarray(values).ravel()]
 
 
-def exact_list(values) -> list:
-    return [float(v) for v in np.asarray(values).ravel()]
-
-
 def structure_section(structure) -> dict:
     return {
         "regime": structure.regime.value,
@@ -73,10 +69,10 @@ def _solution_entry(solution) -> dict:
 
 def stationary_section(chain: DampedChain, structure, epsilons, tol: float) -> dict:
     iteration_tol = min(tol, 1e-12)
-    sums = None
-
-    def solve_at(eps):
-        nonlocal sums
+    grid = [eps for eps in epsilons if 0.0 < eps <= 1.0]
+    sums = series_sums(chain.p0, chain.damping, grid, iteration_tol)
+    by_epsilon = []
+    for eps in epsilons:
         damped = DampedChain(chain.p0, chain.damping, eps)
         entry = {"epsilon": rounded(eps)}
         entry["direct"] = _solution_entry(stationary_direct(damped, solver_tol=max(tol, 1e-10)))
@@ -84,26 +80,19 @@ def stationary_section(chain: DampedChain, structure, epsilons, tol: float) -> d
             stationary_power(damped, Distribution.uniform(chain.dim), tol=iteration_tol)
         )
         if eps > 0.0:
-            if sums is None:
-                # One walk serves the grid. It starts only after the first
-                # series eps has passed the direct and power solves, and it
-                # skips eps outside (0, 1], so a bad tolerance or eps still
-                # fails where each eps is solved in turn, with the same error.
-                grid = [e for e in epsilons if 0.0 < e <= 1.0]
-                sums = series_sums(chain.p0, chain.damping, grid, iteration_tol)
             entry["series"] = _solution_entry(
                 stationary_series(chain.p0, chain.damping, eps, iteration_tol, sums)
             )
-        return entry
+        by_epsilon.append(entry)
 
-    section = {"by_epsilon": [solve_at(eps) for eps in epsilons]}
+    section = {"by_epsilon": by_epsilon}
     if structure.regime is not Regime.UNSUPPORTED:
-        limit = limit_stationary(chain.p0, chain.damping, chain.damping.as_distribution(), structure)
+        limit = limit_stationary(structure, chain.damping.as_distribution())
         section["limit"] = rounded_list(limit.probs)
     return section
 
 
-def spectrum_section(chain: DampedChain, structure) -> dict:
+def spectrum_section(structure) -> dict:
     def spectrum_entry(P):
         spec = spectrum(P)
         return {
@@ -117,11 +106,11 @@ def spectrum_section(chain: DampedChain, structure) -> dict:
 
     if structure.regime is Regime.SINGULAR:
         return {"per_class": [spectrum_entry(M) for M in structure.matrices]}
-    return spectrum_entry(chain.p0)
+    return spectrum_entry(structure.P0)
 
 
 def expansion_section(chain: DampedChain, structure, order: int, epsilons) -> dict:
-    series = expansion(chain.p0, chain.damping, structure, n_max=order)
+    series = expansion(structure, chain.damping, n_max=order)
     section = {
         "order": series.order,
         "base": rounded_list(series.base.probs),
@@ -179,7 +168,7 @@ def bounds_section(
     n_grid = list(range(0, horizon + 1))
     pi_eps = stationary_direct(DampedChain(chain.p0, chain.damping, epsilon)).pi
     context = bound_context(
-        chain.p0, chain.damping, p, structure, epsilon, block, pi_eps, (*PROFILE_STEPS, block)
+        structure, chain.damping, p, epsilon, block, pi_eps, (*PROFILE_STEPS, block)
     )
     for family in families:
         if family not in FAMILIES:
@@ -198,9 +187,7 @@ def bounds_section(
         if family in ("1", "2"):
             # A regular chain is the one-class case of the split constants.
             decay = context.split_decay()
-            reference = limit_stationary(
-                chain.p0, chain.damping, chain.damping.as_distribution(), structure
-            )
+            reference = limit_stationary(structure, chain.damping.as_distribution())
             constants = {"amplitude": decay.amplitude, "rate": decay.rate}
             per_state = tuple(stationary_gap_bound(decay, chain.damping, reference, epsilon))
         elif family == "5":
@@ -226,6 +213,7 @@ def bounds_section(
 
 def coupling_sim_section(
     chain: DampedChain,
+    structure,
     p: Distribution,
     epsilon: float,
     trials: int,
@@ -237,7 +225,7 @@ def coupling_sim_section(
     kernel = build_coupling_kernel(P_eps)
     start = maximal_coupling(p, pi_eps)
     estimate = simulate_coupling_time(kernel, start, trials, seed, horizon)
-    context = bound_context(chain.p0, chain.damping, p, None, epsilon, 1, pi_eps, steps=(1,))
+    context = bound_context(structure, chain.damping, p, epsilon, 1, pi_eps, steps=(1,))
     bound = [context.onestep(n) for n in range(horizon + 1)]
     return {
         "epsilon": rounded(epsilon),
@@ -260,7 +248,7 @@ def triangular_section(
     n_grid,
     block: int,
 ) -> dict:
-    sweep = triangular_sweep(chain.p0, chain.damping, p, structure, epsilon, n_grid, block)
+    sweep = triangular_sweep(structure, chain.damping, p, epsilon, n_grid, block)
     return {
         "epsilon": rounded(epsilon),
         "block": sweep.block,

@@ -238,13 +238,8 @@ def stationary_series(
     return StationarySolution(Distribution(pi, P0.row_tol), Method.SERIES, sums.lengths[k], residual)
 
 
-def limit_stationary(
-    P0: StochasticMatrix,
-    d: DampingVector,
-    p: Distribution,
-    structure: ChainStructure,
-) -> Distribution:
-    """Limit of the n-step law of the undamped chain started from ``p``.
+def limit_stationary(structure: ChainStructure, p: Distribution) -> Distribution:
+    """Limit of the n-step law of the undamped chain ``structure.P0`` started from ``p``.
 
     Regular regime: the unique stationary distribution of P0, independent of
     ``p``. Singular regime: per-class stationary distributions scaled by the
@@ -256,7 +251,7 @@ def limit_stationary(
         raise RegimeError("limit distribution is only defined for regular or singular chains")
     if structure.regime is Regime.REGULAR:
         return structure.laws[0]
-    out = np.zeros(P0.dim)
+    out = np.zeros(structure.P0.dim)
     for cls, mass, law in zip(structure.classes, class_mass(p, structure), structure.laws):
         out[list(cls.states)] = mass * law.probs
-    return Distribution(out, max(P0.row_tol, 1e-10))
+    return Distribution(out, max(structure.P0.row_tol, 1e-10))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DampedChain, DampingVector, Distribution, StochasticMatrix
+from .core import DampedChain, DampingVector, Distribution
 from .bounds import BoundContext, bound_context
 from .errors import RegimeError, ValidationError
 from .stationary import limit_stationary
@@ -44,11 +44,7 @@ class TriangularLimit:
 
 
 def triangular_limit(
-    P0: StochasticMatrix,
-    d: DampingVector,
-    p: Distribution,
-    structure: ChainStructure,
-    t: float,
+    structure: ChainStructure, d: DampingVector, p: Distribution, t: float
 ) -> TriangularLimit:
     """Mixture of the two one-sided limits with weight ``exp(-t)``.
 
@@ -58,8 +54,8 @@ def triangular_limit(
     """
     if t < 0.0 or math.isnan(t):
         raise ValidationError(f"t must lie in [0, infinity], got {t}")
-    start_side = limit_stationary(P0, d, p, structure).probs
-    damped_side = limit_stationary(P0, d, d.as_distribution(), structure).probs
+    start_side = limit_stationary(structure, p).probs
+    damped_side = limit_stationary(structure, d.as_distribution()).probs
     return _mixture(start_side, damped_side, t)
 
 
@@ -70,10 +66,9 @@ def _mixture(start_side: np.ndarray, damped_side: np.ndarray, t: float) -> Trian
 
 
 def triangular_bound(
-    P0: StochasticMatrix,
+    structure: ChainStructure,
     d: DampingVector,
     p: Distribution,
-    structure: ChainStructure,
     epsilon: float,
     n: int,
     block: int,
@@ -86,20 +81,15 @@ def triangular_bound(
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValidationError("the bound requires epsilon in (0, 1]")
-    return _context(P0, d, p, structure, epsilon, block).joint_limit(n, t)
+    return _context(structure, d, p, epsilon, block).joint_limit(n, t)
 
 
 def _context(
-    P0: StochasticMatrix,
-    d: DampingVector,
-    p: Distribution,
-    structure: ChainStructure,
-    epsilon: float,
-    block: int,
+    structure: ChainStructure, d: DampingVector, p: Distribution, epsilon: float, block: int
 ) -> BoundContext:
     if structure.regime is Regime.UNSUPPORTED:
         raise RegimeError("triangular bounds require a regular or singular chain")
-    context = bound_context(P0, d, p, structure, epsilon, block)
+    context = bound_context(structure, d, p, epsilon, block)
     context.require_contraction()
     return context
 
@@ -140,16 +130,11 @@ class TriangularSweep:
     block: int
     rows: tuple
 
-    @property
-    def n_values(self) -> tuple:
-        return tuple(row.n for row in self.rows)
-
 
 def triangular_sweep(
-    P0: StochasticMatrix,
+    structure: ChainStructure,
     d: DampingVector,
     p: Distribution,
-    structure: ChainStructure,
     epsilon: float,
     n_grid,
     block: int = 2,
@@ -166,10 +151,10 @@ def triangular_sweep(
     grid = sorted(set(int(n) for n in n_grid))
     if not grid or grid[0] < 0:
         raise ValidationError("n grid must be non-empty with non-negative entries")
-    context = _context(P0, d, p, structure, epsilon, block)
-    start_side = limit_stationary(P0, d, p, structure).probs
-    damped_side = limit_stationary(P0, d, d.as_distribution(), structure).probs
-    chain = DampedChain(P0, d, epsilon)
+    context = _context(structure, d, p, epsilon, block)
+    start_side = limit_stationary(structure, p).probs
+    damped_side = limit_stationary(structure, d.as_distribution()).probs
+    chain = DampedChain(structure.P0, d, epsilon)
 
     rows = []
     v = p.probs

@@ -72,7 +72,7 @@ def test_criterion_2_five_node_eigenvalues(five_node):
 
 def test_criterion_3_five_node_expansion_table(five_node):
     P, d = five_node
-    series = expansion(P, d, decompose(P), n_max=2)
+    series = expansion(decompose(P), d, n_max=2)
     first = [round(float(c), 5) for c in series.coeffs[0]]
     second = [round(float(c), 5) for c in series.coeffs[1]]
     assert first == [0.14096, -0.04591, -0.03168, -0.03168, -0.03168]
@@ -86,7 +86,7 @@ def test_criterion_4_five_node_reference_row(five_node):
     P, d = five_node
     eps = 0.15
     pi0 = stationary_direct(P).pi.probs
-    series = expansion(P, d, decompose(P), n_max=2)
+    series = expansion(decompose(P), d, n_max=2)
     # The reference stationary column is second-order accurate in eps; the
     # exact solve agrees with it at the size of the dropped third-order term.
     pi_eps = series.evaluate(eps)
@@ -127,7 +127,7 @@ def test_criterion_6_four_node_eigen_and_expansion(four_node):
     got = sorted(spectrum(P).eigenvalues, key=lambda z: (z.real, z.imag))
     for g, e in zip(got, sorted(chains.FOUR_NODE_EIGENVALUES)):
         assert abs(g - e) < 1e-8
-    series = expansion(P, d, decompose(P), n_max=2)
+    series = expansion(decompose(P), d, n_max=2)
     np.testing.assert_allclose(series.base.probs, chains.FOUR_NODE_PI, atol=1e-9)
     np.testing.assert_allclose(series.coeffs, chains.FOUR_NODE_COEFFS, atol=1e-9)
     _report(6, "eigenvalues within 1e-8, expansion coefficients within 1e-9 of rationals")
@@ -138,7 +138,7 @@ def test_criterion_7_eight_node_split_expansion(eight_node):
     structure = decompose(P)
     assert structure.regime is Regime.SINGULAR
     assert [c.states for c in structure.classes] == [(0, 1, 2, 3), (4, 5, 6, 7)]
-    series = expansion(P, d, structure, n_max=2)
+    series = expansion(structure, d, n_max=2)
     np.testing.assert_allclose(series.base.probs, chains.EIGHT_NODE_BASE, atol=1e-9)
     np.testing.assert_allclose(series.coeffs, chains.EIGHT_NODE_COEFFS, atol=1e-9)
     _report(7, "classes {1..4},{5..8} found, full coefficient table within 1e-9")
@@ -148,7 +148,7 @@ def test_criterion_8_triangular_sweep_profile(eight_node):
     P, d = eight_node
     structure = decompose(P)
     p = Distribution.point_mass(8, 0)
-    sweep = triangular_sweep(P, d, p, structure, 0.1, range(0, 31), block=2)
+    sweep = triangular_sweep(structure, d, p, 0.1, range(0, 31), block=2)
     by_n = {row.n: row for row in sweep.rows}
     assert 0.30 <= by_n[10].rel_error[0] <= 0.45
     assert 0.02 <= by_n[30].rel_error[0] <= 0.07
@@ -192,7 +192,7 @@ def test_criterion_9_property_suite():
                 q_start = 1.0 - np.minimum(p.probs, pi_eps.probs).sum()
                 context = None
                 if structure.regime is Regime.SINGULAR:
-                    context = split_bound_context(P, d, p, eps, 2, structure, pi_eps=pi_eps)
+                    context = split_bound_context(structure, d, p, eps, 2, pi_eps=pi_eps)
                 law = p.probs
                 for n in range(0, 51):
                     deviation = np.max(np.abs(law - pi_eps.probs))
@@ -208,11 +208,12 @@ def test_criterion_9_property_suite():
                     checked += 1
                 # Spot-check that the inline formulas above equal the library ones.
                 for n in (0, 7, 50):
-                    assert coupling_bound(P, p, pi_eps, eps, n) == pytest.approx(
+                    assert coupling_bound(structure, d, p, pi_eps, eps, n) == pytest.approx(
                         q_start * (q0 * (1.0 - eps)) ** n if n else q_start, abs=1e-13
                     )
                     exp6 = (n // 2) * 2
-                    assert coupling_bound_multistep(P, p, pi_eps, eps, 2, n) == pytest.approx(
+                    six = coupling_bound_multistep(structure, d, p, pi_eps, eps, 2, n)
+                    assert six == pytest.approx(
                         q_start * rep2.delta_pow(exp6) * (1.0 - eps) ** exp6, abs=1e-13
                     )
 
@@ -259,7 +260,7 @@ def test_criterion_9_property_suite():
     n_max = 2
     shrink_limit = 0.5 ** (n_max + 1) * 1.5
     for P, d in (chains.five_node(), chains.four_node(), chains.eight_node()):
-        series = expansion(P, d, decompose(P), n_max=n_max)
+        series = expansion(decompose(P), d, n_max=n_max)
         errors = []
         for eps in (0.1, 0.05, 0.025):
             truth = stationary_series(P, d, eps, tol=1e-14).pi.probs
@@ -286,8 +287,9 @@ def test_criterion_10_monte_carlo_tail(five_node):
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"simulation took {elapsed:.1f} s"
 
+    structure = decompose(P)
     for n in range(31):
-        bound = coupling_bound(P, p, pi_eps, eps, n)
+        bound = coupling_bound(structure, d, p, pi_eps, eps, n)
         assert estimate.tail[n] <= bound + 3.0 * estimate.std_error[n] + FLOAT_SLACK, f"n={n}"
 
     repeat = simulate_coupling_time(

@@ -87,7 +87,7 @@ class TestErgodicityCoefficient:
     def test_per_class_coefficients(self, eight_node):
         P, d = eight_node
         structure = decompose(P)
-        reports = bound_context(P, d, Distribution.uniform(8), structure, 0.1, 2).class_reports
+        reports = bound_context(structure, d, Distribution.uniform(8), 0.1, 2).class_reports
         assert all(rep.delta < 1.0 for rep in reports)
         assert reports[0].delta == pytest.approx(np.sqrt(2 / 3), abs=1e-12)
 
@@ -135,8 +135,8 @@ class TestStationaryGapBound:
     def test_split_variant_dominates_gap_to_damping_limit(self, eight_node, eps):
         P, d = eight_node
         structure = decompose(P)
-        reference = limit_stationary(P, d, d.as_distribution(), structure)
-        decay = bound_context(P, d, d.as_distribution(), structure, eps, 2).split_decay()
+        reference = limit_stationary(structure, d.as_distribution())
+        decay = bound_context(structure, d, d.as_distribution(), eps, 2).split_decay()
         pi_eps = stationary_direct(build_damped_matrix(DampedChain(P, d, eps))).pi
         bound = stationary_gap_bound(decay, d, reference, eps)
         assert np.all(np.abs(pi_eps.probs - reference.probs) <= bound + 1e-12)
@@ -144,7 +144,7 @@ class TestStationaryGapBound:
     def test_split_decay_with_class_laws_is_bit_equal(self, eight_node):
         P, d = eight_node
         structure = decompose(P)
-        context = bound_context(P, d, Distribution.uniform(8), structure, 0.1, 2)
+        context = bound_context(structure, d, Distribution.uniform(8), 0.1, 2)
         # Each class's decay with its law solved afresh; the context reuses its own.
         per_class = [estimate_decay(restrict(P, cls)) for cls in structure.classes]
         expected = (max(c.amplitude for c in per_class), max(c.rate for c in per_class))
@@ -162,24 +162,28 @@ class TestStationaryGapBound:
 class TestCouplingBounds:
     def test_stationary_start_gives_zero(self, five_node):
         P, d = five_node
+        structure = decompose(P)
         pi_eps = stationary_direct(build_damped_matrix(DampedChain(P, d, 0.15))).pi
         for n in (0, 1, 10):
-            assert coupling_bound(P, pi_eps, pi_eps, 0.15, n) == pytest.approx(0.0, abs=1e-12)
+            bound = coupling_bound(structure, d, pi_eps, pi_eps, 0.15, n)
+            assert bound == pytest.approx(0.0, abs=1e-12)
 
     def test_step_zero_is_one_minus_overlap(self, five_node):
         P, d = five_node
         pi_eps = stationary_direct(build_damped_matrix(DampedChain(P, d, 0.15))).pi
         p = Distribution.point_mass(5, 0)
         expected = 1.0 - np.minimum(p.probs, pi_eps.probs).sum()
-        assert coupling_bound(P, p, pi_eps, 0.15, 0) == pytest.approx(expected, abs=1e-14)
+        bound = coupling_bound(decompose(P), d, p, pi_eps, 0.15, 0)
+        assert bound == pytest.approx(expected, abs=1e-14)
 
     def test_block_one_reduces_to_onestep(self, five_node):
         P, d = five_node
         pi_eps = stationary_direct(build_damped_matrix(DampedChain(P, d, 0.15))).pi
         p = Distribution.uniform(5)
+        structure = decompose(P)
         for n in range(0, 12):
-            assert coupling_bound_multistep(P, p, pi_eps, 0.15, 1, n) == pytest.approx(
-                coupling_bound(P, p, pi_eps, 0.15, n), abs=1e-14
+            assert coupling_bound_multistep(structure, d, p, pi_eps, 0.15, 1, n) == pytest.approx(
+                coupling_bound(structure, d, p, pi_eps, 0.15, n), abs=1e-14
             )
 
     def test_steps_below_block_keep_start_term(self, five_node):
@@ -187,8 +191,9 @@ class TestCouplingBounds:
         pi_eps = stationary_direct(build_damped_matrix(DampedChain(P, d, 0.15))).pi
         p = Distribution.uniform(5)
         start = 1.0 - np.minimum(p.probs, pi_eps.probs).sum()
+        structure = decompose(P)
         for n in range(0, 4):
-            assert coupling_bound_multistep(P, p, pi_eps, 0.15, 4, n) == pytest.approx(
+            assert coupling_bound_multistep(structure, d, p, pi_eps, 0.15, 4, n) == pytest.approx(
                 start, abs=1e-14
             )
 
@@ -199,8 +204,9 @@ class TestCouplingBounds:
         pi_eps = stationary_direct(P_eps).pi
         p = Distribution.uniform(4)
         n = 20
-        onestep = coupling_bound(P, p, pi_eps, eps, n)
-        blocked = coupling_bound_multistep(P, p, pi_eps, eps, 2, n)
+        structure = decompose(P)
+        onestep = coupling_bound(structure, d, p, pi_eps, eps, n)
+        blocked = coupling_bound_multistep(structure, d, p, pi_eps, eps, 2, n)
         true_dev = np.max(np.abs(propagate(p, P_eps, n).probs - pi_eps.probs))
         assert blocked < onestep
         assert true_dev <= blocked + 1e-12
@@ -208,7 +214,7 @@ class TestCouplingBounds:
     def test_split_bound_matching_masses_drop_drift_term(self, eight_node):
         P, d = eight_node
         structure = decompose(P)
-        context = split_bound_context(P, d, d.as_distribution(), 0.1, 2, structure)
+        context = split_bound_context(structure, d, d.as_distribution(), 0.1, 2)
         np.testing.assert_array_equal(context.drift_scale, [0.0, 0.0])
 
     def test_split_bound_point_mass_drift_level(self, eight_node):
@@ -219,35 +225,36 @@ class TestCouplingBounds:
         eps = 0.1
         p = Distribution.point_mass(8, 0)
         n = 400
-        bound = split_bound_context(P, d, p, eps, 2, structure).bound_vector(n)[4]
+        bound = split_bound_context(structure, d, p, eps, 2).bound_vector(n)[4]
         assert bound / (1 - eps) ** n == pytest.approx(1 / 12, abs=1e-6)
 
     def test_split_bound_rejects_regular_chains(self, five_node):
         P, d = five_node
         structure = decompose(P)
         with pytest.raises(RegimeError):
-            split_bound_context(P, d, Distribution.uniform(5), 0.1, 2, structure).bound_vector(5)[0]
+            split_bound_context(structure, d, Distribution.uniform(5), 0.1, 2).bound_vector(5)[0]
 
     def test_split_bound_requires_contraction(self, eight_node):
         P, d = eight_node
         structure = decompose(P)
         # Both classes have disjoint-row pairs at one step, so block 1 fails.
         with pytest.raises(ContractionError):
-            split_bound_context(P, d, Distribution.uniform(8), 0.1, 1, structure).bound_vector(5)[0]
+            split_bound_context(structure, d, Distribution.uniform(8), 0.1, 1).bound_vector(5)[0]
 
     def test_bound_sequences_are_nonincreasing_in_n(self, five_node, eight_node):
         P5, d5 = five_node
         eps = 0.15
         pi5 = stationary_direct(build_damped_matrix(DampedChain(P5, d5, eps))).pi
         p5 = Distribution.point_mass(5, 0)
-        onestep = [coupling_bound(P5, p5, pi5, eps, n) for n in range(25)]
-        blocked = [coupling_bound_multistep(P5, p5, pi5, eps, 3, n) for n in range(25)]
+        s5 = decompose(P5)
+        onestep = [coupling_bound(s5, d5, p5, pi5, eps, n) for n in range(25)]
+        blocked = [coupling_bound_multistep(s5, d5, p5, pi5, eps, 3, n) for n in range(25)]
         assert all(a >= b >= 0.0 for a, b in zip(onestep, onestep[1:]))
         assert all(a >= b >= 0.0 for a, b in zip(blocked, blocked[1:]))
 
         P8, d8 = eight_node
         structure = decompose(P8)
-        context = split_bound_context(P8, d8, Distribution.point_mass(8, 0), eps, 2, structure)
+        context = split_bound_context(structure, d8, Distribution.point_mass(8, 0), eps, 2)
         split = [context.bound_vector(n)[4] for n in range(25)]
         assert all(a >= b >= 0.0 for a, b in zip(split, split[1:]))
 
@@ -258,7 +265,7 @@ class TestCouplingBounds:
         P_eps = build_damped_matrix(DampedChain(P, d, eps))
         pi_eps = stationary_direct(P_eps).pi
         for p in (Distribution.uniform(8), Distribution.point_mass(8, 0)):
-            context = split_bound_context(P, d, p, eps, 2, structure, pi_eps=pi_eps)
+            context = split_bound_context(structure, d, p, eps, 2, pi_eps=pi_eps)
             law = p.probs.copy()
             for n in range(0, 40):
                 bounds_vec = context.bound_vector(n)
@@ -323,7 +330,7 @@ class TestOneWalkPerClass:
         P, d = eight_node
         structure = decompose(P)
         restricts = count_calls(monkeypatch, "restrict")
-        triangular_sweep(P, d, Distribution.uniform(8), structure, 0.1, range(31), 2)
+        triangular_sweep(structure, d, Distribution.uniform(8), 0.1, range(31), 2)
         assert len(restricts) == len(structure.classes)
 
     def test_regular_chain_is_never_restricted(self, five_node, monkeypatch):
@@ -332,10 +339,10 @@ class TestOneWalkPerClass:
         P, d = five_node
         structure = decompose(P)
         restricts = count_calls(monkeypatch, "restrict")
-        expansion(P, d, structure, n_max=3)
+        expansion(structure, d, n_max=3)
         chain = DampedChain(P, d, 0.15)
         bounds_section(chain, structure, Distribution.uniform(5), 0.15, 2, ["1", "5", "6"], 30)
-        triangular_sweep(P, d, Distribution.uniform(5), structure, 0.1, range(31), 2)
+        triangular_sweep(structure, d, Distribution.uniform(5), 0.1, range(31), 2)
         assert restricts == []
 
     def test_report_restricts_and_solves_each_class_once(self, monkeypatch):
@@ -390,7 +397,7 @@ class TestOneWalkPerClass:
         d = DampingVector(np.full(4, 0.25))
         scans = count_calls(monkeypatch, "min_row_overlap")
         with pytest.raises(ContractionError) as info:
-            triangular_sweep(P, d, Distribution.uniform(4), decompose(P), 0.1, range(5), 2)
+            triangular_sweep(decompose(P), d, Distribution.uniform(4), 0.1, range(5), 2)
         assert str(info.value) == (
             "Delta_2 = 1; increase the block length to N = 3, the smallest with Delta_N < 1"
         )
@@ -406,7 +413,7 @@ class TestOneWalkPerClass:
         for N in PROFILE_STEPS:
             power = naive_matmul(power, Q.entries)
             context = bound_context(
-                Q, DampingVector(d.weights[perm]), Distribution.uniform(8), structure, 0.1, N,
+                structure, DampingVector(d.weights[perm]), Distribution.uniform(8), 0.1, N,
                 steps=PROFILE_STEPS,
             )
             assert context.profile[N] == ErgodicityReport.from_overlap(N, naive_min_overlap(power))
@@ -449,15 +456,15 @@ class TestInterleavedClasses:
         d = DampingVector(self.WEIGHTS)
         dq = DampingVector(self.WEIGHTS[perm])
         for p, pq in self.starts(perm):
-            original = split_bound_context(P, d, p, self.EPS, 2, sP)
-            moved = split_bound_context(Q, dq, pq, self.EPS, 2, sQ)
+            original = split_bound_context(sP, d, p, self.EPS, 2)
+            moved = split_bound_context(sQ, dq, pq, self.EPS, 2)
             for n in range(41):
                 np.testing.assert_allclose(
                     moved.bound_vector(n), original.bound_vector(n)[perm], rtol=1e-12, atol=1e-15
                 )
                 t = self.EPS * n
-                expected = triangular_bound(P, d, p, sP, self.EPS, n, 2, t)
-                got = triangular_bound(Q, dq, pq, sQ, self.EPS, n, 2, t)
+                expected = triangular_bound(sP, d, p, self.EPS, n, 2, t)
+                got = triangular_bound(sQ, dq, pq, self.EPS, n, 2, t)
                 assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_bound_vector_matches_per_state_formula(self, permuted):
@@ -471,7 +478,7 @@ class TestInterleavedClasses:
             block = Q.entries[np.ix_(cls.states, cls.states)]
             deltas.append(np.sqrt(1.0 - naive_min_overlap(block @ block)))
         for _, p in self.starts(perm):
-            context = split_bound_context(Q, d, p, self.EPS, 2, structure)
+            context = split_bound_context(structure, d, p, self.EPS, 2)
             for n in range(41):
                 # The same arithmetic on the context's constants, one state at a time.
                 looped = np.full(8, np.nan)

@@ -3,8 +3,11 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+from conftest import naive_matmul, naive_min_overlap
+from dampedchain import DampedChain, DampingVector, Distribution, ingest, stationary_direct
 from dampedchain.cli import main
 from dampedchain.report import load_schema
 
@@ -12,6 +15,7 @@ DATA = Path(__file__).parent / "data"
 FIVE = str(DATA / "five_node_edges.txt")
 FOUR = str(DATA / "four_node_edges.txt")
 EIGHT = str(DATA / "eight_node_edges.txt")
+TRANSIENT = str(DATA / "transient_edges.txt")
 
 
 def run_cli(capsys, *argv):
@@ -166,10 +170,25 @@ def test_coupling_sim_rejects_bad_arguments(capsys, bad):
     ],
 )
 def test_stationary_rejects_bad_tolerance_and_grid(capsys, argv, message):
-    # Each eps is checked as it is solved, so the first bad input names itself.
+    # A bad tolerance is reported before any eps is solved; each eps is checked
+    # as it is solved, so the first bad one names itself.
     code, out = run_cli(capsys, *argv, "--input", FIVE)
     assert code == 1
     assert json.loads(out)["error"] == {"type": "ValidationError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "grid, steps",
+    [
+        ("0:6:2", [0, 2, 4, 6]),
+        ("6:0:-2", [0, 2, 4, 6]),
+        ("5:0:-2", [1, 3, 5]),
+        ("3:0:-1", [0, 1, 2, 3]),
+    ],
+)
+def test_n_grid_range_ends_inclusively_in_the_step_direction(capsys, grid, steps):
+    report = run_json(capsys, "triangular", "--input", FIVE, "--epsilon", "0.1", "--n-grid", grid)
+    assert [row["n"] for row in report["triangular"]["rows"]] == steps
 
 
 @pytest.mark.parametrize("command", ["bounds", "triangular", "report"])
@@ -331,3 +350,53 @@ def test_report_text_is_what_json_writes(capsys, tmp_path, chain, command):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
     if chain == "csv":
         assert "-0.0" in out
+
+
+class TestUnsupportedChainBounds:
+    """Families 5 and 6 on a chain with transient states walk the whole matrix."""
+
+    EPS = 0.15
+    HORIZON = 12
+
+    def expected(self):
+        P, _ = ingest(TRANSIENT)
+        d = DampingVector.uniform(P.dim)
+        p = Distribution.uniform(P.dim)
+        pi_eps = stationary_direct(DampedChain(P, d, self.EPS)).pi.probs
+        start = 1.0 - np.minimum(p.probs, pi_eps).sum()
+        overlaps, power = [], np.eye(P.dim)
+        for _ in range(12):
+            power = naive_matmul(power, P.entries)
+            overlaps.append(naive_min_overlap(power))
+        return start, overlaps
+
+    def test_bounds_match_brute_powers(self, capsys):
+        report = run_json(
+            capsys, "bounds", "--input", TRANSIENT, "--epsilon", str(self.EPS),
+            "--horizon", str(self.HORIZON),
+        )
+        assert report["bounds"]["reports"][0]["family"] == "coupling-onestep"
+        start, overlaps = self.expected()
+        deltas = [(1.0 - q) ** (1.0 / N) for N, q in enumerate(overlaps, 1)]
+        got = [row["delta"] for row in report["bounds"]["ergodicity"]]
+        assert got == pytest.approx(deltas, rel=1e-11, abs=1e-15)
+        onestep, multistep = (r["by_n"] for r in report["bounds"]["reports"])
+        for (n, five), (_, six) in zip(onestep, multistep):
+            assert five == pytest.approx(
+                start * ((1.0 - overlaps[0]) * (1.0 - self.EPS)) ** n, rel=1e-11
+            )
+            exponent = (n // 2) * 2
+            assert six == pytest.approx(
+                start * deltas[1] ** exponent * (1.0 - self.EPS) ** exponent, rel=1e-11
+            )
+
+    def test_coupling_sim_bound_matches_brute_overlap(self, capsys):
+        report = run_json(
+            capsys, "coupling-sim", "--input", TRANSIENT, "--epsilon", str(self.EPS),
+            "--seed", "5", "--trials", "500", "--horizon", str(self.HORIZON),
+        )
+        start, overlaps = self.expected()
+        expected = [
+            start * ((1.0 - overlaps[0]) * (1.0 - self.EPS)) ** n for n in range(self.HORIZON + 1)
+        ]
+        assert report["coupling_sim"]["onestep_bound"] == pytest.approx(expected, rel=1e-11)

@@ -241,7 +241,7 @@ class TestSimulator:
         assert estimate.generator == "philox4x64-steptrial"
 
     def test_tail_dominated_by_onestep_bound(self, five_node):
-        from dampedchain import coupling_bound
+        from dampedchain import coupling_bound, decompose
 
         P, d = five_node
         eps = 0.15
@@ -252,8 +252,9 @@ class TestSimulator:
         start = maximal_coupling(p, pi)
         trials = 20_000
         estimate = simulate_coupling_time(kernel, start, trials=trials, seed=11, horizon=20)
+        structure = decompose(P)
         for n in range(21):
-            bound = coupling_bound(P, p, pi, eps, n)
+            bound = coupling_bound(structure, d, p, pi, eps, n)
             assert estimate.tail[n] <= bound + 3 * estimate.std_error[n] + 1e-12
 
     @pytest.mark.parametrize(

@@ -108,13 +108,13 @@ class TestSpectralCoefficients:
 class TestExpansion:
     def test_five_node_first_order_rationals(self, five_node):
         P, d = five_node
-        series = expansion(P, d, decompose(P), n_max=2)
+        series = expansion(decompose(P), d, n_max=2)
         expected = [307 / 2178, -50 / 1089, -23 / 726, -23 / 726, -23 / 726]
         np.testing.assert_allclose(series.coeffs[0], expected, atol=1e-12)
 
     def test_five_node_five_decimal_table(self, five_node):
         P, d = five_node
-        series = expansion(P, d, decompose(P), n_max=2)
+        series = expansion(decompose(P), d, n_max=2)
         first = [round(c, 5) for c in series.coeffs[0]]
         second = [round(c, 5) for c in series.coeffs[1]]
         assert first == [0.14096, -0.04591, -0.03168, -0.03168, -0.03168]
@@ -122,20 +122,20 @@ class TestExpansion:
 
     def test_four_node_exact_rationals(self, four_node):
         P, d = four_node
-        series = expansion(P, d, decompose(P), n_max=2)
+        series = expansion(decompose(P), d, n_max=2)
         np.testing.assert_allclose(series.base.probs, chains.FOUR_NODE_PI, atol=1e-12)
         np.testing.assert_allclose(series.coeffs, chains.FOUR_NODE_COEFFS, atol=1e-9)
 
     def test_eight_node_table(self, eight_node):
         P, d = eight_node
-        series = expansion(P, d, decompose(P), n_max=2)
+        series = expansion(decompose(P), d, n_max=2)
         np.testing.assert_allclose(series.base.probs, chains.EIGHT_NODE_BASE, atol=1e-12)
         np.testing.assert_allclose(series.coeffs, chains.EIGHT_NODE_COEFFS, atol=1e-9)
 
     @pytest.mark.parametrize("chain_name", ["five_node", "four_node", "eight_node"])
     def test_coefficient_rows_sum_to_zero(self, chain_name, request):
         P, d = request.getfixturevalue(chain_name)
-        series = expansion(P, d, decompose(P), n_max=4)
+        series = expansion(decompose(P), d, n_max=4)
         for row in series.coeffs:
             assert abs(row.sum()) < 1e-9
 
@@ -143,7 +143,7 @@ class TestExpansion:
         P = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         d = DampingVector.uniform(2)
         with pytest.raises(RegimeError):
-            expansion(P, d, decompose(P))
+            expansion(decompose(P), d)
 
     def test_split_chain_regular_path_is_rejected(self, eight_node):
         # Forcing the whole-matrix path on a two-class chain makes its
@@ -153,7 +153,7 @@ class TestExpansion:
         P, d = eight_node
         fake = ChainStructure((ClosedClass(tuple(range(8)), 1),), (), Regime.REGULAR, P)
         with pytest.raises(RegimeError, match="singular"):
-            expansion(P, d, fake)
+            expansion(fake, d)
 
 
 class TestRecursionOracles:
@@ -172,7 +172,7 @@ class TestRecursionOracles:
             oracle[0] += row * rho / (1.0 - rho)
             for n in range(2, n_max + 1):
                 oracle[n - 1] += (-1) ** (n - 1) * row * rho ** (n - 1) / (1.0 - rho) ** n
-        series = expansion(P, d, decompose(P), n_max=n_max)
+        series = expansion(decompose(P), d, n_max=n_max)
         np.testing.assert_allclose(np.abs(oracle.imag), 0.0, atol=1e-14)
         np.testing.assert_allclose(series.coeffs, oracle.real, rtol=0, atol=1e-14)
         np.testing.assert_allclose(series.base.probs, sc.constant, rtol=0, atol=1e-14)
@@ -184,8 +184,8 @@ class TestRecursionOracles:
         structure = decompose(P)
         eps = 0.01
         truth = stationary_direct(build_damped_matrix(DampedChain(P, d, eps))).pi.probs
-        third = expansion(P, d, structure, n_max=3).evaluate(eps)
-        fourth = expansion(P, d, structure, n_max=4)
+        third = expansion(structure, d, n_max=3).evaluate(eps)
+        fourth = expansion(structure, d, n_max=4)
         # Order 3 is off by the dropped a_4 eps^4 (about 1e-10 here) and no more.
         assert np.max(np.abs(third - truth)) <= 2 * np.max(np.abs(fourth.coeffs[3])) * eps**4
         assert np.max(np.abs(fourth.evaluate(eps) - truth)) < 1e-11
@@ -194,12 +194,12 @@ class TestRecursionOracles:
 class TestEvaluate:
     def test_zero_epsilon_returns_base(self, five_node):
         P, d = five_node
-        series = expansion(P, d, decompose(P))
+        series = expansion(decompose(P), d)
         np.testing.assert_array_equal(series.evaluate(0.0), series.base.probs)
 
     def test_five_node_first_state_at_point_two(self, five_node):
         P, d = five_node
-        series = expansion(P, d, decompose(P), n_max=2)
+        series = expansion(decompose(P), d, n_max=2)
         value = series.evaluate(0.2)[0]
         assert value == pytest.approx(5 / 66 + 0.14096 * 0.2 - 0.01946 * 0.04, abs=5e-6)
         # The first-order term is about 37.22% of the limiting probability.
@@ -211,14 +211,14 @@ class TestEvaluate:
         P, d = four_node
         s = decompose(P)
         eps = 0.3
-        full = expansion(P, d, s, n_max=3)
-        truncated = expansion(P, d, s, n_max=2)
+        full = expansion(s, d, n_max=3)
+        truncated = expansion(s, d, n_max=2)
         diff = full.evaluate(eps) - truncated.evaluate(eps)
         np.testing.assert_allclose(diff, full.coeffs[2] * eps**3, atol=1e-15)
 
     def test_mass_defect_is_reported(self, four_node):
         P, d = four_node
-        series = expansion(P, d, decompose(P), n_max=2)
+        series = expansion(decompose(P), d, n_max=2)
         defect = series.mass_defect(0.3)
         assert defect == pytest.approx(series.evaluate(0.3).sum() - 1.0, abs=1e-16)
 
@@ -230,7 +230,7 @@ def test_empirical_convergence_order(chain_name, request):
     P, d = request.getfixturevalue(chain_name)
     structure = decompose(P)
     n_max = 2
-    series = expansion(P, d, structure, n_max=n_max)
+    series = expansion(structure, d, n_max=n_max)
     errors = []
     for eps in (0.1, 0.05, 0.025):
         truth = stationary_series(P, d, eps, tol=1e-14).pi.probs

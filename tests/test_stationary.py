@@ -165,13 +165,13 @@ class TestLimit:
     def test_split_chain_damping_limit(self, eight_node):
         P, d = eight_node
         s = decompose(P)
-        limit = limit_stationary(P, d, d.as_distribution(), s)
+        limit = limit_stationary(s, d.as_distribution())
         np.testing.assert_allclose(limit.probs, chains.EIGHT_NODE_BASE, atol=1e-12)
 
     def test_split_chain_point_mass_limit(self, eight_node):
         P, d = eight_node
         s = decompose(P)
-        limit = limit_stationary(P, d, Distribution.point_mass(8, 0), s)
+        limit = limit_stationary(s, Distribution.point_mass(8, 0))
         expected = np.concatenate([chains.FOUR_NODE_PI, np.zeros(4)])
         np.testing.assert_allclose(limit.probs, expected, atol=1e-12)
 
@@ -179,13 +179,13 @@ class TestLimit:
         P, d = five_node
         s = decompose(P)
         for p in (Distribution.uniform(5), Distribution.point_mass(5, 3)):
-            limit = limit_stationary(P, d, p, s)
+            limit = limit_stationary(s, p)
             np.testing.assert_allclose(limit.probs, chains.FIVE_NODE_PI, atol=1e-12)
 
     def test_damped_stationary_converges_to_limit(self, five_node, eight_node):
         for P, d in (five_node, eight_node):
             s = decompose(P)
-            limit = limit_stationary(P, d, d.as_distribution(), s)
+            limit = limit_stationary(s, d.as_distribution())
             gaps = [
                 tv_distance(stationary_series(P, d, eps).pi, limit)
                 for eps in (0.2, 0.1, 0.05, 0.025)

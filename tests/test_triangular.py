@@ -27,14 +27,14 @@ class TestLimit:
     def test_zero_time_returns_start_side(self, eight_node):
         P, d = eight_node
         s = decompose(P)
-        limit = triangular_limit(P, d, POINT_AT_FIRST, s, 0.0)
+        limit = triangular_limit(s, d, POINT_AT_FIRST, 0.0)
         assert limit.weight == 1.0
         np.testing.assert_array_equal(limit.values, limit.start_limit)
 
     def test_infinite_time_returns_damped_side(self, eight_node):
         P, d = eight_node
         s = decompose(P)
-        limit = triangular_limit(P, d, POINT_AT_FIRST, s, math.inf)
+        limit = triangular_limit(s, d, POINT_AT_FIRST, math.inf)
         assert limit.weight == 0.0
         np.testing.assert_array_equal(limit.values, limit.damped_limit)
         np.testing.assert_allclose(limit.values, chains.EIGHT_NODE_BASE, atol=1e-12)
@@ -43,7 +43,7 @@ class TestLimit:
         P, d = eight_node
         s = decompose(P)
         for t in (0.3, 1.0, 2.5):
-            limit = triangular_limit(P, d, POINT_AT_FIRST, s, t)
+            limit = triangular_limit(s, d, POINT_AT_FIRST, t)
             expected = limit.start_limit * math.exp(-t) + limit.damped_limit * (
                 1.0 - math.exp(-t)
             )
@@ -53,7 +53,7 @@ class TestLimit:
     def test_point_mass_first_state_at_unit_time(self, eight_node):
         P, d = eight_node
         s = decompose(P)
-        limit = triangular_limit(P, d, POINT_AT_FIRST, s, 1.0)
+        limit = triangular_limit(s, d, POINT_AT_FIRST, 1.0)
         expected = (1 / 8) * math.exp(-1) + (1 / 16) * (1 - math.exp(-1))
         assert limit.values[0] == pytest.approx(expected, abs=1e-12)
         assert round(limit.values[0], 5) == 0.08549
@@ -66,14 +66,14 @@ class TestLimit:
         P, d = five_node
         s = decompose(P)
         for t in (0.0, 1.0, math.inf):
-            limit = triangular_limit(P, d, Distribution.point_mass(5, 0), s, t)
+            limit = triangular_limit(s, d, Distribution.point_mass(5, 0), t)
             np.testing.assert_allclose(limit.values, chains.FIVE_NODE_PI, atol=1e-12)
 
     def test_each_class_law_is_solved_once(self, eight_node, monkeypatch):
         P, d = eight_node
         s = decompose(P)
         solves = count_calls(monkeypatch, "stationary_direct")
-        triangular_limit(P, d, POINT_AT_FIRST, s, 1.0)
+        triangular_limit(s, d, POINT_AT_FIRST, 1.0)
         # Both sides share the two class laws.
         assert len(solves) == len(s.classes) == 2
 
@@ -81,7 +81,7 @@ class TestLimit:
         P = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         d = chains.DampingVector.uniform(2)
         with pytest.raises(RegimeError):
-            triangular_limit(P, d, Distribution.uniform(2), decompose(P), 1.0)
+            triangular_limit(decompose(P), d, Distribution.uniform(2), 1.0)
 
 
 class TestBound:
@@ -91,8 +91,8 @@ class TestBound:
         eps, n = 0.1, 14
         t_exact = -n * math.log(1.0 - eps)
         p = d.as_distribution()
-        matched = triangular_bound(P, d, p, s, eps, n, 2, t_exact)
-        shifted = triangular_bound(P, d, p, s, eps, n, 2, t_exact + 0.5)
+        matched = triangular_bound(s, d, p, eps, n, 2, t_exact)
+        shifted = triangular_bound(s, d, p, eps, n, 2, t_exact + 0.5)
         # p = d keeps the class masses equal, so R does not enter at all.
         assert matched == shifted
 
@@ -101,8 +101,8 @@ class TestBound:
         s = decompose(P)
         eps, n = 0.1, 14
         t_exact = -n * math.log(1.0 - eps)
-        matched = triangular_bound(P, d, POINT_AT_FIRST, s, eps, n, 2, t_exact)
-        shifted = triangular_bound(P, d, POINT_AT_FIRST, s, eps, n, 2, t_exact + 0.5)
+        matched = triangular_bound(s, d, POINT_AT_FIRST, eps, n, 2, t_exact)
+        shifted = triangular_bound(s, d, POINT_AT_FIRST, eps, n, 2, t_exact + 0.5)
         assert shifted > matched
 
     def test_regular_two_term_form(self, five_node):
@@ -112,7 +112,7 @@ class TestBound:
         s = decompose(P)
         p = Distribution.point_mass(5, 0)
         eps, n, block = 0.1, 9, 2
-        got = triangular_bound(P, d, p, s, eps, n, block, eps * n)
+        got = triangular_bound(s, d, p, eps, n, block, eps * n)
         pi0 = stationary_direct(P).pi.probs
         rep = ergodicity_coefficient(P, block)
         exponent = (n // block) * block
@@ -125,7 +125,7 @@ class TestBound:
         P, d = eight_node
         s = decompose(P)
         with pytest.raises(ContractionError, match="to N = 2, the smallest"):
-            triangular_bound(P, d, POINT_AT_FIRST, s, 0.1, 10, 1, 1.0)
+            triangular_bound(s, d, POINT_AT_FIRST, 0.1, 10, 1, 1.0)
 
     def test_error_says_when_no_block_contracts(self):
         # A 30-cycle with one self-loop is regular, but 12 steps from states 0
@@ -140,7 +140,7 @@ class TestBound:
         assert s.regime.value == "regular"
         d = chains.DampingVector.uniform(m)
         with pytest.raises(ContractionError, match="no block length N <= 12"):
-            triangular_sweep(P, d, Distribution.uniform(m), s, 0.1, [0, 1], 3)
+            triangular_sweep(s, d, Distribution.uniform(m), 0.1, [0, 1], 3)
 
     @pytest.mark.parametrize("chain_name", ["five_node", "eight_node"])
     def test_bound_dominates_deviation_from_mixture(self, chain_name, request):
@@ -152,8 +152,8 @@ class TestBound:
         law = p.probs
         for n in range(0, 31):
             t = eps * n
-            mixture = triangular_limit(P, d, p, s, t).values
-            bound = triangular_bound(P, d, p, s, eps, n, 2, t)
+            mixture = triangular_limit(s, d, p, t).values
+            bound = triangular_bound(s, d, p, eps, n, 2, t)
             assert np.max(np.abs(law - mixture)) <= bound + 1e-12
             law = law @ P_eps.entries
 
@@ -162,18 +162,18 @@ class TestSweep:
     def test_first_row_compares_start_against_start_limit(self, eight_node):
         P, d = eight_node
         s = decompose(P)
-        sweep = triangular_sweep(P, d, POINT_AT_FIRST, s, 0.1, [0, 5])
+        sweep = triangular_sweep(s, d, POINT_AT_FIRST, 0.1, [0, 5])
         row = sweep.rows[0]
         assert row.n == 0
         np.testing.assert_array_equal(row.trajectory, POINT_AT_FIRST.probs)
         np.testing.assert_allclose(
-            row.mixture, limit_stationary(P, d, POINT_AT_FIRST, s).probs, atol=1e-14
+            row.mixture, limit_stationary(s, POINT_AT_FIRST).probs, atol=1e-14
         )
 
     def test_relative_error_profile(self, eight_node):
         P, d = eight_node
         s = decompose(P)
-        sweep = triangular_sweep(P, d, POINT_AT_FIRST, s, 0.1, range(0, 31))
+        sweep = triangular_sweep(s, d, POINT_AT_FIRST, 0.1, range(0, 31))
         by_n = {row.n: row for row in sweep.rows}
         assert by_n[10].rel_error[0] == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert by_n[30].rel_error[0] == pytest.approx(math.exp(-3.0), abs=1e-12)
@@ -181,7 +181,7 @@ class TestSweep:
     def test_bounds_cover_all_rows(self, eight_node):
         P, d = eight_node
         s = decompose(P)
-        sweep = triangular_sweep(P, d, POINT_AT_FIRST, s, 0.1, range(0, 31))
+        sweep = triangular_sweep(s, d, POINT_AT_FIRST, 0.1, range(0, 31))
         for row in sweep.rows:
             assert np.max(np.abs(row.trajectory - row.mixture)) <= row.bound + 1e-12
 
@@ -191,7 +191,7 @@ class TestSweep:
         P, d = five_node
         s = decompose(P)
         p = Distribution.point_mass(5, 0)
-        sweep = triangular_sweep(P, d, p, s, 0.01, [0, 100, 300])
+        sweep = triangular_sweep(s, d, p, 0.01, [0, 100, 300])
         devs = [np.max(np.abs(r.trajectory - chains.FIVE_NODE_PI)) for r in sweep.rows]
         assert devs[0] > devs[1] >= devs[2]
         assert devs[-1] < 3e-3
@@ -202,7 +202,7 @@ class TestSweep:
         s = decompose(P)
         solves = count_calls(monkeypatch, "stationary_direct")
         limits = count_calls(monkeypatch, "limit_stationary")
-        triangular_sweep(P, d, Distribution.point_mass(P.dim, 0), s, 0.1, range(0, 31))
+        triangular_sweep(s, d, Distribution.point_mass(P.dim, 0), 0.1, range(0, 31))
         # One solve per closed class; a regular chain's class is P0 itself.
         assert len(solves) == len(s.classes)
         if len(s.classes) == 1:
@@ -221,6 +221,6 @@ class TestSweep:
             assert n == round(t / eps)
             P_eps = build_damped_matrix(DampedChain(P, d, eps))
             law = propagate(POINT_AT_FIRST, P_eps, n).probs
-            mixture = triangular_limit(P, d, POINT_AT_FIRST, s, t).values
+            mixture = triangular_limit(s, d, POINT_AT_FIRST, t).values
             devs.append(np.max(np.abs(law - mixture)))
         assert devs[0] > devs[1] > devs[2]
