@@ -30,6 +30,15 @@ one product per step; a singular chain's whole-matrix ``Delta_N`` is 1 by
 structure. The ``ContractionError`` search continues the walks of the
 classes that fail.
 
+Each ``Delta_N`` reads the minimal row overlap Q of ``min_row_overlap``. Its
+scan skips the row pairs that a lower bound cannot let reach the minimum:
+``Q(a, b) >= (s_a + s_b) / 2 - sqrt(n |a - b|_2^2) / 2`` for rows a, b of
+length n with sums s_a, s_b, where one Gram product ``A A^T`` gives every
+squared distance. The bound is compared with a margin derived from
+``gamma_n = n u / (1 - n u)``, which covers the rounding of any BLAS's product
+and of every sum, so the result is the same float as scanning every pair,
+whatever the BLAS thread count.
+
 The convention ``x^0 = 1`` applies throughout, including when x = 0.
 """
 
@@ -55,25 +64,93 @@ PROFILE_STEPS = tuple(range(1, 13))
 # amplitude scan stops there instead of dividing noise by a tiny rate**n.
 DECAY_NOISE_FLOOR = 1e-13
 
+# Rows per tile of min_row_overlap's exact scan: one small buffer, reused.
+SCAN_TILE = 64
+
 
 def _pow(base: float, exponent: int) -> float:
     return 1.0 if exponent == 0 else base**exponent
 
 
 def min_row_overlap(entries: np.ndarray) -> float:
-    """Smallest pairwise row overlap ``min_{i,j} sum_k min(A[i,k], A[j,k])``.
+    """Smallest pairwise row overlap ``min(1, min_{i<j} sum_k min(A[i,k], A[j,k]))``.
 
-    Overlaps are never negative, so the scan stops at the first row that has
-    a partner with disjoint support.
+    ``entries`` is an m x n float64 array with finite, non-negative entries.
+    Every overlap that is computed is the float ``np.minimum(A[i], rows).sum(axis=1)``
+    over contiguous rows, so the result is bit for bit that of scanning every
+    pair; the scan only skips pairs that provably cannot reach the minimum.
+
+    Lower bound. For rows a, b with sums s_a, s_b,
+    ``Q(a, b) = (s_a + s_b - |a - b|_1) / 2 >= (s_a + s_b) / 2 - sqrt(n |a - b|_2^2) / 2``,
+    and one product G = A A^T gives every ``|a - b|_2^2 = G_aa + G_bb - 2 G_ab``.
+    The bound is built in place in G's buffer.
+
+    Margin. With u = 2^-53, gamma_k = k u / (1 - k u) and gamma = gamma_(n+4):
+
+    * every computed G_ab is within gamma_n G_ab + n 2^-1074 of the exact one,
+      whatever the summation order, FMA use or thread count of the BLAS that
+      computed it (the last term covers underflow). With the roundings of
+      forming the squared distance, that is within
+      ``E = 8 gamma max_a G_aa + 16 n 2^-1074``, which moves the bound by at
+      most ``sqrt(n E) / 2``;
+    * the row sums and the exact overlaps are sums of non-negative terms, each
+      within gamma_n of its value, and the remaining arithmetic of the bound
+      rounds by a few u (1 + sqrt(n)) max_a s_a; ``4 gamma (1 + sqrt(n)) max_a s_a``
+      covers all of them with a factor 2 to spare, including the rounding of
+      ``q + margin`` itself.
+
+    So a pair whose computed bound exceeds the running minimum q plus
+    ``margin = sqrt(n E) / 2 + 4 gamma (1 + sqrt(n)) max_a s_a`` has a computed
+    overlap above q and is skipped; the pair giving the float minimum never is.
+
+    The scan starts from the exact overlap of the pair with the smallest
+    bound (where rows with disjoint support exist, as in a web chain's first
+    powers, it is typically such a pair, and the scan stops at once at 0),
+    then compares each row with the later rows whose bound is within the
+    margin of the running minimum, ``SCAN_TILE`` rows at a time.
     """
-    m = entries.shape[0]
-    q = 1.0
-    for i in range(m):
-        mins = np.minimum(entries[i], entries[i + 1 :])
-        if mins.size:
-            q = min(q, float(mins.sum(axis=1).min()))
+    m, n = entries.shape
+    if m < 2:
+        return 1.0
+    sums = entries.sum(axis=1)
+    bound = entries @ entries.T
+    sq_norms = bound.diagonal().copy()
+    bound *= -2.0
+    bound += sq_norms[:, np.newaxis]
+    bound += sq_norms
+    np.maximum(bound, 0.0, out=bound)
+    bound *= n
+    np.sqrt(bound, out=bound)
+    bound *= -0.5
+    half = 0.5 * sums
+    bound += half[:, np.newaxis]
+    bound += half
+    np.fill_diagonal(bound, np.inf)
+
+    u = np.finfo(np.float64).eps / 2
+    gamma = (n + 4) * u / (1.0 - (n + 4) * u)
+    gram_error = 8.0 * gamma * float(sq_norms.max()) + 16.0 * n * math.ulp(0.0)
+    margin = 0.5 * math.sqrt(n * gram_error) + 4.0 * gamma * (1.0 + math.sqrt(n)) * float(sums.max())
+
+    a, b = sorted(divmod(int(bound.argmin()), m))
+    q = min(1.0, float(np.minimum(entries[a], entries[b : b + 1]).sum(axis=1)[0]))
+    tile = np.empty((min(SCAN_TILE, m - 1), n))
+    for i in range(m - 1):
         if q == 0.0:
             break
+        row = entries[i]
+        partners = np.flatnonzero(bound[i, i + 1 :] <= q + margin) + (i + 1)
+        for start in range(0, partners.size, SCAN_TILE):
+            chunk = partners[start : start + SCAN_TILE]
+            out = tile[: chunk.size]
+            first, last = int(chunk[0]), int(chunk[-1])
+            if last - first == chunk.size - 1:
+                np.minimum(row, entries[first : last + 1], out=out)
+            else:
+                # mode="clip" lets take write into out unbuffered; chunk is in range.
+                np.take(entries, chunk, axis=0, out=out, mode="clip")
+                np.minimum(row, out, out=out)
+            q = min(q, float(out.sum(axis=1).min()))
     return q
 
 

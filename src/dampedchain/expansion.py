@@ -114,22 +114,10 @@ def spectrum(P0: StochasticMatrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> 
 
     Dense nonsymmetric solve (Hessenberg + shifted QR via LAPACK). Sorting is
     by descending modulus with a deterministic (real, imag) tie-break;
-    clustering is greedy against the running cluster mean.
+    clustering is greedy against the running cluster mean
+    (:func:`cluster_eigenvalues`).
     """
-    eigs = np.linalg.eigvals(P0.entries)
-    order = sorted(range(len(eigs)), key=lambda i: (-abs(eigs[i]), -eigs[i].real, -eigs[i].imag))
-    eigs = [complex(eigs[i]) for i in order]
-
-    groups = []
-    for e in eigs:
-        for g in groups:
-            if abs(e - sum(g) / len(g)) <= cluster_tol:
-                g.append(e)
-                break
-        else:
-            groups.append([e])
-    distinct = tuple((sum(g) / len(g), len(g)) for g in groups)
-
+    eigs, distinct = cluster_eigenvalues(np.linalg.eigvals(P0.entries), cluster_tol)
     leading = distinct[0][0]
     if abs(leading - 1.0) > 1e-8:
         raise SpectralStructureError(
@@ -137,7 +125,43 @@ def spectrum(P0: StochasticMatrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> 
         )
     # Snap the leading representative to exactly 1; it is 1 in exact arithmetic.
     distinct = ((1.0 + 0.0j, distinct[0][1]),) + distinct[1:]
-    return Spectrum(tuple(eigs), distinct, cluster_tol)
+    return Spectrum(eigs, distinct, cluster_tol)
+
+
+def cluster_eigenvalues(eigs, cluster_tol: float = DEFAULT_CLUSTER_TOL):
+    """Sort eigenvalues and merge them greedily into ``(mean, multiplicity)`` clusters.
+
+    The order is by descending modulus, then descending real and imaginary
+    part, stable in input order. Each eigenvalue joins the first cluster, in
+    creation order, whose mean (running sum over count) lies within
+    ``cluster_tol``, or opens a new one. Moduli only fall along the order, so
+    a cluster whose mean modulus exceeds ``|e| + cluster_tol`` can match
+    neither ``e`` nor any later eigenvalue (triangle inequality): it is
+    retired, and each eigenvalue is compared with the live clusters only. A
+    relative slack of 1e-12 on that test, far above the few ulps of rounding
+    in the moduli, keeps a cluster that could still match alive.
+
+    Returns ``(eigenvalues, distinct)``: the sorted eigenvalues and the
+    clusters, as tuples of Python complex numbers.
+    """
+    eigs = np.asarray(eigs, dtype=complex)
+    moduli = np.array([abs(e) for e in eigs.tolist()])
+    order = np.lexsort((-eigs.imag, -eigs.real, -moduli))
+    ordered = eigs[order].tolist()
+    groups, live = [], []
+    for e, modulus in zip(ordered, moduli[order].tolist()):
+        reach = (modulus + cluster_tol) * (1.0 + 1e-12)
+        live = [g for g in live if abs(g[0] / g[1]) <= reach]
+        for g in live:
+            if abs(e - g[0] / g[1]) <= cluster_tol:
+                break
+        else:
+            g = [0, 0]
+            groups.append(g)
+            live.append(g)
+        g[0] += e
+        g[1] += 1
+    return tuple(ordered), tuple((total / count, count) for total, count in groups)
 
 
 def spectral_coefficients(

@@ -159,6 +159,12 @@ def series_length(epsilon: float, tol: float) -> int:
         raise ValidationError("series representation requires epsilon in (0, 1]")
     if epsilon == 1.0:
         return 0
+    if 1.0 - epsilon == 1.0:
+        # (1 - eps) rounds to 1, so the tail never shrinks below tol.
+        raise ValidationError(
+            f"epsilon {epsilon} is too small for the series: 1 - eps rounds to 1; "
+            "use the direct route (stationary_direct)"
+        )
     L = 0
     tail = 1.0 - epsilon
     while tail >= tol:

@@ -2,7 +2,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import chains
 from dampedchain import (
     ContractionError,
     DampedChain,
@@ -30,7 +32,7 @@ from dampedchain import (
 )
 from dampedchain.bounds import PROFILE_STEPS, ErgodicityReport
 from dampedchain.expansion import expansion
-from conftest import count_calls, naive_matmul, naive_min_overlap
+from conftest import count_calls, naive_matmul, naive_min_overlap, slice_min_overlap
 
 # Composite tail constant of the five-node example's known decay envelope.
 FIVE_NODE_TAIL_FACTOR = (67 / 4488) * np.sqrt(34) + 49 / 132
@@ -107,6 +109,94 @@ def test_damped_overlap_beats_mixture_lower_bound():
         for eps in (0.1, 0.3, 0.7):
             P_eps = build_damped_matrix(DampedChain(P0, d, eps))
             assert min_row_overlap(P_eps.entries) >= (1 - eps) * q0 + eps - 1e-12
+
+
+def stochastic(entries: np.ndarray) -> np.ndarray:
+    return entries / entries.sum(axis=1, keepdims=True)
+
+
+class TestMinRowOverlapOracle:
+    """``min_row_overlap`` skips pairs but returns the every-pair scan's float exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 8]), st.floats(0, 0.9))
+    def test_random_stochastic_matrices(self, m, seed, power, sparsity):
+        rng = np.random.default_rng(seed)
+        entries = rng.random((m, m)) ** power
+        entries[rng.random((m, m)) < sparsity] = 0.0
+        entries[np.arange(m), rng.integers(0, m, m)] += 1e-3
+        entries = stochastic(entries)
+        q = min_row_overlap(entries)
+        assert q == slice_min_overlap(entries)
+        assert abs(q - naive_min_overlap(entries)) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(7, 80), st.integers(0, 2**32 - 1))
+    def test_powers_of_sparse_web_chains(self, m, seed):
+        P, _ = chains.random_web_chain(np.random.default_rng(seed), m)
+        power = P.entries
+        for _ in range(8):
+            assert min_row_overlap(power) == slice_min_overlap(power)
+            power = power @ P.entries
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_smallest_matrices(self, m):
+        rng = np.random.default_rng(m)
+        for entries in (np.eye(m), np.full((m, m), 1.0 / m), stochastic(rng.random((m, m)))):
+            assert min_row_overlap(entries) == slice_min_overlap(entries)
+        assert min_row_overlap(np.eye(m)) == (1.0 if m == 1 else 0.0)
+
+    def test_duplicated_rows_and_tied_minimal_pairs(self):
+        rng = np.random.default_rng(3)
+        distinct = stochastic(rng.random((4, 40)) + 0.05)
+        entries = distinct[rng.integers(0, 4, 40)]
+        assert min_row_overlap(entries) == slice_min_overlap(entries)
+        # All rows identical: every pair ties, and the overlap is the row sum.
+        same = np.tile(distinct[0], (40, 1))
+        assert min_row_overlap(same) == slice_min_overlap(same) == min(1.0, float(distinct[0].sum()))
+
+    def test_disjoint_supports(self):
+        entries = np.zeros((50, 50))
+        entries[np.arange(50), (np.arange(50) * 7) % 50] = 1.0
+        assert min_row_overlap(entries) == slice_min_overlap(entries) == 0.0
+        blocks = np.kron(np.eye(5), np.full((10, 10), 0.1))
+        assert min_row_overlap(blocks) == 0.0
+
+    def test_entries_whose_products_underflow(self):
+        # Every product of two entries underflows to 0 in the Gram matrix.
+        rng = np.random.default_rng(4)
+        tiny = 1e-300 * (rng.random((30, 30)) + 0.5)
+        assert min_row_overlap(tiny) == slice_min_overlap(tiny)
+        mixed = stochastic(rng.random((30, 30)))
+        mixed[::3] = tiny[::3]
+        mixed[1::3, :5] = 1e-300
+        assert min_row_overlap(mixed) == slice_min_overlap(mixed)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_pairs_at_their_lower_bound(self, seed):
+        # Rows x + c sigma and x - c sigma, sigma a balanced sign vector, differ
+        # by c in every entry, so their overlap equals the lower bound exactly;
+        # only the margin keeps rounding in G from skipping them.
+        rng = np.random.default_rng(seed)
+        x = stochastic(rng.random((1, 64)) + 0.5)[0]
+        c = 10.0 ** rng.uniform(-12, -4)
+        rows = []
+        for _ in range(8):
+            sigma = rng.permutation(np.repeat([1.0, -1.0], 32))
+            rows += [x + c * sigma, x - c * sigma]
+        entries = np.array(rows)
+        assert min_row_overlap(entries) == slice_min_overlap(entries)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_one_ulp_apart(self, seed):
+        # Every overlap is the row sum up to a few ulps, so the minimum is
+        # decided below any rounding-free margin.
+        rng = np.random.default_rng(seed)
+        entries = np.tile(stochastic(rng.random((1, 64))), (40, 1))
+        for _ in range(80):
+            i, j = rng.integers(0, 40), rng.integers(0, 64)
+            entries[i, j] = np.nextafter(entries[i, j], rng.choice([0.0, 1.0]))
+        assert min_row_overlap(entries) == slice_min_overlap(entries)
 
 
 class TestStationaryGapBound:

@@ -167,6 +167,11 @@ def test_coupling_sim_rejects_bad_arguments(capsys, bad):
             ("stationary", "--initial", "point:0"),
             "bad --initial 'point:0'; use 'point:K' with K a state id in 1..5",
         ),
+        (
+            ("stationary", "--epsilon", "1e-20"),
+            "epsilon 1e-20 is too small for the series: 1 - eps rounds to 1; "
+            "use the direct route (stationary_direct)",
+        ),
     ],
 )
 def test_stationary_rejects_bad_tolerance_and_grid(capsys, argv, message):

@@ -1,5 +1,8 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chains
 from dampedchain import (
@@ -16,7 +19,7 @@ from dampedchain import (
     stationary_series,
 )
 from dampedchain.errors import IllConditionedError
-from dampedchain.expansion import spectral_coefficients
+from dampedchain.expansion import cluster_eigenvalues, spectral_coefficients
 
 
 class TestSpectrum:
@@ -50,6 +53,68 @@ class TestSpectrum:
     def test_second_modulus(self, five_node):
         P, _ = five_node
         assert spectrum(P).second_modulus == pytest.approx(1 / 3, abs=1e-10)
+
+
+def greedy_clusters(eigs, cluster_tol):
+    """Quadratic greedy clustering, the oracle of ``cluster_eigenvalues``.
+
+    Every eigenvalue is compared with every cluster, oldest first, against
+    the mean ``sum(g) / len(g)`` recomputed from the members.
+    """
+    order = sorted(range(len(eigs)), key=lambda i: (-abs(eigs[i]), -eigs[i].real, -eigs[i].imag))
+    eigs = [complex(eigs[i]) for i in order]
+    groups = []
+    for e in eigs:
+        for g in groups:
+            if abs(e - sum(g) / len(g)) <= cluster_tol:
+                g.append(e)
+                break
+        else:
+            groups.append([e])
+    return tuple(eigs), tuple((sum(g) / len(g), len(g)) for g in groups)
+
+
+# Offsets from a cluster centre in units of cluster_tol: inside, on and just
+# past the tolerance, so that the running mean decides membership.
+STRADDLE = [0.0, 0.3, 0.5, 0.9, 0.999999, 1.0, 1.000001, 1.1, 1.5, 2.0]
+
+
+@st.composite
+def spectra(draw):
+    """Eigenvalue arrays with repeats, conjugate pairs and clusters straddling the tolerance."""
+    tol = draw(st.sampled_from([0.0, 1e-8, 1e-3, 0.05]))
+    values = []
+    for _ in range(draw(st.integers(1, 12))):
+        radius = draw(st.sampled_from([0.0, 1 / 3, 0.5, 1.0]) | st.floats(0.0, 1.0))
+        angle = draw(st.sampled_from([0.0, np.pi]) | st.floats(0.0, np.pi))
+        centre = cmath.rect(radius, angle)
+        for _ in range(draw(st.integers(1, 4))):
+            offset = draw(st.sampled_from(STRADDLE)) * tol * cmath.exp(1j * draw(st.floats(0, 2 * np.pi)))
+            z = centre + offset
+            if z.imag == 0.0 and draw(st.booleans()):
+                z = complex(z.real, -0.0)  # a signed zero that sum(g) from 0 turns positive
+            values += [z, z.conjugate()] if draw(st.booleans()) else [z]
+    values = draw(st.permutations(values))
+    eigs = np.array(values, dtype=complex)
+    if draw(st.booleans()):
+        eigs = eigs.real.copy()  # eigvals returns a real array when every eigenvalue is real
+    return eigs, tol
+
+
+class TestClustering:
+    @settings(max_examples=300, deadline=None)
+    @given(spectra())
+    def test_matches_greedy_clustering_bit_for_bit(self, case):
+        eigs, tol = case
+        got, expected = cluster_eigenvalues(eigs, tol), greedy_clusters(eigs, tol)
+        assert repr(got) == repr(expected)
+
+    def test_web_chain_spectrum(self):
+        P, _ = chains.random_web_chain(np.random.default_rng(2), 120)
+        spec = spectrum(P)
+        eigs, distinct = greedy_clusters(np.linalg.eigvals(P.entries), spec.cluster_tol)
+        assert repr(spec.eigenvalues) == repr(eigs)
+        assert repr(spec.distinct[1:]) == repr(distinct[1:])
 
 
 class TestSpectralCoefficients:

@@ -135,6 +135,13 @@ class TestSeries:
         with pytest.raises(ValidationError, match=r"epsilon in \(0, 1\]"):
             series_sums(P, d, (0.1, eps))
 
+    @pytest.mark.parametrize("eps", [1e-20, 5e-324])
+    def test_epsilon_below_float_resolution_is_refused_before_any_walk(self, five_node, eps):
+        # 1 - eps rounds to 1, so the tail never shrinks and the count would never end.
+        P, d = five_node
+        with pytest.raises(ValidationError, match="use the direct route"):
+            series_sums(P, d, (0.1, eps))
+
     def test_halving_tolerance_moves_result_at_most_tol(self, five_node):
         P, d = five_node
         for tol in (1e-6, 1e-8, 1e-10):
