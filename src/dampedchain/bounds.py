@@ -24,11 +24,17 @@ and evaluate it once. Every per-class constant reads the class matrices and
 laws of the structure (``ChainStructure.matrices`` and ``.laws``), and a
 regular chain is the one-class case. Every function that takes a
 :class:`ChainStructure` reads P0 from it (``structure.P0``), so the matrix and
-its classes cannot disagree. Each ``Delta_N`` comes from one walk
-through the powers of a closed class's matrix (P0 itself on a regular chain),
-one product per step; a singular chain's whole-matrix ``Delta_N`` is 1 by
-structure. The ``ContractionError`` search continues the walks of the
-classes that fail.
+its classes cannot disagree.
+
+Every power of a closed class's matrix (P0 itself on a regular chain) comes
+from one :class:`PowerWalk` per class per command, one product per step,
+held by the context. The walk scans each ``Delta_N`` the context needs and
+records the deviation ``max_ij |M^N - 1 pi0|`` of families 1 and 2 at every
+step. The ``ContractionError`` search and ``BoundContext.split_decay``
+resume it and never restart it, and the decay rate is read from the class's
+spectrum on the structure (``ChainStructure.spectra``). A singular chain's
+whole-matrix ``Delta_N`` is 1 by structure, and family 5 alone
+(:func:`onestep_context`) walks nothing.
 
 Each ``Delta_N`` reads the minimal row overlap Q of ``min_row_overlap``. Its
 scan skips the row pairs that a lower bound cannot let reach the minimum:
@@ -50,7 +56,7 @@ import numpy as np
 from .core import DampedChain, DampingVector, Distribution, StochasticMatrix
 from .coupling import overlap
 from .errors import ContractionError, RegimeError, ValidationError
-from .expansion import spectrum
+from .expansion import Spectrum, spectrum
 from .stationary import stationary_direct
 from .structure import ChainStructure, ClosedClass, Regime, class_mass, restrict_damping
 
@@ -185,25 +191,6 @@ class ErgodicityReport:
         return cls(step, q, one_minus ** (1.0 / step))
 
 
-def _powers(P0: StochasticMatrix, last: int, start=(0, None)):
-    """Yield ``(N, P0^N)`` up to N = last, one product per step, continuing after ``start``."""
-    N, power = start
-    for N in range(N + 1, last + 1):
-        power = P0.entries if power is None else power @ P0.entries
-        yield N, power
-
-
-def _scan(M: StochasticMatrix, steps, keep: int = 0):
-    """One walk through the powers of M: ``{N: Q(M^N)}`` for N in ``steps``, and M^keep."""
-    overlaps, kept = {}, None
-    for N, power in _powers(M, max(steps, default=0)):
-        if N in steps:
-            overlaps[N] = min_row_overlap(power)
-        if N == keep:
-            kept = power
-    return overlaps, kept
-
-
 def ergodicity_coefficient(P0: StochasticMatrix, N: int) -> ErgodicityReport:
     """Compute ``Delta_N`` from the N-step matrix by brute pairwise comparison.
 
@@ -213,7 +200,7 @@ def ergodicity_coefficient(P0: StochasticMatrix, N: int) -> ErgodicityReport:
     """
     if N < 1:
         raise ValidationError("step count N must be at least 1")
-    return ErgodicityReport.from_overlap(N, _scan(P0, {N})[0][N])
+    return ErgodicityReport.from_overlap(N, PowerWalk(P0).overlap(N))
 
 
 @dataclass(frozen=True)
@@ -235,6 +222,67 @@ class GeometricDecay:
         return self.amplitude * self.rate / (1.0 - self.rate)
 
 
+class PowerWalk:
+    """The powers M, M^2, ... of one matrix, each formed once, one product per step.
+
+    The walk holds only its current power and is resumed, never restarted:
+    ``overlap(N)`` advances it to N and scans Q(M^N) once, and ``decay``
+    advances it as far as the decay needs. Given the law pi0 of M, every step
+    also records the deviation ``max_ij |M^N - 1 pi0|``, which ``decay`` reads.
+    """
+
+    def __init__(self, matrix: StochasticMatrix, law: Distribution = None):
+        self.matrix = matrix
+        self.law = law
+        self.step = 0
+        self.power = None
+        self.overlaps = {}
+        self.deviations = []
+
+    def _advance(self, N: int) -> None:
+        entries = self.matrix.entries
+        while self.step < N:
+            self.power = entries if self.power is None else self.power @ entries
+            self.step += 1
+            if self.law is not None:
+                self.deviations.append(float(np.max(np.abs(self.power - self.law.probs))))
+
+    def overlap(self, N: int) -> float:
+        """Q(M^N), the minimal row overlap of the N-th power."""
+        if N not in self.overlaps:
+            if N < self.step:
+                # The walk passed N unscanned (a decay ran first): N needs a walk of its own.
+                return PowerWalk(self.matrix).overlap(N)
+            self._advance(N)
+            self.overlaps[N] = min_row_overlap(self.power)
+        return self.overlaps[N]
+
+    def decay(self, rate: float, horizon: int) -> GeometricDecay:
+        """The constants of :func:`estimate_decay` for this walk's matrix and law at ``rate``."""
+        amplitude = 0.0
+        scale = 1.0
+        for N in range(1, horizon + 1):
+            self._advance(N)
+            dev = self.deviations[N - 1]
+            if dev <= DECAY_NOISE_FLOOR:
+                break
+            scale *= rate
+            if scale <= 0.0:
+                break
+            amplitude = max(amplitude, dev / scale)
+        return GeometricDecay(amplitude, rate)
+
+
+def _decay_rate(spec: Spectrum) -> float:
+    """The second eigenvalue modulus, refused unless it is below 1."""
+    rate = spec.second_modulus
+    if rate >= 1.0:
+        raise ContractionError(
+            f"second eigenvalue modulus {rate} is not below 1; no geometric decay"
+        )
+    return rate
+
+
 def estimate_decay(
     P0: StochasticMatrix,
     pi0: Distribution = None,
@@ -246,25 +294,13 @@ def estimate_decay(
     largest observed ratio ``max_ij |P^n[i,j] - pi_j| / rate**n`` over
     n <= horizon. The scan stops once deviations sink below the float noise
     floor, where the ratio would measure rounding error rather than decay.
+    This is the one-off form of the walk that ``BoundContext.split_decay``
+    continues.
     """
-    rate = spectrum(P0).second_modulus
-    if rate >= 1.0:
-        raise ContractionError(
-            f"second eigenvalue modulus {rate} is not below 1; no geometric decay"
-        )
+    rate = _decay_rate(spectrum(P0))
     if pi0 is None:
         pi0 = stationary_direct(P0).pi
-    amplitude = 0.0
-    scale = 1.0
-    for _, power in _powers(P0, horizon):
-        dev = float(np.max(np.abs(power - pi0.probs[np.newaxis, :])))
-        if dev <= DECAY_NOISE_FLOOR:
-            break
-        scale *= rate
-        if scale <= 0.0:
-            break
-        amplitude = max(amplitude, dev / scale)
-    return GeometricDecay(amplitude, rate)
+    return PowerWalk(P0, pi0).decay(rate, horizon)
 
 
 def stationary_gap_bound(
@@ -314,15 +350,17 @@ class BoundContext:
       ``drift_scale[j] = |f_p[j] - f_d[j]|`` and, for family 7,
       ``coupled[j] = f_d[j] (1 - Q(pi_eps^j, pi0^j)) + start_gap[j]``.
 
-    Each class matrix ``structure.matrices[j]`` (P0 itself on a regular
-    chain) is walked once to the block, and ``block_powers`` holds its power
-    there, where ``require_contraction`` continues the walk. On a regular
-    chain that walk also gives ``profile``; a singular chain's ``profile`` is
-    1 by structure and P0 is not walked: rows in different closed classes
-    never share support, so Q(P0^N) = 0. An unsupported chain has no class
-    view, so ``profile`` comes from a walk of the whole matrix and the
-    per-class fields are left empty; ``start_overlap`` and ``coupled`` are
-    left empty without pi_eps.
+    ``walks[j]`` is the one :class:`PowerWalk` of class matrix
+    ``structure.matrices[j]`` (P0 itself on a regular chain) with its law, so
+    each power is formed once per command. The context walks it to the block
+    (on a regular chain through every N of ``profile`` too), then
+    ``require_contraction`` and ``split_decay`` resume it where it stands and
+    read the overlaps and deviations already recorded. A singular chain's
+    ``profile`` is 1 by structure and P0 is not walked: rows in different
+    closed classes never share support, so Q(P0^N) = 0. An unsupported chain
+    has no class view, so ``profile`` comes from a walk of the whole matrix
+    and the per-class fields are left empty; ``start_overlap`` and
+    ``coupled`` are left empty without pi_eps.
     """
 
     structure: ChainStructure
@@ -332,7 +370,7 @@ class BoundContext:
     profile: dict
     start_overlap: float
     class_reports: tuple = ()
-    block_powers: tuple = ()
+    walks: tuple = ()
     start_gap: np.ndarray = None
     damping_gap: np.ndarray = None
     drift_scale: np.ndarray = None
@@ -400,12 +438,16 @@ class BoundContext:
     def split_decay(self) -> GeometricDecay:
         """Families 1 and 2: the worst-case :func:`estimate_decay` constants over the classes.
 
-        On a regular chain, the one class, these are P0's own constants.
+        On a regular chain, the one class, these are P0's own constants. Each
+        rate is read from ``structure.spectra``, and each class's walk resumes
+        where the context left it, to the decay horizon or the noise floor.
         """
-        if not self.class_reports:
+        if not self.walks:
             raise RegimeError("no closed classes to estimate decay on")
-        structure = self.structure
-        per_class = [estimate_decay(M, law) for M, law in zip(structure.matrices, structure.laws)]
+        per_class = [
+            walk.decay(_decay_rate(spec), DEFAULT_DECAY_HORIZON)
+            for walk, spec in zip(self.walks, self.structure.spectra)
+        ]
         return GeometricDecay(max(d.amplitude for d in per_class), max(d.rate for d in per_class))
 
     def require_contraction(self) -> None:
@@ -414,7 +456,8 @@ class BoundContext:
         The message names the smallest N in ``PROFILE_STEPS`` at which every
         class contracts, or says that none does. Q(P^N) never decreases with N,
         so only N > block can qualify and only the failing classes can fail
-        there: the search continues their walks from the block.
+        there: the search resumes their walks from the block, and reads the
+        overlaps a regular chain's profile already scanned.
         """
         bad = [j for j, rep in enumerate(self.class_reports) if rep.delta >= 1.0]
         if not bad:
@@ -423,15 +466,11 @@ class BoundContext:
             problem = f"classes {bad} have Delta_{self.block} = 1"
         else:
             problem = f"Delta_{self.block} = 1"
-        # The walks advance in step; each power is scanned only while every
-        # class before it contracts, so the search stops at the first such N.
-        matrices = self.structure.matrices
-        walks = (
-            _powers(matrices[j], PROFILE_STEPS[-1], (self.block, self.block_powers[j])) for j in bad
-        )
-        for step in zip(*walks):
-            N = step[0][0]
-            reports = (ErgodicityReport.from_overlap(N, min_row_overlap(A)) for _, A in step)
+        # A class is scanned at N only while every class before it contracts
+        # there, so the search stops at the first such N.
+        walks = [self.walks[j] for j in bad]
+        for N in range(self.block + 1, PROFILE_STEPS[-1] + 1):
+            reports = (ErgodicityReport.from_overlap(N, walk.overlap(N)) for walk in walks)
             if all(rep.delta < 1.0 for rep in reports):
                 hint = f"increase the block length to N = {N}, the smallest with Delta_N < 1"
                 break
@@ -461,18 +500,21 @@ def bound_context(
     if block < 1:
         raise ValidationError("block length must be at least 1")
     start_overlap = None if pi_eps is None else overlap(p.probs, pi_eps.probs)
-    per_class = structure.regime is not Regime.UNSUPPORTED
-    if per_class:
-        # A regular chain's one class is P0, so its walk also gives the profile.
-        regular = structure.regime is Regime.REGULAR
-        scanned = {*steps, block} if regular else {block}
-        walks = [_scan(M, scanned, keep=block) for M in structure.matrices]
-        overlaps = walks[0][0] if regular else {N: 0.0 for N in steps if N >= 1}
+    steps = sorted({N for N in steps if N >= 1})
+    walks = ()
+    if structure.regime is Regime.UNSUPPORTED:
+        whole = PowerWalk(structure.P0)
+        overlaps = {N: whole.overlap(N) for N in steps}
     else:
-        overlaps, _ = _scan(structure.P0, set(steps))
+        walks = tuple(PowerWalk(M, law) for M, law in zip(structure.matrices, structure.laws))
+        if structure.regime is Regime.REGULAR:
+            # The one class is P0, so its walk also gives the profile.
+            overlaps = {N: walks[0].overlap(N) for N in sorted({*steps, block})}
+        else:
+            overlaps = {N: 0.0 for N in steps}
     profile = {N: ErgodicityReport.from_overlap(N, q) for N, q in overlaps.items()}
     constants = (structure, epsilon, block, overlaps.get(1), profile, start_overlap)
-    if not per_class:
+    if not walks:
         return BoundContext(*constants)
 
     f_p = class_mass(p, structure)
@@ -489,13 +531,29 @@ def bound_context(
             coupled[j] = eps_gap + start_gap[j]
     return BoundContext(
         *constants,
-        class_reports=tuple(ErgodicityReport.from_overlap(block, q[block]) for q, _ in walks),
-        block_powers=tuple(power for _, power in walks),
+        class_reports=tuple(ErgodicityReport.from_overlap(block, w.overlap(block)) for w in walks),
+        walks=walks,
         start_gap=start_gap,
         damping_gap=damping_gap,
         drift_scale=np.abs(f_p - f_d),
         coupled=coupled,
     )
+
+
+def onestep_context(
+    structure: ChainStructure, p: Distribution, epsilon: float, pi_eps: Distribution
+) -> BoundContext:
+    """A :class:`BoundContext` holding family 5's constants alone.
+
+    Those are Q(p, pi_eps) and Q(P0), which is 0 by structure on a singular
+    chain; no class law is solved and no class matrix is walked.
+    """
+    if structure.regime is Regime.SINGULAR:
+        q = 0.0
+    else:
+        q = min_row_overlap(structure.P0.entries)
+    profile = {1: ErgodicityReport.from_overlap(1, q)}
+    return BoundContext(structure, epsilon, 1, q, profile, overlap(p.probs, pi_eps.probs))
 
 
 def coupling_bound(
@@ -507,7 +565,7 @@ def coupling_bound(
     n: int,
 ) -> float:
     """One-step coupling bound on ``max_j |p(n)_j - pi(eps)_j|`` (family 5)."""
-    return bound_context(structure, d, p, epsilon, 1, pi_eps, steps=(1,)).onestep(n)
+    return onestep_context(structure, p, epsilon, pi_eps).onestep(n)
 
 
 def coupling_bound_multistep(

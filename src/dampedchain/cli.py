@@ -220,8 +220,10 @@ def run_command(command: str, args) -> dict:
     if command in ("stationary", "report"):
         sections["stationary"] = stationary_section(chain, structure, epsilons, args.tol)
     if command in ("expand", "report"):
+        # The expansion refuses an unsupported chain, so it runs before any eigen-solve.
+        expanded = expansion_section(chain, structure, args.order, epsilons)
         sections["spectrum"] = spectrum_section(structure)
-        sections["expansion"] = expansion_section(chain, structure, args.order, epsilons)
+        sections["expansion"] = expanded
     if command in ("bounds", "report"):
         if args.theorem:
             families = [x.strip() for x in args.theorem.split(",")]

@@ -15,11 +15,11 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .bounds import PROFILE_STEPS, BoundReport, bound_context, stationary_gap_bound
+from .bounds import PROFILE_STEPS, BoundReport, bound_context, onestep_context, stationary_gap_bound
 from .core import DampedChain, Distribution, build_damped_matrix
 from .coupling import build_coupling_kernel, maximal_coupling, simulate_coupling_time
 from .errors import RegimeError
-from .expansion import expansion, spectrum
+from .expansion import expansion
 from .io import MATRIX_SLOT, dumps_with_matrix
 from .stationary import (
     limit_stationary,
@@ -93,8 +93,9 @@ def stationary_section(chain: DampedChain, structure, epsilons, tol: float) -> d
 
 
 def spectrum_section(structure) -> dict:
-    def spectrum_entry(P):
-        spec = spectrum(P)
+    """Each closed class's spectrum (``structure.spectra``); a regular chain's one class is P0."""
+
+    def spectrum_entry(spec):
         return {
             "eigenvalues": [{"re": rounded(z.real), "im": rounded(z.imag)} for z in spec.eigenvalues],
             "distinct": [
@@ -104,9 +105,9 @@ def spectrum_section(structure) -> dict:
             "second_modulus": rounded(spec.second_modulus),
         }
 
-    if structure.regime is Regime.SINGULAR:
-        return {"per_class": [spectrum_entry(M) for M in structure.matrices]}
-    return spectrum_entry(structure.P0)
+    if structure.regime is Regime.REGULAR:
+        return spectrum_entry(structure.spectra[0])
+    return {"per_class": [spectrum_entry(spec) for spec in structure.spectra]}
 
 
 def expansion_section(chain: DampedChain, structure, order: int, epsilons) -> dict:
@@ -225,7 +226,7 @@ def coupling_sim_section(
     kernel = build_coupling_kernel(P_eps)
     start = maximal_coupling(p, pi_eps)
     estimate = simulate_coupling_time(kernel, start, trials, seed, horizon)
-    context = bound_context(structure, chain.damping, p, epsilon, 1, pi_eps, steps=(1,))
+    context = onestep_context(structure, p, epsilon, pi_eps)
     bound = [context.onestep(n) for n in range(horizon + 1)]
     return {
         "epsilon": rounded(epsilon),

@@ -49,9 +49,10 @@ class ClosedClass:
 class ChainStructure:
     """Closed classes, transient states and the resulting regime of ``P0``.
 
-    ``matrices`` and ``laws`` are the per-class view, each built on first use,
-    so a command that shares one structure restricts and solves each closed
-    class once. ``P0`` takes no part in comparison, hashing or repr.
+    ``matrices``, ``laws`` and ``spectra`` are the per-class view, each built
+    on first use, so a command that shares one structure restricts, solves
+    and eigen-solves each closed class once. ``P0`` takes no part in
+    comparison, hashing or repr.
     """
 
     classes: tuple
@@ -93,6 +94,18 @@ class ChainStructure:
                     f"closed class {cls.states} splits further; the chain must be treated as singular"
                 ) from exc
         return tuple(laws)
+
+    @cached_property
+    def spectra(self) -> tuple:
+        """Spectrum of each closed class's matrix, one eigen-solve per class.
+
+        The spectrum section and the decay rate of bound families 1 and 2 both
+        read it.
+        """
+        # expansion imports this module, so spectrum is imported on first use.
+        from .expansion import spectrum
+
+        return tuple(spectrum(M) for M in self.matrices)
 
 
 def _strongly_connected_components(adj, m):

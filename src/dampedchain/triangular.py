@@ -113,7 +113,10 @@ class SweepRow:
     """One sweep entry: n, eps*n, the n-step law, the mixture, relative errors.
 
     ``rel_error[k] = |mixture_k - damped_limit_k| / damped_limit_k`` measures
-    how far the mixture still sits from its n-then-eps limit.
+    how far the mixture still sits from its n-then-eps limit. It is computed
+    as ``exp(-t) |start_limit_k - damped_limit_k| / damped_limit_k``, the same
+    value without the cancellation, so it is exactly 0 where the two limits
+    agree, as they do on a regular chain.
     """
 
     n: int
@@ -155,6 +158,7 @@ def triangular_sweep(
     start_side = limit_stationary(structure, p).probs
     damped_side = limit_stationary(structure, d.as_distribution()).probs
     chain = DampedChain(structure.P0, d, epsilon)
+    gap = np.abs(start_side - damped_side) / damped_side
 
     rows = []
     v = p.probs
@@ -164,7 +168,8 @@ def triangular_sweep(
             v = chain.vecmat(v)
         step = n
         t = epsilon * n
-        mixture = _mixture(start_side, damped_side, t).values
-        rel = np.abs(mixture - damped_side) / damped_side
-        rows.append(SweepRow(n, t, v.copy(), mixture, rel, context.joint_limit(n, t)))
+        limit = _mixture(start_side, damped_side, t)
+        rows.append(
+            SweepRow(n, t, v.copy(), limit.values, limit.weight * gap, context.joint_limit(n, t))
+        )
     return TriangularSweep(epsilon, block, tuple(rows))

@@ -108,6 +108,36 @@ def count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+class _LoggedEntries(np.ndarray):
+    """Entries of a matrix that log every matrix-matrix product whose right factor they are."""
+
+    def __matmul__(self, other):
+        return _logged_product(self, other)
+
+    def __rmatmul__(self, other):
+        return _logged_product(other, self)
+
+
+def _logged_product(left, right):
+    out = np.asarray(left) @ np.asarray(right)
+    products = getattr(right, "products", None)
+    if products is not None and np.ndim(left) == 2:
+        products.append(out)
+    return out
+
+
+def log_products(matrix) -> list:
+    """Record every ``A @ matrix.entries`` with a 2-D A from now on, in order.
+
+    The matrix's entries are swapped for a read-only view that logs; views and
+    arrays derived from them (a transpose, a difference) do not log.
+    """
+    view = np.asarray(matrix.entries).view(_LoggedEntries)
+    view.products = []
+    object.__setattr__(matrix, "entries", view)
+    return view.products
+
+
 # Floats whose JSON text is easy to get wrong: signed zero, the smallest
 # subnormal, a tiny normal, and values whose shortest repr has 16-17 digits.
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-300, 0.1 + 0.2, 1 / 3, 1.0]

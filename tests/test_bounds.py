@@ -30,9 +30,15 @@ from dampedchain import (
     triangular_bound,
     triangular_sweep,
 )
-from dampedchain.bounds import PROFILE_STEPS, ErgodicityReport
+from dampedchain.bounds import DECAY_NOISE_FLOOR, PROFILE_STEPS, ErgodicityReport
 from dampedchain.expansion import expansion
-from conftest import count_calls, naive_matmul, naive_min_overlap, slice_min_overlap
+from conftest import (
+    count_calls,
+    log_products,
+    naive_matmul,
+    naive_min_overlap,
+    slice_min_overlap,
+)
 
 # Composite tail constant of the five-node example's known decay envelope.
 FIVE_NODE_TAIL_FACTOR = (67 / 4488) * np.sqrt(34) + 49 / 132
@@ -240,6 +246,16 @@ class TestStationaryGapBound:
         expected = (max(c.amplitude for c in per_class), max(c.rate for c in per_class))
         decay = context.split_decay()
         assert (decay.amplitude, decay.rate) == expected
+
+    @pytest.mark.parametrize("chain_name", ["five_node", "four_node", "web"])
+    def test_split_decay_on_a_regular_chain_is_estimate_decay(self, chain_name, request):
+        if chain_name == "web":
+            P, d = chains.random_web_chain(np.random.default_rng(3), 40)
+        else:
+            P, d = request.getfixturevalue(chain_name)
+        # The profile walks P0 to N = 12 before the decay resumes the walk.
+        context = bound_context(decompose(P), d, d.as_distribution(), 0.1, 3, steps=PROFILE_STEPS)
+        assert context.split_decay() == estimate_decay(P)
 
     def test_estimate_decay_rejects_periodic(self):
         from dampedchain import StochasticMatrix
@@ -458,15 +474,60 @@ class TestOneWalkPerClass:
             bounds_section(chain, decompose(P), Distribution.uniform(8), 0.15, 1, self.FAMILIES, 30)
         assert decays == [] and spectra == []
 
-    def test_singular_section_walks_each_class_once(self, eight_node, monkeypatch):
+    @pytest.mark.parametrize(
+        "chain_name, families",
+        [("five_node", ["1", "5", "6"]), ("eight_node", FAMILIES)],
+        ids=["regular", "singular"],
+    )
+    def test_bounds_section_forms_each_class_power_once(self, chain_name, families, request):
         from dampedchain.report import bounds_section
 
-        P, d = eight_node
-        walks = count_calls(monkeypatch, "_powers")
+        P, d = request.getfixturevalue(chain_name)
+        structure = decompose(P)
+        plain = [M.entries for M in structure.matrices]
+        logs = [log_products(M) for M in structure.matrices]
         chain = DampedChain(P, d, 0.15)
-        bounds_section(chain, decompose(P), Distribution.uniform(8), 0.15, 2, ["5", "6", "7"], 30)
-        # One walk per 4-state class matrix; the 8-state P0 is never walked.
-        assert [args[0].dim for args in walks] == [4, 4]
+        bounds_section(chain, structure, Distribution.uniform(P.dim), 0.15, 2, families, 30)
+        for entries, law, products in zip(plain, structure.laws, logs):
+            # M^2, M^3, ... in order, each once: the profile, the block and the
+            # decay of family 1 or 2 share one walk.
+            power = entries
+            for product in products:
+                power = naive_matmul(power, entries)
+                np.testing.assert_allclose(product, power, rtol=0, atol=1e-13)
+            # The decay went on past the profile and stopped at the noise floor.
+            deviations = [np.max(np.abs(A - law.probs)) for A in products]
+            assert len(products) >= PROFILE_STEPS[-1]
+            assert deviations[-1] <= DECAY_NOISE_FLOOR < deviations[-2]
+
+    @pytest.mark.parametrize("name, classes", [("five_node", 1), ("eight_node", 2)])
+    def test_report_eigen_solves_each_class_once(self, name, classes, monkeypatch):
+        from dampedchain.cli import make_parser, run_command
+
+        path = str(Path(__file__).parent / "data" / f"{name}_edges.txt")
+        argv = ["report", "--input", path, "--epsilon", "0.1", "--seed", "7", "--trials", "200"]
+        spectra = count_calls(monkeypatch, "spectrum")
+        run_command("report", make_parser().parse_args(argv))
+        # The spectrum section and the family 1 or 2 decay rate share them.
+        assert len(spectra) == classes
+
+    def test_search_after_the_decay_walk_gives_the_same_answer(self):
+        # A 6-cycle with a self-loop at state 0: Delta_N = 1 up to N = 4. The
+        # decay walks far beyond N = 5, so the search must not read its power.
+        entries = np.roll(np.eye(6), 1, axis=1)
+        entries[0] = [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]
+        structure = decompose(StochasticMatrix(entries))
+        d, p = DampingVector.uniform(6), Distribution.uniform(6)
+        messages = []
+        for decay_first in (False, True):
+            context = bound_context(structure, d, p, 0.1, 2)
+            if decay_first:
+                context.split_decay()
+            with pytest.raises(ContractionError) as info:
+                context.require_contraction()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "to N = 5, the smallest" in messages[0]
 
     def test_search_never_walks_the_whole_singular_matrix(self, eight_node, monkeypatch):
         from dampedchain.report import bounds_section

@@ -6,8 +6,15 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import naive_matmul, naive_min_overlap
-from dampedchain import DampedChain, DampingVector, Distribution, ingest, stationary_direct
+from conftest import count_calls, naive_matmul, naive_min_overlap
+from dampedchain import (
+    DampedChain,
+    DampingVector,
+    Distribution,
+    RegimeError,
+    ingest,
+    stationary_direct,
+)
 from dampedchain.cli import main
 from dampedchain.report import load_schema
 
@@ -405,3 +412,30 @@ class TestUnsupportedChainBounds:
             start * ((1.0 - overlaps[0]) * (1.0 - self.EPS)) ** n for n in range(self.HORIZON + 1)
         ]
         assert report["coupling_sim"]["onestep_bound"] == pytest.approx(expected, rel=1e-11)
+
+
+def _run(argv):
+    from dampedchain.cli import make_parser, run_command
+
+    return run_command(argv[0], make_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "name, scans", [("five_node", 1), ("four_node", 1), ("transient", 1), ("eight_node", 0)]
+)
+def test_coupling_sim_reads_only_the_one_step_overlap(monkeypatch, name, scans):
+    solves = count_calls(monkeypatch, "stationary_direct")
+    overlaps = count_calls(monkeypatch, "min_row_overlap")
+    _run(["coupling-sim", "--input", str(DATA / f"{name}_edges.txt"), "--seed", "3", "--trials", "50"])
+    # The one solve is P(eps)'s; no class law is solved. Q(P0) is one scan,
+    # and 0 by structure on the singular chain.
+    assert len(solves) == 1
+    assert len(overlaps) == scans
+
+
+@pytest.mark.parametrize("command", ["expand", "report"])
+def test_unsupported_chain_is_refused_before_any_eigen_solve(monkeypatch, command):
+    spectra = count_calls(monkeypatch, "spectrum")
+    with pytest.raises(RegimeError, match="expansion requires a regular or singular chain"):
+        _run([command, "--input", TRANSIENT, "--seed", "7", "--trials", "50"])
+    assert spectra == []

@@ -178,6 +178,29 @@ class TestSweep:
         assert by_n[10].rel_error[0] == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert by_n[30].rel_error[0] == pytest.approx(math.exp(-3.0), abs=1e-12)
 
+    @pytest.mark.parametrize("chain_name", ["five_node", "four_node", "web"])
+    def test_regular_chain_relative_error_is_exactly_zero(self, chain_name, request):
+        # Both limits are the one stationary law, so the mixture never leaves it.
+        if chain_name == "web":
+            P, d = chains.random_web_chain(np.random.default_rng(5), 60)
+            block = 3
+        else:
+            P, d = request.getfixturevalue(chain_name)
+            block = 2
+        p = Distribution.point_mass(P.dim, 0)
+        sweep = triangular_sweep(decompose(P), d, p, 0.1, range(31), block)
+        assert all(np.all(row.rel_error == 0.0) for row in sweep.rows)
+
+    def test_relative_error_is_the_weighted_gap_between_the_limits(self, eight_node):
+        P, d = eight_node
+        s = decompose(P)
+        start = limit_stationary(s, POINT_AT_FIRST).probs
+        damped = limit_stationary(s, d.as_distribution()).probs
+        for row in triangular_sweep(s, d, POINT_AT_FIRST, 0.1, range(0, 31)).rows:
+            via_mixture = np.abs(row.mixture - damped) / damped
+            np.testing.assert_allclose(row.rel_error, via_mixture, rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(row.rel_error == 0.0, start == damped)
+
     def test_bounds_cover_all_rows(self, eight_node):
         P, d = eight_node
         s = decompose(P)
