@@ -16,25 +16,25 @@ Five bound families are implemented, numbered as the CLI exposes them:
 * family 7, ``split_bound_context(...).bound_vector``: the per-class version
   for singular chains, including the class-mass mismatch term.
 
-The constants of families 5, 6 and 7, and of the joint-limit bound
-(``BoundContext.joint_limit``, evaluated by ``triangular``), do not depend on
-the step count n. A command builds them once as a :class:`BoundContext` and
-evaluates that across its n-grid; the public per-n functions build a context
-and evaluate it once. Every per-class constant reads the class matrices and
-laws of the structure (``ChainStructure.matrices`` and ``.laws``), and a
-regular chain is the one-class case. Every function that takes a
-:class:`ChainStructure` reads P0 from it (``structure.P0``), so the matrix and
-its classes cannot disagree.
+The constants of every family and of the joint-limit bound
+(``BoundContext.joint_limit``, evaluated by ``triangular``) do not depend on
+the step count n. They live on one :class:`BoundContext` per command, built
+by :func:`bound_context`, which computes each the first time a section reads
+it; the public per-n functions build a context and evaluate it once. Every
+per-class constant reads the class matrices and laws of the structure
+(``ChainStructure.matrices`` and ``.laws``), and a regular chain is the
+one-class case. Every function that takes a :class:`ChainStructure` reads P0
+from it (``structure.P0``), so the matrix and its classes cannot disagree.
 
 Every power of a closed class's matrix (P0 itself on a regular chain) comes
 from one :class:`PowerWalk` per class per command, one product per step,
-held by the context. The walk scans each ``Delta_N`` the context needs and
-records the deviation ``max_ij |M^N - 1 pi0|`` of families 1 and 2 at every
-step. The ``ContractionError`` search and ``BoundContext.split_decay``
+held by the context. The walk scans each ``Delta_N`` the context is asked for
+and records the deviation ``max_ij |M^N - 1 pi0|`` of families 1 and 2 at
+every step. The ``ContractionError`` search and ``BoundContext.split_decay``
 resume it and never restart it, and the decay rate is read from the class's
-spectrum on the structure (``ChainStructure.spectra``). A singular chain's
-whole-matrix ``Delta_N`` is 1 by structure, and family 5 alone
-(:func:`onestep_context`) walks nothing.
+spectrum on the structure (``ChainStructure.spectra``). Q(P0) is the walk's
+first power and a singular chain's whole-matrix ``Delta_N`` is 1 by
+structure, so family 5 alone solves no class law and scans P0 at most once.
 
 Each ``Delta_N`` reads the minimal row overlap Q of ``min_row_overlap``. Its
 scan skips the row pairs that a lower bound cannot let reach the minimum:
@@ -50,6 +50,7 @@ The convention ``x^0 = 1`` applies throughout, including when x = 0.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .coupling import overlap
 from .errors import ContractionError, RegimeError, ValidationError
 from .expansion import Spectrum, spectrum
 from .stationary import stationary_direct
-from .structure import ChainStructure, ClosedClass, Regime, class_mass, restrict_damping
+from .structure import ChainStructure, Regime, class_mass
 
 DEFAULT_DECAY_HORIZON = 200
 
@@ -227,11 +228,13 @@ class PowerWalk:
 
     The walk holds only its current power and is resumed, never restarted:
     ``overlap(N)`` advances it to N and scans Q(M^N) once, and ``decay``
-    advances it as far as the decay needs. Given the law pi0 of M, every step
-    also records the deviation ``max_ij |M^N - 1 pi0|``, which ``decay`` reads.
+    advances it as far as the decay needs. Its first power is M itself.
+    Given ``law``, a function returning the law pi0 of M, each power's
+    deviation ``max_ij |M^N - 1 pi0|`` is recorded before the walk moves past
+    it, so the law is first fetched on the first product or deviation read.
     """
 
-    def __init__(self, matrix: StochasticMatrix, law: Distribution = None):
+    def __init__(self, matrix: StochasticMatrix, law=None):
         self.matrix = matrix
         self.law = law
         self.step = 0
@@ -242,19 +245,25 @@ class PowerWalk:
     def _advance(self, N: int) -> None:
         entries = self.matrix.entries
         while self.step < N:
+            if self.power is not None and self.law is not None:
+                self.deviation(self.step)
             self.power = entries if self.power is None else self.power @ entries
             self.step += 1
-            if self.law is not None:
-                self.deviations.append(float(np.max(np.abs(self.power - self.law.probs))))
+
+    def deviation(self, N: int) -> float:
+        """``max_ij |M^N - 1 pi0|``."""
+        self._advance(N)
+        if len(self.deviations) < self.step:
+            self.deviations.append(float(np.max(np.abs(self.power - self.law().probs))))
+        return self.deviations[N - 1]
 
     def overlap(self, N: int) -> float:
         """Q(M^N), the minimal row overlap of the N-th power."""
         if N not in self.overlaps:
-            if N < self.step:
-                # The walk passed N unscanned (a decay ran first): N needs a walk of its own.
-                return PowerWalk(self.matrix).overlap(N)
-            self._advance(N)
-            self.overlaps[N] = min_row_overlap(self.power)
+            # A walk past N unscanned (a decay ran first) leaves N to a walk of its own.
+            walk = self if N >= self.step else PowerWalk(self.matrix)
+            walk._advance(N)
+            self.overlaps[N] = min_row_overlap(walk.power)
         return self.overlaps[N]
 
     def decay(self, rate: float, horizon: int) -> GeometricDecay:
@@ -262,8 +271,7 @@ class PowerWalk:
         amplitude = 0.0
         scale = 1.0
         for N in range(1, horizon + 1):
-            self._advance(N)
-            dev = self.deviations[N - 1]
+            dev = self.deviation(N)
             if dev <= DECAY_NOISE_FLOOR:
                 break
             scale *= rate
@@ -300,7 +308,7 @@ def estimate_decay(
     rate = _decay_rate(spectrum(P0))
     if pi0 is None:
         pi0 = stationary_direct(P0).pi
-    return PowerWalk(P0, pi0).decay(rate, horizon)
+    return PowerWalk(P0, lambda: pi0).decay(rate, horizon)
 
 
 def stationary_gap_bound(
@@ -321,74 +329,127 @@ def stationary_gap_bound(
     return epsilon * (np.abs(d.weights - reference.probs) + decay.tail_factor)
 
 
-def _require_coupling_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError("coupling bounds require epsilon in (0, 1]")
-
-
-def _class_dist(values: np.ndarray, cls: ClosedClass, mass: float) -> np.ndarray:
-    return values[list(cls.states)] / mass
-
-
-@dataclass(frozen=True)
 class BoundContext:
-    """The n-free constants of bound families 2, 5, 6 and 7 and of the joint-limit bound.
+    """The n-free constants of bound families 1, 2, 5, 6 and 7 and of the joint-limit bound.
 
-    Build once per command with :func:`bound_context`, then evaluate across a
-    grid of step counts and states. Families read:
+    Build one per command with :func:`bound_context`; each constant is
+    computed the first time it is read, and kept. Family 5 reads
+    ``start_overlap`` = Q(p, pi_eps) and the raw Q(P0); family 6 reads
+    ``start_overlap`` and ``ergodicity(block)``; families 1 and 2 read
+    ``split_decay()``; family 7 and the joint-limit bound read the per-class
+    constants. A regular chain is its own single class. With class masses f,
+    superscript j for the restriction to class j renormalized by its mass and
+    pi0^j = ``structure.laws[j]``: ``start_gap[j] = f_p[j] (1 - Q(p^j, pi0^j))``
+    (0 when f_p[j] = 0), ``damping_gap[j] = f_d[j] (1 - Q(d^j, pi0^j))``,
+    ``drift_scale[j] = |f_p[j] - f_d[j]|``,
+    ``coupled[j] = f_d[j] (1 - Q(pi_eps^j, pi0^j)) + start_gap[j]`` and
+    ``class_reports[j]`` is Delta_block of ``walks[j]``, the one
+    :class:`PowerWalk` of ``structure.matrices[j]``.
 
-    * 5: ``start_overlap`` = Q(p, pi_eps) and ``one_step_overlap`` = Q(P0),
-      the raw minimal row overlap (not snapped like ``ErgodicityReport.overlap``);
-    * 6: ``start_overlap`` and ``profile[block]``; ``profile`` maps each
-      computed N to the whole matrix's ergodicity coefficient;
-    * 7 and the joint-limit bound: the per-class fields. A regular chain is
-      its own single class. With class masses f and superscript j for the
-      restriction to class j renormalized by its mass, and pi0^j the class law
-      ``structure.laws[j]``,
-      ``start_gap[j] = f_p[j] (1 - Q(p^j, pi0^j))`` (0 when f_p[j] = 0),
-      ``damping_gap[j] = f_d[j] (1 - Q(d^j, pi0^j))``,
-      ``drift_scale[j] = |f_p[j] - f_d[j]|`` and, for family 7,
-      ``coupled[j] = f_d[j] (1 - Q(pi_eps^j, pi0^j)) + start_gap[j]``.
-
-    ``walks[j]`` is the one :class:`PowerWalk` of class matrix
-    ``structure.matrices[j]`` (P0 itself on a regular chain) with its law, so
-    each power is formed once per command. The context walks it to the block
-    (on a regular chain through every N of ``profile`` too), then
-    ``require_contraction`` and ``split_decay`` resume it where it stands and
-    read the overlaps and deviations already recorded. A singular chain's
-    ``profile`` is 1 by structure and P0 is not walked: rows in different
-    closed classes never share support, so Q(P0^N) = 0. An unsupported chain
-    has no class view, so ``profile`` comes from a walk of the whole matrix
-    and the per-class fields are left empty; ``start_overlap`` and
-    ``coupled`` are left empty without pi_eps.
+    ``pi_eps`` is one in-place direct solve of ``chain``, P(eps), unless it is
+    given. The whole matrix's Delta_N is the one class's on a regular chain,
+    1 by structure on a singular chain (rows in different closed classes share
+    no support), and read from a walk of P0 of its own on an unsupported
+    chain, which has no per-class constants.
     """
 
-    structure: ChainStructure
-    epsilon: float
-    block: int
-    one_step_overlap: float
-    profile: dict
-    start_overlap: float
-    class_reports: tuple = ()
-    walks: tuple = ()
-    start_gap: np.ndarray = None
-    damping_gap: np.ndarray = None
-    drift_scale: np.ndarray = None
-    coupled: np.ndarray = None
+    def __init__(self, structure, d, p, epsilon, block, pi_eps=None):
+        self.structure = structure
+        self.d = d
+        self.p = p
+        self.chain = DampedChain(structure.P0, d, epsilon)
+        self.epsilon = epsilon
+        self.block = block
+        if pi_eps is not None:
+            self.pi_eps = pi_eps
+
+    @cached_property
+    def pi_eps(self) -> Distribution:
+        return stationary_direct(self.chain).pi
+
+    @cached_property
+    def start_overlap(self) -> float:
+        return overlap(self.p.probs, self.pi_eps.probs)
+
+    @cached_property
+    def walks(self) -> tuple:
+        structure = self.structure
+        if structure.regime is Regime.UNSUPPORTED:
+            raise RegimeError("per-class bound constants require a regular or singular chain")
+        return tuple(
+            PowerWalk(M, lambda j=j: structure.laws[j]) for j, M in enumerate(structure.matrices)
+        )
+
+    @cached_property
+    def _whole_walk(self):
+        """The walk of P0 itself, or None on a singular chain."""
+        if self.structure.regime is Regime.SINGULAR:
+            return None
+        return self.walks[0] if self.structure.regime is Regime.REGULAR else PowerWalk(self.structure.P0)
+
+    def _whole_overlap(self, N: int) -> float:
+        return 0.0 if self._whole_walk is None else self._whole_walk.overlap(N)
+
+    def ergodicity(self, N: int) -> ErgodicityReport:
+        """The whole matrix's ergodicity coefficient ``Delta_N``."""
+        return ErgodicityReport.from_overlap(N, self._whole_overlap(N))
+
+    def require_block(self) -> None:
+        if self.block < 1:
+            raise ValidationError("block length must be at least 1")
+
+    def require_coupling_epsilon(self) -> None:
+        if not 0.0 < self.epsilon <= 1.0:
+            raise ValidationError("coupling bounds require epsilon in (0, 1]")
+
+    @cached_property
+    def class_reports(self) -> tuple:
+        self.require_block()
+        return tuple(ErgodicityReport.from_overlap(self.block, w.overlap(self.block)) for w in self.walks)
+
+    @cached_property
+    def _masses(self) -> tuple:
+        """The class masses (f_p, f_d) of the start and of the damping weights."""
+        return class_mass(self.p, self.structure), class_mass(self.d.as_distribution(), self.structure)
+
+    def _class_gaps(self, values: np.ndarray, masses: np.ndarray) -> np.ndarray:
+        """``f[j] (1 - Q(v^j, pi0^j))`` for each class j of mass f[j] > 0 under ``values`` v, else 0."""
+        gaps = np.zeros(self.structure.class_count)
+        for j, (cls, law) in enumerate(zip(self.structure.classes, self.structure.laws)):
+            if masses[j] > 0.0:
+                gaps[j] = masses[j] * (1.0 - overlap(values[list(cls.states)] / masses[j], law.probs))
+        return gaps
+
+    @cached_property
+    def start_gap(self) -> np.ndarray:
+        return self._class_gaps(self.p.probs, self._masses[0])
+
+    @cached_property
+    def damping_gap(self) -> np.ndarray:
+        return self._class_gaps(self.d.weights, self._masses[1])
+
+    @cached_property
+    def drift_scale(self) -> np.ndarray:
+        return np.abs(self._masses[0] - self._masses[1])
+
+    @cached_property
+    def coupled(self) -> np.ndarray:
+        return self._class_gaps(self.pi_eps.probs, self._masses[1]) + self.start_gap
 
     def onestep(self, n: int) -> float:
         """Family 5: ``(1 - Q(p, pi_eps)) * ((1 - Q(P0)) (1 - eps))^n``."""
-        _require_coupling_epsilon(self.epsilon)
+        self.require_coupling_epsilon()
         return (1.0 - self.start_overlap) * _pow(
-            (1.0 - self.one_step_overlap) * (1.0 - self.epsilon), n
+            (1.0 - self._whole_overlap(1)) * (1.0 - self.epsilon), n
         )
 
     def multistep(self, n: int) -> float:
         """Family 6: both geometric factors carry ``floor(n / block) * block``."""
+        self.require_block()
         exponent = (n // self.block) * self.block
         return (
             (1.0 - self.start_overlap)
-            * self.profile[self.block].delta_pow(exponent)
+            * self.ergodicity(self.block).delta_pow(exponent)
             * _pow(1.0 - self.epsilon, exponent)
         )
 
@@ -442,8 +503,6 @@ class BoundContext:
         rate is read from ``structure.spectra``, and each class's walk resumes
         where the context left it, to the decay horizon or the noise floor.
         """
-        if not self.walks:
-            raise RegimeError("no closed classes to estimate decay on")
         per_class = [
             walk.decay(_decay_rate(spec), DEFAULT_DECAY_HORIZON)
             for walk, spec in zip(self.walks, self.structure.spectra)
@@ -486,74 +545,13 @@ def bound_context(
     epsilon: float,
     block: int,
     pi_eps: Distribution = None,
-    steps=(),
 ) -> BoundContext:
-    """Compute the constants of :class:`BoundContext` for the chain ``structure.P0`` once.
+    """The :class:`BoundContext` of ``structure.P0``, damping ``d``, start ``p`` and epsilon in [0, 1].
 
-    ``steps`` lists the N at which the whole matrix's coefficient is needed,
-    read from the walk of P0 when it is the class matrix (a regular chain) or
-    the chain is unsupported; ``one_step_overlap`` is set when ``steps``
-    contains 1. Nothing here checks that a family applies: family 5 checks
-    epsilon when evaluated, and callers of family 7 or the joint-limit bound
-    call ``require_contraction``.
+    Nothing is computed here, and ``pi_eps``, when given, is used as pi(eps).
+    Callers of family 7 or the joint-limit bound call ``require_contraction``.
     """
-    if block < 1:
-        raise ValidationError("block length must be at least 1")
-    start_overlap = None if pi_eps is None else overlap(p.probs, pi_eps.probs)
-    steps = sorted({N for N in steps if N >= 1})
-    walks = ()
-    if structure.regime is Regime.UNSUPPORTED:
-        whole = PowerWalk(structure.P0)
-        overlaps = {N: whole.overlap(N) for N in steps}
-    else:
-        walks = tuple(PowerWalk(M, law) for M, law in zip(structure.matrices, structure.laws))
-        if structure.regime is Regime.REGULAR:
-            # The one class is P0, so its walk also gives the profile.
-            overlaps = {N: walks[0].overlap(N) for N in sorted({*steps, block})}
-        else:
-            overlaps = {N: 0.0 for N in steps}
-    profile = {N: ErgodicityReport.from_overlap(N, q) for N, q in overlaps.items()}
-    constants = (structure, epsilon, block, overlaps.get(1), profile, start_overlap)
-    if not walks:
-        return BoundContext(*constants)
-
-    f_p = class_mass(p, structure)
-    f_d = class_mass(d.as_distribution(), structure)
-    start_gap = np.zeros(structure.class_count)
-    damping_gap = np.zeros(structure.class_count)
-    coupled = None if pi_eps is None else np.zeros(structure.class_count)
-    for j, (cls, law) in enumerate(zip(structure.classes, structure.laws)):
-        if f_p[j] > 0.0:
-            start_gap[j] = f_p[j] * (1.0 - overlap(_class_dist(p.probs, cls, f_p[j]), law.probs))
-        damping_gap[j] = f_d[j] * (1.0 - overlap(restrict_damping(d, cls).weights, law.probs))
-        if pi_eps is not None:
-            eps_gap = f_d[j] * (1.0 - overlap(_class_dist(pi_eps.probs, cls, f_d[j]), law.probs))
-            coupled[j] = eps_gap + start_gap[j]
-    return BoundContext(
-        *constants,
-        class_reports=tuple(ErgodicityReport.from_overlap(block, w.overlap(block)) for w in walks),
-        walks=walks,
-        start_gap=start_gap,
-        damping_gap=damping_gap,
-        drift_scale=np.abs(f_p - f_d),
-        coupled=coupled,
-    )
-
-
-def onestep_context(
-    structure: ChainStructure, p: Distribution, epsilon: float, pi_eps: Distribution
-) -> BoundContext:
-    """A :class:`BoundContext` holding family 5's constants alone.
-
-    Those are Q(p, pi_eps) and Q(P0), which is 0 by structure on a singular
-    chain; no class law is solved and no class matrix is walked.
-    """
-    if structure.regime is Regime.SINGULAR:
-        q = 0.0
-    else:
-        q = min_row_overlap(structure.P0.entries)
-    profile = {1: ErgodicityReport.from_overlap(1, q)}
-    return BoundContext(structure, epsilon, 1, q, profile, overlap(p.probs, pi_eps.probs))
+    return BoundContext(structure, d, p, epsilon, block, pi_eps)
 
 
 def coupling_bound(
@@ -565,7 +563,7 @@ def coupling_bound(
     n: int,
 ) -> float:
     """One-step coupling bound on ``max_j |p(n)_j - pi(eps)_j|`` (family 5)."""
-    return onestep_context(structure, p, epsilon, pi_eps).onestep(n)
+    return bound_context(structure, d, p, epsilon, 1, pi_eps).onestep(n)
 
 
 def coupling_bound_multistep(
@@ -581,7 +579,7 @@ def coupling_bound_multistep(
 
     Both geometric factors carry the exponent ``floor(n / block) * block``.
     """
-    return bound_context(structure, d, p, epsilon, block, pi_eps, steps=(block,)).multistep(n)
+    return bound_context(structure, d, p, epsilon, block, pi_eps).multistep(n)
 
 
 def split_bound_context(
@@ -600,10 +598,8 @@ def split_bound_context(
     """
     if structure.regime is not Regime.SINGULAR:
         raise RegimeError("the split bound applies to singular chains; use families 5/6")
-    _require_coupling_epsilon(epsilon)
-    if pi_eps is None:
-        pi_eps = stationary_direct(DampedChain(structure.P0, d, epsilon)).pi
     context = bound_context(structure, d, p, epsilon, block, pi_eps)
+    context.require_coupling_epsilon()
     context.require_contraction()
     return context
 

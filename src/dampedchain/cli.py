@@ -20,12 +20,15 @@ import csv
 import json
 import sys
 
-from .core import DampedChain, DampingVector, Distribution
+from .bounds import PROFILE_STEPS, bound_context
+from .core import DampingVector, Distribution
 from .errors import ChainError, ValidationError
-from .io import DanglingPolicy, GraphFormat, ingest, load_damping
+from .expansion import require_expansion
+from .io import DanglingPolicy, GraphFormat, ingest, load_damping, load_weights
 from .report import (
     bounds_section,
     build_report,
+    check_bounds,
     coupling_sim_section,
     expansion_section,
     serialize,
@@ -35,6 +38,7 @@ from .report import (
     triangular_section,
 )
 from .structure import Regime, decompose
+from .triangular import sweep_grid
 
 DEFAULT_EPSILON = 0.15
 DEFAULT_TRIALS = 100_000
@@ -127,8 +131,7 @@ def _initial(spec: str, dim: int) -> Distribution:
                 f"bad --initial {spec!r}; use 'point:K' with K a state id in 1..{dim}"
             )
         return Distribution.point_mass(dim, int(state) - 1)
-    weights = load_damping(spec, dim)
-    return Distribution(weights.weights)
+    return load_weights(spec, dim, "--initial", Distribution)
 
 
 def _epsilons(args):
@@ -204,49 +207,58 @@ def _plot_rows(command: str, sections: dict):
 
 
 def run_command(command: str, args) -> dict:
-    """Execute one subcommand and return the report as a dict."""
+    """Execute one subcommand and return the report as a dict.
+
+    The sections share one :class:`BoundContext`; each section's preconditions
+    are checked, in section order, before any section computes.
+    """
     if args.horizon < 0:
         raise ValidationError(f"--horizon must be at least 0, got {args.horizon}")
     matrix, damping = _load(args)
     epsilons = _epsilons(args)
     p = _initial(args.initial, matrix.dim)
-    chain = DampedChain(matrix, damping, epsilons[0])
     structure = decompose(matrix)
+    context = bound_context(structure, damping, p, epsilons[0], args.coupling_n)
     echo = _inputs_echo(args, matrix, damping, p, epsilons)
 
-    sections = {}
-    if command in ("structure", "report"):
-        sections["structure"] = structure_section(structure)
-    if command in ("stationary", "report"):
-        sections["stationary"] = stationary_section(chain, structure, epsilons, args.tol)
-    if command in ("expand", "report"):
-        # The expansion refuses an unsupported chain, so it runs before any eigen-solve.
-        expanded = expansion_section(chain, structure, args.order, epsilons)
-        sections["spectrum"] = spectrum_section(structure)
-        sections["expansion"] = expanded
-    if command in ("bounds", "report"):
-        if args.theorem:
-            families = [x.strip() for x in args.theorem.split(",")]
-        elif structure.regime is Regime.REGULAR:
-            families = ["1", "5", "6"]
-        elif structure.regime is Regime.SINGULAR:
-            families = ["2", "5", "6", "7"]
-        else:
-            families = ["5", "6"]  # coupling bounds need no structural conditions
-        sections["bounds"] = bounds_section(
-            chain, structure, p, epsilons[0], args.coupling_n, families, args.horizon
-        )
-    if command in ("coupling-sim", "report"):
+    def runs(section_command):
+        return command in (section_command, "report")
+
+    families = None
+    if runs("bounds"):
+        # Without --theorem: the coupling bounds need no structural conditions.
+        default = {Regime.REGULAR: "1,5,6", Regime.SINGULAR: "2,5,6,7"}.get(structure.regime, "5,6")
+        families = [x.strip() for x in (args.theorem or default).split(",")]
+    if runs("expand"):
+        require_expansion(structure, args.order)
+    if families is not None:
+        check_bounds(context, families)
+    if runs("coupling-sim"):
         if args.seed is None:
             raise ChainError("--seed is required for the coupling simulation")
-        sections["coupling_sim"] = coupling_sim_section(
-            chain, structure, p, epsilons[0], args.trials, args.seed, args.horizon
-        )
-    if command in ("triangular", "report"):
-        grid = _parse_grid(args.n_grid) if args.n_grid else list(range(0, args.horizon + 1))
-        sections["triangular"] = triangular_section(
-            chain, structure, p, epsilons[0], grid, args.coupling_n
-        )
+        context.require_coupling_epsilon()
+    if runs("triangular"):
+        if families is not None:
+            # The bounds section's profile comes first on the walk of a regular
+            # chain's P0, which the contraction check advances to the block.
+            for N in range(1, min(args.coupling_n, PROFILE_STEPS[-1] + 1)):
+                context.ergodicity(N)
+        grid = sweep_grid(context, _parse_grid(args.n_grid) if args.n_grid else range(args.horizon + 1))
+
+    sections = {}
+    if runs("structure"):
+        sections["structure"] = structure_section(structure)
+    if runs("stationary"):
+        sections["stationary"] = stationary_section(structure, damping, epsilons, args.tol)
+    if runs("expand"):
+        sections["spectrum"] = spectrum_section(structure)
+        sections["expansion"] = expansion_section(structure, damping, args.order, epsilons)
+    if families is not None:
+        sections["bounds"] = bounds_section(context, families, args.horizon)
+    if runs("coupling-sim"):
+        sections["coupling_sim"] = coupling_sim_section(context, args.trials, args.seed, args.horizon)
+    if runs("triangular"):
+        sections["triangular"] = triangular_section(context, grid)
     return build_report(command, echo, sections)
 
 

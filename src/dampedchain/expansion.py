@@ -217,6 +217,14 @@ def _class_series(M: StochasticMatrix, pi0: np.ndarray, d: np.ndarray, n_max: in
     return coeffs
 
 
+def require_expansion(structure: ChainStructure, n_max: int) -> None:
+    """Refuse an order below 1 or a chain that is neither regular nor singular."""
+    if n_max < 1:
+        raise ValidationError("expansion order must be at least 1")
+    if structure.regime is Regime.UNSUPPORTED:
+        raise RegimeError("expansion requires a regular or singular chain")
+
+
 def expansion(structure: ChainStructure, d: DampingVector, n_max: int = 2) -> ExpansionSeries:
     """Power series of the damped stationary distribution of ``structure.P0`` around eps = 0.
 
@@ -226,11 +234,7 @@ def expansion(structure: ChainStructure, d: DampingVector, n_max: int = 2) -> Ex
     of d. A class whose stationary solve is singular holds several closed
     classes, which ``structure.laws`` refuses with RegimeError.
     """
-    if n_max < 1:
-        raise ValidationError("expansion order must be at least 1")
-    if structure.regime is Regime.UNSUPPORTED:
-        raise RegimeError("expansion requires a regular or singular chain")
-
+    require_expansion(structure, n_max)
     masses = class_mass(d.as_distribution(), structure)
     m = structure.P0.dim
     base = np.zeros(m)

@@ -190,21 +190,26 @@ def ingest(
     return matrix, damping
 
 
-def load_damping(path, dim: int, row_tol: float = 1e-12) -> DampingVector:
-    """Read damping weights from a whitespace-separated text file."""
+def load_weights(path, dim: int, name: str, vector_type, row_tol: float = 1e-12):
+    """A ``vector_type`` of the ``dim`` weights in a whitespace-separated file; errors say ``name``."""
     path = Path(path)
     if not path.exists():
-        raise IngestError(f"damping file not found: {path}")
+        raise IngestError(f"{name} file not found: {path}")
     try:
         weights = [float(x) for x in path.read_text().split()]
     except ValueError as exc:
-        raise IngestError(f"damping file must contain floats: {exc}") from exc
+        raise IngestError(f"{name} file must contain floats: {exc}") from exc
     if len(weights) != dim:
-        raise IngestError(f"damping file has {len(weights)} entries, expected {dim}")
+        raise IngestError(f"{name} file has {len(weights)} entries, expected {dim}")
     try:
-        return DampingVector(np.array(weights), row_tol)
+        return vector_type(np.array(weights), row_tol)
     except ValueError as exc:
-        raise IngestError(f"damping failed validation: {exc}") from exc
+        raise IngestError(f"{name} failed validation: {exc}") from exc
+
+
+def load_damping(path, dim: int, row_tol: float = 1e-12) -> DampingVector:
+    """Read damping weights from a whitespace-separated text file."""
+    return load_weights(path, dim, "damping", DampingVector, row_tol)
 
 
 # Stands in a document for a matrix that dumps_with_matrix writes from its

@@ -15,8 +15,8 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .bounds import PROFILE_STEPS, BoundReport, bound_context, onestep_context, stationary_gap_bound
-from .core import DampedChain, Distribution, build_damped_matrix
+from .bounds import PROFILE_STEPS, BoundContext, BoundReport, stationary_gap_bound
+from .core import DampedChain, DampingVector, Distribution, build_damped_matrix
 from .coupling import build_coupling_kernel, maximal_coupling, simulate_coupling_time
 from .errors import RegimeError
 from .expansion import expansion
@@ -67,27 +67,26 @@ def _solution_entry(solution) -> dict:
     }
 
 
-def stationary_section(chain: DampedChain, structure, epsilons, tol: float) -> dict:
+def stationary_section(structure, d: DampingVector, epsilons, tol: float) -> dict:
+    P0 = structure.P0
     iteration_tol = min(tol, 1e-12)
     grid = [eps for eps in epsilons if 0.0 < eps <= 1.0]
-    sums = series_sums(chain.p0, chain.damping, grid, iteration_tol)
+    sums = series_sums(P0, d, grid, iteration_tol)
     by_epsilon = []
     for eps in epsilons:
-        damped = DampedChain(chain.p0, chain.damping, eps)
+        damped = DampedChain(P0, d, eps)
         entry = {"epsilon": rounded(eps)}
         entry["direct"] = _solution_entry(stationary_direct(damped, solver_tol=max(tol, 1e-10)))
         entry["power"] = _solution_entry(
-            stationary_power(damped, Distribution.uniform(chain.dim), tol=iteration_tol)
+            stationary_power(damped, Distribution.uniform(P0.dim), tol=iteration_tol)
         )
         if eps > 0.0:
-            entry["series"] = _solution_entry(
-                stationary_series(chain.p0, chain.damping, eps, iteration_tol, sums)
-            )
+            entry["series"] = _solution_entry(stationary_series(P0, d, eps, iteration_tol, sums))
         by_epsilon.append(entry)
 
     section = {"by_epsilon": by_epsilon}
     if structure.regime is not Regime.UNSUPPORTED:
-        limit = limit_stationary(structure, chain.damping.as_distribution())
+        limit = limit_stationary(structure, d.as_distribution())
         section["limit"] = rounded_list(limit.probs)
     return section
 
@@ -110,8 +109,8 @@ def spectrum_section(structure) -> dict:
     return {"per_class": [spectrum_entry(spec) for spec in structure.spectra]}
 
 
-def expansion_section(chain: DampedChain, structure, order: int, epsilons) -> dict:
-    series = expansion(structure, chain.damping, n_max=order)
+def expansion_section(structure, d: DampingVector, order: int, epsilons) -> dict:
+    series = expansion(structure, d, n_max=order)
     section = {
         "order": series.order,
         "base": rounded_list(series.base.probs),
@@ -156,41 +155,38 @@ FAMILIES = {
 }
 
 
-def bounds_section(
-    chain: DampedChain,
-    structure,
-    p: Distribution,
-    epsilon: float,
-    block: int,
-    families,
-    horizon: int,
-) -> dict:
-    """The bounds of ``families`` in order, computed once every family's precondition holds."""
-    n_grid = list(range(0, horizon + 1))
-    pi_eps = stationary_direct(DampedChain(chain.p0, chain.damping, epsilon)).pi
-    context = bound_context(
-        structure, chain.damping, p, epsilon, block, pi_eps, (*PROFILE_STEPS, block)
-    )
+def check_bounds(context: BoundContext, families) -> None:
+    """Refuse a bad block, an unknown family or one that does not apply, before any is computed."""
+    context.require_block()
     for family in families:
         if family not in FAMILIES:
             raise RegimeError(f"unknown bound family {family!r}; choose from 1, 2, 5, 6, 7")
         _, regime, instead = FAMILIES[family]
-        if regime not in (None, structure.regime):
+        if regime not in (None, context.structure.regime):
             raise RegimeError(f"bound family {family} needs a {regime.value} chain; {instead}")
         if family == "5":
-            context.onestep(0)  # refuses epsilon outside (0, 1]
+            context.require_coupling_epsilon()
         elif family == "7":
             context.require_contraction()
 
+
+def bounds_section(context: BoundContext, families, horizon: int) -> dict:
+    """The bounds of ``families`` in order, computed once every family's precondition holds."""
+    check_bounds(context, families)
+    structure, d, epsilon, block = context.structure, context.d, context.epsilon, context.block
+    # The profile is read first: on a regular chain it comes from the walk of
+    # P0 that the block and the decay of family 1 go on with.
+    ergodicity = [{"N": N, "delta": rounded(context.ergodicity(N).delta)} for N in PROFILE_STEPS]
+    n_grid = range(horizon + 1)
     reports = []
     for family in families:
         constants, per_state, by_n = {}, (), ()
         if family in ("1", "2"):
             # A regular chain is the one-class case of the split constants.
             decay = context.split_decay()
-            reference = limit_stationary(structure, chain.damping.as_distribution())
+            reference = limit_stationary(structure, d.as_distribution())
             constants = {"amplitude": decay.amplitude, "rate": decay.rate}
-            per_state = tuple(stationary_gap_bound(decay, chain.damping, reference, epsilon))
+            per_state = tuple(stationary_gap_bound(decay, d, reference, epsilon))
         elif family == "5":
             by_n = tuple((n, context.onestep(n)) for n in n_grid)
         elif family == "6":
@@ -201,7 +197,6 @@ def bounds_section(
             per_state = tuple(context.bound_vector(horizon))
         reports.append(BoundReport(FAMILIES[family][0], family, epsilon, constants, per_state, by_n))
 
-    ergodicity = [{"N": N, "delta": rounded(context.profile[N].delta)} for N in PROFILE_STEPS]
     section = {"epsilon": rounded(epsilon), "reports": [_bound_record(r) for r in reports]}
     section["ergodicity"] = ergodicity
     if structure.regime is Regime.SINGULAR:
@@ -212,24 +207,15 @@ def bounds_section(
     return section
 
 
-def coupling_sim_section(
-    chain: DampedChain,
-    structure,
-    p: Distribution,
-    epsilon: float,
-    trials: int,
-    seed: int,
-    horizon: int,
-) -> dict:
-    P_eps = build_damped_matrix(DampedChain(chain.p0, chain.damping, epsilon))
-    pi_eps = stationary_direct(P_eps).pi
-    kernel = build_coupling_kernel(P_eps)
-    start = maximal_coupling(p, pi_eps)
+def coupling_sim_section(context: BoundContext, trials: int, seed: int, horizon: int) -> dict:
+    context.require_coupling_epsilon()
+    start = maximal_coupling(context.p, context.pi_eps)
+    # P(eps) is built densely for the kernel alone; pi(eps) is the context's.
+    kernel = build_coupling_kernel(build_damped_matrix(context.chain))
     estimate = simulate_coupling_time(kernel, start, trials, seed, horizon)
-    context = onestep_context(structure, p, epsilon, pi_eps)
     bound = [context.onestep(n) for n in range(horizon + 1)]
     return {
-        "epsilon": rounded(epsilon),
+        "epsilon": rounded(context.epsilon),
         "trials": trials,
         "seed": seed,
         "horizon": horizon,
@@ -241,17 +227,10 @@ def coupling_sim_section(
     }
 
 
-def triangular_section(
-    chain: DampedChain,
-    structure,
-    p: Distribution,
-    epsilon: float,
-    n_grid,
-    block: int,
-) -> dict:
-    sweep = triangular_sweep(structure, chain.damping, p, epsilon, n_grid, block)
+def triangular_section(context: BoundContext, n_grid) -> dict:
+    sweep = triangular_sweep(context, n_grid)
     return {
-        "epsilon": rounded(epsilon),
+        "epsilon": rounded(context.epsilon),
         "block": sweep.block,
         "rows": [
             {

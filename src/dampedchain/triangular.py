@@ -13,7 +13,8 @@ two coincide and the mixture is constant in t.
 ``triangular_bound`` gives a fully explicit finite-(eps, n) bound on the
 distance between the n-step law and the mixture at t, and
 ``triangular_sweep`` produces trajectory-versus-mixture tables along a grid
-of n for a fixed eps.
+of n for the epsilon, start and block of a :class:`BoundContext`, which a
+command shares with its other sections.
 """
 
 import math
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DampedChain, DampingVector, Distribution
+from .core import DampingVector, Distribution
 from .bounds import BoundContext, bound_context
 from .errors import RegimeError, ValidationError
 from .stationary import limit_stationary
@@ -81,17 +82,9 @@ def triangular_bound(
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValidationError("the bound requires epsilon in (0, 1]")
-    return _context(structure, d, p, epsilon, block).joint_limit(n, t)
-
-
-def _context(
-    structure: ChainStructure, d: DampingVector, p: Distribution, epsilon: float, block: int
-) -> BoundContext:
-    if structure.regime is Regime.UNSUPPORTED:
-        raise RegimeError("triangular bounds require a regular or singular chain")
     context = bound_context(structure, d, p, epsilon, block)
-    context.require_contraction()
-    return context
+    sweep_grid(context, [n])
+    return context.joint_limit(n, t)
 
 
 def steps_for(t: float, epsilon: float) -> int:
@@ -134,42 +127,48 @@ class TriangularSweep:
     rows: tuple
 
 
-def triangular_sweep(
-    structure: ChainStructure,
-    d: DampingVector,
-    p: Distribution,
-    epsilon: float,
-    n_grid,
-    block: int = 2,
-) -> TriangularSweep:
-    """Trajectory-versus-mixture comparison along a grid of step counts.
+def sweep_grid(context: BoundContext, n_grid) -> list:
+    """The sorted step grid, once the joint-limit bound applies on ``context`` at every step.
 
-    For each n the sweep pairs the n-step law of the damped chain with the
-    mixture at ``t = eps * n`` and evaluates the explicit bound. Trajectories
-    are advanced incrementally, so a dense grid costs one vector-matrix
-    product per step, by the rank-one form of P(eps) (``DampedChain.vecmat``).
+    Refuses epsilon outside (0, 1], an empty grid or a negative step, an
+    unsupported chain, a bad block and a closed class that does not contract.
     """
-    if not 0.0 < epsilon <= 1.0:
+    if not 0.0 < context.epsilon <= 1.0:
         raise ValidationError("sweep requires epsilon in (0, 1]")
     grid = sorted(set(int(n) for n in n_grid))
     if not grid or grid[0] < 0:
         raise ValidationError("n grid must be non-empty with non-negative entries")
-    context = _context(structure, d, p, epsilon, block)
-    start_side = limit_stationary(structure, p).probs
-    damped_side = limit_stationary(structure, d.as_distribution()).probs
-    chain = DampedChain(structure.P0, d, epsilon)
+    if context.structure.regime is Regime.UNSUPPORTED:
+        raise RegimeError("triangular bounds require a regular or singular chain")
+    context.require_contraction()
+    return grid
+
+
+def triangular_sweep(context: BoundContext, n_grid) -> TriangularSweep:
+    """Trajectory-versus-mixture comparison along a grid of step counts.
+
+    For each n the sweep pairs the n-step law of the damped chain with the
+    mixture at ``t = eps * n`` and evaluates the explicit bound from the
+    context's constants. Trajectories are advanced incrementally, so a dense
+    grid costs one vector-matrix product per step, by the rank-one form of
+    P(eps) (``DampedChain.vecmat``).
+    """
+    grid = sweep_grid(context, n_grid)
+    structure, epsilon = context.structure, context.epsilon
+    start_side = limit_stationary(structure, context.p).probs
+    damped_side = limit_stationary(structure, context.d.as_distribution()).probs
     gap = np.abs(start_side - damped_side) / damped_side
 
     rows = []
-    v = p.probs
+    v = context.p.probs
     step = 0
     for n in grid:
         for _ in range(n - step):
-            v = chain.vecmat(v)
+            v = context.chain.vecmat(v)
         step = n
         t = epsilon * n
         limit = _mixture(start_side, damped_side, t)
         rows.append(
             SweepRow(n, t, v.copy(), limit.values, limit.weight * gap, context.joint_limit(n, t))
         )
-    return TriangularSweep(epsilon, block, tuple(rows))
+    return TriangularSweep(epsilon, context.block, tuple(rows))

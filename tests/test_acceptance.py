@@ -17,6 +17,7 @@ from dampedchain import (
     Distribution,
     GeometricDecay,
     Regime,
+    bound_context,
     build_coupling_kernel,
     build_damped_matrix,
     coupling_bound,
@@ -148,7 +149,7 @@ def test_criterion_8_triangular_sweep_profile(eight_node):
     P, d = eight_node
     structure = decompose(P)
     p = Distribution.point_mass(8, 0)
-    sweep = triangular_sweep(structure, d, p, 0.1, range(0, 31), block=2)
+    sweep = triangular_sweep(bound_context(structure, d, p, 0.1, 2), range(0, 31))
     by_n = {row.n: row for row in sweep.rows}
     assert 0.30 <= by_n[10].rel_error[0] <= 0.45
     assert 0.02 <= by_n[30].rel_error[0] <= 0.07

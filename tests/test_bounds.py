@@ -11,6 +11,7 @@ from dampedchain import (
     DampingVector,
     Distribution,
     GeometricDecay,
+    Regime,
     RegimeError,
     StochasticMatrix,
     bound_context,
@@ -254,7 +255,9 @@ class TestStationaryGapBound:
         else:
             P, d = request.getfixturevalue(chain_name)
         # The profile walks P0 to N = 12 before the decay resumes the walk.
-        context = bound_context(decompose(P), d, d.as_distribution(), 0.1, 3, steps=PROFILE_STEPS)
+        context = bound_context(decompose(P), d, d.as_distribution(), 0.1, 3)
+        for N in PROFILE_STEPS:
+            context.ergodicity(N)
         assert context.split_decay() == estimate_decay(P)
 
     def test_estimate_decay_rejects_periodic(self):
@@ -388,8 +391,8 @@ class TestOneContextPerCommand:
 
         P, d = five_node
         scans = count_calls(monkeypatch, "min_row_overlap")
-        chain = DampedChain(P, d, 0.15)
-        bounds_section(chain, decompose(P), Distribution.uniform(5), 0.15, block, ["1", "5", "6"], 30)
+        context = bound_context(decompose(P), d, Distribution.uniform(5), 0.15, block)
+        bounds_section(context, ["1", "5", "6"], 30)
         # Delta_1..Delta_12 and the block: family 5 reuses Delta_1's raw overlap.
         assert len(scans) <= 13
 
@@ -399,9 +402,8 @@ class TestOneContextPerCommand:
         P, d = eight_node
         structure = decompose(P)
         scans = count_calls(monkeypatch, "min_row_overlap")
-        chain = DampedChain(P, d, 0.15)
         families = ["2", "5", "6", "7"]
-        bounds_section(chain, structure, Distribution.uniform(8), 0.15, 2, families, 30)
+        bounds_section(bound_context(structure, d, Distribution.uniform(8), 0.15, 2), families, 30)
         # Delta_N of the whole matrix is 1 by structure; each class is scanned at the block.
         assert len(scans) == len(structure.classes)
 
@@ -410,9 +412,9 @@ class TestOneContextPerCommand:
 
         P, d = eight_node
         solves = count_calls(monkeypatch, "stationary_direct")
-        chain = DampedChain(P, d, 0.15)
         families = ["2", "5", "6", "7"]
-        bounds_section(chain, decompose(P), Distribution.uniform(8), 0.15, 2, families, 30)
+        context = bound_context(decompose(P), d, Distribution.uniform(8), 0.15, 2)
+        bounds_section(context, families, 30)
         # pi(eps) once and each of the two class laws once; family 2 reuses them.
         assert len(solves) == 3
 
@@ -428,15 +430,15 @@ class TestOneWalkPerClass:
         P, d = eight_node
         structure = decompose(P)
         restricts = count_calls(monkeypatch, "restrict")
-        chain = DampedChain(P, d, 0.15)
-        bounds_section(chain, structure, Distribution.uniform(8), 0.15, 2, self.FAMILIES, 30)
+        context = bound_context(structure, d, Distribution.uniform(8), 0.15, 2)
+        bounds_section(context, self.FAMILIES, 30)
         assert len(restricts) == len(structure.classes)
 
     def test_sweep_restricts_each_class_once(self, eight_node, monkeypatch):
         P, d = eight_node
         structure = decompose(P)
         restricts = count_calls(monkeypatch, "restrict")
-        triangular_sweep(structure, d, Distribution.uniform(8), 0.1, range(31), 2)
+        triangular_sweep(bound_context(structure, d, Distribution.uniform(8), 0.1, 2), range(31))
         assert len(restricts) == len(structure.classes)
 
     def test_regular_chain_is_never_restricted(self, five_node, monkeypatch):
@@ -446,9 +448,9 @@ class TestOneWalkPerClass:
         structure = decompose(P)
         restricts = count_calls(monkeypatch, "restrict")
         expansion(structure, d, n_max=3)
-        chain = DampedChain(P, d, 0.15)
-        bounds_section(chain, structure, Distribution.uniform(5), 0.15, 2, ["1", "5", "6"], 30)
-        triangular_sweep(structure, d, Distribution.uniform(5), 0.1, range(31), 2)
+        context = bound_context(structure, d, Distribution.uniform(5), 0.15, 2)
+        bounds_section(context, ["1", "5", "6"], 30)
+        triangular_sweep(bound_context(structure, d, Distribution.uniform(5), 0.1, 2), range(31))
         assert restricts == []
 
     def test_report_restricts_and_solves_each_class_once(self, monkeypatch):
@@ -469,9 +471,9 @@ class TestOneWalkPerClass:
         P, d = eight_node
         decays = count_calls(monkeypatch, "estimate_decay")
         spectra = count_calls(monkeypatch, "spectrum")
-        chain = DampedChain(P, d, 0.15)
+        context = bound_context(decompose(P), d, Distribution.uniform(8), 0.15, 1)
         with pytest.raises(ContractionError, match="to N = 2, the smallest"):
-            bounds_section(chain, decompose(P), Distribution.uniform(8), 0.15, 1, self.FAMILIES, 30)
+            bounds_section(context, self.FAMILIES, 30)
         assert decays == [] and spectra == []
 
     @pytest.mark.parametrize(
@@ -486,8 +488,8 @@ class TestOneWalkPerClass:
         structure = decompose(P)
         plain = [M.entries for M in structure.matrices]
         logs = [log_products(M) for M in structure.matrices]
-        chain = DampedChain(P, d, 0.15)
-        bounds_section(chain, structure, Distribution.uniform(P.dim), 0.15, 2, families, 30)
+        context = bound_context(structure, d, Distribution.uniform(P.dim), 0.15, 2)
+        bounds_section(context, families, 30)
         for entries, law, products in zip(plain, structure.laws, logs):
             # M^2, M^3, ... in order, each once: the profile, the block and the
             # decay of family 1 or 2 share one walk.
@@ -499,6 +501,47 @@ class TestOneWalkPerClass:
             deviations = [np.max(np.abs(A - law.probs)) for A in products]
             assert len(products) >= PROFILE_STEPS[-1]
             assert deviations[-1] <= DECAY_NOISE_FLOOR < deviations[-2]
+
+    @pytest.mark.parametrize(
+        "name, block", [("five_node", "2"), ("five_node", "3"), ("eight_node", "2")]
+    )
+    def test_report_forms_each_class_power_once(self, name, block, monkeypatch):
+        from dampedchain import cli
+
+        structures, plain, logs = [], [], []
+
+        def logged_decompose(matrix):
+            structure = decompose(matrix)
+            plain.extend(M.entries for M in structure.matrices)
+            logs.extend(log_products(M) for M in structure.matrices)
+            structures.append(structure)
+            return structure
+
+        monkeypatch.setattr(cli, "decompose", logged_decompose)
+        scans = count_calls(monkeypatch, "min_row_overlap")
+        solves = count_calls(monkeypatch, "stationary_direct")
+        path = str(Path(__file__).parent / "data" / f"{name}_edges.txt")
+        argv = ["report", "--input", path, "--epsilon", "0.1", "--seed", "7", "--trials", "200",
+                "--coupling-N", block]
+        cli.run_command("report", cli.make_parser().parse_args(argv))
+        (structure,) = structures
+        for entries, law, products in zip(plain, structure.laws, logs):
+            # M^2, M^3, ... in order, each once, across the bounds, coupling-sim
+            # and triangular sections: one walk serves the profile, the block
+            # and the decay of family 1 or 2.
+            power = entries
+            for product in products:
+                power = naive_matmul(power, entries)
+                np.testing.assert_allclose(product, power, rtol=0, atol=1e-13)
+            deviations = [np.max(np.abs(A - law.probs)) for A in products]
+            assert len(products) >= PROFILE_STEPS[-1]
+            assert deviations[-1] <= DECAY_NOISE_FLOOR < deviations[-2]
+        # P0 is scanned at N = 1 once on the regular chain, and never on the
+        # singular one, whose whole-matrix Delta_N is 1 by structure.
+        regular = structure.regime is Regime.REGULAR
+        assert sum(args[0] is structure.P0.entries for args in scans) == int(regular)
+        # One solve for the stationary section's epsilon, one per class, one for the context.
+        assert len(solves) == 1 + structure.class_count + 1
 
     @pytest.mark.parametrize("name, classes", [("five_node", 1), ("eight_node", 2)])
     def test_report_eigen_solves_each_class_once(self, name, classes, monkeypatch):
@@ -534,9 +577,9 @@ class TestOneWalkPerClass:
 
         P, d = eight_node
         scans = count_calls(monkeypatch, "min_row_overlap")
-        chain = DampedChain(P, d, 0.15)
+        context = bound_context(decompose(P), d, Distribution.uniform(8), 0.15, 1)
         with pytest.raises(ContractionError, match="to N = 2, the smallest"):
-            bounds_section(chain, decompose(P), Distribution.uniform(8), 0.15, 1, ["7"], 30)
+            bounds_section(context, ["7"], 30)
         # Both classes at the block, then both again at N = 2.
         assert [args[0].shape for args in scans] == [(4, 4)] * 4
 
@@ -546,9 +589,10 @@ class TestOneWalkPerClass:
         entries[0] = [0.5, 0.5, 0.0, 0.0]
         P = StochasticMatrix(entries)
         d = DampingVector(np.full(4, 0.25))
+        context = bound_context(decompose(P), d, Distribution.uniform(4), 0.1, 2)
         scans = count_calls(monkeypatch, "min_row_overlap")
         with pytest.raises(ContractionError) as info:
-            triangular_sweep(decompose(P), d, Distribution.uniform(4), 0.1, range(5), 2)
+            triangular_sweep(context, range(5))
         assert str(info.value) == (
             "Delta_2 = 1; increase the block length to N = 3, the smallest with Delta_N < 1"
         )
@@ -564,10 +608,9 @@ class TestOneWalkPerClass:
         for N in PROFILE_STEPS:
             power = naive_matmul(power, Q.entries)
             context = bound_context(
-                structure, DampingVector(d.weights[perm]), Distribution.uniform(8), 0.1, N,
-                steps=PROFILE_STEPS,
+                structure, DampingVector(d.weights[perm]), Distribution.uniform(8), 0.1, N
             )
-            assert context.profile[N] == ErgodicityReport.from_overlap(N, naive_min_overlap(power))
+            assert context.ergodicity(N) == ErgodicityReport.from_overlap(N, naive_min_overlap(power))
             for cls, report in zip(structure.classes, context.class_reports):
                 block = power[np.ix_(cls.states, cls.states)]
                 expected = ErgodicityReport.from_overlap(N, naive_min_overlap(block))

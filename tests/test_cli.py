@@ -8,10 +8,12 @@ import pytest
 
 from conftest import count_calls, naive_matmul, naive_min_overlap
 from dampedchain import (
+    ContractionError,
     DampedChain,
     DampingVector,
     Distribution,
     RegimeError,
+    ValidationError,
     ingest,
     stationary_direct,
 )
@@ -439,3 +441,73 @@ def test_unsupported_chain_is_refused_before_any_eigen_solve(monkeypatch, comman
     with pytest.raises(RegimeError, match="expansion requires a regular or singular chain"):
         _run([command, "--input", TRANSIENT, "--seed", "7", "--trials", "50"])
     assert spectra == []
+
+
+def _web_edges(tmp_path, m: int) -> str:
+    """The benchmark's web graph ``web_edges(random.Random(5), m)``, written to a file."""
+    import importlib.util
+    import random
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path = tmp_path / f"web{m}.txt"
+    path.write_text("\n".join(workloads.web_edges(random.Random(5), m)) + "\n")
+    return str(path)
+
+
+def test_report_refuses_contraction_before_any_section_computes(monkeypatch, tmp_path):
+    # Delta_1 = Delta_2 = 1 on this chain, so the default block 2 cannot contract.
+    web = _web_edges(tmp_path, 600)
+    spectra = count_calls(monkeypatch, "spectrum")
+    sums = count_calls(monkeypatch, "series_sums")
+    simulations = count_calls(monkeypatch, "simulate_coupling_time")
+    with pytest.raises(ContractionError) as info:
+        _run(["report", "--input", web, "--epsilon", "0.1", "--seed", "7", "--trials", "200"])
+    assert str(info.value) == (
+        "Delta_2 = 1; increase the block length to N = 3, the smallest with Delta_N < 1"
+    )
+    assert spectra == [] and sums == [] and simulations == []
+
+
+@pytest.mark.parametrize("path", [FIVE, EIGHT], ids=["regular", "singular"])
+def test_coupling_sim_refuses_epsilon_zero_before_simulating(monkeypatch, path):
+    simulations = count_calls(monkeypatch, "simulate_coupling_time")
+    solves = count_calls(monkeypatch, "stationary_direct")
+    with pytest.raises(ValidationError, match=r"coupling bounds require epsilon in \(0, 1\]"):
+        _run(["coupling-sim", "--input", path, "--epsilon", "0", "--seed", "3", "--trials", "50"])
+    assert simulations == [] and solves == []
+
+
+class TestInitialFile:
+    ARGS = ("--input", FIVE, "--epsilon", "0.1", "--seed", "7", "--trials", "200")
+
+    def test_zero_weights_give_the_point_mass_report(self, capsys, tmp_path):
+        weights = tmp_path / "initial.txt"
+        weights.write_text("1 0 0 0 0\n")
+        from_file = run_cli(capsys, "report", *self.ARGS, "--initial", str(weights))
+        point = run_cli(capsys, "report", *self.ARGS, "--initial", "point:1")
+        assert from_file[0] == 0
+        assert from_file == point
+        assert run_cli(capsys, "structure", "--input", FIVE, "--initial", str(weights))[0] == 0
+
+    def test_bad_file_is_named_as_the_initial_distribution(self, capsys, tmp_path):
+        weights = tmp_path / "initial.txt"
+        weights.write_text("1.5 -0.5 0 0 0\n")
+        code, out = run_cli(capsys, "structure", "--input", FIVE, "--initial", str(weights))
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "IngestError",
+            "message": "--initial failed validation: distribution entries must lie in [0, 1]",
+        }
+
+    def test_damping_file_still_needs_positive_weights(self, capsys, tmp_path):
+        weights = tmp_path / "damping.txt"
+        weights.write_text("1 0 0 0 0\n")
+        code, out = run_cli(capsys, "structure", "--input", FIVE, "--damping", str(weights))
+        assert code == 1
+        assert json.loads(out)["error"]["message"] == (
+            "damping failed validation: damping weights must be strictly positive"
+        )

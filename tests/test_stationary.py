@@ -232,7 +232,7 @@ class TestStationarySection:
 
     def test_no_damped_matrix_and_one_walk_of_max_length(self, monkeypatch):
         P0, _ = chains.random_web_chain(np.random.default_rng(7), 300)
-        chain = DampedChain(P0, seeded_damping(300), EPS_GRID[0])
+        d = seeded_damping(300)
         builds = count_calls(monkeypatch, "build_damped_matrix")
         products = []
         vecmat = StochasticMatrix.vecmat
@@ -249,7 +249,7 @@ class TestStationarySection:
             return result
 
         monkeypatch.setattr(report, "series_sums", spy)
-        report.stationary_section(chain, decompose(P0), EPS_GRID, 1e-10)
+        report.stationary_section(decompose(P0), d, EPS_GRID, 1e-10)
         assert builds == []
         assert walks == [max(reference_series_length(eps, 1e-12) for eps in EPS_GRID)]
 
@@ -257,7 +257,7 @@ class TestStationarySection:
     def test_counts_and_laws_match_dense_reference(self, m):
         P0, _ = chains.random_web_chain(np.random.default_rng(m), m)
         d = seeded_damping(m)
-        section = report.stationary_section(DampedChain(P0, d, EPS_GRID[0]), decompose(P0), EPS_GRID, 1e-10)
+        section = report.stationary_section(decompose(P0), d, EPS_GRID, 1e-10)
         for eps, entry in zip(EPS_GRID, section["by_epsilon"]):
             iterations, law = reference_power(build_damped_matrix(DampedChain(P0, d, eps)).entries, 1e-12)
             assert entry["power"]["iterations_or_terms"] == iterations
