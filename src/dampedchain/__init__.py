@@ -6,6 +6,10 @@ distributions (three independent solvers plus the eps -> 0 limits),
 power-series expansions of the stationary law in eps, explicit
 coupling-based convergence-rate bounds with a Monte Carlo meeting time
 simulator, and joint limits where eps -> 0 while the step count grows.
+
+``__all__`` names the public API: the paper's quantities, their result
+types, the errors, and the input layer the command line reads with.
+Everything else is reached through its submodule.
 """
 
 __version__ = "0.1.0"
@@ -16,8 +20,6 @@ from .core import (
     Distribution,
     StochasticMatrix,
     build_damped_matrix,
-    matrix_power,
-    propagate,
     tv_distance,
 )
 from .errors import (
@@ -39,7 +41,6 @@ from .structure import (
     decompose,
     restrict,
     restrict_damping,
-    restrict_distribution,
 )
 from .stationary import (
     Method,
@@ -49,14 +50,7 @@ from .stationary import (
     stationary_power,
     stationary_series,
 )
-from .expansion import (
-    ExpansionSeries,
-    SpectralCoefficients,
-    Spectrum,
-    evaluate_expansion,
-    expansion,
-    spectrum,
-)
+from .expansion import ExpansionSeries, Spectrum, expansion, spectrum
 from .coupling import (
     CouplingJoint,
     CouplingKernel,
@@ -68,14 +62,12 @@ from .coupling import (
 )
 from .bounds import (
     BoundContext,
-    BoundReport,
     ErgodicityReport,
     GeometricDecay,
     bound_context,
     coupling_bound,
     coupling_bound_multistep,
     ergodicity_coefficient,
-    estimate_decay,
     min_row_overlap,
     split_bound_context,
     stationary_gap_bound,
@@ -84,19 +76,33 @@ from .triangular import (
     SweepRow,
     TriangularLimit,
     TriangularSweep,
-    steps_for,
-    triangular_bound,
     triangular_limit,
     triangular_sweep,
 )
-from .io import (
-    DanglingPolicy,
-    GraphFormat,
-    GraphInput,
-    emit_matrix_json,
-    ingest,
-    load_damping,
-    read_graph,
-)
+from .io import DanglingPolicy, GraphFormat, ingest, load_damping
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # The chain and its structure.
+    "StochasticMatrix", "DampingVector", "Distribution", "DampedChain", "build_damped_matrix",
+    "tv_distance", "Regime", "ClosedClass", "ChainStructure", "decompose", "class_mass",
+    "restrict", "restrict_damping",
+    # Stationary laws of P(eps) and their eps -> 0 limit.
+    "Method", "StationarySolution", "stationary_direct", "stationary_power", "stationary_series",
+    "limit_stationary",
+    # The expansion in eps and the spectrum.
+    "ExpansionSeries", "expansion", "Spectrum", "spectrum",
+    # Couplings and the meeting-time simulator.
+    "overlap", "CouplingJoint", "maximal_coupling", "CouplingKernel", "build_coupling_kernel",
+    "CouplingTailEstimate", "simulate_coupling_time",
+    # The bound families.
+    "BoundContext", "bound_context", "ErgodicityReport", "min_row_overlap",
+    "ergodicity_coefficient", "GeometricDecay", "stationary_gap_bound", "coupling_bound",
+    "coupling_bound_multistep", "split_bound_context",
+    # Joint limits.
+    "TriangularLimit", "triangular_limit", "SweepRow", "TriangularSweep", "triangular_sweep",
+    # Errors.
+    "ChainError", "ValidationError", "DimensionMismatchError", "RegimeError", "ConvergenceError",
+    "SingularSystemError", "SpectralStructureError", "ContractionError", "IngestError",
+    # Input.
+    "GraphFormat", "DanglingPolicy", "ingest", "load_damping",
+]

@@ -49,16 +49,16 @@ The convention ``x^0 = 1`` applies throughout, including when x = 0.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import DampedChain, DampingVector, Distribution, StochasticMatrix
+from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, require_epsilon
 from .coupling import overlap
 from .errors import ContractionError, RegimeError, ValidationError
 from .expansion import Spectrum, spectrum
-from .stationary import stationary_direct
+from .stationary import DEFAULT_SOLVER_TOL, StationarySolution, stationary_direct
 from .structure import ChainStructure, Regime, class_mass
 
 DEFAULT_DECAY_HORIZON = 200
@@ -324,8 +324,7 @@ def stationary_gap_bound(
     constants and the d-limit as reference it is the singular variant
     (family 2).
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon}")
+    require_epsilon(epsilon)
     return epsilon * (np.abs(d.weights - reference.probs) + decay.tail_factor)
 
 
@@ -347,10 +346,11 @@ class BoundContext:
     :class:`PowerWalk` of ``structure.matrices[j]``.
 
     ``pi_eps`` is one in-place direct solve of ``chain``, P(eps), unless it is
-    given. The whole matrix's Delta_N is the one class's on a regular chain,
-    1 by structure on a singular chain (rows in different closed classes share
-    no support), and read from a walk of P0 of its own on an unsupported
-    chain, which has no per-class constants.
+    given or adopted from the stationary section's solve (``adopt_direct``).
+    The whole matrix's Delta_N is the one class's on a regular chain, 1 by
+    structure on a singular chain (rows in different closed classes share no
+    support), and read from a walk of P0 of its own on an unsupported chain,
+    which has no per-class constants.
     """
 
     def __init__(self, structure, d, p, epsilon, block, pi_eps=None):
@@ -366,6 +366,15 @@ class BoundContext:
     @cached_property
     def pi_eps(self) -> Distribution:
         return stationary_direct(self.chain).pi
+
+    def adopt_direct(self, solution: StationarySolution) -> None:
+        """Take ``solution``, a ``stationary_direct`` of ``chain``, as pi_eps if none is held yet.
+
+        It is taken only if its residual passes the default tolerance, so
+        ``pi_eps`` is the law, or the refusal, of the context's own solve.
+        """
+        if "pi_eps" not in self.__dict__ and solution.residual <= DEFAULT_SOLVER_TOL:
+            self.pi_eps = solution.pi
 
     @cached_property
     def start_overlap(self) -> float:
@@ -436,20 +445,30 @@ class BoundContext:
     def coupled(self) -> np.ndarray:
         return self._class_gaps(self.pi_eps.probs, self._masses[1]) + self.start_gap
 
+    @cached_property
+    def _onestep_rate(self) -> float:
+        """``(1 - Q(P0)) (1 - eps)``, once epsilon is checked."""
+        self.require_coupling_epsilon()
+        return (1.0 - self._whole_overlap(1)) * (1.0 - self.epsilon)
+
     def onestep(self, n: int) -> float:
         """Family 5: ``(1 - Q(p, pi_eps)) * ((1 - Q(P0)) (1 - eps))^n``."""
-        self.require_coupling_epsilon()
-        return (1.0 - self.start_overlap) * _pow(
-            (1.0 - self._whole_overlap(1)) * (1.0 - self.epsilon), n
-        )
+        rate = self._onestep_rate  # epsilon is checked before pi_eps is solved
+        return (1.0 - self.start_overlap) * _pow(rate, n)
+
+    @cached_property
+    def _block_report(self) -> ErgodicityReport:
+        """The whole matrix's ``Delta_block``, once the block is checked."""
+        self.require_block()
+        return self.ergodicity(self.block)
 
     def multistep(self, n: int) -> float:
         """Family 6: both geometric factors carry ``floor(n / block) * block``."""
-        self.require_block()
+        report = self._block_report
         exponent = (n // self.block) * self.block
         return (
             (1.0 - self.start_overlap)
-            * self.ergodicity(self.block).delta_pow(exponent)
+            * report.delta_pow(exponent)
             * _pow(1.0 - self.epsilon, exponent)
         )
 
@@ -489,12 +508,27 @@ class BoundContext:
         exponent = (n // self.block) * self.block
         discretization = abs((1.0 - self.epsilon) ** n - math.exp(-t))
         worst = 0.0
-        for j, (rep, law) in enumerate(zip(self.class_reports, self.structure.laws)):
-            term1 = self.start_gap[j] * rep.delta_pow(exponent)
-            term2 = self.damping_gap[j] * self.epsilon * self.block / (1.0 - rep.delta**self.block)
-            drift = self.drift_scale[j] * float(law.probs.max()) * discretization
-            worst = max(worst, term1 + term2 + drift)
+        for start_gap, rep, term2, drift_scale in self._joint_terms:
+            term1 = start_gap * rep.delta_pow(exponent)
+            worst = max(worst, term1 + term2 + drift_scale * discretization)
         return worst
+
+    @cached_property
+    def _joint_terms(self) -> tuple:
+        """Per class j, the n-free parts of :meth:`joint_limit`.
+
+        They are ``f_p[j] (1 - Q(p^j, pi0^j))``, ``Delta_j``, the whole second
+        term and ``|f_p[j] - f_d[j]| * max_k pi0^j_k``.
+        """
+        return tuple(
+            (
+                self.start_gap[j],
+                rep,
+                self.damping_gap[j] * self.epsilon * self.block / (1.0 - rep.delta**self.block),
+                self.drift_scale[j] * float(law.probs.max()),
+            )
+            for j, (rep, law) in enumerate(zip(self.class_reports, self.structure.laws))
+        )
 
     def split_decay(self) -> GeometricDecay:
         """Families 1 and 2: the worst-case :func:`estimate_decay` constants over the classes.
@@ -602,15 +636,3 @@ def split_bound_context(
     context.require_coupling_epsilon()
     context.require_contraction()
     return context
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Bound family identifier, its constants, and evaluations on an n-grid."""
-
-    family: str
-    bound_id: str
-    epsilon: float
-    constants: dict = field(default_factory=dict)
-    per_state: tuple = ()
-    by_n: tuple = ()

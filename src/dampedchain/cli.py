@@ -21,7 +21,8 @@ import json
 import sys
 
 from .bounds import PROFILE_STEPS, bound_context
-from .core import DampingVector, Distribution
+from .core import DampingVector, Distribution, require_epsilon
+from .coupling import require_simulation
 from .errors import ChainError, ValidationError
 from .expansion import require_expansion
 from .io import DanglingPolicy, GraphFormat, ingest, load_damping, load_weights
@@ -37,6 +38,7 @@ from .report import (
     structure_section,
     triangular_section,
 )
+from .stationary import require_tolerance
 from .structure import Regime, decompose
 from .triangular import sweep_grid
 
@@ -244,12 +246,20 @@ def run_command(command: str, args) -> dict:
             for N in range(1, min(args.coupling_n, PROFILE_STEPS[-1] + 1)):
                 context.ergodicity(N)
         grid = sweep_grid(context, _parse_grid(args.n_grid) if args.n_grid else range(args.horizon + 1))
+    # The sections' own argument checks, in section order, after every precondition above.
+    if runs("stationary"):
+        require_tolerance(args.tol)
+    if runs("stationary") or runs("expand"):
+        for eps in epsilons:
+            require_epsilon(eps)
+    if runs("coupling-sim"):
+        require_simulation(args.trials, args.seed, args.horizon)
 
     sections = {}
     if runs("structure"):
         sections["structure"] = structure_section(structure)
     if runs("stationary"):
-        sections["stationary"] = stationary_section(structure, damping, epsilons, args.tol)
+        sections["stationary"] = stationary_section(structure, damping, epsilons, args.tol, context)
     if runs("expand"):
         sections["spectrum"] = spectrum_section(structure)
         sections["expansion"] = expansion_section(structure, damping, args.order, epsilons)

@@ -45,6 +45,12 @@ def _as_float_array(values, name, ndim):
     return arr
 
 
+def require_epsilon(epsilon: float) -> None:
+    """Refuse a damping weight outside [0, 1]."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon}")
+
+
 def _freeze(obj, field, arr):
     arr = arr.copy()
     arr.setflags(write=False)
@@ -124,10 +130,6 @@ class DampingVector:
     def uniform(cls, dim: int) -> "DampingVector":
         return cls(np.full(dim, 1.0 / dim))
 
-    def matrix(self) -> StochasticMatrix:
-        """The rank-one damping matrix D with every row equal to the weights."""
-        return StochasticMatrix(np.tile(self.weights, (self.dim, 1)), self.row_tol)
-
     def as_distribution(self) -> "Distribution":
         return Distribution(self.weights, self.row_tol)
 
@@ -182,8 +184,7 @@ class DampedChain:
             raise DimensionMismatchError(
                 f"matrix dim {self.p0.dim} != damping dim {self.damping.dim}"
             )
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValidationError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        require_epsilon(self.epsilon)
 
     @property
     def dim(self) -> int:
@@ -227,22 +228,6 @@ def matrix_power(P: StochasticMatrix, n: int) -> StochasticMatrix:
         raise ValidationError(f"power must be non-negative, got {n}")
     result = np.linalg.matrix_power(P.entries, n)
     return StochasticMatrix(result, max(1, n) * P.row_tol)
-
-
-def propagate(p: Distribution, P: StochasticMatrix, n: int) -> Distribution:
-    """Push a distribution forward n steps: ``p @ P**n``.
-
-    Uses n vector-matrix products rather than forming P**n, which is the
-    cheaper route whenever a trajectory is consumed step by step.
-    """
-    if p.dim != P.dim:
-        raise DimensionMismatchError(f"distribution dim {p.dim} != matrix dim {P.dim}")
-    if n < 0:
-        raise ValidationError(f"step count must be non-negative, got {n}")
-    v = p.probs
-    for _ in range(n):
-        v = P.vecmat(v)
-    return Distribution(v, max(1, n) * P.row_tol)
 
 
 def tv_distance(p: Distribution, q: Distribution) -> float:

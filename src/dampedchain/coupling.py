@@ -174,6 +174,16 @@ def _move(P: np.ndarray, row_cdf: np.ndarray, i, j, words):
     return i_next, j_next
 
 
+def require_simulation(trials: int, seed: int, horizon: int) -> None:
+    """Refuse a trial count, seed or horizon that ``simulate_coupling_time`` cannot run."""
+    if trials < 1:
+        raise ValidationError("at least one trial is required")
+    if horizon < 0:
+        raise ValidationError(f"horizon must be at least 0, got {horizon}")
+    if not 0 <= seed < 1 << 128:
+        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
+
+
 def simulate_coupling_time(
     kernel: CouplingKernel,
     start_joint: CouplingJoint,
@@ -203,12 +213,7 @@ def simulate_coupling_time(
     grouped. Trials advance in lockstep, a block of ``BLOCK_ELEMENTS // m`` at
     a time, so working memory is O(block * m) whatever ``trials`` is.
     """
-    if trials < 1:
-        raise ValidationError("at least one trial is required")
-    if horizon < 0:
-        raise ValidationError(f"horizon must be at least 0, got {horizon}")
-    if not 0 <= seed < 1 << 128:
-        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
+    require_simulation(trials, seed, horizon)
     if start_joint.dim != kernel.dim:
         raise DimensionMismatchError(
             f"start joint dim {start_joint.dim} != kernel dim {kernel.dim}"

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DampingVector, Distribution, StochasticMatrix
+from .core import DampingVector, Distribution, StochasticMatrix, require_epsilon
 from .errors import (
     IllConditionedError,
     RegimeError,
@@ -103,10 +103,16 @@ class ExpansionSeries:
         return self.coeffs.shape[0]
 
     def evaluate(self, epsilon: float) -> np.ndarray:
-        return evaluate_expansion(self, epsilon)
+        """The truncated series at epsilon by Horner's rule.
 
-    def mass_defect(self, epsilon: float) -> float:
-        return float(self.evaluate(epsilon).sum() - 1.0)
+        The value is a plain vector: truncation breaks exact normalization,
+        so it need not sum to 1.
+        """
+        require_epsilon(epsilon)
+        acc = np.zeros(self.base.dim)
+        for row in self.coeffs[::-1]:
+            acc = row + epsilon * acc
+        return self.base.probs + epsilon * acc
 
 
 def spectrum(P0: StochasticMatrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
@@ -246,16 +252,3 @@ def expansion(structure: ChainStructure, d: DampingVector, n_max: int = 2) -> Ex
         coeffs[:, idx] = mass * table
     return ExpansionSeries(Distribution(base, max(structure.P0.row_tol, 1e-10)), coeffs)
 
-
-def evaluate_expansion(series: ExpansionSeries, epsilon: float) -> np.ndarray:
-    """Evaluate the truncated series at epsilon by Horner's rule.
-
-    The value is a plain vector: truncation breaks exact normalization, so it
-    need not sum to 1 (see ``ExpansionSeries.mass_defect``).
-    """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon}")
-    acc = np.zeros(series.base.dim)
-    for row in series.coeffs[::-1]:
-        acc = row + epsilon * acc
-    return series.base.probs + epsilon * acc

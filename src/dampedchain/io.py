@@ -1,4 +1,4 @@
-"""Reading link graphs and matrices, and emitting them back.
+"""Reading link graphs, matrices and weights files, and writing the matrix echo.
 
 Three input formats:
 
@@ -10,13 +10,10 @@ Three input formats:
 * matrix JSON -- ``{"matrix": [[...]], "damping": [...]}``; damping optional.
 
 Damping weights default to uniform when the input does not provide them.
-Matrix JSON emitted by :func:`emit_matrix_json` uses exact (shortest
-round-trip) float formatting, so emit -> ingest is lossless.
 """
 
 import enum
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,16 +34,6 @@ class DanglingPolicy(enum.Enum):
     UNIFORM_JUMP = "uniform-jump"
 
 
-@dataclass(frozen=True)
-class GraphInput:
-    """Parsed input prior to matrix construction."""
-
-    format: GraphFormat
-    node_count: int
-    payload: object
-    damping: np.ndarray = None
-
-
 def guess_format(path) -> GraphFormat:
     suffix = Path(path).suffix.lower()
     if suffix == ".json":
@@ -56,9 +43,22 @@ def guess_format(path) -> GraphFormat:
     return GraphFormat.EDGE_LIST
 
 
-def _parse_edge_list(text: str) -> GraphInput:
+def _validated(entries, row_tol: float) -> StochasticMatrix:
+    try:
+        return StochasticMatrix(entries, row_tol)
+    except ValueError as exc:
+        raise IngestError(f"matrix failed validation: {exc}") from exc
+
+
+def _parse_edge_list(text: str, dangling: DanglingPolicy, row_tol: float) -> StochasticMatrix:
+    """The hyperlink matrix of an edge list.
+
+    Every node's out-links get uniform weight; duplicate edges are collapsed.
+    Dangling nodes (no out-links) follow the policy: reject, add a self-loop,
+    or jump uniformly to every node.
+    """
     edges = []
-    max_node = 0
+    m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -73,82 +73,11 @@ def _parse_edge_list(text: str) -> GraphInput:
         if src < 1 or dst < 1:
             raise IngestError(f"line {lineno}: node ids are 1-based, got {src} -> {dst}")
         edges.append((src - 1, dst - 1))
-        max_node = max(max_node, src, dst)
+        m = max(m, src, dst)
     if not edges:
         raise IngestError("edge list contains no edges")
-    return GraphInput(GraphFormat.EDGE_LIST, max_node, tuple(edges))
-
-
-def _parse_matrix_csv(text: str) -> GraphInput:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            rows.append([float(x) for x in line.split(",")])
-        except ValueError:
-            raise IngestError(f"line {lineno}: could not parse CSV floats: {raw!r}")
-    if not rows:
-        raise IngestError("CSV matrix is empty")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or width != len(rows):
-        raise IngestError(f"CSV matrix must be square, got {len(rows)} rows of width {width}")
-    return GraphInput(GraphFormat.MATRIX_CSV, len(rows), np.array(rows))
-
-
-def _parse_matrix_json(text: str) -> GraphInput:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "matrix" not in doc:
-        raise IngestError("matrix JSON must be an object with a 'matrix' field")
-    matrix = np.array(doc["matrix"], dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise IngestError(f"'matrix' must be square, got shape {matrix.shape}")
-    damping = None
-    if doc.get("damping") is not None:
-        damping = np.array(doc["damping"], dtype=float)
-        if damping.shape != (matrix.shape[0],):
-            raise IngestError("'damping' length must match the matrix dimension")
-    return GraphInput(GraphFormat.MATRIX_JSON, matrix.shape[0], matrix, damping)
-
-
-def read_graph(path, fmt: GraphFormat = None) -> GraphInput:
-    """Parse a file into a :class:`GraphInput` without building the matrix."""
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"input file not found: {path}")
-    text = path.read_text()
-    fmt = fmt or guess_format(path)
-    if fmt is GraphFormat.EDGE_LIST:
-        return _parse_edge_list(text)
-    if fmt is GraphFormat.MATRIX_CSV:
-        return _parse_matrix_csv(text)
-    return _parse_matrix_json(text)
-
-
-def build_matrix(
-    graph: GraphInput,
-    dangling: DanglingPolicy = DanglingPolicy.REJECT,
-    row_tol: float = 1e-12,
-) -> StochasticMatrix:
-    """Turn parsed input into a validated stochastic matrix.
-
-    Edge lists get uniform out-link weights; duplicate edges are collapsed.
-    Dangling nodes (no out-links) follow the policy: reject, add a self-loop,
-    or jump uniformly to every node.
-    """
-    if graph.format is not GraphFormat.EDGE_LIST:
-        try:
-            return StochasticMatrix(graph.payload, row_tol)
-        except ValueError as exc:
-            raise IngestError(f"matrix failed validation: {exc}") from exc
-
-    m = graph.node_count
     out = [set() for _ in range(m)]
-    for src, dst in graph.payload:
+    for src, dst in edges:
         out[src].add(dst)
     entries = np.zeros((m, m))
     for i, targets in enumerate(out):
@@ -168,6 +97,48 @@ def build_matrix(
     return StochasticMatrix(entries, row_tol)
 
 
+def _parse_matrix_csv(text: str, row_tol: float) -> StochasticMatrix:
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            rows.append([float(x) for x in line.split(",")])
+        except ValueError:
+            raise IngestError(f"line {lineno}: could not parse CSV floats: {raw!r}")
+    if not rows:
+        raise IngestError("CSV matrix is empty")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows) or width != len(rows):
+        raise IngestError(f"CSV matrix must be square, got {len(rows)} rows of width {width}")
+    return _validated(np.array(rows), row_tol)
+
+
+def _parse_matrix_json(text: str, row_tol: float):
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or "matrix" not in doc:
+        raise IngestError("matrix JSON must be an object with a 'matrix' field")
+    matrix = np.array(doc["matrix"], dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise IngestError(f"'matrix' must be square, got shape {matrix.shape}")
+    damping = None
+    if doc.get("damping") is not None:
+        damping = np.array(doc["damping"], dtype=float)
+        if damping.shape != (matrix.shape[0],):
+            raise IngestError("'damping' length must match the matrix dimension")
+    matrix = _validated(matrix, row_tol)
+    if damping is not None:
+        try:
+            damping = DampingVector(damping, row_tol)
+        except ValueError as exc:
+            raise IngestError(f"damping failed validation: {exc}") from exc
+    return matrix, damping
+
+
 def ingest(
     path,
     fmt: GraphFormat = None,
@@ -179,15 +150,16 @@ def ingest(
     Only matrix JSON can carry damping weights; other formats return None and
     callers fall back to uniform weights.
     """
-    graph = read_graph(path, fmt)
-    matrix = build_matrix(graph, dangling, row_tol)
-    damping = None
-    if graph.damping is not None:
-        try:
-            damping = DampingVector(graph.damping, row_tol)
-        except ValueError as exc:
-            raise IngestError(f"damping failed validation: {exc}") from exc
-    return matrix, damping
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"input file not found: {path}")
+    text = path.read_text()
+    fmt = fmt or guess_format(path)
+    if fmt is GraphFormat.EDGE_LIST:
+        return _parse_edge_list(text, dangling, row_tol), None
+    if fmt is GraphFormat.MATRIX_CSV:
+        return _parse_matrix_csv(text, row_tol), None
+    return _parse_matrix_json(text, row_tol)
 
 
 def load_weights(path, dim: int, name: str, vector_type, row_tol: float = 1e-12):
@@ -259,10 +231,3 @@ def dumps_with_matrix(doc: dict, entries: np.ndarray) -> str:
     indent = len(line) - len(line.lstrip(" "))
     return "".join([head, *_matrix_pieces(entries, indent), tail])
 
-
-def emit_matrix_json(matrix: StochasticMatrix, damping: DampingVector = None) -> str:
-    """Serialize a matrix (and optional damping) losslessly to matrix JSON."""
-    doc = {"dim": matrix.dim, "matrix": MATRIX_SLOT}
-    if damping is not None:
-        doc["damping"] = [float(x) for x in damping.weights]
-    return dumps_with_matrix(doc, matrix.entries)

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .bounds import PROFILE_STEPS, BoundContext, BoundReport, stationary_gap_bound
+from .bounds import PROFILE_STEPS, BoundContext, stationary_gap_bound
 from .core import DampedChain, DampingVector, Distribution, build_damped_matrix
 from .coupling import build_coupling_kernel, maximal_coupling, simulate_coupling_time
 from .errors import RegimeError
@@ -67,7 +67,14 @@ def _solution_entry(solution) -> dict:
     }
 
 
-def stationary_section(structure, d: DampingVector, epsilons, tol: float) -> dict:
+def stationary_section(
+    structure, d: DampingVector, epsilons, tol: float, context: BoundContext = None
+) -> dict:
+    """The three solutions at each epsilon, and the limit law.
+
+    A ``context`` of the same P0 and d adopts the direct solve at its epsilon
+    as its pi(eps), so a command solves that system once.
+    """
     P0 = structure.P0
     iteration_tol = min(tol, 1e-12)
     grid = [eps for eps in epsilons if 0.0 < eps <= 1.0]
@@ -76,7 +83,10 @@ def stationary_section(structure, d: DampingVector, epsilons, tol: float) -> dic
     for eps in epsilons:
         damped = DampedChain(P0, d, eps)
         entry = {"epsilon": rounded(eps)}
-        entry["direct"] = _solution_entry(stationary_direct(damped, solver_tol=max(tol, 1e-10)))
+        direct = stationary_direct(damped, solver_tol=max(tol, 1e-10))
+        if context is not None and eps == context.epsilon:
+            context.adopt_direct(direct)
+        entry["direct"] = _solution_entry(direct)
         entry["power"] = _solution_entry(
             stationary_power(damped, Distribution.uniform(P0.dim), tol=iteration_tol)
         )
@@ -131,20 +141,6 @@ def expansion_section(structure, d: DampingVector, order: int, epsilons) -> dict
     return section
 
 
-def _bound_record(report: BoundReport) -> dict:
-    record = {
-        "family": report.family,
-        "id": report.bound_id,
-        "epsilon": rounded(report.epsilon),
-        "constants": {k: rounded(v) for k, v in report.constants.items()},
-    }
-    if report.per_state:
-        record["per_state"] = rounded_list(report.per_state)
-    if report.by_n:
-        record["by_n"] = [[n, rounded(v)] for n, v in report.by_n]
-    return record
-
-
 # Each bound family's report name, and the regime it needs with the family to use instead.
 FAMILIES = {
     "1": ("stationary-gap", Regime.REGULAR, "use family 2"),
@@ -178,26 +174,27 @@ def bounds_section(context: BoundContext, families, horizon: int) -> dict:
     # P0 that the block and the decay of family 1 go on with.
     ergodicity = [{"N": N, "delta": rounded(context.ergodicity(N).delta)} for N in PROFILE_STEPS]
     n_grid = range(horizon + 1)
-    reports = []
+    records = []
     for family in families:
-        constants, per_state, by_n = {}, (), ()
+        record = {"family": FAMILIES[family][0], "id": family, "epsilon": rounded(epsilon)}
         if family in ("1", "2"):
             # A regular chain is the one-class case of the split constants.
             decay = context.split_decay()
             reference = limit_stationary(structure, d.as_distribution())
-            constants = {"amplitude": decay.amplitude, "rate": decay.rate}
-            per_state = tuple(stationary_gap_bound(decay, d, reference, epsilon))
+            record["constants"] = {"amplitude": rounded(decay.amplitude), "rate": rounded(decay.rate)}
+            record["per_state"] = rounded_list(stationary_gap_bound(decay, d, reference, epsilon))
         elif family == "5":
-            by_n = tuple((n, context.onestep(n)) for n in n_grid)
+            record["constants"] = {}
+            record["by_n"] = [[n, rounded(context.onestep(n))] for n in n_grid]
         elif family == "6":
-            constants = {"block": block}
-            by_n = tuple((n, context.multistep(n)) for n in n_grid)
+            record["constants"] = {"block": rounded(block)}
+            record["by_n"] = [[n, rounded(context.multistep(n))] for n in n_grid]
         else:
-            constants = {"block": block, "n": horizon}
-            per_state = tuple(context.bound_vector(horizon))
-        reports.append(BoundReport(FAMILIES[family][0], family, epsilon, constants, per_state, by_n))
+            record["constants"] = {"block": rounded(block), "n": rounded(horizon)}
+            record["per_state"] = rounded_list(context.bound_vector(horizon))
+        records.append(record)
 
-    section = {"epsilon": rounded(epsilon), "reports": [_bound_record(r) for r in reports]}
+    section = {"epsilon": rounded(epsilon), "reports": records}
     section["ergodicity"] = ergodicity
     if structure.regime is Regime.SINGULAR:
         section["class_ergodicity"] = [

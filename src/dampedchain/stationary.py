@@ -67,6 +67,12 @@ class StationarySolution:
     residual: float
 
 
+def require_tolerance(tol: float) -> None:
+    """Refuse a tolerance that is not a positive number."""
+    if not tol > 0:
+        raise ValidationError("tolerance must be positive")
+
+
 def _residual(pi: np.ndarray, P) -> float:
     return float(np.max(np.abs(P.vecmat(pi) - pi)))
 
@@ -135,8 +141,7 @@ def stationary_power(
     """
     if p0.dim != P.dim:
         raise DimensionMismatchError(f"start dim {p0.dim} != matrix dim {P.dim}")
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    require_tolerance(tol)
     prev = p0.probs
     for it in range(max_iter):
         nxt = P.vecmat(prev)
@@ -153,8 +158,7 @@ def stationary_power(
 
 def series_length(epsilon: float, tol: float) -> int:
     """Smallest L with ``(1 - eps)^(L + 1) < tol`` (the rigorous tail bound)."""
-    if not tol > 0:
-        raise ValidationError("tolerance must be positive")
+    require_tolerance(tol)
     if not 0.0 < epsilon <= 1.0:
         raise ValidationError("series representation requires epsilon in (0, 1]")
     if epsilon == 1.0:

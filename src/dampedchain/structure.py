@@ -257,15 +257,3 @@ def restrict_damping(d: DampingVector, cls: ClosedClass) -> DampingVector:
     weights = d.weights[idx]
     return DampingVector(weights / weights.sum(), d.row_tol)
 
-
-def restrict_distribution(p: Distribution, cls: ClosedClass) -> Distribution:
-    """Initial distribution conditioned on one closed class.
-
-    Requires positive mass on the class; callers handle the zero-mass branch
-    themselves (the renormalized distribution is undefined there).
-    """
-    idx = list(cls.states)
-    mass = p.probs[idx].sum()
-    if mass <= 0.0:
-        raise ValidationError("distribution has no mass on the requested class")
-    return Distribution(p.probs[idx] / mass, p.row_tol)

@@ -87,20 +87,6 @@ def triangular_bound(
     return context.joint_limit(n, t)
 
 
-def steps_for(t: float, epsilon: float) -> int:
-    """Step count whose product with epsilon lands nearest to t.
-
-    The joint limit couples n to eps only through ``eps * n -> t``; this
-    picks the canonical discretization ``n = round(t / eps)``. Sweeps report
-    both n and eps*n so the rounding is always visible.
-    """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError("epsilon must lie in (0, 1]")
-    if t < 0.0 or math.isinf(t) or math.isnan(t):
-        raise ValidationError(f"finite non-negative t required, got {t}")
-    return round(t / epsilon)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One sweep entry: n, eps*n, the n-step law, the mixture, relative errors.

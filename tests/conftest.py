@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import chains
+from dampedchain import Distribution, StochasticMatrix
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +53,19 @@ def naive_vecmat(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
             s += x[i] * entries[i, j]
         out[j] = s
     return out
+
+
+def propagate(p: Distribution, P: StochasticMatrix, n: int) -> Distribution:
+    """The n-step law ``p P^n`` by n dense vector-matrix products, the oracle for trajectories."""
+    v = p.probs
+    for _ in range(n):
+        v = v @ P.entries
+    return Distribution(v, max(1, n) * P.row_tol)
+
+
+def rank_one(d) -> StochasticMatrix:
+    """The damping matrix D, every row equal to the weights of ``d``."""
+    return StochasticMatrix(np.tile(d.weights, (d.dim, 1)))
 
 
 def naive_min_overlap(entries: np.ndarray) -> float:

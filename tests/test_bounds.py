@@ -20,24 +20,24 @@ from dampedchain import (
     coupling_bound_multistep,
     decompose,
     ergodicity_coefficient,
-    estimate_decay,
     limit_stationary,
     min_row_overlap,
-    propagate,
     restrict,
     split_bound_context,
     stationary_direct,
     stationary_gap_bound,
-    triangular_bound,
     triangular_sweep,
 )
-from dampedchain.bounds import DECAY_NOISE_FLOOR, PROFILE_STEPS, ErgodicityReport
+from dampedchain.bounds import DECAY_NOISE_FLOOR, PROFILE_STEPS, ErgodicityReport, estimate_decay
 from dampedchain.expansion import expansion
+from dampedchain.triangular import triangular_bound
 from conftest import (
     count_calls,
     log_products,
     naive_matmul,
     naive_min_overlap,
+    propagate,
+    rank_one,
     slice_min_overlap,
 )
 
@@ -49,7 +49,7 @@ class TestErgodicityCoefficient:
     def test_rank_one_matrix_is_degenerate(self):
         d = DampingVector(np.array([0.4, 0.3, 0.2, 0.1]))
         for N in (1, 2, 5):
-            report = ergodicity_coefficient(d.matrix(), N)
+            report = ergodicity_coefficient(rank_one(d), N)
             assert report.delta == 0.0
             assert report.degenerate
             assert report.delta_pow(0) == 1.0
@@ -540,8 +540,9 @@ class TestOneWalkPerClass:
         # singular one, whose whole-matrix Delta_N is 1 by structure.
         regular = structure.regime is Regime.REGULAR
         assert sum(args[0] is structure.P0.entries for args in scans) == int(regular)
-        # One solve for the stationary section's epsilon, one per class, one for the context.
-        assert len(solves) == 1 + structure.class_count + 1
+        # One solve for the stationary section's epsilon, which the context
+        # adopts as pi(eps), and one per class.
+        assert len(solves) == 1 + structure.class_count
 
     @pytest.mark.parametrize("name, classes", [("five_node", 1), ("eight_node", 2)])
     def test_report_eigen_solves_each_class_once(self, name, classes, monkeypatch):

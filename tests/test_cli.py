@@ -481,6 +481,37 @@ def test_coupling_sim_refuses_epsilon_zero_before_simulating(monkeypatch, path):
     assert simulations == [] and solves == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("stationary", "--epsilon-grid", "0.02,0.05,0.1,2"), "epsilon must lie in [0, 1], got 2.0"),
+        (("stationary", "--epsilon-grid", "0.1,nan"), "epsilon must lie in [0, 1], got nan"),
+        (("expand", "--order", "4", "--epsilon-grid", "0.05,1.5"), "epsilon must lie in [0, 1], got 1.5"),
+        (("report", "--seed", "1", "--epsilon-grid", "0.1,-0.2"), "epsilon must lie in [0, 1], got -0.2"),
+        (("report", "--seed", "1", "--trials", "0"), "at least one trial is required"),
+        (("report", "--seed", str(1 << 128)), f"seed must lie in [0, 2**128), got {1 << 128}"),
+        (("coupling-sim", "--seed", "1", "--trials", "0"), "at least one trial is required"),
+        (("coupling-sim", "--seed", "-1"), "seed must lie in [0, 2**128), got -1"),
+    ],
+)
+def test_bad_arguments_are_refused_before_any_solve(monkeypatch, argv, message):
+    # With block 1 the five-node chain contracts at once, so the checks of the
+    # bounds and triangular sections need no class law either.
+    solves = count_calls(monkeypatch, "stationary_direct")
+    spectra = count_calls(monkeypatch, "spectrum")
+    with pytest.raises(ValidationError) as info:
+        _run([*argv, "--input", FIVE, "--coupling-N", "1"])
+    assert str(info.value) == message
+    assert solves == [] and spectra == []
+
+
+def test_bad_tolerance_is_refused_before_a_bad_later_epsilon(monkeypatch):
+    solves = count_calls(monkeypatch, "stationary_direct")
+    with pytest.raises(ValidationError, match="tolerance must be positive"):
+        _run(["stationary", "--input", FIVE, "--epsilon-grid", "0.1,2", "--tol", "nan"])
+    assert solves == []
+
+
 class TestInitialFile:
     ARGS = ("--input", FIVE, "--epsilon", "0.1", "--seed", "7", "--trials", "200")
 

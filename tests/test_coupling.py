@@ -12,12 +12,12 @@ from dampedchain import (
     ValidationError,
     build_coupling_kernel,
     build_damped_matrix,
-    matrix_power,
     maximal_coupling,
     simulate_coupling_time,
     stationary_direct,
 )
 from dampedchain import coupling
+from dampedchain.core import matrix_power
 
 
 def _dist(values):

@@ -20,6 +20,8 @@ from dampedchain import (
 )
 from dampedchain.errors import IllConditionedError
 from dampedchain.expansion import cluster_eigenvalues, spectral_coefficients
+from dampedchain.report import expansion_section, rounded
+from conftest import rank_one
 
 
 class TestSpectrum:
@@ -138,7 +140,7 @@ class TestSpectralCoefficients:
 
     def test_rank_one_matrix_has_constant_trajectory(self):
         d = DampingVector(np.array([0.1, 0.2, 0.3, 0.4]))
-        D = d.matrix()
+        D = rank_one(d)
         sc = spectral_coefficients(D, d, spectrum(D))
         np.testing.assert_allclose(np.abs(sc.coeffs), 0.0, atol=1e-12)
         np.testing.assert_allclose(sc.constant, d.weights, atol=1e-12)
@@ -283,9 +285,10 @@ class TestEvaluate:
 
     def test_mass_defect_is_reported(self, four_node):
         P, d = four_node
-        series = expansion(decompose(P), d, n_max=2)
-        defect = series.mass_defect(0.3)
-        assert defect == pytest.approx(series.evaluate(0.3).sum() - 1.0, abs=1e-16)
+        structure = decompose(P)
+        series = expansion(structure, d, n_max=2)
+        (evaluation,) = expansion_section(structure, d, 2, [0.3])["evaluations"]
+        assert evaluation["mass_defect"] == rounded(series.evaluate(0.3).sum() - 1.0)
 
 
 @pytest.mark.parametrize(

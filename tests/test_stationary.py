@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import chains
-from conftest import count_calls
+from conftest import count_calls, rank_one
 from dampedchain import (
     ConvergenceError,
     DampedChain,
@@ -46,7 +46,7 @@ class TestDirect:
 
     def test_rank_one_matrix_returns_damping(self):
         d = DampingVector(np.array([0.1, 0.2, 0.3, 0.4]))
-        sol = stationary_direct(d.matrix())
+        sol = stationary_direct(rank_one(d))
         np.testing.assert_allclose(sol.pi.probs, d.weights, atol=1e-12)
 
     def test_split_chain_at_zero_damping_is_rejected(self, eight_node):

@@ -11,7 +11,6 @@ from dampedchain import (
     decompose,
     restrict,
     restrict_damping,
-    restrict_distribution,
 )
 
 
@@ -123,13 +122,6 @@ class TestRestrict:
         s = decompose(P)
         sub = restrict_damping(d, s.classes[0])
         np.testing.assert_allclose(sub.weights, [0.25, 0.25, 0.25, 0.25], atol=1e-15)
-
-    def test_distribution_restriction_requires_mass(self, eight_node):
-        P, _ = eight_node
-        s = decompose(P)
-        p = Distribution.point_mass(8, 0)
-        with pytest.raises(ValidationError):
-            restrict_distribution(p, s.classes[1])
 
 
 def test_restricted_classes_are_regular(eight_node):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import chains
-from conftest import count_calls
+from conftest import count_calls, propagate
 from dampedchain import (
     ContractionError,
     DampedChain,
@@ -15,11 +15,10 @@ from dampedchain import (
     build_damped_matrix,
     decompose,
     limit_stationary,
-    propagate,
-    triangular_bound,
     triangular_limit,
     triangular_sweep,
 )
+from dampedchain.triangular import triangular_bound
 
 POINT_AT_FIRST = Distribution.point_mass(8, 0)
 
@@ -235,15 +234,12 @@ class TestSweep:
         assert len(limits) == 2
 
     def test_diagonal_refinement_shrinks_deviation(self, eight_node):
-        from dampedchain import steps_for
-
         P, d = eight_node
         s = decompose(P)
         t = 1.0
         devs = []
         for eps in (0.1, 0.05, 0.025):
-            n = steps_for(t, eps)
-            assert n == round(t / eps)
+            n = round(t / eps)
             P_eps = build_damped_matrix(DampedChain(P, d, eps))
             law = propagate(POINT_AT_FIRST, P_eps, n).probs
             mixture = triangular_limit(s, d, POINT_AT_FIRST, t).values
