@@ -266,11 +266,11 @@ class PowerWalk:
             self.overlaps[N] = min_row_overlap(walk.power)
         return self.overlaps[N]
 
-    def decay(self, rate: float, horizon: int) -> GeometricDecay:
+    def decay(self, rate: float) -> GeometricDecay:
         """The constants of :func:`estimate_decay` for this walk's matrix and law at ``rate``."""
         amplitude = 0.0
         scale = 1.0
-        for N in range(1, horizon + 1):
+        for N in range(1, DEFAULT_DECAY_HORIZON + 1):
             dev = self.deviation(N)
             if dev <= DECAY_NOISE_FLOOR:
                 break
@@ -291,24 +291,20 @@ def _decay_rate(spec: Spectrum) -> float:
     return rate
 
 
-def estimate_decay(
-    P0: StochasticMatrix,
-    pi0: Distribution = None,
-    horizon: int = DEFAULT_DECAY_HORIZON,
-) -> GeometricDecay:
+def estimate_decay(P0: StochasticMatrix) -> GeometricDecay:
     """Empirical decay constants for a single-class aperiodic matrix.
 
     The rate is the second-largest eigenvalue modulus; the amplitude is the
     largest observed ratio ``max_ij |P^n[i,j] - pi_j| / rate**n`` over
-    n <= horizon. The scan stops once deviations sink below the float noise
-    floor, where the ratio would measure rounding error rather than decay.
+    n <= ``DEFAULT_DECAY_HORIZON``. The scan stops once deviations sink below
+    the float noise floor, where the ratio would measure rounding error
+    rather than decay.
     This is the one-off form of the walk that ``BoundContext.split_decay``
     continues.
     """
     rate = _decay_rate(spectrum(P0))
-    if pi0 is None:
-        pi0 = stationary_direct(P0).pi
-    return PowerWalk(P0, lambda: pi0).decay(rate, horizon)
+    pi0 = stationary_direct(P0).pi
+    return PowerWalk(P0, lambda: pi0).decay(rate)
 
 
 def stationary_gap_bound(
@@ -538,7 +534,7 @@ class BoundContext:
         where the context left it, to the decay horizon or the noise floor.
         """
         per_class = [
-            walk.decay(_decay_rate(spec), DEFAULT_DECAY_HORIZON)
+            walk.decay(_decay_rate(spec))
             for walk, spec in zip(self.walks, self.structure.spectra)
         ]
         return GeometricDecay(max(d.amplitude for d in per_class), max(d.rate for d in per_class))

@@ -31,6 +31,7 @@ from .report import (
     build_report,
     check_bounds,
     coupling_sim_section,
+    default_families,
     expansion_section,
     serialize,
     spectrum_section,
@@ -39,7 +40,7 @@ from .report import (
     triangular_section,
 )
 from .stationary import require_tolerance
-from .structure import Regime, decompose
+from .structure import decompose
 from .triangular import sweep_grid
 
 DEFAULT_EPSILON = 0.15
@@ -228,9 +229,10 @@ def run_command(command: str, args) -> dict:
 
     families = None
     if runs("bounds"):
-        # Without --theorem: the coupling bounds need no structural conditions.
-        default = {Regime.REGULAR: "1,5,6", Regime.SINGULAR: "2,5,6,7"}.get(structure.regime, "5,6")
-        families = [x.strip() for x in (args.theorem or default).split(",")]
+        if args.theorem:
+            families = [x.strip() for x in args.theorem.split(",")]
+        else:
+            families = default_families(structure.regime)
     if runs("expand"):
         require_expansion(structure, args.order)
     if families is not None:
@@ -246,12 +248,11 @@ def run_command(command: str, args) -> dict:
             for N in range(1, min(args.coupling_n, PROFILE_STEPS[-1] + 1)):
                 context.ergodicity(N)
         grid = sweep_grid(context, _parse_grid(args.n_grid) if args.n_grid else range(args.horizon + 1))
-    # The sections' own argument checks, in section order, after every precondition above.
+    # Argument checks, after every precondition above; every command checks each grid epsilon.
     if runs("stationary"):
         require_tolerance(args.tol)
-    if runs("stationary") or runs("expand"):
-        for eps in epsilons:
-            require_epsilon(eps)
+    for eps in epsilons:
+        require_epsilon(eps)
     if runs("coupling-sim"):
         require_simulation(args.trials, args.seed, args.horizon)
 
@@ -259,7 +260,7 @@ def run_command(command: str, args) -> dict:
     if runs("structure"):
         sections["structure"] = structure_section(structure)
     if runs("stationary"):
-        sections["stationary"] = stationary_section(structure, damping, epsilons, args.tol, context)
+        sections["stationary"] = stationary_section(context, epsilons, args.tol)
     if runs("expand"):
         sections["spectrum"] = spectrum_section(structure)
         sections["expansion"] = expansion_section(structure, damping, args.order, epsilons)

@@ -49,14 +49,13 @@ class Spectrum:
     """All eigenvalues sorted by descending modulus, plus distinct representatives.
 
     ``distinct`` holds (representative, multiplicity) pairs after merging
-    eigenvalues that agree within ``cluster_tol``; the representative is the
-    cluster mean. The leading representative must be 1 within 1e-8 for any
-    row-stochastic input.
+    eigenvalues that agree within ``DEFAULT_CLUSTER_TOL``; the representative
+    is the cluster mean. The leading representative must be 1 within 1e-8 for
+    any row-stochastic input.
     """
 
     eigenvalues: tuple
     distinct: tuple
-    cluster_tol: float
 
     @property
     def second_modulus(self) -> float:
@@ -115,7 +114,7 @@ class ExpansionSeries:
         return self.base.probs + epsilon * acc
 
 
-def spectrum(P0: StochasticMatrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
+def spectrum(P0: StochasticMatrix) -> Spectrum:
     """All eigenvalues of P0, sorted and merged into distinct representatives.
 
     Dense nonsymmetric solve (Hessenberg + shifted QR via LAPACK). Sorting is
@@ -123,7 +122,7 @@ def spectrum(P0: StochasticMatrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> 
     clustering is greedy against the running cluster mean
     (:func:`cluster_eigenvalues`).
     """
-    eigs, distinct = cluster_eigenvalues(np.linalg.eigvals(P0.entries), cluster_tol)
+    eigs, distinct = cluster_eigenvalues(np.linalg.eigvals(P0.entries), DEFAULT_CLUSTER_TOL)
     leading = distinct[0][0]
     if abs(leading - 1.0) > 1e-8:
         raise SpectralStructureError(
@@ -131,10 +130,10 @@ def spectrum(P0: StochasticMatrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> 
         )
     # Snap the leading representative to exactly 1; it is 1 in exact arithmetic.
     distinct = ((1.0 + 0.0j, distinct[0][1]),) + distinct[1:]
-    return Spectrum(eigs, distinct, cluster_tol)
+    return Spectrum(eigs, distinct)
 
 
-def cluster_eigenvalues(eigs, cluster_tol: float = DEFAULT_CLUSTER_TOL):
+def cluster_eigenvalues(eigs, cluster_tol: float):
     """Sort eigenvalues and merge them greedily into ``(mean, multiplicity)`` clusters.
 
     The order is by descending modulus, then descending real and imaginary

@@ -43,14 +43,14 @@ def guess_format(path) -> GraphFormat:
     return GraphFormat.EDGE_LIST
 
 
-def _validated(entries, row_tol: float) -> StochasticMatrix:
+def _validated(entries) -> StochasticMatrix:
     try:
-        return StochasticMatrix(entries, row_tol)
+        return StochasticMatrix(entries)
     except ValueError as exc:
         raise IngestError(f"matrix failed validation: {exc}") from exc
 
 
-def _parse_edge_list(text: str, dangling: DanglingPolicy, row_tol: float) -> StochasticMatrix:
+def _parse_edge_list(text: str, dangling: DanglingPolicy) -> StochasticMatrix:
     """The hyperlink matrix of an edge list.
 
     Every node's out-links get uniform weight; duplicate edges are collapsed.
@@ -94,10 +94,10 @@ def _parse_edge_list(text: str, dangling: DanglingPolicy, row_tol: float) -> Sto
                 f"node {i + 1} has no out-links; choose a dangling policy "
                 "(self-loop or uniform-jump) to accept it"
             )
-    return StochasticMatrix(entries, row_tol)
+    return StochasticMatrix(entries)
 
 
-def _parse_matrix_csv(text: str, row_tol: float) -> StochasticMatrix:
+def _parse_matrix_csv(text: str) -> StochasticMatrix:
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -112,28 +112,35 @@ def _parse_matrix_csv(text: str, row_tol: float) -> StochasticMatrix:
     width = len(rows[0])
     if any(len(r) != width for r in rows) or width != len(rows):
         raise IngestError(f"CSV matrix must be square, got {len(rows)} rows of width {width}")
-    return _validated(np.array(rows), row_tol)
+    return _validated(np.array(rows))
 
 
-def _parse_matrix_json(text: str, row_tol: float):
+def _float_array(doc: dict, field: str) -> np.ndarray:
+    try:
+        return np.array(doc[field], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise IngestError(f"'{field}' must be a rectangular array of numbers") from None
+
+
+def _parse_matrix_json(text: str):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise IngestError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise IngestError("matrix JSON must be an object with a 'matrix' field")
-    matrix = np.array(doc["matrix"], dtype=float)
+    matrix = _float_array(doc, "matrix")
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise IngestError(f"'matrix' must be square, got shape {matrix.shape}")
     damping = None
     if doc.get("damping") is not None:
-        damping = np.array(doc["damping"], dtype=float)
+        damping = _float_array(doc, "damping")
         if damping.shape != (matrix.shape[0],):
             raise IngestError("'damping' length must match the matrix dimension")
-    matrix = _validated(matrix, row_tol)
+    matrix = _validated(matrix)
     if damping is not None:
         try:
-            damping = DampingVector(damping, row_tol)
+            damping = DampingVector(damping)
         except ValueError as exc:
             raise IngestError(f"damping failed validation: {exc}") from exc
     return matrix, damping
@@ -143,7 +150,6 @@ def ingest(
     path,
     fmt: GraphFormat = None,
     dangling: DanglingPolicy = DanglingPolicy.REJECT,
-    row_tol: float = 1e-12,
 ):
     """Read a file and return ``(matrix, damping_or_None)``.
 
@@ -156,13 +162,13 @@ def ingest(
     text = path.read_text()
     fmt = fmt or guess_format(path)
     if fmt is GraphFormat.EDGE_LIST:
-        return _parse_edge_list(text, dangling, row_tol), None
+        return _parse_edge_list(text, dangling), None
     if fmt is GraphFormat.MATRIX_CSV:
-        return _parse_matrix_csv(text, row_tol), None
-    return _parse_matrix_json(text, row_tol)
+        return _parse_matrix_csv(text), None
+    return _parse_matrix_json(text)
 
 
-def load_weights(path, dim: int, name: str, vector_type, row_tol: float = 1e-12):
+def load_weights(path, dim: int, name: str, vector_type):
     """A ``vector_type`` of the ``dim`` weights in a whitespace-separated file; errors say ``name``."""
     path = Path(path)
     if not path.exists():
@@ -174,14 +180,14 @@ def load_weights(path, dim: int, name: str, vector_type, row_tol: float = 1e-12)
     if len(weights) != dim:
         raise IngestError(f"{name} file has {len(weights)} entries, expected {dim}")
     try:
-        return vector_type(np.array(weights), row_tol)
+        return vector_type(np.array(weights))
     except ValueError as exc:
         raise IngestError(f"{name} failed validation: {exc}") from exc
 
 
-def load_damping(path, dim: int, row_tol: float = 1e-12) -> DampingVector:
+def load_damping(path, dim: int) -> DampingVector:
     """Read damping weights from a whitespace-separated text file."""
-    return load_weights(path, dim, "damping", DampingVector, row_tol)
+    return load_weights(path, dim, "damping", DampingVector)
 
 
 # Stands in a document for a matrix that dumps_with_matrix writes from its

@@ -67,14 +67,13 @@ def _solution_entry(solution) -> dict:
     }
 
 
-def stationary_section(
-    structure, d: DampingVector, epsilons, tol: float, context: BoundContext = None
-) -> dict:
-    """The three solutions at each epsilon, and the limit law.
+def stationary_section(context: BoundContext, epsilons, tol: float) -> dict:
+    """The three solutions at each epsilon of the context's P0 and d, and the limit law.
 
-    A ``context`` of the same P0 and d adopts the direct solve at its epsilon
-    as its pi(eps), so a command solves that system once.
+    The context adopts the direct solve at its epsilon as its pi(eps), so a
+    command solves that system once.
     """
+    structure, d = context.structure, context.d
     P0 = structure.P0
     iteration_tol = min(tol, 1e-12)
     grid = [eps for eps in epsilons if 0.0 < eps <= 1.0]
@@ -84,7 +83,7 @@ def stationary_section(
         damped = DampedChain(P0, d, eps)
         entry = {"epsilon": rounded(eps)}
         direct = stationary_direct(damped, solver_tol=max(tol, 1e-10))
-        if context is not None and eps == context.epsilon:
+        if eps == context.epsilon:
             context.adopt_direct(direct)
         entry["direct"] = _solution_entry(direct)
         entry["power"] = _solution_entry(
@@ -149,6 +148,11 @@ FAMILIES = {
     "6": ("coupling-multistep", None, None),
     "7": ("coupling-split", Regime.SINGULAR, "use families 5/6"),
 }
+
+
+def default_families(regime: Regime) -> list:
+    """The families that apply to a ``regime`` chain, run when none is named."""
+    return [family for family, (_, needs, _) in FAMILIES.items() if needs in (None, regime)]
 
 
 def check_bounds(context: BoundContext, families) -> None:

@@ -80,8 +80,6 @@ def triangular_bound(
     The formula is :meth:`BoundContext.joint_limit`'s. Requires the block-N
     ergodicity coefficient of every class to be below 1.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError("the bound requires epsilon in (0, 1]")
     context = bound_context(structure, d, p, epsilon, block)
     sweep_grid(context, [n])
     return context.joint_limit(n, t)

@@ -12,13 +12,14 @@ from dampedchain import (
     DampedChain,
     DampingVector,
     Distribution,
+    Regime,
     RegimeError,
     ValidationError,
     ingest,
     stationary_direct,
 )
 from dampedchain.cli import main
-from dampedchain.report import load_schema
+from dampedchain.report import default_families, load_schema
 
 DATA = Path(__file__).parent / "data"
 FIVE = str(DATA / "five_node_edges.txt")
@@ -492,6 +493,10 @@ def test_coupling_sim_refuses_epsilon_zero_before_simulating(monkeypatch, path):
         (("report", "--seed", str(1 << 128)), f"seed must lie in [0, 2**128), got {1 << 128}"),
         (("coupling-sim", "--seed", "1", "--trials", "0"), "at least one trial is required"),
         (("coupling-sim", "--seed", "-1"), "seed must lie in [0, 2**128), got -1"),
+        (("structure", "--epsilon-grid", "0.1,2"), "epsilon must lie in [0, 1], got 2.0"),
+        (("bounds", "--epsilon-grid", "0.1,2"), "epsilon must lie in [0, 1], got 2.0"),
+        (("coupling-sim", "--seed", "1", "--epsilon-grid", "0.1,2"), "epsilon must lie in [0, 1], got 2.0"),
+        (("triangular", "--epsilon-grid", "0.1,2"), "epsilon must lie in [0, 1], got 2.0"),
     ],
 )
 def test_bad_arguments_are_refused_before_any_solve(monkeypatch, argv, message):
@@ -503,6 +508,14 @@ def test_bad_arguments_are_refused_before_any_solve(monkeypatch, argv, message):
         _run([*argv, "--input", FIVE, "--coupling-N", "1"])
     assert str(info.value) == message
     assert solves == [] and spectra == []
+
+
+@pytest.mark.parametrize(
+    "regime, families",
+    [(Regime.REGULAR, ["1", "5", "6"]), (Regime.SINGULAR, ["2", "5", "6", "7"]), (Regime.UNSUPPORTED, ["5", "6"])],
+)
+def test_default_families_are_those_that_apply(regime, families):
+    assert default_families(regime) == families
 
 
 def test_bad_tolerance_is_refused_before_a_bad_later_epsilon(monkeypatch):

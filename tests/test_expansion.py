@@ -19,7 +19,7 @@ from dampedchain import (
     stationary_series,
 )
 from dampedchain.errors import IllConditionedError
-from dampedchain.expansion import cluster_eigenvalues, spectral_coefficients
+from dampedchain.expansion import DEFAULT_CLUSTER_TOL, Spectrum, cluster_eigenvalues, spectral_coefficients
 from dampedchain.report import expansion_section, rounded
 from conftest import rank_one
 
@@ -114,7 +114,7 @@ class TestClustering:
     def test_web_chain_spectrum(self):
         P, _ = chains.random_web_chain(np.random.default_rng(2), 120)
         spec = spectrum(P)
-        eigs, distinct = greedy_clusters(np.linalg.eigvals(P.entries), spec.cluster_tol)
+        eigs, distinct = greedy_clusters(np.linalg.eigvals(P.entries), DEFAULT_CLUSTER_TOL)
         assert repr(spec.eigenvalues) == repr(eigs)
         assert repr(spec.distinct[1:]) == repr(distinct[1:])
 
@@ -168,8 +168,9 @@ class TestSpectralCoefficients:
 
     def test_unmerged_near_duplicates_are_rejected(self, five_node):
         P, d = five_node
+        unmerged = Spectrum(*cluster_eigenvalues(np.linalg.eigvals(P.entries), 0.0))
         with pytest.raises(IllConditionedError, match="cluster_tol"):
-            spectral_coefficients(P, d, spectrum(P, cluster_tol=0.0))
+            spectral_coefficients(P, d, unmerged)
 
 
 class TestExpansion:

@@ -87,6 +87,22 @@ class TestBadInput:
         with pytest.raises(IngestError, match="square"):
             ingest(path)
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ('{"matrix": [[1, 0], [1]]}', "matrix"),
+            ('{"matrix": [["a", 1], [1, 0]]}', "matrix"),
+            ('{"matrix": [[1, 0], [0, 1%s]]}' % ("0" * 400), "matrix"),
+            ('{"matrix": [[0, 1], [1, 0]], "damping": [0.5, "x"]}', "damping"),
+        ],
+        ids=["ragged", "string", "huge-integer", "string-damping"],
+    )
+    def test_malformed_json_arrays_rejected(self, tmp_path, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        with pytest.raises(IngestError, match=f"'{field}' must be a rectangular array of numbers"):
+            ingest(path)
+
 
 def test_csv_ingest(tmp_path):
     path = tmp_path / "m.csv"

@@ -15,6 +15,7 @@ from dampedchain import (
     SingularSystemError,
     StochasticMatrix,
     ValidationError,
+    bound_context,
     build_damped_matrix,
     decompose,
     limit_stationary,
@@ -230,6 +231,11 @@ def seeded_damping(m: int) -> DampingVector:
 class TestStationarySection:
     """The report's stationary section: one series walk, no dense P(eps)."""
 
+    @staticmethod
+    def section(P0, d):
+        context = bound_context(decompose(P0), d, Distribution.uniform(P0.dim), EPS_GRID[0], 2)
+        return report.stationary_section(context, EPS_GRID, 1e-10)
+
     def test_no_damped_matrix_and_one_walk_of_max_length(self, monkeypatch):
         P0, _ = chains.random_web_chain(np.random.default_rng(7), 300)
         d = seeded_damping(300)
@@ -249,7 +255,7 @@ class TestStationarySection:
             return result
 
         monkeypatch.setattr(report, "series_sums", spy)
-        report.stationary_section(decompose(P0), d, EPS_GRID, 1e-10)
+        self.section(P0, d)
         assert builds == []
         assert walks == [max(reference_series_length(eps, 1e-12) for eps in EPS_GRID)]
 
@@ -257,7 +263,7 @@ class TestStationarySection:
     def test_counts_and_laws_match_dense_reference(self, m):
         P0, _ = chains.random_web_chain(np.random.default_rng(m), m)
         d = seeded_damping(m)
-        section = report.stationary_section(decompose(P0), d, EPS_GRID, 1e-10)
+        section = self.section(P0, d)
         for eps, entry in zip(EPS_GRID, section["by_epsilon"]):
             iterations, law = reference_power(build_damped_matrix(DampedChain(P0, d, eps)).entries, 1e-12)
             assert entry["power"]["iterations_or_terms"] == iterations
