@@ -18,12 +18,12 @@ Five bound families are implemented, numbered as the CLI exposes them:
 
 The constants of every family and of the joint-limit bound
 (``BoundContext.joint_limit``, evaluated by ``triangular``) do not depend on
-the step count n. They live on one :class:`BoundContext` per command, built
-by :func:`bound_context`, which computes each the first time a section reads
-it; the public per-n functions build a context and evaluate it once. Every
-per-class constant reads the class matrices and laws of the structure
-(``ChainStructure.matrices`` and ``.laws``), and a regular chain is the
-one-class case. Every function that takes a :class:`ChainStructure` reads P0
+the step count n. They live on one :class:`BoundContext` per command
+(``bound_context`` names the same class), which computes each the first time
+a section reads it; the public per-n functions build a context and evaluate
+it once. Every per-class constant reads the class matrices and laws of the
+structure (``ChainStructure.matrices`` and ``.laws``), and a regular chain is
+the one-class case. Every function that takes a :class:`ChainStructure` reads P0
 from it (``structure.P0``), so the matrix and its classes cannot disagree.
 
 Every power of a closed class's matrix (P0 itself on a regular chain) comes
@@ -73,10 +73,6 @@ DECAY_NOISE_FLOOR = 1e-13
 
 # Rows per tile of min_row_overlap's exact scan: one small buffer, reused.
 SCAN_TILE = 64
-
-
-def _pow(base: float, exponent: int) -> float:
-    return 1.0 if exponent == 0 else base**exponent
 
 
 def min_row_overlap(entries: np.ndarray) -> float:
@@ -179,7 +175,7 @@ class ErgodicityReport:
         return self.overlap >= 1.0
 
     def delta_pow(self, exponent: int) -> float:
-        return _pow(self.delta, exponent)
+        return self.delta**exponent
 
     @classmethod
     def from_overlap(cls, step: int, q: float) -> "ErgodicityReport":
@@ -327,8 +323,10 @@ def stationary_gap_bound(
 class BoundContext:
     """The n-free constants of bound families 1, 2, 5, 6 and 7 and of the joint-limit bound.
 
-    Build one per command with :func:`bound_context`; each constant is
-    computed the first time it is read, and kept. Family 5 reads
+    Build one per command from the structure of ``structure.P0``, damping
+    ``d``, start ``p``, epsilon in [0, 1] and the block. Nothing is computed
+    then; each constant is computed the first time it is read, and kept, and
+    ``pi_eps``, when given, is used as pi(eps). Family 5 reads
     ``start_overlap`` = Q(p, pi_eps) and the raw Q(P0); family 6 reads
     ``start_overlap`` and ``ergodicity(block)``; families 1 and 2 read
     ``split_decay()``; family 7 and the joint-limit bound read the per-class
@@ -341,8 +339,9 @@ class BoundContext:
     ``class_reports[j]`` is Delta_block of ``walks[j]``, the one
     :class:`PowerWalk` of ``structure.matrices[j]``.
 
-    ``pi_eps`` is one in-place direct solve of ``chain``, P(eps), unless it is
-    given or adopted from the stationary section's solve (``adopt_direct``).
+    Unless given, ``pi_eps`` is one in-place direct solve of ``chain``,
+    P(eps), or is adopted from the stationary section's solve (``adopt_direct``).
+    Callers of family 7 or the joint-limit bound call ``require_contraction``.
     The whole matrix's Delta_N is the one class's on a regular chain, 1 by
     structure on a singular chain (rows in different closed classes share no
     support), and read from a walk of P0 of its own on an unsupported chain,
@@ -386,14 +385,12 @@ class BoundContext:
         )
 
     @cached_property
-    def _whole_walk(self):
-        """The walk of P0 itself, or None on a singular chain."""
-        if self.structure.regime is Regime.SINGULAR:
-            return None
+    def _whole_walk(self) -> PowerWalk:
+        """The walk of P0 itself, on a regular or unsupported chain."""
         return self.walks[0] if self.structure.regime is Regime.REGULAR else PowerWalk(self.structure.P0)
 
     def _whole_overlap(self, N: int) -> float:
-        return 0.0 if self._whole_walk is None else self._whole_walk.overlap(N)
+        return 0.0 if self.structure.regime is Regime.SINGULAR else self._whole_walk.overlap(N)
 
     def ergodicity(self, N: int) -> ErgodicityReport:
         """The whole matrix's ergodicity coefficient ``Delta_N``."""
@@ -450,7 +447,7 @@ class BoundContext:
     def onestep(self, n: int) -> float:
         """Family 5: ``(1 - Q(p, pi_eps)) * ((1 - Q(P0)) (1 - eps))^n``."""
         rate = self._onestep_rate  # epsilon is checked before pi_eps is solved
-        return (1.0 - self.start_overlap) * _pow(rate, n)
+        return (1.0 - self.start_overlap) * rate**n
 
     @cached_property
     def _block_report(self) -> ErgodicityReport:
@@ -465,7 +462,7 @@ class BoundContext:
         return (
             (1.0 - self.start_overlap)
             * report.delta_pow(exponent)
-            * _pow(1.0 - self.epsilon, exponent)
+            * (1.0 - self.epsilon) ** exponent
         )
 
     def bound_vector(self, n: int) -> np.ndarray:
@@ -481,7 +478,7 @@ class BoundContext:
         the class mass, and f are class masses (see the class docstring).
         """
         exponent = (n // self.block) * self.block
-        survival = _pow(1.0 - self.epsilon, n)
+        survival = (1.0 - self.epsilon) ** n
         out = np.empty(sum(cls.size for cls in self.structure.classes))
         for j, (cls, law) in enumerate(zip(self.structure.classes, self.structure.laws)):
             geometric = self.coupled[j] * self.class_reports[j].delta_pow(exponent)
@@ -568,20 +565,7 @@ class BoundContext:
         raise ContractionError(f"{problem}; {hint}")
 
 
-def bound_context(
-    structure: ChainStructure,
-    d: DampingVector,
-    p: Distribution,
-    epsilon: float,
-    block: int,
-    pi_eps: Distribution = None,
-) -> BoundContext:
-    """The :class:`BoundContext` of ``structure.P0``, damping ``d``, start ``p`` and epsilon in [0, 1].
-
-    Nothing is computed here, and ``pi_eps``, when given, is used as pi(eps).
-    Callers of family 7 or the joint-limit bound call ``require_contraction``.
-    """
-    return BoundContext(structure, d, p, epsilon, block, pi_eps)
+bound_context = BoundContext
 
 
 def coupling_bound(
@@ -593,7 +577,7 @@ def coupling_bound(
     n: int,
 ) -> float:
     """One-step coupling bound on ``max_j |p(n)_j - pi(eps)_j|`` (family 5)."""
-    return bound_context(structure, d, p, epsilon, 1, pi_eps).onestep(n)
+    return BoundContext(structure, d, p, epsilon, 1, pi_eps).onestep(n)
 
 
 def coupling_bound_multistep(
@@ -609,7 +593,7 @@ def coupling_bound_multistep(
 
     Both geometric factors carry the exponent ``floor(n / block) * block``.
     """
-    return bound_context(structure, d, p, epsilon, block, pi_eps).multistep(n)
+    return BoundContext(structure, d, p, epsilon, block, pi_eps).multistep(n)
 
 
 def split_bound_context(
@@ -628,7 +612,7 @@ def split_bound_context(
     """
     if structure.regime is not Regime.SINGULAR:
         raise RegimeError("the split bound applies to singular chains; use families 5/6")
-    context = bound_context(structure, d, p, epsilon, block, pi_eps)
+    context = BoundContext(structure, d, p, epsilon, block, pi_eps)
     context.require_coupling_epsilon()
     context.require_contraction()
     return context

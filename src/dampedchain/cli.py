@@ -20,7 +20,7 @@ import csv
 import json
 import sys
 
-from .bounds import PROFILE_STEPS, bound_context
+from .bounds import PROFILE_STEPS, BoundContext
 from .core import DampingVector, Distribution, require_epsilon
 from .coupling import require_simulation
 from .errors import ChainError, ValidationError
@@ -39,14 +39,13 @@ from .report import (
     structure_section,
     triangular_section,
 )
-from .stationary import require_tolerance
+from .stationary import DEFAULT_SOLVER_TOL, require_tolerance
 from .structure import decompose
 from .triangular import sweep_grid
 
 DEFAULT_EPSILON = 0.15
 DEFAULT_TRIALS = 100_000
 DEFAULT_HORIZON = 30
-DEFAULT_TOL = 1e-10
 
 COMMANDS = ("structure", "stationary", "expand", "bounds", "coupling-sim", "triangular", "report")
 
@@ -94,7 +93,7 @@ def _add_common(sub):
     sub.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     sub.add_argument("--n-grid", default=None, help="sweep steps: 'a:b[:s]' or comma list")
     sub.add_argument("--theorem", default=None, help="bound families, e.g. '1' or '5,6'")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sub.add_argument("--tol", type=float, default=DEFAULT_SOLVER_TOL)
     sub.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     sub.add_argument("--plot-data", default=None, help="write a CSV plot table here")
 
@@ -138,6 +137,8 @@ def _initial(spec: str, dim: int) -> Distribution:
 
 
 def _epsilons(args):
+    if args.epsilon_grid and args.epsilon is not None:
+        raise ValidationError("--epsilon and --epsilon-grid exclude each other; give one of them")
     if args.epsilon_grid:
         try:
             return [float(x) for x in args.epsilon_grid.split(",")]
@@ -152,6 +153,10 @@ def _load(args):
     fmt = GraphFormat(args.format) if args.format else None
     matrix, damping = ingest(args.input, fmt, DanglingPolicy(args.dangling_policy))
     if args.damping != "uniform":
+        if damping is not None:
+            raise ValidationError(
+                f"{args.input} holds damping weights and --damping names {args.damping}; give one of them"
+            )
         damping = load_damping(args.damping, matrix.dim)
     elif damping is None:
         damping = DampingVector.uniform(matrix.dim)
@@ -221,7 +226,7 @@ def run_command(command: str, args) -> dict:
     epsilons = _epsilons(args)
     p = _initial(args.initial, matrix.dim)
     structure = decompose(matrix)
-    context = bound_context(structure, damping, p, epsilons[0], args.coupling_n)
+    context = BoundContext(structure, damping, p, epsilons[0], args.coupling_n)
     echo = _inputs_echo(args, matrix, damping, p, epsilons)
 
     def runs(section_command):

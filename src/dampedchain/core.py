@@ -112,13 +112,12 @@ class DampingVector:
     """Strictly positive probability weights of the rank-one damping matrix."""
 
     weights: np.ndarray
-    row_tol: float = DEFAULT_ROW_TOL
 
     def __post_init__(self):
         arr = _as_float_array(self.weights, "damping vector", 1)
         if np.any(arr <= 0.0):
             raise ValidationError("damping weights must be strictly positive")
-        if abs(arr.sum() - 1.0) > self.row_tol:
+        if abs(arr.sum() - 1.0) > DEFAULT_ROW_TOL:
             raise ValidationError(f"damping weights sum to {arr.sum()!r}, expected 1")
         _freeze(self, "weights", arr)
 
@@ -131,7 +130,7 @@ class DampingVector:
         return cls(np.full(dim, 1.0 / dim))
 
     def as_distribution(self) -> "Distribution":
-        return Distribution(self.weights, self.row_tol)
+        return Distribution(self.weights)
 
 
 @dataclass(frozen=True)

@@ -63,9 +63,6 @@ def _maximal_joint(p: np.ndarray, q: np.ndarray):
         joint = np.zeros((m, m))
         np.fill_diagonal(joint, mins)
         return joint, 1.0
-    if shared <= 0.0:
-        # Disjoint supports: independent product.
-        return np.outer(p, q), 0.0
     joint = np.outer(p - mins, q - mins) / (1.0 - shared)
     joint[np.diag_indices(m)] += mins
     return joint, float(shared)
@@ -118,9 +115,7 @@ class CouplingKernel:
         return np.cumsum(self.pair_law(i, j).ravel())
 
 
-def build_coupling_kernel(P_eps: StochasticMatrix) -> CouplingKernel:
-    """Lazy paired-state kernel for the given (already damped) matrix."""
-    return CouplingKernel(P_eps)
+build_coupling_kernel = CouplingKernel
 
 
 @dataclass(frozen=True)
@@ -165,12 +160,11 @@ def _move(P: np.ndarray, row_cdf: np.ndarray, i, j, words):
     meet = words[:, 1] * p_i < np.minimum(p_i, P[j, i_next])
     j_next = i_next.copy()
     apart = np.flatnonzero(~meet)
-    if apart.size:
-        P_i, P_j = P[i[apart]], P[j[apart]]
-        excess_cdf = np.cumsum(P_j - np.minimum(P_i, P_j), axis=1)
-        drawn = _draw(excess_cdf, words[apart, 2])
-        # An excess that rounding left without mass means equal rows: they meet.
-        j_next[apart] = np.where(excess_cdf[:, -1] > 0.0, drawn, i_next[apart])
+    P_i, P_j = P[i[apart]], P[j[apart]]
+    excess_cdf = np.cumsum(P_j - np.minimum(P_i, P_j), axis=1)
+    drawn = _draw(excess_cdf, words[apart, 2])
+    # An excess that rounding left without mass means equal rows: they meet.
+    j_next[apart] = np.where(excess_cdf[:, -1] > 0.0, drawn, i_next[apart])
     return i_next, j_next
 
 

@@ -76,24 +76,21 @@ def _parse_edge_list(text: str, dangling: DanglingPolicy) -> StochasticMatrix:
         m = max(m, src, dst)
     if not edges:
         raise IngestError("edge list contains no edges")
-    out = [set() for _ in range(m)]
-    for src, dst in edges:
-        out[src].add(dst)
+    rows, cols = np.array(edges).T
     entries = np.zeros((m, m))
-    for i, targets in enumerate(out):
-        if targets:
-            w = 1.0 / len(targets)
-            for j in targets:
-                entries[i, j] = w
-        elif dangling is DanglingPolicy.SELF_LOOP:
-            entries[i, i] = 1.0
-        elif dangling is DanglingPolicy.UNIFORM_JUMP:
-            entries[i, :] = 1.0 / m
-        else:
-            raise IngestError(
-                f"node {i + 1} has no out-links; choose a dangling policy "
-                "(self-loop or uniform-jump) to accept it"
-            )
+    entries[rows, cols] = 1.0
+    degree = entries.sum(axis=1)
+    entries[rows, cols] = 1.0 / degree[rows]
+    no_links = np.flatnonzero(degree == 0)
+    if dangling is DanglingPolicy.SELF_LOOP:
+        entries[no_links, no_links] = 1.0
+    elif dangling is DanglingPolicy.UNIFORM_JUMP:
+        entries[no_links] = 1.0 / m
+    elif no_links.size:
+        raise IngestError(
+            f"node {no_links[0] + 1} has no out-links; choose a dangling policy "
+            "(self-loop or uniform-jump) to accept it"
+        )
     return StochasticMatrix(entries)
 
 
@@ -116,10 +113,14 @@ def _parse_matrix_csv(text: str) -> StochasticMatrix:
 
 
 def _float_array(doc: dict, field: str) -> np.ndarray:
+    """``doc[field]`` as a float array; each entry must be a JSON number, not a string or boolean."""
     try:
-        return np.array(doc[field], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise IngestError(f"'{field}' must be a rectangular array of numbers") from None
+        values = np.array(doc[field], dtype=object)
+        if all(type(x) in (int, float) for x in values.flat):
+            return values.astype(float)
+    except (ValueError, OverflowError):
+        pass
+    raise IngestError(f"'{field}' must be a rectangular array of numbers")
 
 
 def _parse_matrix_json(text: str):

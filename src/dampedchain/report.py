@@ -17,11 +17,13 @@ import numpy as np
 from . import __version__
 from .bounds import PROFILE_STEPS, BoundContext, stationary_gap_bound
 from .core import DampedChain, DampingVector, Distribution, build_damped_matrix
-from .coupling import build_coupling_kernel, maximal_coupling, simulate_coupling_time
+from .coupling import CouplingKernel, maximal_coupling, simulate_coupling_time
 from .errors import RegimeError
 from .expansion import expansion
 from .io import MATRIX_SLOT, dumps_with_matrix
 from .stationary import (
+    DEFAULT_SERIES_TOL,
+    DEFAULT_SOLVER_TOL,
     limit_stationary,
     series_sums,
     stationary_direct,
@@ -75,14 +77,14 @@ def stationary_section(context: BoundContext, epsilons, tol: float) -> dict:
     """
     structure, d = context.structure, context.d
     P0 = structure.P0
-    iteration_tol = min(tol, 1e-12)
+    iteration_tol = min(tol, DEFAULT_SERIES_TOL)
     grid = [eps for eps in epsilons if 0.0 < eps <= 1.0]
     sums = series_sums(P0, d, grid, iteration_tol)
     by_epsilon = []
     for eps in epsilons:
         damped = DampedChain(P0, d, eps)
         entry = {"epsilon": rounded(eps)}
-        direct = stationary_direct(damped, solver_tol=max(tol, 1e-10))
+        direct = stationary_direct(damped, solver_tol=max(tol, DEFAULT_SOLVER_TOL))
         if eps == context.epsilon:
             context.adopt_direct(direct)
         entry["direct"] = _solution_entry(direct)
@@ -212,7 +214,7 @@ def coupling_sim_section(context: BoundContext, trials: int, seed: int, horizon:
     context.require_coupling_epsilon()
     start = maximal_coupling(context.p, context.pi_eps)
     # P(eps) is built densely for the kernel alone; pi(eps) is the context's.
-    kernel = build_coupling_kernel(build_damped_matrix(context.chain))
+    kernel = CouplingKernel(build_damped_matrix(context.chain))
     estimate = simulate_coupling_time(kernel, start, trials, seed, horizon)
     bound = [context.onestep(n) for n in range(horizon + 1)]
     return {

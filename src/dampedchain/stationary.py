@@ -128,7 +128,6 @@ def stationary_power(
     P,
     p0: Distribution,
     tol: float = DEFAULT_SERIES_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> StationarySolution:
     """Power iteration from ``p0`` until successive iterates are ``tol``-close.
 
@@ -136,21 +135,21 @@ def stationary_power(
     is one ``P.vecmat`` product, the rank-one form for a damped chain.
     Convergence is measured in total variation between successive iterates,
     which is cheap; the residual against P is recomputed for the report.
-    Raises ConvergenceError carrying the last iterate when ``max_iter`` is
-    exhausted.
+    Raises ConvergenceError carrying the last iterate after
+    ``DEFAULT_MAX_ITER`` steps.
     """
     if p0.dim != P.dim:
         raise DimensionMismatchError(f"start dim {p0.dim} != matrix dim {P.dim}")
     require_tolerance(tol)
     prev = p0.probs
-    for it in range(max_iter):
+    for it in range(DEFAULT_MAX_ITER):
         nxt = P.vecmat(prev)
         if 0.5 * np.abs(nxt - prev).sum() < tol:
             res = _residual(nxt, P)
             return StationarySolution(Distribution(nxt, max(P.row_tol, 1e-9)), Method.POWER, it, res)
         prev = nxt
     raise ConvergenceError(
-        f"power method did not converge within {max_iter} iterations",
+        f"power method did not converge within {DEFAULT_MAX_ITER} iterations",
         last_iterate=prev,
         residual=_residual(prev, P),
     )
@@ -161,8 +160,6 @@ def series_length(epsilon: float, tol: float) -> int:
     require_tolerance(tol)
     if not 0.0 < epsilon <= 1.0:
         raise ValidationError("series representation requires epsilon in (0, 1]")
-    if epsilon == 1.0:
-        return 0
     if 1.0 - epsilon == 1.0:
         # (1 - eps) rounds to 1, so the tail never shrinks below tol.
         raise ValidationError(

@@ -109,52 +109,48 @@ class ChainStructure:
 
 
 def _strongly_connected_components(adj, m):
-    # Iterative Tarjan; recursion would overflow near the m ~ 5000 target.
-    index = [-1] * m
-    low = [-1] * m
-    on_stack = [False] * m
-    stack = []
-    components = []
-    counter = 0
+    """Kosaraju's two searches, on explicit stacks: recursion would overflow near m ~ 5000.
 
+    Each component comes out sorted; the components come in no particular order.
+    """
+    seen = [False] * m
+    finished = []
     for root in range(m):
-        if index[root] != -1:
+        if seen[root]:
             continue
-        work = [(root, 0)]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            neighbors = adj[v]
-            while ptr < len(neighbors):
-                w = neighbors[ptr]
-                ptr += 1
-                if index[w] == -1:
-                    work[-1] = (v, ptr)
-                    work.append((w, 0))
-                    advanced = True
+        seen[root] = True
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, successors = stack[-1]
+            for w in successors:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+            else:
+                stack.pop()
+                finished.append(v)
+    reverse = [[] for _ in range(m)]
+    for v in range(m):
+        for w in adj[v]:
+            reverse[w].append(v)
+    # In the reversed graph, the states reached from the latest finisher not yet
+    # in a component are its component.
+    assigned = [False] * m
+    components = []
+    for root in reversed(finished):
+        if assigned[root]:
+            continue
+        assigned[root] = True
+        comp, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in reverse[v]:
+                if not assigned[w]:
+                    assigned[w] = True
+                    stack.append(w)
+        components.append(sorted(comp))
     return components
 
 
@@ -255,5 +251,5 @@ def restrict_damping(d: DampingVector, cls: ClosedClass) -> DampingVector:
     """Damping weights renormalized to one closed class: d_k / f, f = class mass."""
     idx = list(cls.states)
     weights = d.weights[idx]
-    return DampingVector(weights / weights.sum(), d.row_tol)
+    return DampingVector(weights / weights.sum())
 

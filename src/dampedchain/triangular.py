@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DampingVector, Distribution
-from .bounds import BoundContext, bound_context
+from .bounds import BoundContext
 from .errors import RegimeError, ValidationError
 from .stationary import limit_stationary
 from .structure import ChainStructure, Regime
@@ -80,7 +80,7 @@ def triangular_bound(
     The formula is :meth:`BoundContext.joint_limit`'s. Requires the block-N
     ergodicity coefficient of every class to be below 1.
     """
-    context = bound_context(structure, d, p, epsilon, block)
+    context = BoundContext(structure, d, p, epsilon, block)
     sweep_grid(context, [n])
     return context.joint_limit(n, t)
 

@@ -292,6 +292,19 @@ def test_damping_file_flag(capsys, tmp_path):
     assert entry["direct"]["pi"] == pytest.approx([0.4, 0.1, 0.1, 0.2, 0.2], abs=1e-10)
 
 
+def test_json_damping_and_damping_file_exclude_each_other(capsys, tmp_path):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"matrix": [[0.5, 0.5], [0.5, 0.5]], "damping": [0.9, 0.1]}))
+    weights = tmp_path / "weights.txt"
+    weights.write_text("0.5 0.5\n")
+    code, out = run_cli(capsys, "structure", "--input", str(matrix), "--damping", str(weights))
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "ValidationError",
+        "message": f"{matrix} holds damping weights and --damping names {weights}; give one of them",
+    }
+
+
 def test_expand_defective_chain_with_damping_file(capsys, tmp_path):
     # The eigenvalue -1/2 of this chain has a 2x2 Jordan block.
     edges = tmp_path / "edges.txt"
@@ -497,6 +510,10 @@ def test_coupling_sim_refuses_epsilon_zero_before_simulating(monkeypatch, path):
         (("bounds", "--epsilon-grid", "0.1,2"), "epsilon must lie in [0, 1], got 2.0"),
         (("coupling-sim", "--seed", "1", "--epsilon-grid", "0.1,2"), "epsilon must lie in [0, 1], got 2.0"),
         (("triangular", "--epsilon-grid", "0.1,2"), "epsilon must lie in [0, 1], got 2.0"),
+        (
+            ("stationary", "--epsilon", "0.3", "--epsilon-grid", "0.1"),
+            "--epsilon and --epsilon-grid exclude each other; give one of them",
+        ),
     ],
 )
 def test_bad_arguments_are_refused_before_any_solve(monkeypatch, argv, message):

@@ -58,6 +58,46 @@ class TestDangling:
         np.testing.assert_allclose(matrix.entries[2], [1 / 3, 1 / 3, 1 / 3])
 
 
+def naive_edge_matrix(edges, dangling):
+    """Hyperlink matrix of 1-based ``edges``, one node at a time, or None where ``dangling`` rejects."""
+    m = max(max(edge) for edge in edges)
+    entries = np.zeros((m, m))
+    for i in range(m):
+        targets = {dst - 1 for src, dst in edges if src - 1 == i}
+        for j in targets:
+            entries[i, j] = 1.0 / len(targets)
+        if targets:
+            continue
+        if dangling is DanglingPolicy.REJECT:
+            return None
+        if dangling is DanglingPolicy.SELF_LOOP:
+            entries[i, i] = 1.0
+        else:
+            entries[i] = 1.0 / m
+    return entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=40),
+    st.sampled_from(list(DanglingPolicy)),
+)
+def test_edge_list_matches_naive_construction(tmp_path_factory, edges, dangling):
+    # Small ids make duplicate edges and nodes without out-links common.
+    path = tmp_path_factory.mktemp("edges") / "graph.txt"
+    path.write_text("".join(f"{src} {dst}\n" for src, dst in edges))
+    expected = naive_edge_matrix(edges, dangling)
+    if expected is None:
+        sources = {src for src, _ in edges}
+        first = min(k for k in range(1, 10) if k not in sources)
+        with pytest.raises(IngestError, match=f"node {first} has no out-links"):
+            ingest(path, dangling=dangling)
+    else:
+        matrix, _ = ingest(path, dangling=dangling)
+        assert matrix.entries.shape == expected.shape
+        assert (matrix.entries == expected).all()
+
+
 class TestBadInput:
     def test_zero_based_ids_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -94,8 +134,15 @@ class TestBadInput:
             ('{"matrix": [["a", 1], [1, 0]]}', "matrix"),
             ('{"matrix": [[1, 0], [0, 1%s]]}' % ("0" * 400), "matrix"),
             ('{"matrix": [[0, 1], [1, 0]], "damping": [0.5, "x"]}', "damping"),
+            ('{"matrix": [["0.5", "0.5"], ["0.5", "0.5"]]}', "matrix"),
+            ('{"matrix": [[true, false], [false, true]]}', "matrix"),
+            ('{"matrix": [[0.5, 0.5], [0.5, 0.5]], "damping": ["0.5", "0.5"]}', "damping"),
+            ('{"matrix": [[true, 0.0], [0.5, 0.5]]}', "matrix"),
         ],
-        ids=["ragged", "string", "huge-integer", "string-damping"],
+        ids=[
+            "ragged", "string", "huge-integer", "string-damping", "numeric-string",
+            "boolean", "numeric-string-damping", "boolean-among-numbers",
+        ],
     )
     def test_malformed_json_arrays_rejected(self, tmp_path, doc, field):
         path = tmp_path / "bad.json"

@@ -1,5 +1,8 @@
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dampedchain import (
     Distribution,
@@ -58,6 +61,52 @@ def test_self_loop_state_has_period_one():
     s = decompose(P)
     assert s.classes[0].states == (0,)
     assert s.classes[0].period == 1
+
+
+def brute_force_structure(adjacency):
+    """Closed classes as (states, period), transient states and regime, from boolean matrix powers."""
+    m = adjacency.shape[0]
+    reach = adjacency | np.eye(m, dtype=bool)
+    for k in range(m):
+        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+    powers = [adjacency]
+    for _ in range(m * m - 1):
+        powers.append((powers[-1].astype(int) @ adjacency.astype(int)) > 0)
+    classes, transient = [], []
+    for i in range(m):
+        members = tuple(int(j) for j in np.flatnonzero(reach[i] & reach[:, i]))
+        if members[0] != i:
+            continue
+        if reach[i].sum() > len(members):
+            transient.extend(members)
+            continue
+        period = 0
+        for n, power in enumerate(powers, start=1):
+            if power[i, i]:
+                period = gcd(period, n)
+        classes.append((members, period))
+    aperiodic = all(period == 1 for _, period in classes)
+    if transient or not aperiodic:
+        regime = Regime.UNSUPPORTED
+    else:
+        regime = Regime.REGULAR if len(classes) == 1 else Regime.SINGULAR
+    return classes, tuple(sorted(transient)), regime
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.3]))
+def test_decompose_matches_brute_force(m, seed, density):
+    # One random successor per state gives cycles of every length, periodic
+    # ones and self-loops among them, with trees of transient states leading
+    # into them; extra edges at ``density`` merge them.
+    rng = np.random.default_rng(seed)
+    adjacency = rng.random((m, m)) < density
+    adjacency[np.arange(m), rng.integers(0, m, m)] = True
+    s = decompose(StochasticMatrix(adjacency / adjacency.sum(axis=1, keepdims=True)))
+    classes, transient, regime = brute_force_structure(adjacency)
+    assert [(c.states, c.period) for c in s.classes] == classes
+    assert s.transient_states == transient
+    assert s.regime is regime
 
 
 class TestClassMass:
