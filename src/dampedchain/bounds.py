@@ -54,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, require_epsilon
+from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, require_dim, require_epsilon
 from .coupling import overlap
 from .errors import ContractionError, RegimeError, ValidationError
 from .expansion import Spectrum, spectrum
@@ -189,7 +189,7 @@ class ErgodicityReport:
 
 
 def ergodicity_coefficient(P0: StochasticMatrix, N: int) -> ErgodicityReport:
-    """Compute ``Delta_N`` from the N-step matrix by brute pairwise comparison.
+    """Compute ``Delta_N`` by :func:`min_row_overlap`'s pruned scan of P0**N, formed by a :class:`PowerWalk`.
 
     Equivalently the N-th root of the largest total-variation distance
     between rows of P0**N. Converges to the modulus of the second eigenvalue
@@ -324,8 +324,9 @@ class BoundContext:
     """The n-free constants of bound families 1, 2, 5, 6 and 7 and of the joint-limit bound.
 
     Build one per command from the structure of ``structure.P0``, damping
-    ``d``, start ``p``, epsilon in [0, 1] and the block. Nothing is computed
-    then; each constant is computed the first time it is read, and kept, and
+    ``d``, start ``p``, epsilon in [0, 1] and a block of at least 1. Building
+    it checks these and the sizes of ``p`` and ``pi_eps``; nothing is computed
+    then. Each constant is computed the first time it is read, and kept, and
     ``pi_eps``, when given, is used as pi(eps). Family 5 reads
     ``start_overlap`` = Q(p, pi_eps) and the raw Q(P0); family 6 reads
     ``start_overlap`` and ``ergodicity(block)``; families 1 and 2 read
@@ -337,7 +338,8 @@ class BoundContext:
     ``drift_scale[j] = |f_p[j] - f_d[j]|``,
     ``coupled[j] = f_d[j] (1 - Q(pi_eps^j, pi0^j)) + start_gap[j]`` and
     ``class_reports[j]`` is Delta_block of ``walks[j]``, the one
-    :class:`PowerWalk` of ``structure.matrices[j]``.
+    :class:`PowerWalk` of ``structure.matrices[j]``, whose gate
+    (``require_classes``) refuses every per-class constant of an unsupported chain.
 
     Unless given, ``pi_eps`` is one in-place direct solve of ``chain``,
     P(eps), or is adopted from the stationary section's solve (``adopt_direct``).
@@ -353,9 +355,13 @@ class BoundContext:
         self.d = d
         self.p = p
         self.chain = DampedChain(structure.P0, d, epsilon)
+        if block < 1:
+            raise ValidationError("block length must be at least 1")
+        require_dim("start", p.dim, structure.P0.dim)
         self.epsilon = epsilon
         self.block = block
         if pi_eps is not None:
+            require_dim("pi_eps", pi_eps.dim, structure.P0.dim)
             self.pi_eps = pi_eps
 
     @cached_property
@@ -378,8 +384,6 @@ class BoundContext:
     @cached_property
     def walks(self) -> tuple:
         structure = self.structure
-        if structure.regime is Regime.UNSUPPORTED:
-            raise RegimeError("per-class bound constants require a regular or singular chain")
         return tuple(
             PowerWalk(M, lambda j=j: structure.laws[j]) for j, M in enumerate(structure.matrices)
         )
@@ -396,17 +400,12 @@ class BoundContext:
         """The whole matrix's ergodicity coefficient ``Delta_N``."""
         return ErgodicityReport.from_overlap(N, self._whole_overlap(N))
 
-    def require_block(self) -> None:
-        if self.block < 1:
-            raise ValidationError("block length must be at least 1")
-
     def require_coupling_epsilon(self) -> None:
         if not 0.0 < self.epsilon <= 1.0:
             raise ValidationError("coupling bounds require epsilon in (0, 1]")
 
     @cached_property
     def class_reports(self) -> tuple:
-        self.require_block()
         return tuple(ErgodicityReport.from_overlap(self.block, w.overlap(self.block)) for w in self.walks)
 
     @cached_property
@@ -438,26 +437,15 @@ class BoundContext:
     def coupled(self) -> np.ndarray:
         return self._class_gaps(self.pi_eps.probs, self._masses[1]) + self.start_gap
 
-    @cached_property
-    def _onestep_rate(self) -> float:
-        """``(1 - Q(P0)) (1 - eps)``, once epsilon is checked."""
-        self.require_coupling_epsilon()
-        return (1.0 - self._whole_overlap(1)) * (1.0 - self.epsilon)
-
     def onestep(self, n: int) -> float:
         """Family 5: ``(1 - Q(p, pi_eps)) * ((1 - Q(P0)) (1 - eps))^n``."""
-        rate = self._onestep_rate  # epsilon is checked before pi_eps is solved
+        self.require_coupling_epsilon()  # before pi_eps is solved
+        rate = (1.0 - self._whole_overlap(1)) * (1.0 - self.epsilon)
         return (1.0 - self.start_overlap) * rate**n
-
-    @cached_property
-    def _block_report(self) -> ErgodicityReport:
-        """The whole matrix's ``Delta_block``, once the block is checked."""
-        self.require_block()
-        return self.ergodicity(self.block)
 
     def multistep(self, n: int) -> float:
         """Family 6: both geometric factors carry ``floor(n / block) * block``."""
-        report = self._block_report
+        report = self.ergodicity(self.block)
         exponent = (n // self.block) * self.block
         return (
             (1.0 - self.start_overlap)

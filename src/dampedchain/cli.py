@@ -60,8 +60,9 @@ def _add_common(sub):
     )
     sub.add_argument(
         "--damping",
-        default="uniform",
-        help="'uniform' or a path to a whitespace-separated weights file",
+        default=None,
+        help="'uniform' or a path to a whitespace-separated weights file (default: the "
+        "input's own weights, else uniform)",
     )
     sub.add_argument(
         "--dangling-policy",
@@ -152,11 +153,11 @@ def _epsilons(args):
 def _load(args):
     fmt = GraphFormat(args.format) if args.format else None
     matrix, damping = ingest(args.input, fmt, DanglingPolicy(args.dangling_policy))
-    if args.damping != "uniform":
-        if damping is not None:
-            raise ValidationError(
-                f"{args.input} holds damping weights and --damping names {args.damping}; give one of them"
-            )
+    if args.damping is not None and damping is not None:
+        raise ValidationError(
+            f"{args.input} holds damping weights and --damping names {args.damping}; give one of them"
+        )
+    if args.damping not in (None, "uniform"):
         damping = load_damping(args.damping, matrix.dim)
     elif damping is None:
         damping = DampingVector.uniform(matrix.dim)

@@ -51,6 +51,12 @@ def require_epsilon(epsilon: float) -> None:
         raise ValidationError(f"epsilon must lie in [0, 1], got {epsilon}")
 
 
+def require_dim(name: str, dim: int, matrix_dim: int) -> None:
+    """Refuse a ``name`` vector whose dimension is not the matrix's."""
+    if dim != matrix_dim:
+        raise DimensionMismatchError(f"{name} dim {dim} != matrix dim {matrix_dim}")
+
+
 def _freeze(obj, field, arr):
     arr = arr.copy()
     arr.setflags(write=False)

@@ -30,14 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DampingVector, Distribution, StochasticMatrix, require_epsilon
-from .errors import (
-    IllConditionedError,
-    RegimeError,
-    SpectralStructureError,
-    ValidationError,
-)
+from .errors import IllConditionedError, SpectralStructureError, ValidationError
 from .stationary import stationary_direct
-from .structure import ChainStructure, Regime, class_mass, restrict_damping
+from .structure import ChainStructure, class_mass, restrict_damping
 
 DEFAULT_CLUSTER_TOL = 1e-8
 VANDERMONDE_COND_LIMIT = 1e12
@@ -223,11 +218,10 @@ def _class_series(M: StochasticMatrix, pi0: np.ndarray, d: np.ndarray, n_max: in
 
 
 def require_expansion(structure: ChainStructure, n_max: int) -> None:
-    """Refuse an order below 1 or a chain that is neither regular nor singular."""
+    """Refuse an order below 1, then an unsupported chain (``ChainStructure.require_classes``)."""
     if n_max < 1:
         raise ValidationError("expansion order must be at least 1")
-    if structure.regime is Regime.UNSUPPORTED:
-        raise RegimeError("expansion requires a regular or singular chain")
+    structure.require_classes()
 
 
 def expansion(structure: ChainStructure, d: DampingVector, n_max: int = 2) -> ExpansionSeries:

@@ -43,11 +43,12 @@ def guess_format(path) -> GraphFormat:
     return GraphFormat.EDGE_LIST
 
 
-def _validated(entries) -> StochasticMatrix:
+def _validated(kind, values: np.ndarray, name: str):
+    """``kind(values)``, its ``ValueError`` turned into an IngestError that names ``name``."""
     try:
-        return StochasticMatrix(entries)
+        return kind(values)
     except ValueError as exc:
-        raise IngestError(f"matrix failed validation: {exc}") from exc
+        raise IngestError(f"{name} failed validation: {exc}") from exc
 
 
 def _parse_edge_list(text: str, dangling: DanglingPolicy) -> StochasticMatrix:
@@ -109,7 +110,7 @@ def _parse_matrix_csv(text: str) -> StochasticMatrix:
     width = len(rows[0])
     if any(len(r) != width for r in rows) or width != len(rows):
         raise IngestError(f"CSV matrix must be square, got {len(rows)} rows of width {width}")
-    return _validated(np.array(rows))
+    return _validated(StochasticMatrix, np.array(rows), "matrix")
 
 
 def _float_array(doc: dict, field: str) -> np.ndarray:
@@ -138,12 +139,9 @@ def _parse_matrix_json(text: str):
         damping = _float_array(doc, "damping")
         if damping.shape != (matrix.shape[0],):
             raise IngestError("'damping' length must match the matrix dimension")
-    matrix = _validated(matrix)
+    matrix = _validated(StochasticMatrix, matrix, "matrix")
     if damping is not None:
-        try:
-            damping = DampingVector(damping)
-        except ValueError as exc:
-            raise IngestError(f"damping failed validation: {exc}") from exc
+        damping = _validated(DampingVector, damping, "damping")
     return matrix, damping
 
 
@@ -180,10 +178,7 @@ def load_weights(path, dim: int, name: str, vector_type):
         raise IngestError(f"{name} file must contain floats: {exc}") from exc
     if len(weights) != dim:
         raise IngestError(f"{name} file has {len(weights)} entries, expected {dim}")
-    try:
-        return vector_type(np.array(weights))
-    except ValueError as exc:
-        raise IngestError(f"{name} failed validation: {exc}") from exc
+    return _validated(vector_type, np.array(weights), name)
 
 
 def load_damping(path, dim: int) -> DampingVector:

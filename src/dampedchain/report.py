@@ -158,8 +158,7 @@ def default_families(regime: Regime) -> list:
 
 
 def check_bounds(context: BoundContext, families) -> None:
-    """Refuse a bad block, an unknown family or one that does not apply, before any is computed."""
-    context.require_block()
+    """Refuse an unknown family or one that does not apply, before any is computed."""
     for family in families:
         if family not in FAMILIES:
             raise RegimeError(f"unknown bound family {family!r}; choose from 1, 2, 5, 6, 7")

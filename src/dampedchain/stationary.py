@@ -31,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DampedChain, DampingVector, Distribution, StochasticMatrix
+from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, require_dim
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
-    RegimeError,
     SingularSystemError,
     ValidationError,
 )
@@ -138,8 +137,7 @@ def stationary_power(
     Raises ConvergenceError carrying the last iterate after
     ``DEFAULT_MAX_ITER`` steps.
     """
-    if p0.dim != P.dim:
-        raise DimensionMismatchError(f"start dim {p0.dim} != matrix dim {P.dim}")
+    require_dim("start", p0.dim, P.dim)
     require_tolerance(tol)
     prev = p0.probs
     for it in range(DEFAULT_MAX_ITER):
@@ -252,13 +250,14 @@ def limit_stationary(structure: ChainStructure, p: Distribution) -> Distribution
     ``p``. Singular regime: per-class stationary distributions scaled by the
     class masses of ``p``. Called with ``p`` equal to the damping weights this
     is also the eps -> 0 limit of the damped stationary distributions. The
-    class laws are ``structure.laws``, solved once per structure.
+    class laws are ``structure.laws``, solved once per structure; an
+    unsupported chain is refused by their gate, ``require_classes``.
     """
-    if structure.regime is Regime.UNSUPPORTED:
-        raise RegimeError("limit distribution is only defined for regular or singular chains")
+    require_dim("start", p.dim, structure.P0.dim)
+    laws = structure.laws
     if structure.regime is Regime.REGULAR:
-        return structure.laws[0]
+        return laws[0]
     out = np.zeros(structure.P0.dim)
-    for cls, mass, law in zip(structure.classes, class_mass(p, structure), structure.laws):
+    for cls, mass, law in zip(structure.classes, class_mass(p, structure), laws):
         out[list(cls.states)] = mass * law.probs
     return Distribution(out, max(structure.P0.row_tol, 1e-10))

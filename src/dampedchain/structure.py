@@ -19,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import DampingVector, Distribution, StochasticMatrix
+from .core import DampingVector, Distribution, StochasticMatrix, require_dim
 from .errors import RegimeError, SingularSystemError, ValidationError
 
 
@@ -64,6 +64,14 @@ class ChainStructure:
     def class_count(self) -> int:
         return len(self.classes)
 
+    def require_classes(self) -> None:
+        """Refuse an unsupported chain; ``matrices``, and so every per-class quantity, calls this first."""
+        if self.regime is Regime.UNSUPPORTED:
+            raise RegimeError(
+                "per-class analysis needs a regular or singular chain (every state in an aperiodic closed "
+                "class); stationary, coupling-sim and bound families 5 and 6 still run on this chain"
+            )
+
     @cached_property
     def matrices(self) -> tuple:
         """The matrix of each closed class, in ``classes`` order.
@@ -71,6 +79,7 @@ class ChainStructure:
         A regular chain's one class covers every state in natural order, so its
         matrix is P0 itself; any other chain's are one :func:`restrict` per class.
         """
+        self.require_classes()
         if self.regime is Regime.REGULAR:
             return (self.P0,)
         return tuple(restrict(self.P0, cls) for cls in self.classes)
@@ -221,6 +230,7 @@ def class_mass(p: Distribution, structure: ChainStructure) -> np.ndarray:
     transient states of an unsupported decomposition has no per-class
     interpretation, so that case is rejected.
     """
+    require_dim("distribution", p.dim, structure.P0.dim)
     transient_mass = float(p.probs[list(structure.transient_states)].sum()) if structure.transient_states else 0.0
     if structure.regime is Regime.UNSUPPORTED and transient_mass > 0.0:
         raise RegimeError(

@@ -24,9 +24,9 @@ import numpy as np
 
 from .core import DampingVector, Distribution
 from .bounds import BoundContext
-from .errors import RegimeError, ValidationError
+from .errors import ValidationError
 from .stationary import limit_stationary
-from .structure import ChainStructure, Regime
+from .structure import ChainStructure
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,14 @@ class TriangularSweep:
 def sweep_grid(context: BoundContext, n_grid) -> list:
     """The sorted step grid, once the joint-limit bound applies on ``context`` at every step.
 
-    Refuses epsilon outside (0, 1], an empty grid or a negative step, an
-    unsupported chain, a bad block and a closed class that does not contract.
+    Refuses epsilon outside (0, 1] (``require_coupling_epsilon``), an empty
+    grid or a negative step, and through ``require_contraction`` an
+    unsupported chain and a closed class that does not contract.
     """
-    if not 0.0 < context.epsilon <= 1.0:
-        raise ValidationError("sweep requires epsilon in (0, 1]")
+    context.require_coupling_epsilon()
     grid = sorted(set(int(n) for n in n_grid))
     if not grid or grid[0] < 0:
         raise ValidationError("n grid must be non-empty with non-negative entries")
-    if context.structure.regime is Regime.UNSUPPORTED:
-        raise RegimeError("triangular bounds require a regular or singular chain")
     context.require_contraction()
     return grid
 

@@ -9,6 +9,7 @@ from dampedchain import (
     ContractionError,
     DampedChain,
     DampingVector,
+    DimensionMismatchError,
     Distribution,
     GeometricDecay,
     Regime,
@@ -16,6 +17,7 @@ from dampedchain import (
     StochasticMatrix,
     bound_context,
     build_damped_matrix,
+    class_mass,
     coupling_bound,
     coupling_bound_multistep,
     decompose,
@@ -26,6 +28,7 @@ from dampedchain import (
     split_bound_context,
     stationary_direct,
     stationary_gap_bound,
+    triangular_limit,
     triangular_sweep,
 )
 from dampedchain.bounds import DECAY_NOISE_FLOOR, PROFILE_STEPS, ErgodicityReport, estimate_decay
@@ -700,3 +703,26 @@ class TestInterleavedClasses:
                 np.testing.assert_allclose(
                     context.bound_vector(n), expected, rtol=1e-12, atol=1e-15
                 )
+
+
+@pytest.mark.parametrize(
+    "chain_name, call, message",
+    [
+        ("five_node", lambda s, d: bound_context(s, d, Distribution.uniform(3), 0.15, 2), "start dim 3"),
+        (
+            "five_node",
+            lambda s, d: coupling_bound(s, d, Distribution.uniform(5), Distribution.uniform(3), 0.15, 3),
+            "pi_eps dim 3",
+        ),
+        ("five_node", lambda s, d: limit_stationary(s, Distribution.uniform(3)), "start dim 3"),
+        ("eight_node", lambda s, d: limit_stationary(s, Distribution.uniform(3)), "start dim 3"),
+        ("eight_node", lambda s, d: triangular_limit(s, d, Distribution.uniform(20), 1.0), "start dim 20"),
+        ("eight_node", lambda s, d: class_mass(Distribution.uniform(20), s), "distribution dim 20"),
+    ],
+    ids=["context", "coupling-bound", "limit-regular", "limit-singular", "triangular-limit", "class-mass"],
+)
+def test_inputs_of_the_wrong_size_are_refused(chain_name, call, message, request):
+    P, d = request.getfixturevalue(chain_name)
+    with pytest.raises(DimensionMismatchError) as info:
+        call(decompose(P), d)
+    assert str(info.value) == f"{message} != matrix dim {P.dim}"

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import count_calls, naive_matmul, naive_min_overlap
 from dampedchain import (
+    BoundContext,
     ContractionError,
     DampedChain,
     DampingVector,
@@ -15,8 +17,12 @@ from dampedchain import (
     Regime,
     RegimeError,
     ValidationError,
+    decompose,
+    expansion,
     ingest,
+    limit_stationary,
     stationary_direct,
+    triangular_sweep,
 )
 from dampedchain.cli import main
 from dampedchain.report import default_families, load_schema
@@ -26,6 +32,11 @@ FIVE = str(DATA / "five_node_edges.txt")
 FOUR = str(DATA / "four_node_edges.txt")
 EIGHT = str(DATA / "eight_node_edges.txt")
 TRANSIENT = str(DATA / "transient_edges.txt")
+# The one refusal of every per-class quantity on an unsupported chain.
+GATE = (
+    "per-class analysis needs a regular or singular chain (every state in an aperiodic closed class); "
+    "stationary, coupling-sim and bound families 5 and 6 still run on this chain"
+)
 
 
 def run_cli(capsys, *argv):
@@ -297,12 +308,13 @@ def test_json_damping_and_damping_file_exclude_each_other(capsys, tmp_path):
     matrix.write_text(json.dumps({"matrix": [[0.5, 0.5], [0.5, 0.5]], "damping": [0.9, 0.1]}))
     weights = tmp_path / "weights.txt"
     weights.write_text("0.5 0.5\n")
-    code, out = run_cli(capsys, "structure", "--input", str(matrix), "--damping", str(weights))
-    assert code == 1
-    assert json.loads(out)["error"] == {
-        "type": "ValidationError",
-        "message": f"{matrix} holds damping weights and --damping names {weights}; give one of them",
-    }
+    for damping in (str(weights), "uniform"):
+        code, out = run_cli(capsys, "structure", "--input", str(matrix), "--damping", damping)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "ValidationError",
+            "message": f"{matrix} holds damping weights and --damping names {damping}; give one of them",
+        }
 
 
 def test_expand_defective_chain_with_damping_file(capsys, tmp_path):
@@ -452,9 +464,40 @@ def test_coupling_sim_reads_only_the_one_step_overlap(monkeypatch, name, scans):
 @pytest.mark.parametrize("command", ["expand", "report"])
 def test_unsupported_chain_is_refused_before_any_eigen_solve(monkeypatch, command):
     spectra = count_calls(monkeypatch, "spectrum")
-    with pytest.raises(RegimeError, match="expansion requires a regular or singular chain"):
+    with pytest.raises(RegimeError, match=re.escape(GATE)):
         _run([command, "--input", TRANSIENT, "--seed", "7", "--trials", "50"])
     assert spectra == []
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["expand", "report", "triangular", "limit_stationary", "expansion", "triangular_sweep", "split_decay"],
+)
+@pytest.mark.parametrize("chain", ["transient", "three-cycle"])
+def test_per_class_gate_refuses_every_entry_point(monkeypatch, tmp_path, chain, entry):
+    path = TRANSIENT
+    if chain == "three-cycle":
+        path = tmp_path / "cycle.txt"
+        path.write_text("1 2\n2 3\n3 1\n")
+    P, _ = ingest(path)
+    structure = decompose(P)
+    assert structure.regime is Regime.UNSUPPORTED
+    d, p = DampingVector.uniform(P.dim), Distribution.uniform(P.dim)
+    library = {
+        "limit_stationary": lambda: limit_stationary(structure, p),
+        "expansion": lambda: expansion(structure, d),
+        "triangular_sweep": lambda: triangular_sweep(BoundContext(structure, d, p, 0.15, 2), range(5)),
+        "split_decay": lambda: BoundContext(structure, d, p, 0.15, 2).split_decay(),
+    }
+    solves = count_calls(monkeypatch, "stationary_direct")
+    spectra = count_calls(monkeypatch, "spectrum")
+    with pytest.raises(RegimeError) as info:
+        if entry in library:
+            library[entry]()
+        else:
+            _run([entry, "--input", str(path), "--seed", "7", "--trials", "50"])
+    assert str(info.value) == GATE
+    assert solves == [] and spectra == []
 
 
 def _web_edges(tmp_path, m: int) -> str:
@@ -514,6 +557,7 @@ def test_coupling_sim_refuses_epsilon_zero_before_simulating(monkeypatch, path):
             ("stationary", "--epsilon", "0.3", "--epsilon-grid", "0.1"),
             "--epsilon and --epsilon-grid exclude each other; give one of them",
         ),
+        (("structure", "--coupling-N", "0"), "block length must be at least 1"),
     ],
 )
 def test_bad_arguments_are_refused_before_any_solve(monkeypatch, argv, message):
@@ -522,7 +566,7 @@ def test_bad_arguments_are_refused_before_any_solve(monkeypatch, argv, message):
     solves = count_calls(monkeypatch, "stationary_direct")
     spectra = count_calls(monkeypatch, "spectrum")
     with pytest.raises(ValidationError) as info:
-        _run([*argv, "--input", FIVE, "--coupling-N", "1"])
+        _run([argv[0], "--input", FIVE, "--coupling-N", "1", *argv[1:]])
     assert str(info.value) == message
     assert solves == [] and spectra == []
 
