@@ -1,6 +1,6 @@
 """Explicit convergence-rate and deviation bounds for damped chains.
 
-Five bound families are implemented, numbered as the CLI exposes them:
+Five bound families are implemented, numbered as the CLI exposes them (``FAMILIES``):
 
 * family 1, ``stationary_gap_bound`` with whole-matrix constants:
   per-state bound on |pi(eps) - pi(0)| of the form
@@ -73,6 +73,20 @@ DECAY_NOISE_FLOOR = 1e-13
 
 # Rows per tile of min_row_overlap's exact scan: one small buffer, reused.
 SCAN_TILE = 64
+
+# Each bound family's report name, and the regime it needs with the family to use instead.
+FAMILIES = {
+    "1": ("stationary-gap", Regime.REGULAR, "use family 2"),
+    "2": ("stationary-gap-split", Regime.SINGULAR, "use family 1"),
+    "5": ("coupling-onestep", None, None),
+    "6": ("coupling-multistep", None, None),
+    "7": ("coupling-split", Regime.SINGULAR, "use families 5/6"),
+}
+
+
+def default_families(regime: Regime) -> list:
+    """The families that apply to a ``regime`` chain, run when none is named."""
+    return [family for family, (_, needs, _) in FAMILIES.items() if needs in (None, regime)]
 
 
 def min_row_overlap(entries: np.ndarray) -> float:
@@ -341,9 +355,10 @@ class BoundContext:
     :class:`PowerWalk` of ``structure.matrices[j]``, whose gate
     (``require_classes``) refuses every per-class constant of an unsupported chain.
 
-    Unless given, ``pi_eps`` is one in-place direct solve of ``chain``,
-    P(eps), or is adopted from the stationary section's solve (``adopt_direct``).
-    Callers of family 7 or the joint-limit bound call ``require_contraction``.
+    Unless given, ``pi_eps`` is one in-place direct solve of ``chain``, P(eps),
+    once ``structure.require_unique_law`` admits it, or is adopted from the
+    stationary section's solve (``adopt_direct``).
+    Callers of a family call ``require_family``, of the joint-limit bound ``require_contraction``.
     The whole matrix's Delta_N is the one class's on a regular chain, 1 by
     structure on a singular chain (rows in different closed classes share no
     support), and read from a walk of P0 of its own on an unsupported chain,
@@ -366,6 +381,7 @@ class BoundContext:
 
     @cached_property
     def pi_eps(self) -> Distribution:
+        self.structure.require_unique_law(self.epsilon)
         return stationary_direct(self.chain).pi
 
     def adopt_direct(self, solution: StationarySolution) -> None:
@@ -404,6 +420,20 @@ class BoundContext:
         if not 0.0 < self.epsilon <= 1.0:
             raise ValidationError("coupling bounds require epsilon in (0, 1]")
 
+    def require_family(self, family: str) -> None:
+        """Refuse an unknown bound family, or one whose regime, epsilon or contraction fails here."""
+        if family not in FAMILIES:
+            raise RegimeError(f"unknown bound family {family!r}; choose from 1, 2, 5, 6, 7")
+        _, regime, instead = FAMILIES[family]
+        if regime not in (None, self.structure.regime):
+            raise RegimeError(f"bound family {family} needs a {regime.value} chain; {instead}")
+        if family in ("5", "7"):
+            self.require_coupling_epsilon()
+        if family == "6":
+            self.structure.require_unique_law(self.epsilon)
+        if family == "7":
+            self.require_contraction()
+
     @cached_property
     def class_reports(self) -> tuple:
         return tuple(ErgodicityReport.from_overlap(self.block, w.overlap(self.block)) for w in self.walks)
@@ -439,7 +469,7 @@ class BoundContext:
 
     def onestep(self, n: int) -> float:
         """Family 5: ``(1 - Q(p, pi_eps)) * ((1 - Q(P0)) (1 - eps))^n``."""
-        self.require_coupling_epsilon()  # before pi_eps is solved
+        self.require_family("5")  # before pi_eps is solved
         rate = (1.0 - self._whole_overlap(1)) * (1.0 - self.epsilon)
         return (1.0 - self.start_overlap) * rate**n
 
@@ -592,15 +622,10 @@ def split_bound_context(
     block: int,
     pi_eps: Distribution = None,
 ) -> BoundContext:
-    """Build a :class:`BoundContext` for family 7 and check that family 7 applies.
+    """Build a :class:`BoundContext` for family 7 once ``BoundContext.require_family`` admits it.
 
-    Requires a singular chain and the block-N ergodicity coefficient of every
-    closed class to be strictly below 1. A class carrying no mass under ``p``
-    contributes no start-overlap term.
+    A class carrying no mass under ``p`` contributes no start-overlap term.
     """
-    if structure.regime is not Regime.SINGULAR:
-        raise RegimeError("the split bound applies to singular chains; use families 5/6")
     context = BoundContext(structure, d, p, epsilon, block, pi_eps)
-    context.require_coupling_epsilon()
-    context.require_contraction()
+    context.require_family("7")
     return context

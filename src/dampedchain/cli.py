@@ -20,7 +20,7 @@ import csv
 import json
 import sys
 
-from .bounds import PROFILE_STEPS, BoundContext
+from .bounds import PROFILE_STEPS, BoundContext, default_families
 from .core import DampingVector, Distribution, require_epsilon
 from .coupling import require_simulation
 from .errors import ChainError, ValidationError
@@ -29,9 +29,7 @@ from .io import DanglingPolicy, GraphFormat, ingest, load_damping, load_weights
 from .report import (
     bounds_section,
     build_report,
-    check_bounds,
     coupling_sim_section,
-    default_families,
     expansion_section,
     serialize,
     spectrum_section,
@@ -218,8 +216,9 @@ def _plot_rows(command: str, sections: dict):
 def run_command(command: str, args) -> dict:
     """Execute one subcommand and return the report as a dict.
 
-    The sections share one :class:`BoundContext`; each section's preconditions
-    are checked, in section order, before any section computes.
+    The sections share one :class:`BoundContext`. Every argument is checked
+    first, then each section's preconditions in section order, all before any
+    section computes.
     """
     if args.horizon < 0:
         raise ValidationError(f"--horizon must be at least 0, got {args.horizon}")
@@ -233,34 +232,41 @@ def run_command(command: str, args) -> dict:
     def runs(section_command):
         return command in (section_command, "report")
 
-    families = None
-    if runs("bounds"):
-        if args.theorem:
-            families = [x.strip() for x in args.theorem.split(",")]
-        else:
-            families = default_families(structure.regime)
-    if runs("expand"):
-        require_expansion(structure, args.order)
-    if families is not None:
-        check_bounds(context, families)
-    if runs("coupling-sim"):
-        if args.seed is None:
-            raise ChainError("--seed is required for the coupling simulation")
-        context.require_coupling_epsilon()
-    if runs("triangular"):
-        if families is not None:
-            # The bounds section's profile comes first on the walk of a regular
-            # chain's P0, which the contraction check advances to the block.
-            for N in range(1, min(args.coupling_n, PROFILE_STEPS[-1] + 1)):
-                context.ergodicity(N)
-        grid = sweep_grid(context, _parse_grid(args.n_grid) if args.n_grid else range(args.horizon + 1))
-    # Argument checks, after every precondition above; every command checks each grid epsilon.
+    # Argument checks; none of them computes. Every command checks each grid epsilon.
     if runs("stationary"):
         require_tolerance(args.tol)
     for eps in epsilons:
         require_epsilon(eps)
     if runs("coupling-sim"):
+        if args.seed is None:
+            raise ChainError("--seed is required for the coupling simulation")
         require_simulation(args.trials, args.seed, args.horizon)
+    if runs("triangular"):
+        steps = _parse_grid(args.n_grid) if args.n_grid else range(args.horizon + 1)
+
+    # Preconditions, in section order; only the contraction checks scan.
+    families = []
+    if runs("bounds"):
+        if args.theorem:
+            families = [x.strip() for x in args.theorem.split(",")]
+        else:
+            families = default_families(structure.regime)
+    if runs("stationary"):
+        for eps in epsilons:
+            structure.require_unique_law(eps)
+    if runs("expand"):
+        require_expansion(structure, args.order)
+    for family in families:
+        context.require_family(family)
+    if runs("coupling-sim"):
+        context.require_coupling_epsilon()
+    if runs("triangular"):
+        if runs("bounds"):
+            # The bounds section's profile comes first on the walk of a regular
+            # chain's P0, which the contraction check advances to the block.
+            for N in range(1, min(args.coupling_n, PROFILE_STEPS[-1] + 1)):
+                context.ergodicity(N)
+        grid = sweep_grid(context, steps)
 
     sections = {}
     if runs("structure"):
@@ -270,7 +276,7 @@ def run_command(command: str, args) -> dict:
     if runs("expand"):
         sections["spectrum"] = spectrum_section(structure)
         sections["expansion"] = expansion_section(structure, damping, args.order, epsilons)
-    if families is not None:
+    if runs("bounds"):
         sections["bounds"] = bounds_section(context, families, args.horizon)
     if runs("coupling-sim"):
         sections["coupling_sim"] = coupling_sim_section(context, args.trials, args.seed, args.horizon)

@@ -185,10 +185,7 @@ class DampedChain:
     epsilon: float
 
     def __post_init__(self):
-        if self.p0.dim != self.damping.dim:
-            raise DimensionMismatchError(
-                f"matrix dim {self.p0.dim} != damping dim {self.damping.dim}"
-            )
+        require_dim("damping", self.damping.dim, self.p0.dim)
         require_epsilon(self.epsilon)
 
     @property

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DampingVector, Distribution, StochasticMatrix, require_epsilon
+from .core import DampingVector, Distribution, StochasticMatrix, require_dim, require_epsilon
 from .errors import IllConditionedError, SpectralStructureError, ValidationError
 from .stationary import stationary_direct
 from .structure import ChainStructure, class_mass, restrict_damping
@@ -234,6 +234,7 @@ def expansion(structure: ChainStructure, d: DampingVector, n_max: int = 2) -> Ex
     classes, which ``structure.laws`` refuses with RegimeError.
     """
     require_expansion(structure, n_max)
+    require_dim("damping", d.dim, structure.P0.dim)
     masses = class_mass(d.as_distribution(), structure)
     m = structure.P0.dim
     base = np.zeros(m)

@@ -5,7 +5,8 @@ Three input formats:
 * edge list -- one ``src dst`` pair per line, whitespace separated, 1-based
   ids, ``#`` starts a comment. Every node's out-links get uniform weight
   (the hyperlink-matrix convention). Nodes without out-links are rejected
-  unless a dangling policy says otherwise.
+  unless a dangling policy says otherwise, and so is a node id whose dense
+  matrix would not fit in physical memory.
 * matrix CSV -- m lines of m comma-separated probabilities.
 * matrix JSON -- ``{"matrix": [[...]], "damping": [...]}``; damping optional.
 
@@ -14,6 +15,7 @@ Damping weights default to uniform when the input does not provide them.
 
 import enum
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +79,13 @@ def _parse_edge_list(text: str, dangling: DanglingPolicy) -> StochasticMatrix:
         m = max(m, src, dst)
     if not edges:
         raise IngestError("edge list contains no edges")
+    dense_bytes = 8 * m * m
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if dense_bytes > memory:
+        raise IngestError(
+            f"node id {m} needs a dense {m} x {m} matrix of {dense_bytes / 2**30:.1f} GiB, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory"
+        )
     rows, cols = np.array(edges).T
     entries = np.zeros((m, m))
     entries[rows, cols] = 1.0

@@ -15,10 +15,9 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .bounds import PROFILE_STEPS, BoundContext, stationary_gap_bound
+from .bounds import FAMILIES, PROFILE_STEPS, BoundContext, stationary_gap_bound
 from .core import DampedChain, DampingVector, Distribution, build_damped_matrix
 from .coupling import CouplingKernel, maximal_coupling, simulate_coupling_time
-from .errors import RegimeError
 from .expansion import expansion
 from .io import MATRIX_SLOT, dumps_with_matrix
 from .stationary import (
@@ -142,38 +141,10 @@ def expansion_section(structure, d: DampingVector, order: int, epsilons) -> dict
     return section
 
 
-# Each bound family's report name, and the regime it needs with the family to use instead.
-FAMILIES = {
-    "1": ("stationary-gap", Regime.REGULAR, "use family 2"),
-    "2": ("stationary-gap-split", Regime.SINGULAR, "use family 1"),
-    "5": ("coupling-onestep", None, None),
-    "6": ("coupling-multistep", None, None),
-    "7": ("coupling-split", Regime.SINGULAR, "use families 5/6"),
-}
-
-
-def default_families(regime: Regime) -> list:
-    """The families that apply to a ``regime`` chain, run when none is named."""
-    return [family for family, (_, needs, _) in FAMILIES.items() if needs in (None, regime)]
-
-
-def check_bounds(context: BoundContext, families) -> None:
-    """Refuse an unknown family or one that does not apply, before any is computed."""
-    for family in families:
-        if family not in FAMILIES:
-            raise RegimeError(f"unknown bound family {family!r}; choose from 1, 2, 5, 6, 7")
-        _, regime, instead = FAMILIES[family]
-        if regime not in (None, context.structure.regime):
-            raise RegimeError(f"bound family {family} needs a {regime.value} chain; {instead}")
-        if family == "5":
-            context.require_coupling_epsilon()
-        elif family == "7":
-            context.require_contraction()
-
-
 def bounds_section(context: BoundContext, families, horizon: int) -> dict:
     """The bounds of ``families`` in order, computed once every family's precondition holds."""
-    check_bounds(context, families)
+    for family in families:
+        context.require_family(family)
     structure, d, epsilon, block = context.structure, context.d, context.epsilon, context.block
     # The profile is read first: on a regular chain it comes from the walk of
     # P0 that the block and the decay of family 1 go on with.
@@ -210,7 +181,6 @@ def bounds_section(context: BoundContext, families, horizon: int) -> dict:
 
 
 def coupling_sim_section(context: BoundContext, trials: int, seed: int, horizon: int) -> dict:
-    context.require_coupling_epsilon()
     start = maximal_coupling(context.p, context.pi_eps)
     # P(eps) is built densely for the kernel alone; pi(eps) is the context's.
     kernel = CouplingKernel(build_damped_matrix(context.chain))

@@ -34,7 +34,6 @@ import numpy as np
 from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, require_dim
 from .errors import (
     ConvergenceError,
-    DimensionMismatchError,
     SingularSystemError,
     ValidationError,
 )
@@ -198,10 +197,9 @@ def series_sums(
     P0, and adds each step into every row whose series is still open, so the
     memory is one row per epsilon whatever the walk's length.
     """
+    require_dim("damping", d.dim, P0.dim)
     epsilons = tuple(float(eps) for eps in epsilons)
     lengths = tuple(series_length(eps, tol) for eps in epsilons)
-    if P0.dim != d.dim:
-        raise DimensionMismatchError(f"matrix dim {P0.dim} != damping dim {d.dim}")
     open_until = np.array(lengths)
     decay = 1.0 - np.array(epsilons)
     weights = np.array(epsilons)

@@ -72,6 +72,15 @@ class ChainStructure:
                 "class); stationary, coupling-sim and bound families 5 and 6 still run on this chain"
             )
 
+    def require_unique_law(self, epsilon: float) -> None:
+        """Refuse epsilon = 0 on a chain with several closed classes: P(0) = P0 has no unique law."""
+        if epsilon == 0.0 and self.class_count > 1:
+            raise RegimeError(
+                f"P(0) = P0 has {self.class_count} closed classes and no unique stationary law; "
+                "use epsilon > 0 (on a singular chain, the stationary section's 'limit' entry is "
+                "the eps -> 0 limit)"
+            )
+
     @cached_property
     def matrices(self) -> tuple:
         """The matrix of each closed class, in ``classes`` order.

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DampingVector, Distribution
+from .core import DampingVector, Distribution, require_dim
 from .bounds import BoundContext
 from .errors import ValidationError
 from .stationary import limit_stationary
@@ -55,6 +55,7 @@ def triangular_limit(
     """
     if t < 0.0 or math.isnan(t):
         raise ValidationError(f"t must lie in [0, infinity], got {t}")
+    require_dim("damping", d.dim, structure.P0.dim)
     start_side = limit_stationary(structure, p).probs
     damped_side = limit_stationary(structure, d.as_distribution()).probs
     return _mixture(start_side, damped_side, t)

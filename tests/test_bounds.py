@@ -33,6 +33,7 @@ from dampedchain import (
 )
 from dampedchain.bounds import DECAY_NOISE_FLOOR, PROFILE_STEPS, ErgodicityReport, estimate_decay
 from dampedchain.expansion import expansion
+from dampedchain.stationary import series_sums
 from dampedchain.triangular import triangular_bound
 from conftest import (
     count_calls,
@@ -345,6 +346,12 @@ class TestCouplingBounds:
         structure = decompose(P)
         with pytest.raises(RegimeError):
             split_bound_context(structure, d, Distribution.uniform(5), 0.1, 2).bound_vector(5)[0]
+
+    def test_split_bound_names_family_seven(self, five_node):
+        P, d = five_node
+        with pytest.raises(RegimeError) as info:
+            split_bound_context(decompose(P), d, Distribution.uniform(5), 0.1, 2)
+        assert str(info.value) == "bound family 7 needs a singular chain; use families 5/6"
 
     def test_split_bound_requires_contraction(self, eight_node):
         P, d = eight_node
@@ -718,8 +725,19 @@ class TestInterleavedClasses:
         ("eight_node", lambda s, d: limit_stationary(s, Distribution.uniform(3)), "start dim 3"),
         ("eight_node", lambda s, d: triangular_limit(s, d, Distribution.uniform(20), 1.0), "start dim 20"),
         ("eight_node", lambda s, d: class_mass(Distribution.uniform(20), s), "distribution dim 20"),
+        (
+            "eight_node",
+            lambda s, d: triangular_limit(s, DampingVector.uniform(3), Distribution.uniform(8), 1.0),
+            "damping dim 3",
+        ),
+        ("eight_node", lambda s, d: expansion(s, DampingVector.uniform(3)), "damping dim 3"),
+        ("eight_node", lambda s, d: DampedChain(s.P0, DampingVector.uniform(3), 0.1), "damping dim 3"),
+        ("eight_node", lambda s, d: series_sums(s.P0, DampingVector.uniform(3), [0.1]), "damping dim 3"),
     ],
-    ids=["context", "coupling-bound", "limit-regular", "limit-singular", "triangular-limit", "class-mass"],
+    ids=[
+        "context", "coupling-bound", "limit-regular", "limit-singular", "triangular-limit", "class-mass",
+        "triangular-limit-damping", "expansion-damping", "damped-chain-damping", "series-sums-damping",
+    ],
 )
 def test_inputs_of_the_wrong_size_are_refused(chain_name, call, message, request):
     P, d = request.getfixturevalue(chain_name)

@@ -22,10 +22,12 @@ from dampedchain import (
     ingest,
     limit_stationary,
     stationary_direct,
+    triangular_limit,
     triangular_sweep,
 )
+from dampedchain.bounds import default_families
 from dampedchain.cli import main
-from dampedchain.report import default_families, load_schema
+from dampedchain.report import load_schema
 
 DATA = Path(__file__).parent / "data"
 FIVE = str(DATA / "five_node_edges.txt")
@@ -584,6 +586,158 @@ def test_bad_tolerance_is_refused_before_a_bad_later_epsilon(monkeypatch):
     with pytest.raises(ValidationError, match="tolerance must be positive"):
         _run(["stationary", "--input", FIVE, "--epsilon-grid", "0.1,2", "--tol", "nan"])
     assert solves == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--tol", "0"), "tolerance must be positive"),
+        (("--epsilon-grid", "0.1,2"), "epsilon must lie in [0, 1], got 2.0"),
+        (("--trials", "0"), "at least one trial is required"),
+    ],
+)
+def test_report_refuses_bad_arguments_before_any_scan(monkeypatch, argv, message):
+    # With block 5, the bounds and triangular checks would scan P0^1 .. P0^5.
+    scans = count_calls(monkeypatch, "min_row_overlap")
+    solves = count_calls(monkeypatch, "stationary_direct")
+    with pytest.raises(ValidationError) as info:
+        _run(["report", "--input", FIVE, "--coupling-N", "5", "--seed", "1", *argv])
+    assert str(info.value) == message
+    assert scans == [] and solves == []
+
+
+def test_family_seven_refuses_epsilon_zero_before_any_scan(monkeypatch):
+    scans = count_calls(monkeypatch, "min_row_overlap")
+    solves = count_calls(monkeypatch, "stationary_direct")
+    with pytest.raises(ValidationError) as info:
+        _run(["bounds", "--input", EIGHT, "--theorem", "7", "--epsilon", "0"])
+    assert str(info.value) == "coupling bounds require epsilon in (0, 1]"
+    assert scans == [] and solves == []
+
+
+# P(0) = P0 on eight_node has two closed classes and no unique stationary law.
+NO_UNIQUE_LAW = (
+    "P(0) = P0 has 2 closed classes and no unique stationary law; use epsilon > 0 "
+    "(on a singular chain, the stationary section's 'limit' entry is the eps -> 0 limit)"
+)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        ("stationary", "--epsilon", "0"),
+        ("stationary", "--epsilon-grid", "0.1,0"),
+        ("bounds", "--theorem", "6", "--epsilon", "0"),
+        ("report", "--epsilon", "0", "--seed", "1"),
+        "pi_eps",
+    ],
+    ids=["stationary", "stationary-grid", "family-6", "report", "pi_eps"],
+)
+def test_epsilon_zero_is_refused_without_a_unique_law(monkeypatch, entry):
+    solves = count_calls(monkeypatch, "stationary_direct")
+    with pytest.raises(RegimeError) as info:
+        if entry == "pi_eps":
+            P, _ = ingest(EIGHT)
+            BoundContext(decompose(P), DampingVector.uniform(8), Distribution.uniform(8), 0.0, 2).pi_eps
+        else:
+            _run([entry[0], "--input", EIGHT, *entry[1:]])
+    assert str(info.value) == NO_UNIQUE_LAW
+    assert solves == []
+
+
+@pytest.mark.parametrize("path", [FIVE, TRANSIENT], ids=["regular", "one-class-unsupported"])
+def test_epsilon_zero_still_runs_with_one_closed_class(capsys, path):
+    stationary = run_json(capsys, "stationary", "--input", path, "--epsilon", "0")
+    assert stationary["stationary"]["by_epsilon"][0]["epsilon"] == 0.0
+    bounds = run_json(
+        capsys, "bounds", "--input", path, "--theorem", "6", "--epsilon", "0", "--coupling-N", "1"
+    )
+    assert bounds["bounds"]["reports"][0]["family"] == "coupling-multistep"
+
+
+# Each refused command: files written to a temporary directory ``{tmp}``, the
+# arguments, and the error printed.
+REFUSALS = {
+    "edge-line": ({"g.txt": "1 2 3\n"}, ("structure", "--input", "{tmp}/g.txt"),
+                  "IngestError", "line 1: expected 'src dst', got '1 2 3'"),
+    "no-edges": ({"g.txt": "# nothing\n"}, ("structure", "--input", "{tmp}/g.txt"),
+                 "IngestError", "edge list contains no edges"),
+    "csv-floats": ({"g.csv": "0.5,x\n"}, ("structure", "--input", "{tmp}/g.csv"),
+                   "IngestError", "line 1: could not parse CSV floats: '0.5,x'"),
+    "csv-empty": ({"g.csv": "\n"}, ("structure", "--input", "{tmp}/g.csv"),
+                  "IngestError", "CSV matrix is empty"),
+    "json-invalid": ({"g.json": ""}, ("structure", "--input", "{tmp}/g.json"),
+                     "IngestError", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    "json-not-object": ({"g.json": "[1]"}, ("structure", "--input", "{tmp}/g.json"),
+                        "IngestError", "matrix JSON must be an object with a 'matrix' field"),
+    "json-not-square": ({"g.json": '{"matrix": [[0.5, 0.5]]}'}, ("structure", "--input", "{tmp}/g.json"),
+                        "IngestError", "'matrix' must be square, got shape (1, 2)"),
+    "json-damping-length": ({"g.json": '{"matrix": [[0.5, 0.5], [0.5, 0.5]], "damping": [1.0]}'},
+                            ("structure", "--input", "{tmp}/g.json"),
+                            "IngestError", "'damping' length must match the matrix dimension"),
+    "weights-missing": ({}, ("structure", "--input", FIVE, "--damping", "{tmp}/nope.txt"),
+                        "IngestError", "damping file not found: {tmp}/nope.txt"),
+    "weights-not-float": ({"w.txt": "0.5 x\n"}, ("structure", "--input", FIVE, "--initial", "{tmp}/w.txt"),
+                          "IngestError",
+                          "--initial file must contain floats: could not convert string to float: 'x'"),
+    "order-zero": ({}, ("expand", "--input", FIVE, "--order", "0"),
+                   "ValidationError", "expansion order must be at least 1"),
+    "unknown-theorem": ({}, ("bounds", "--input", FIVE, "--theorem", "5,9"),
+                        "RegimeError", "unknown bound family '9'; choose from 1, 2, 5, 6, 7"),
+    "negative-n-grid": ({}, ("triangular", "--input", FIVE, "--n-grid=-3:-1"),
+                        "ValidationError", "n grid must be non-empty with non-negative entries"),
+}
+
+
+@pytest.mark.parametrize("case", [*REFUSALS, "triangular-limit-negative-t"])
+def test_refusals_name_their_fault(capsys, tmp_path, case):
+    if case == "triangular-limit-negative-t":
+        structure = decompose(ingest(EIGHT)[0])
+        with pytest.raises(ValidationError) as info:
+            triangular_limit(structure, DampingVector.uniform(8), Distribution.uniform(8), -1.0)
+        assert str(info.value) == "t must lie in [0, infinity], got -1.0"
+        return
+    files, argv, error, message = REFUSALS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out = run_cli(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": error, "message": message.replace("{tmp}", str(tmp_path))}
+
+
+@pytest.mark.parametrize(
+    "command, argv, section",
+    [
+        ("stationary", ("--epsilon-grid", "0.05,0.1,0.2"), "stationary"),
+        ("expand", ("--epsilon-grid", "0.05,0.1"), "expansion"),
+        ("coupling-sim", ("--seed", "3", "--trials", "100", "--horizon", "4"), "coupling_sim"),
+        ("triangular", ("--coupling-N", "1", "--n-grid", "4,0,2"), "triangular"),
+    ],
+)
+def test_plot_data_tables_match_their_report(capsys, tmp_path, command, argv, section):
+    plot = tmp_path / "plot.csv"
+    report = run_json(capsys, command, "--input", FIVE, *argv, "--plot-data", str(plot))[section]
+    with plot.open() as fh:
+        header, *rows = list(csv.reader(fh))
+    states = range(1, 6)
+    if command == "stationary":
+        assert header == ["epsilon", *[f"pi_{k}" for k in states]]
+        expected = [[e["epsilon"], *e["direct"]["pi"]] for e in report["by_epsilon"]]
+    elif command == "expand":
+        assert header == ["epsilon", *[f"value_{k}" for k in states], "mass_defect"]
+        expected = [[e["epsilon"], *e["values"], e["mass_defect"]] for e in report["evaluations"]]
+    elif command == "coupling-sim":
+        assert header == ["n", "tail", "std_error", "onestep_bound"]
+        columns = (report["tail"], report["std_error"], report["onestep_bound"])
+        expected = [list(row) for row in zip(range(5), *columns)]
+    else:
+        assert header[:3] == ["n", "eps_n", "bound"]
+        assert [row["n"] for row in report["rows"]] == [0, 2, 4]
+        expected = [
+            [row["n"], row["eps_n"], row["bound"], *row["trajectory"], *row["mixture"], *row["rel_error"]]
+            for row in report["rows"]
+        ]
+    assert [[float(x) for x in row] for row in rows] == expected
 
 
 class TestInitialFile:

@@ -111,6 +111,18 @@ class TestBadInput:
         with pytest.raises(IngestError, match="integers"):
             ingest(path)
 
+    def test_node_id_beyond_memory_is_refused_without_allocating(self, tmp_path, monkeypatch):
+        path = tmp_path / "huge.txt"
+        path.write_text("1 2\n3 10000000\n")
+        allocations = []
+        monkeypatch.setattr(np, "zeros", lambda *args, **kwargs: allocations.append(args))
+        with pytest.raises(IngestError) as info:
+            ingest(path)
+        assert str(info.value).startswith(
+            "node id 10000000 needs a dense 10000000 x 10000000 matrix of 745058.1 GiB, more than the "
+        )
+        assert allocations == []
+
     def test_missing_file(self):
         with pytest.raises(IngestError, match="not found"):
             ingest(DATA / "nope.txt")
