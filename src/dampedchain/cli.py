@@ -294,10 +294,12 @@ def main(argv=None) -> int:
         print(json.dumps(error, indent=2))
         return 1
 
+    # The text and its newline are written apart: the echo can be tens of MB.
     text = serialize(report)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
         print(text)
 

@@ -33,8 +33,9 @@ class ConvergenceError(ChainError):
 class SingularSystemError(ChainError):
     """The stationary linear system is singular beyond the normalization row.
 
-    Typically the matrix has several closed classes at epsilon = 0; solve
-    per class (see structure.restrict) instead.
+    Only a matrix solved whole raises it: a StochasticMatrix, or P(0) = P0,
+    with several closed classes (P(eps), eps > 0, is solved class by class);
+    solve per class (see structure.restrict) instead.
     """
 
 

@@ -204,28 +204,38 @@ MATRIX_SLOT = "\x00matrix"
 def _matrix_pieces(entries: np.ndarray, indent: int):
     """Yield ``json.dumps(entries.tolist(), indent=2)`` opened ``indent`` spaces in.
 
-    Rows are formatted one at a time from the array. An entry whose bits are
-    all zero writes ``0.0``; any other writes ``repr(float(x))``, which is
-    what json's float encoder writes, so ``-0.0`` stays ``-0.0``. A
-    non-finite entry raises ``ValueError``, as ``allow_nan=False`` does.
+    Every row is one all-zero row string with the row's nonzero entries
+    spliced in: entry j's ``0.0`` sits at offset ``j * (3 + len(sep))``. An
+    entry whose bits are all zero writes ``0.0``; any other writes
+    ``repr(float(x))``, which is what json's float encoder writes, so ``-0.0``
+    stays ``-0.0``. A non-finite entry raises ``ValueError``, as
+    ``allow_nan=False`` does.
     """
     finite = np.isfinite(entries)
     if not finite.all():
         bad = float(entries[~finite][0])
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    m = entries.shape[0]
     outer = "\n" + " " * (indent + 2)
     open_row = "[\n" + " " * (indent + 4)
     close_row = outer + "]"
     sep = ",\n" + " " * (indent + 4)
+    zero_row = sep.join(["0.0"] * m)
+    stride = 3 + len(sep)
+    rows, cols = np.nonzero((entries != 0.0) | np.signbit(entries))
+    values = entries[rows, cols].tolist()
+    offsets = (cols * stride).tolist()
+    bounds = np.searchsorted(rows, np.arange(m + 1)).tolist()
     yield "[" + outer + open_row
-    for i, row in enumerate(entries):
+    for i in range(m):
         if i:
             yield close_row + "," + outer + open_row
-        tokens = ["0.0"] * len(row)
-        cols = np.flatnonzero((row != 0.0) | np.signbit(row))
-        for j, x in zip(cols.tolist(), row[cols].tolist()):
-            tokens[j] = repr(x)
-        yield sep.join(tokens)
+        at = 0
+        for k in range(bounds[i], bounds[i + 1]):
+            yield zero_row[at : offsets[k]]
+            yield repr(values[k])
+            at = offsets[k] + 3
+        yield zero_row[at:]
     yield close_row + "\n" + " " * indent + "]"
 
 

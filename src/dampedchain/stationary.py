@@ -2,7 +2,8 @@
 
 Three independent routes to the stationary distribution are provided:
 
-* ``stationary_direct`` -- solve the linear system pi P = pi, sum(pi) = 1;
+* ``stationary_direct`` -- solve the linear system pi P = pi, sum(pi) = 1,
+  for P(eps) with eps > 0 one closed class of P0 at a time;
 * ``stationary_power``  -- iterate p <- p P until successive iterates agree;
 * ``stationary_series`` -- for eps > 0, sum the geometric mixture of the
   undamped trajectory started from the damping weights:
@@ -16,9 +17,14 @@ into one accumulator row per eps; ``stationary_series`` is its one-eps case.
 
 The power and series routes and every residual only push row vectors through
 P0 or P(eps), by ``vecmat`` (sparse for sparse P0, and the rank-one form for
-P(eps)); none of them builds the dense P(eps). The direct route, the one that
-does not depend on the structure of P0, factors the dense system assembled in
-place from P0 and d.
+P(eps)); none of them builds the dense P(eps), and neither reads the structure
+of P0. The direct route factors dense systems assembled in place from P0 and
+d. For eps > 0 it solves P(eps) by stochastic complementation (C. D. Meyer,
+SIAM Review 31, 1989): one small system for the transient states of P0 and
+one per closed class, each well conditioned for every eps > 0, where the
+whole m x m system of a chain with several closed classes has condition about
+1/eps. A regular chain is the one-class case, whose system is the whole
+P(eps)'s. A matrix, and P(0) = P0, is solved whole.
 
 ``limit_stationary`` returns the eps -> 0 limit for both regimes, including
 its dependence on the initial distribution in the singular case. It reads
@@ -37,7 +43,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .structure import ChainStructure, Regime, class_mass
+from .structure import ChainStructure, Regime, class_mass, decompose
 
 DEFAULT_SOLVER_TOL = 1e-10
 DEFAULT_SERIES_TOL = 1e-12
@@ -82,42 +88,100 @@ def _direct_system(P) -> np.ndarray:
     assembled in one m x m buffer, without forming P(eps) on its own.
     """
     if isinstance(P, DampedChain):
-        A = (1.0 - P.epsilon) * P.p0.entries.T
-        A += P.epsilon * P.damping.weights[:, np.newaxis]
-    else:
-        A = P.entries.T.copy()
+        return _damped_system(P.p0.entries, P.damping.weights, P.epsilon)
+    A = P.entries.T.copy()
     m = P.dim
     A[np.arange(m), np.arange(m)] -= 1.0
     A[m - 1, :] = 1.0
     return A
 
 
+def _damped_system(entries: np.ndarray, weights: np.ndarray, epsilon: float) -> np.ndarray:
+    """The system of :func:`_direct_system` for ``(1 - eps) M + eps 1 w``, M = ``entries``."""
+    A = (1.0 - epsilon) * entries.T
+    A += epsilon * weights[:, np.newaxis]
+    m = len(weights)
+    A[np.arange(m), np.arange(m)] -= 1.0
+    A[m - 1, :] = 1.0
+    return A
+
+
+def _law(A: np.ndarray) -> np.ndarray:
+    """The solution of ``A x = e_m``: the stationary law of a system from :func:`_direct_system`."""
+    b = np.zeros(A.shape[0])
+    b[-1] = 1.0
+    return np.linalg.solve(A, b)
+
+
+def _complement_law(chain: DampedChain) -> np.ndarray:
+    """pi(eps) for eps > 0, one system per closed class of P0 (stochastic complementation).
+
+    With T the transient states and C_j the closed classes of P0, Q_TT and
+    R_Tj its blocks (C. D. Meyer, "Stochastic complementation, uncoupling
+    Markov chains, and the theory of nearly reducible systems", SIAM Review
+    31, 1989):
+
+    * ``pi_T = eps u`` with ``u = d_T (I - (1 - eps) Q_TT)^-1``;
+    * class j is entered with weights ``e_j = d_j + (1 - eps) u R_Tj``,
+      which is ``d_j + ((1 - eps) / eps) pi_T R_Tj``;
+    * pi on C_j is ``|e_j|`` times the law of ``(1 - eps) P_j + eps 1 e_j/|e_j|``,
+      which is irreducible and aperiodic for eps > 0 whatever P_j's period.
+
+    Each system is of one class's size and well conditioned for every
+    eps > 0, where the whole m x m system of P(eps) on a chain with several
+    closed classes has condition about 1/eps. A chain whose one closed class
+    covers every state is its own kernel: its system is P(eps)'s, with ``d``
+    itself as the weights.
+    """
+    structure = decompose(chain.p0)
+    if structure.class_count == 1 and not structure.transient_states:
+        return _law(_direct_system(chain))
+    P0, d, eps = chain.p0.entries, chain.damping.weights, chain.epsilon
+    pi = np.zeros(chain.dim)
+    entry = d
+    T = list(structure.transient_states)
+    if T:
+        Q = P0[np.ix_(T, T)]
+        u = np.linalg.solve(np.eye(len(T)) - (1.0 - eps) * Q.T, d[T])
+        pi[T] = eps * u
+        entry = d + (1.0 - eps) * (u @ P0[T, :])
+    for cls in structure.classes:
+        idx = list(cls.states)
+        e = entry[idx]
+        mass = e.sum()
+        pi[idx] = mass * _law(_damped_system(P0[np.ix_(idx, idx)], e / mass, eps))
+    return pi
+
+
 def stationary_direct(P, solver_tol: float = DEFAULT_SOLVER_TOL) -> StationarySolution:
     """Solve ``(P^T - I) pi = 0`` with the normalization row replacing the last equation.
 
-    ``P`` is a :class:`StochasticMatrix` or a :class:`DampedChain`, whose
-    P(eps) enters only through the system matrix. LU with partial pivoting;
-    the solution is checked against ``solver_tol``.
+    ``P`` is a :class:`StochasticMatrix` or a :class:`DampedChain`. A damped
+    chain with eps > 0 is solved one closed class of P0 at a time
+    (:func:`_complement_law`, after Meyer 1989), from the structure that
+    :func:`decompose` keeps with P0; a regular chain is the one-class case,
+    whose system is P(eps)'s own. A matrix, and P(0) = P0, is solved whole.
+    LU with partial pivoting; the solution is checked against ``solver_tol``
+    by its residual against the whole of ``P``.
     A residual beyond tolerance (or an exactly singular factorization) means
-    the system has extra null directions -- several closed classes at
-    eps = 0 -- and the caller should solve per class on the restricted
-    matrices instead.
+    a matrix, or P(0) = P0, with several closed classes; the caller should
+    solve per class on the restricted matrices instead.
     """
-    m = P.dim
-    b = np.zeros(m)
-    b[m - 1] = 1.0
     try:
-        pi = np.linalg.solve(_direct_system(P), b)
+        if isinstance(P, DampedChain) and P.epsilon > 0.0:
+            pi = _complement_law(P)
+        else:
+            pi = _law(_direct_system(P))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
-            "stationary system is singular; the matrix has several closed classes "
-            "-- solve per class on structure.restrict(P0, cls)"
+            "stationary system is singular; the matrix (or P0, at eps = 0) has several closed "
+            "classes -- solve per class on structure.restrict(P0, cls)"
         ) from exc
     res = _residual(pi, P)
     if not np.isfinite(res) or res > solver_tol:
         raise SingularSystemError(
-            f"stationary solve residual {res:.3e} exceeds {solver_tol:.1e}; the matrix "
-            "likely has several closed classes -- solve per class on structure.restrict"
+            f"stationary solve residual {res:.3e} exceeds {solver_tol:.1e}; the matrix (or P0, "
+            "at eps = 0) likely has several closed classes -- solve per class on structure.restrict"
         )
     return StationarySolution(Distribution(pi, P.row_tol), Method.DIRECT, 0, res)
 

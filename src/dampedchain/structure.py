@@ -6,9 +6,10 @@ The analysis splits by how the base matrix P0 partitions the state space:
 * singular  -- two or more closed aperiodic classes covering every state;
 * unsupported -- anything else (periodic classes or transient states).
 
-Transient states are detected and reported but not analysed further. Every
-analysis runs class by class, a regular chain being the one-class case, on
-the per-class view that :class:`ChainStructure` builds once.
+Transient states are detected and reported; only the direct stationary
+solve of P(eps), eps > 0, works on them. Every analysis runs class by class,
+a regular chain being the one-class case, on the per-class view that
+:class:`ChainStructure` builds once.
 """
 
 import enum
@@ -196,15 +197,8 @@ def _class_period(adj, states):
     return abs(g) if g != 0 else 1
 
 
-def decompose(P0: StochasticMatrix) -> ChainStructure:
-    """Split the state space into closed classes and classify the regime.
-
-    An edge i -> j exists when ``P0[i, j] > 0``. A strongly connected component
-    is a closed class when no edge leaves it; everything else is transient. The
-    regime is regular for a single aperiodic class covering all states,
-    singular for several aperiodic classes covering all states, and
-    unsupported otherwise.
-    """
+def _partition(P0: StochasticMatrix):
+    """Closed classes (with periods) and transient states of the transition graph of P0."""
     m = P0.dim
     adj = [np.flatnonzero(row).tolist() for row in P0.entries]
 
@@ -221,6 +215,27 @@ def decompose(P0: StochasticMatrix) -> ChainStructure:
             closed.append(ClosedClass(tuple(comp), _class_period(adj, comp)))
     closed.sort(key=lambda c: c.states[0])
     transient.sort()
+    return tuple(closed), tuple(transient)
+
+
+def decompose(P0: StochasticMatrix) -> ChainStructure:
+    """Split the state space into closed classes and classify the regime.
+
+    An edge i -> j exists when ``P0[i, j] > 0``. A strongly connected component
+    is a closed class when no edge leaves it; everything else is transient. The
+    regime is regular for a single aperiodic class covering all states,
+    singular for several aperiodic classes covering all states, and
+    unsupported otherwise.
+
+    The graph search runs once per matrix: its result is kept on ``P0``, which
+    is immutable, so a command's structure and every direct solve of a P(eps)
+    built on ``P0`` share one search. Each call returns a new structure, whose
+    per-class view is built on first use.
+    """
+    cache = vars(P0)
+    if "_partition" not in cache:
+        cache["_partition"] = _partition(P0)
+    closed, transient = cache["_partition"]
 
     all_aperiodic = all(c.aperiodic for c in closed)
     if not transient and all_aperiodic and len(closed) == 1:
@@ -229,7 +244,7 @@ def decompose(P0: StochasticMatrix) -> ChainStructure:
         regime = Regime.SINGULAR
     else:
         regime = Regime.UNSUPPORTED
-    return ChainStructure(tuple(closed), tuple(transient), regime, P0)
+    return ChainStructure(closed, transient, regime, P0)
 
 
 def class_mass(p: Distribution, structure: ChainStructure) -> np.ndarray:

@@ -49,6 +49,18 @@ class TestSerializeMatchesJson:
         entries = np.array(entries)
         assert serialize(report_holding(entries)) == old_serialize(entries)
 
+    def test_sparse_matrix(self):
+        # About 1% nonzeros, spliced into the all-zero row: specials, the first
+        # and last columns, and a row with no nonzero at all.
+        rng = np.random.default_rng(3)
+        entries = np.where(rng.random((200, 200)) < 0.01, rng.random((200, 200)), 0.0)
+        entries[0, 0] = -0.0
+        entries[1, 199] = 5e-324
+        entries[2, [0, 199]] = [0.1 + 0.2, 1 / 3]
+        entries[3, 0] = entries[3, 199] = -0.0
+        entries[4] = 0.0
+        assert serialize(report_holding(entries)) == old_serialize(entries)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_raises(self, bad):
         entries = np.full((3, 3), 1 / 3)

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -6,12 +5,14 @@ import pytest
 
 import chains
 from conftest import count_calls, rank_one
+from oracle import exact_damped_law, l1_error
 from dampedchain import (
     ConvergenceError,
     DampedChain,
     DampingVector,
     Distribution,
     Method,
+    Regime,
     SingularSystemError,
     StochasticMatrix,
     ValidationError,
@@ -26,7 +27,7 @@ from dampedchain import (
 )
 from dampedchain import report
 from dampedchain.io import ingest
-from dampedchain.stationary import series_length, series_sums
+from dampedchain.stationary import _direct_system, series_length, series_sums
 
 DATA = Path(__file__).parent / "data"
 
@@ -290,34 +291,11 @@ class TestStationarySection:
             for eps in (0.05, 0.5, 1.0):
                 chain = DampedChain(P, d, eps)
                 np.testing.assert_array_equal(
-                    stationary_direct(chain).pi.probs,
-                    stationary_direct(build_damped_matrix(chain)).pi.probs,
+                    _direct_system(chain), _direct_system(build_damped_matrix(chain))
                 )
         P, d = eight_node
         with pytest.raises(SingularSystemError, match="per class"):
             stationary_direct(DampedChain(P, d, 0.0))
-
-
-def exact_damped_law(path, eps: float) -> list:
-    """pi(eps) of an edge-list chain with uniform damping, by Gaussian elimination in Fractions."""
-    edges = [tuple(int(t) - 1 for t in line.split()) for line in open(path) if line[0].isdigit()]
-    m = 1 + max(max(e) for e in edges)
-    out = [sum(1 for s, _ in edges if s == i) for i in range(m)]
-    e = Fraction(eps)
-    P = [[e / m for _ in range(m)] for _ in range(m)]
-    for s, t in edges:
-        P[s][t] += (1 - e) / out[s]
-    # Rows of (P^T - I | 0) with the normalization row last.
-    A = [[P[j][i] - (i == j) for j in range(m)] + [Fraction(0)] for i in range(m - 1)]
-    A.append([Fraction(1)] * m + [Fraction(1)])
-    for c in range(m):
-        pivot = next(r for r in range(c, m) if A[r][c] != 0)
-        A[c], A[pivot] = A[pivot], A[c]
-        for r in range(m):
-            if r != c and A[r][c] != 0:
-                f = A[r][c] / A[c][c]
-                A[r] = [a - f * b for a, b in zip(A[r], A[c])]
-    return [float(A[i][m] / A[i][i]) for i in range(m)]
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.15, 0.5, 1.0])
@@ -325,7 +303,7 @@ def test_every_route_matches_exact_rational_solve(eps):
     path = DATA / "eight_node_edges.txt"
     P, _ = ingest(path)
     d = DampingVector.uniform(P.dim)
-    exact = exact_damped_law(path, eps)
+    exact = [float(x) for x in exact_damped_law(P.entries, d.weights, eps)]
     chain = DampedChain(P, d, eps)
     routes = (
         stationary_direct(chain),
@@ -335,3 +313,69 @@ def test_every_route_matches_exact_rational_solve(eps):
     )
     for solution in routes:
         np.testing.assert_allclose(solution.pi.probs, exact, rtol=0, atol=1e-12)
+
+
+def weighted_two_cycles() -> StochasticMatrix:
+    """``two_cycles_transient_edges.txt`` with the transient state's links weighted 0.5/0.3/0.2."""
+    P, _ = ingest(DATA / "two_cycles_transient_edges.txt")
+    entries = P.entries.copy()
+    entries[5] = [0.5, 0.0, 0.0, 0.3, 0.0, 0.2]
+    return StochasticMatrix(entries)
+
+
+class TestClassByClassRoute:
+    """The direct route of P(eps), eps > 0, solves one system per closed class of P0."""
+
+    @pytest.mark.parametrize(
+        "load",
+        [
+            lambda: ingest(DATA / "eight_node_edges.txt")[0],
+            lambda: ingest(DATA / "two_cycles_transient_edges.txt")[0],
+            weighted_two_cycles,
+            lambda: ingest(DATA / "transient_edges.txt")[0],
+        ],
+        ids=["eight-node", "two-cycles-transient", "two-cycles-weighted", "transient"],
+    )
+    @pytest.mark.parametrize("eps", [0.1, 1e-3, 1e-6, 1e-9])
+    def test_matches_the_exact_law(self, load, eps):
+        # The whole-matrix LU has condition about 1/eps on these chains; its
+        # error reached 1e-7 on eight-node at eps = 1e-9.
+        P = load()
+        weights = np.arange(1.0, P.dim + 1)
+        d = DampingVector(weights / weights.sum())
+        solution = stationary_direct(DampedChain(P, d, eps))
+        assert l1_error(solution.pi.probs, exact_damped_law(P.entries, d.weights, eps)) <= 1e-14
+
+    @pytest.mark.parametrize("chain", ["five_node", "four_node", "web"])
+    def test_regular_chain_solves_its_own_system_bit_for_bit(self, chain, request):
+        if chain == "web":
+            P, _ = chains.random_web_chain(np.random.default_rng(7), 300)
+            d = seeded_damping(300)
+        else:
+            P, d = request.getfixturevalue(chain)
+        assert decompose(P).regime is Regime.REGULAR
+        last = np.zeros(P.dim)
+        last[-1] = 1.0
+        for eps in (0.02, 0.15, 0.5, 1.0):
+            chain = DampedChain(P, d, eps)
+            assert np.array_equal(
+                stationary_direct(chain).pi.probs, np.linalg.solve(_direct_system(chain), last)
+            )
+
+    def test_one_graph_search_per_matrix(self, monkeypatch):
+        # The command's decompose and every later direct solve share one search;
+        # each structure keeps its own per-class view.
+        from dampedchain import structure
+
+        searches = []
+        search = structure._strongly_connected_components
+        monkeypatch.setattr(
+            structure, "_strongly_connected_components", lambda *a: searches.append(a) or search(*a)
+        )
+        P, d = chains.eight_node()
+        first = decompose(P)
+        for eps in (0.1, 0.5):
+            stationary_direct(DampedChain(P, d, eps))
+        second = decompose(P)
+        assert len(searches) == 1
+        assert second == first and second is not first
