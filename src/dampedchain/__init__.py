@@ -55,7 +55,6 @@ from .coupling import (
     CouplingJoint,
     CouplingKernel,
     CouplingTailEstimate,
-    build_coupling_kernel,
     maximal_coupling,
     overlap,
     simulate_coupling_time,
@@ -64,7 +63,6 @@ from .bounds import (
     BoundContext,
     ErgodicityReport,
     GeometricDecay,
-    bound_context,
     coupling_bound,
     coupling_bound_multistep,
     ergodicity_coefficient,
@@ -92,10 +90,10 @@ __all__ = [
     # The expansion in eps and the spectrum.
     "ExpansionSeries", "expansion", "Spectrum", "spectrum",
     # Couplings and the meeting-time simulator.
-    "overlap", "CouplingJoint", "maximal_coupling", "CouplingKernel", "build_coupling_kernel",
+    "overlap", "CouplingJoint", "maximal_coupling", "CouplingKernel",
     "CouplingTailEstimate", "simulate_coupling_time",
     # The bound families.
-    "BoundContext", "bound_context", "ErgodicityReport", "min_row_overlap",
+    "BoundContext", "ErgodicityReport", "min_row_overlap",
     "ergodicity_coefficient", "GeometricDecay", "stationary_gap_bound", "coupling_bound",
     "coupling_bound_multistep", "split_bound_context",
     # Joint limits.

@@ -18,12 +18,11 @@ Five bound families are implemented, numbered as the CLI exposes them (``FAMILIE
 
 The constants of every family and of the joint-limit bound
 (``BoundContext.joint_limit``, evaluated by ``triangular``) do not depend on
-the step count n. They live on one :class:`BoundContext` per command
-(``bound_context`` names the same class), which computes each the first time
-a section reads it; the public per-n functions build a context and evaluate
-it once. Every per-class constant reads the class matrices and laws of the
-structure (``ChainStructure.matrices`` and ``.laws``), and a regular chain is
-the one-class case. Every function that takes a :class:`ChainStructure` reads P0
+the step count n. They live on one :class:`BoundContext` per command, which
+computes each the first time a section reads it; the public per-n functions
+build a context and evaluate it once. Every per-class constant reads the class
+matrices and laws of the structure (``ChainStructure.matrices`` and
+``.laws``), and a regular chain is the one-class case. Every function that takes a :class:`ChainStructure` reads P0
 from it (``structure.P0``), so the matrix and its classes cannot disagree.
 
 Every power of a closed class's matrix (P0 itself on a regular chain) comes
@@ -581,9 +580,6 @@ class BoundContext:
         else:
             hint = f"no block length N <= {PROFILE_STEPS[-1]} has Delta_N < 1"
         raise ContractionError(f"{problem}; {hint}")
-
-
-bound_context = BoundContext
 
 
 def coupling_bound(

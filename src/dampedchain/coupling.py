@@ -115,9 +115,6 @@ class CouplingKernel:
         return np.cumsum(self.pair_law(i, j).ravel())
 
 
-build_coupling_kernel = CouplingKernel
-
-
 @dataclass(frozen=True)
 class CouplingTailEstimate:
     """Empirical tail of the meeting time with binomial standard errors.

@@ -19,7 +19,8 @@ In the singular regime P0 is block diagonal over its closed classes, so the
 recursion runs per class with the renormalized damping weights and each class
 table is scaled by the class mass of the damping vector. A regular chain is
 the one-class case. Each class's matrix and pi0 are read from the structure
-(``ChainStructure.matrices`` and ``.laws``), never solved here.
+(``ChainStructure.matrices`` and ``.laws``), never solved here, and the base
+of the series is ``limit_stationary``'s pi0, the one eps -> 0 limit.
 
 ``spectrum`` (eigenvalue reporting, decay rates of the bound families) and
 the trajectory fit ``spectral_coefficients`` are independent of the series.
@@ -31,8 +32,8 @@ import numpy as np
 
 from .core import DampingVector, Distribution, StochasticMatrix, require_dim, require_epsilon
 from .errors import IllConditionedError, SpectralStructureError, ValidationError
-from .stationary import stationary_direct
-from .structure import ChainStructure, class_mass, restrict_damping
+from .stationary import limit_stationary, stationary_direct
+from .structure import ChainStructure, class_mass
 
 DEFAULT_CLUSTER_TOL = 1e-8
 VANDERMONDE_COND_LIMIT = 1e12
@@ -227,22 +228,20 @@ def require_expansion(structure: ChainStructure, n_max: int) -> None:
 def expansion(structure: ChainStructure, d: DampingVector, n_max: int = 2) -> ExpansionSeries:
     """Power series of the damped stationary distribution of ``structure.P0`` around eps = 0.
 
-    Runs the deviation-matrix recursion on each closed class's matrix and law
-    (``structure.matrices`` and ``structure.laws``) with the damping weights
-    renormalized to the class, and scales the class table by the class mass
-    of d. A class whose stationary solve is singular holds several closed
-    classes, which ``structure.laws`` refuses with RegimeError.
+    The base is pi0 of :func:`limit_stationary`, the eps -> 0 limit at the
+    damping weights. Runs the deviation-matrix recursion on each closed
+    class's matrix and law (``structure.matrices`` and ``structure.laws``)
+    with the damping weights renormalized to the class, and scales the class
+    table by the class mass of d. A class whose stationary solve is singular
+    holds several closed classes, which ``structure.laws`` refuses with
+    RegimeError.
     """
     require_expansion(structure, n_max)
     require_dim("damping", d.dim, structure.P0.dim)
-    masses = class_mass(d.as_distribution(), structure)
-    m = structure.P0.dim
-    base = np.zeros(m)
-    coeffs = np.zeros((n_max, m))
+    p = d.as_distribution()
+    coeffs = np.zeros((n_max, structure.P0.dim))
+    masses = class_mass(p, structure)
     for cls, mass, M, law in zip(structure.classes, masses, structure.matrices, structure.laws):
-        table = _class_series(M, law.probs, restrict_damping(d, cls).weights, n_max)
         idx = list(cls.states)
-        base[idx] = mass * law.probs
-        coeffs[:, idx] = mass * table
-    return ExpansionSeries(Distribution(base, max(structure.P0.row_tol, 1e-10)), coeffs)
-
+        coeffs[:, idx] = mass * _class_series(M, law.probs, d.weights[idx] / mass, n_max)
+    return ExpansionSeries(limit_stationary(structure, p), coeffs)

@@ -33,6 +33,7 @@ each closed class once with ``stationary_direct``.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,15 +86,12 @@ def _direct_system(P) -> np.ndarray:
     """``P^T - I`` with the normalization row of ones in place of the last equation.
 
     For a :class:`DampedChain` the system ``(1 - eps) P0^T + eps d 1^T - I`` is
-    assembled in one m x m buffer, without forming P(eps) on its own.
+    assembled in one m x m buffer, without forming P(eps) on its own. A matrix
+    is its eps = 0 case, so it is solved exactly as P(0) of a chain built on it.
     """
     if isinstance(P, DampedChain):
         return _damped_system(P.p0.entries, P.damping.weights, P.epsilon)
-    A = P.entries.T.copy()
-    m = P.dim
-    A[np.arange(m), np.arange(m)] -= 1.0
-    A[m - 1, :] = 1.0
-    return A
+    return _damped_system(P.entries, np.zeros(P.dim), 0.0)
 
 
 def _damped_system(entries: np.ndarray, weights: np.ndarray, epsilon: float) -> np.ndarray:
@@ -217,21 +215,27 @@ def stationary_power(
 
 
 def series_length(epsilon: float, tol: float) -> int:
-    """Smallest L with ``(1 - eps)^(L + 1) < tol`` (the rigorous tail bound)."""
+    """Smallest L with ``(1 - eps)^(L + 1) < tol`` (the rigorous tail bound).
+
+    Estimated from ``log tol / log(1 - eps)`` and settled on the definition in
+    a step or so. The logarithm is of the float ``1 - eps`` that the definition
+    raises: ``log1p(-eps)`` is some 800 steps off at eps = 1e-9.
+    """
     require_tolerance(tol)
     if not 0.0 < epsilon <= 1.0:
         raise ValidationError("series representation requires epsilon in (0, 1]")
-    if 1.0 - epsilon == 1.0:
+    decay = 1.0 - epsilon
+    if decay == 1.0:
         # (1 - eps) rounds to 1, so the tail never shrinks below tol.
         raise ValidationError(
             f"epsilon {epsilon} is too small for the series: 1 - eps rounds to 1; "
             "use the direct route (stationary_direct)"
         )
-    L = 0
-    tail = 1.0 - epsilon
-    while tail >= tol:
-        tail *= 1.0 - epsilon
+    L = max(math.ceil(math.log(tol) / math.log(decay)) - 1, 0) if decay > 0.0 else 0
+    while decay ** (L + 1) >= tol:
         L += 1
+    while L > 0 and decay**L < tol:
+        L -= 1
     return L
 
 

@@ -75,6 +75,12 @@ def three_node_defective():
     return StochasticMatrix(three_node_defective_entries()), DampingVector(np.array([0.6, 0.3, 0.1]))
 
 
+def linear_damping(m: int) -> DampingVector:
+    """Damping weights proportional to (1, ..., m)."""
+    weights = np.arange(1.0, m + 1)
+    return DampingVector(weights / weights.sum())
+
+
 FIVE_NODE_PI = np.array([5 / 66, 8 / 33, 5 / 22, 5 / 22, 5 / 22])
 FOUR_NODE_PI = np.array([1 / 8, 3 / 8, 1 / 4, 1 / 4])
 

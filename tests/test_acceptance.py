@@ -13,12 +13,12 @@ import pytest
 
 import chains
 from dampedchain import (
+    BoundContext,
+    CouplingKernel,
     DampedChain,
     Distribution,
     GeometricDecay,
     Regime,
-    bound_context,
-    build_coupling_kernel,
     build_damped_matrix,
     coupling_bound,
     coupling_bound_multistep,
@@ -149,7 +149,7 @@ def test_criterion_8_triangular_sweep_profile(eight_node):
     P, d = eight_node
     structure = decompose(P)
     p = Distribution.point_mass(8, 0)
-    sweep = triangular_sweep(bound_context(structure, d, p, 0.1, 2), range(0, 31))
+    sweep = triangular_sweep(BoundContext(structure, d, p, 0.1, 2), range(0, 31))
     by_n = {row.n: row for row in sweep.rows}
     assert 0.30 <= by_n[10].rel_error[0] <= 0.45
     assert 0.02 <= by_n[30].rel_error[0] <= 0.07
@@ -239,7 +239,7 @@ def test_criterion_9_property_suite():
     # (c) coupled-kernel rows marginalize exactly to the damped matrix rows.
     for P, d in (chains.five_node(), chains.four_node(), chains.eight_node()):
         P_eps = build_damped_matrix(DampedChain(P, d, 0.15))
-        kernel = build_coupling_kernel(P_eps)
+        kernel = CouplingKernel(P_eps)
         for i in range(P.dim):
             for j in range(P.dim):
                 law = kernel.pair_law(i, j)
@@ -280,7 +280,7 @@ def test_criterion_10_monte_carlo_tail(five_node):
     P_eps = build_damped_matrix(DampedChain(P, d, eps))
     pi_eps = stationary_direct(P_eps).pi
     p = Distribution.uniform(5)
-    kernel = build_coupling_kernel(P_eps)
+    kernel = CouplingKernel(P_eps)
     start = maximal_coupling(p, pi_eps)
 
     started = time.perf_counter()
@@ -294,7 +294,7 @@ def test_criterion_10_monte_carlo_tail(five_node):
         assert estimate.tail[n] <= bound + 3.0 * estimate.std_error[n] + FLOAT_SLACK, f"n={n}"
 
     repeat = simulate_coupling_time(
-        build_coupling_kernel(P_eps), start, trials=100_000, seed=20240809, horizon=30
+        CouplingKernel(P_eps), start, trials=100_000, seed=20240809, horizon=30
     )
     np.testing.assert_array_equal(estimate.tail, repeat.tail)
     _report(10, f"tail within bound + 3 SE at all n <= 30, reproducible, {elapsed:.1f} s")

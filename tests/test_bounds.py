@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chains
+from oracle import exact_min_overlap
 from dampedchain import (
+    BoundContext,
     ContractionError,
     DampedChain,
     DampingVector,
@@ -15,7 +17,6 @@ from dampedchain import (
     Regime,
     RegimeError,
     StochasticMatrix,
-    bound_context,
     build_damped_matrix,
     class_mass,
     coupling_bound,
@@ -65,6 +66,13 @@ class TestErgodicityCoefficient:
         assert abs(deltas[-1] - 1 / 3) < 0.02
         assert deltas[0] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("chain_name", ["five_node", "four_node", "eight_node"])
+    def test_overlap_matches_the_exact_overlap(self, chain_name, request):
+        P, _ = request.getfixturevalue(chain_name)
+        for N in range(1, 13):
+            exact = exact_min_overlap(P.entries, N)
+            assert abs(ergodicity_coefficient(P, N).overlap - exact) <= 1e-15, f"N={N}"
+
     def test_matches_naive_overlap_oracle(self, five_node):
         P, _ = five_node
         for N in (1, 3, 7):
@@ -100,7 +108,7 @@ class TestErgodicityCoefficient:
     def test_per_class_coefficients(self, eight_node):
         P, d = eight_node
         structure = decompose(P)
-        reports = bound_context(structure, d, Distribution.uniform(8), 0.1, 2).class_reports
+        reports = BoundContext(structure, d, Distribution.uniform(8), 0.1, 2).class_reports
         assert all(rep.delta < 1.0 for rep in reports)
         assert reports[0].delta == pytest.approx(np.sqrt(2 / 3), abs=1e-12)
 
@@ -237,7 +245,7 @@ class TestStationaryGapBound:
         P, d = eight_node
         structure = decompose(P)
         reference = limit_stationary(structure, d.as_distribution())
-        decay = bound_context(structure, d, d.as_distribution(), eps, 2).split_decay()
+        decay = BoundContext(structure, d, d.as_distribution(), eps, 2).split_decay()
         pi_eps = stationary_direct(build_damped_matrix(DampedChain(P, d, eps))).pi
         bound = stationary_gap_bound(decay, d, reference, eps)
         assert np.all(np.abs(pi_eps.probs - reference.probs) <= bound + 1e-12)
@@ -245,7 +253,7 @@ class TestStationaryGapBound:
     def test_split_decay_with_class_laws_is_bit_equal(self, eight_node):
         P, d = eight_node
         structure = decompose(P)
-        context = bound_context(structure, d, Distribution.uniform(8), 0.1, 2)
+        context = BoundContext(structure, d, Distribution.uniform(8), 0.1, 2)
         # Each class's decay with its law solved afresh; the context reuses its own.
         per_class = [estimate_decay(restrict(P, cls)) for cls in structure.classes]
         expected = (max(c.amplitude for c in per_class), max(c.rate for c in per_class))
@@ -259,7 +267,7 @@ class TestStationaryGapBound:
         else:
             P, d = request.getfixturevalue(chain_name)
         # The profile walks P0 to N = 12 before the decay resumes the walk.
-        context = bound_context(decompose(P), d, d.as_distribution(), 0.1, 3)
+        context = BoundContext(decompose(P), d, d.as_distribution(), 0.1, 3)
         for N in PROFILE_STEPS:
             context.ergodicity(N)
         assert context.split_decay() == estimate_decay(P)
@@ -401,7 +409,7 @@ class TestOneContextPerCommand:
 
         P, d = five_node
         scans = count_calls(monkeypatch, "min_row_overlap")
-        context = bound_context(decompose(P), d, Distribution.uniform(5), 0.15, block)
+        context = BoundContext(decompose(P), d, Distribution.uniform(5), 0.15, block)
         bounds_section(context, ["1", "5", "6"], 30)
         # Delta_1..Delta_12 and the block: family 5 reuses Delta_1's raw overlap.
         assert len(scans) <= 13
@@ -413,7 +421,7 @@ class TestOneContextPerCommand:
         structure = decompose(P)
         scans = count_calls(monkeypatch, "min_row_overlap")
         families = ["2", "5", "6", "7"]
-        bounds_section(bound_context(structure, d, Distribution.uniform(8), 0.15, 2), families, 30)
+        bounds_section(BoundContext(structure, d, Distribution.uniform(8), 0.15, 2), families, 30)
         # Delta_N of the whole matrix is 1 by structure; each class is scanned at the block.
         assert len(scans) == len(structure.classes)
 
@@ -423,7 +431,7 @@ class TestOneContextPerCommand:
         P, d = eight_node
         solves = count_calls(monkeypatch, "stationary_direct")
         families = ["2", "5", "6", "7"]
-        context = bound_context(decompose(P), d, Distribution.uniform(8), 0.15, 2)
+        context = BoundContext(decompose(P), d, Distribution.uniform(8), 0.15, 2)
         bounds_section(context, families, 30)
         # pi(eps) once and each of the two class laws once; family 2 reuses them.
         assert len(solves) == 3
@@ -440,7 +448,7 @@ class TestOneWalkPerClass:
         P, d = eight_node
         structure = decompose(P)
         restricts = count_calls(monkeypatch, "restrict")
-        context = bound_context(structure, d, Distribution.uniform(8), 0.15, 2)
+        context = BoundContext(structure, d, Distribution.uniform(8), 0.15, 2)
         bounds_section(context, self.FAMILIES, 30)
         assert len(restricts) == len(structure.classes)
 
@@ -448,7 +456,7 @@ class TestOneWalkPerClass:
         P, d = eight_node
         structure = decompose(P)
         restricts = count_calls(monkeypatch, "restrict")
-        triangular_sweep(bound_context(structure, d, Distribution.uniform(8), 0.1, 2), range(31))
+        triangular_sweep(BoundContext(structure, d, Distribution.uniform(8), 0.1, 2), range(31))
         assert len(restricts) == len(structure.classes)
 
     def test_regular_chain_is_never_restricted(self, five_node, monkeypatch):
@@ -458,9 +466,9 @@ class TestOneWalkPerClass:
         structure = decompose(P)
         restricts = count_calls(monkeypatch, "restrict")
         expansion(structure, d, n_max=3)
-        context = bound_context(structure, d, Distribution.uniform(5), 0.15, 2)
+        context = BoundContext(structure, d, Distribution.uniform(5), 0.15, 2)
         bounds_section(context, ["1", "5", "6"], 30)
-        triangular_sweep(bound_context(structure, d, Distribution.uniform(5), 0.1, 2), range(31))
+        triangular_sweep(BoundContext(structure, d, Distribution.uniform(5), 0.1, 2), range(31))
         assert restricts == []
 
     def test_report_restricts_and_solves_each_class_once(self, monkeypatch):
@@ -481,7 +489,7 @@ class TestOneWalkPerClass:
         P, d = eight_node
         decays = count_calls(monkeypatch, "estimate_decay")
         spectra = count_calls(monkeypatch, "spectrum")
-        context = bound_context(decompose(P), d, Distribution.uniform(8), 0.15, 1)
+        context = BoundContext(decompose(P), d, Distribution.uniform(8), 0.15, 1)
         with pytest.raises(ContractionError, match="to N = 2, the smallest"):
             bounds_section(context, self.FAMILIES, 30)
         assert decays == [] and spectra == []
@@ -498,7 +506,7 @@ class TestOneWalkPerClass:
         structure = decompose(P)
         plain = [M.entries for M in structure.matrices]
         logs = [log_products(M) for M in structure.matrices]
-        context = bound_context(structure, d, Distribution.uniform(P.dim), 0.15, 2)
+        context = BoundContext(structure, d, Distribution.uniform(P.dim), 0.15, 2)
         bounds_section(context, families, 30)
         for entries, law, products in zip(plain, structure.laws, logs):
             # M^2, M^3, ... in order, each once: the profile, the block and the
@@ -574,7 +582,7 @@ class TestOneWalkPerClass:
         d, p = DampingVector.uniform(6), Distribution.uniform(6)
         messages = []
         for decay_first in (False, True):
-            context = bound_context(structure, d, p, 0.1, 2)
+            context = BoundContext(structure, d, p, 0.1, 2)
             if decay_first:
                 context.split_decay()
             with pytest.raises(ContractionError) as info:
@@ -588,7 +596,7 @@ class TestOneWalkPerClass:
 
         P, d = eight_node
         scans = count_calls(monkeypatch, "min_row_overlap")
-        context = bound_context(decompose(P), d, Distribution.uniform(8), 0.15, 1)
+        context = BoundContext(decompose(P), d, Distribution.uniform(8), 0.15, 1)
         with pytest.raises(ContractionError, match="to N = 2, the smallest"):
             bounds_section(context, ["7"], 30)
         # Both classes at the block, then both again at N = 2.
@@ -600,7 +608,7 @@ class TestOneWalkPerClass:
         entries[0] = [0.5, 0.5, 0.0, 0.0]
         P = StochasticMatrix(entries)
         d = DampingVector(np.full(4, 0.25))
-        context = bound_context(decompose(P), d, Distribution.uniform(4), 0.1, 2)
+        context = BoundContext(decompose(P), d, Distribution.uniform(4), 0.1, 2)
         scans = count_calls(monkeypatch, "min_row_overlap")
         with pytest.raises(ContractionError) as info:
             triangular_sweep(context, range(5))
@@ -618,7 +626,7 @@ class TestOneWalkPerClass:
         power = np.eye(8)
         for N in PROFILE_STEPS:
             power = naive_matmul(power, Q.entries)
-            context = bound_context(
+            context = BoundContext(
                 structure, DampingVector(d.weights[perm]), Distribution.uniform(8), 0.1, N
             )
             assert context.ergodicity(N) == ErgodicityReport.from_overlap(N, naive_min_overlap(power))
@@ -715,7 +723,7 @@ class TestInterleavedClasses:
 @pytest.mark.parametrize(
     "chain_name, call, message",
     [
-        ("five_node", lambda s, d: bound_context(s, d, Distribution.uniform(3), 0.15, 2), "start dim 3"),
+        ("five_node", lambda s, d: BoundContext(s, d, Distribution.uniform(3), 0.15, 2), "start dim 3"),
         (
             "five_node",
             lambda s, d: coupling_bound(s, d, Distribution.uniform(5), Distribution.uniform(3), 0.15, 3),

@@ -517,6 +517,14 @@ def _web_edges(tmp_path, m: int) -> str:
     return str(path)
 
 
+def test_report_expansion_base_is_the_stationary_limit(capsys, tmp_path):
+    web = _web_edges(tmp_path, 300)
+    report = run_json(
+        capsys, "report", "--input", web, "--epsilon", "0.1", "--coupling-N", "3", "--seed", "7", "--trials", "200"
+    )
+    assert report["expansion"]["base"] == report["stationary"]["limit"]
+
+
 def test_report_refuses_contraction_before_any_section_computes(monkeypatch, tmp_path):
     # Delta_1 = Delta_2 = 1 on this chain, so the default block 2 cannot contract.
     web = _web_edges(tmp_path, 600)

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import chains
 from dampedchain import (
+    CouplingKernel,
     DampedChain,
     Distribution,
     ValidationError,
-    build_coupling_kernel,
     build_damped_matrix,
     maximal_coupling,
     simulate_coupling_time,
@@ -92,7 +92,7 @@ def _simulation_case(chain, eps, initial, power=1):
     P_eps = build_damped_matrix(DampedChain(P, d, eps))
     pi = stationary_direct(P_eps).pi
     p = Distribution.uniform(P.dim) if initial == "uniform" else Distribution.point_mass(P.dim, 0)
-    kernel = build_coupling_kernel(P_eps if power == 1 else matrix_power(P_eps, power))
+    kernel = CouplingKernel(P_eps if power == 1 else matrix_power(P_eps, power))
     return kernel, maximal_coupling(p, pi)
 
 
@@ -142,7 +142,7 @@ class TestKernel:
     def test_marginalization_reproduces_rows(self, five_node):
         P, d = five_node
         P_eps = build_damped_matrix(DampedChain(P, d, 0.15))
-        kernel = build_coupling_kernel(P_eps)
+        kernel = CouplingKernel(P_eps)
         for i in range(5):
             for j in range(5):
                 law = kernel.pair_law(i, j)
@@ -151,7 +151,7 @@ class TestKernel:
 
     def test_diagonal_pairs_are_absorbing(self, five_node):
         P, d = five_node
-        kernel = build_coupling_kernel(build_damped_matrix(DampedChain(P, d, 0.15)))
+        kernel = CouplingKernel(build_damped_matrix(DampedChain(P, d, 0.15)))
         for i in range(5):
             law = kernel.pair_law(i, i)
             off_diag = law - np.diag(np.diag(law))
@@ -159,7 +159,7 @@ class TestKernel:
 
     def test_disjoint_rows_give_product_law(self, four_node):
         P, _ = four_node
-        kernel = build_coupling_kernel(P)
+        kernel = CouplingKernel(P)
         # Rows 1 and 2 share no support in the undamped four-state chain.
         assert np.minimum(P.entries[0], P.entries[1]).sum() == 0.0
         law = kernel.pair_law(0, 1)
@@ -167,7 +167,7 @@ class TestKernel:
 
     def test_pair_cdf_accumulates_the_flat_pair_law(self, five_node):
         P, d = five_node
-        kernel = build_coupling_kernel(build_damped_matrix(DampedChain(P, d, 0.15)))
+        kernel = CouplingKernel(build_damped_matrix(DampedChain(P, d, 0.15)))
         cdf = kernel.pair_cdf(1, 2)
         assert cdf.shape == (25,)
         np.testing.assert_allclose(np.diff(cdf), kernel.pair_law(1, 2).ravel()[1:], atol=1e-15)
@@ -177,7 +177,7 @@ class TestKernel:
         P, d = four_node
         P_eps = build_damped_matrix(DampedChain(P, d, 0.1))
         two_step = matrix_power(P_eps, 2)
-        kernel = build_coupling_kernel(two_step)
+        kernel = CouplingKernel(two_step)
         for i in range(4):
             for j in range(4):
                 law = kernel.pair_law(i, j)
@@ -193,7 +193,7 @@ class TestSimulator:
         P, d = five_node
         P_eps = build_damped_matrix(DampedChain(P, d, 0.15))
         pi = stationary_direct(P_eps).pi
-        kernel = build_coupling_kernel(P_eps)
+        kernel = CouplingKernel(P_eps)
         start = maximal_coupling(pi, pi)
         estimate = simulate_coupling_time(kernel, start, trials=2000, seed=1, horizon=10)
         assert np.all(estimate.tail == 0.0)
@@ -202,7 +202,7 @@ class TestSimulator:
         P, d = five_node
         P_eps = build_damped_matrix(DampedChain(P, d, 0.15))
         pi = stationary_direct(P_eps).pi
-        kernel = build_coupling_kernel(P_eps)
+        kernel = CouplingKernel(P_eps)
         start = maximal_coupling(Distribution.uniform(5), pi)
         a = simulate_coupling_time(kernel, start, trials=3000, seed=42, horizon=15)
         b = simulate_coupling_time(kernel, start, trials=3000, seed=42, horizon=15)
@@ -218,7 +218,7 @@ class TestSimulator:
         P_eps = build_damped_matrix(DampedChain(P0, d, 0.2))
         pi = stationary_direct(P_eps).pi
         p = Distribution.point_mass(2, 0)
-        kernel = build_coupling_kernel(P_eps)
+        kernel = CouplingKernel(P_eps)
         start = maximal_coupling(p, pi)
         trials = 40_000
         estimate = simulate_coupling_time(kernel, start, trials=trials, seed=7, horizon=12)
@@ -235,7 +235,7 @@ class TestSimulator:
         P, d = five_node
         P_eps = build_damped_matrix(DampedChain(P, d, 0.5))
         pi = stationary_direct(P_eps).pi
-        kernel = build_coupling_kernel(P_eps)
+        kernel = CouplingKernel(P_eps)
         start = maximal_coupling(Distribution.uniform(5), pi)
         estimate = simulate_coupling_time(kernel, start, trials=10, seed=0, horizon=3)
         assert estimate.generator == "philox4x64-steptrial"
@@ -248,7 +248,7 @@ class TestSimulator:
         P_eps = build_damped_matrix(DampedChain(P, d, eps))
         pi = stationary_direct(P_eps).pi
         p = Distribution.uniform(5)
-        kernel = build_coupling_kernel(P_eps)
+        kernel = CouplingKernel(P_eps)
         start = maximal_coupling(p, pi)
         trials = 20_000
         estimate = simulate_coupling_time(kernel, start, trials=trials, seed=11, horizon=20)
@@ -340,5 +340,5 @@ class TestDraw:
         top = np.nextafter(1.0, 0.0)
         monkeypatch.setattr(coupling, "_step_words", lambda seed, step, first, count: np.full((count, 4), top))
         start = maximal_coupling(Distribution.point_mass(2, 0), Distribution.point_mass(2, 1))
-        estimate = simulate_coupling_time(build_coupling_kernel(P), start, trials=3, seed=0, horizon=2)
+        estimate = simulate_coupling_time(CouplingKernel(P), start, trials=3, seed=0, horizon=2)
         np.testing.assert_array_equal(estimate.tail, [1.0, 0.0, 0.0])

@@ -1,10 +1,12 @@
 import cmath
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import chains
+from oracle import exact_coefficients
 from dampedchain import (
     DampedChain,
     DampingVector,
@@ -14,6 +16,7 @@ from dampedchain import (
     build_damped_matrix,
     decompose,
     expansion,
+    limit_stationary,
     spectrum,
     stationary_direct,
     stationary_series,
@@ -223,6 +226,18 @@ class TestExpansion:
         with pytest.raises(RegimeError, match="singular"):
             expansion(fake, d)
 
+    @pytest.mark.parametrize("chain_name", ["web", "eight_node"])
+    def test_base_is_the_limit_law_bit_for_bit(self, chain_name, request):
+        # Uniform damping on 300 states sums to 1.0000000000000002, so a base
+        # scaled by the class mass is not pi0 to the bit.
+        if chain_name == "web":
+            P, d = chains.random_web_chain(np.random.default_rng(3), 300)
+        else:
+            P, d = request.getfixturevalue(chain_name)
+        structure = decompose(P)
+        limit = limit_stationary(structure, d.as_distribution())
+        np.testing.assert_array_equal(expansion(structure, d, 2).base.probs, limit.probs)
+
 
 class TestRecursionOracles:
     @pytest.mark.parametrize("chain_name", ["five_node", "four_node"])
@@ -244,6 +259,17 @@ class TestRecursionOracles:
         np.testing.assert_allclose(np.abs(oracle.imag), 0.0, atol=1e-14)
         np.testing.assert_allclose(series.coeffs, oracle.real, rtol=0, atol=1e-14)
         np.testing.assert_allclose(series.base.probs, sc.constant, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("damping", ["uniform", "linear"])
+    @pytest.mark.parametrize("chain_name", ["five_node", "four_node", "eight_node"])
+    def test_matches_the_exact_coefficients(self, chain_name, damping, request):
+        P, d = request.getfixturevalue(chain_name)
+        if damping == "linear":
+            d = chains.linear_damping(P.dim)
+        series = expansion(decompose(P), d, n_max=4)
+        for row, exact in zip(series.coeffs, exact_coefficients(P.entries, d.weights, 4)):
+            scale = max(abs(x) for x in exact)
+            assert max(abs(Fraction(x) - y) for x, y in zip(row.tolist(), exact)) <= 1e-12 * scale
 
     def test_web_chain_beyond_the_eigenvalue_fit(self):
         # The eigenvalue fit refuses this chain (IllConditionedError); the

@@ -5,8 +5,9 @@ import pytest
 
 import chains
 from conftest import count_calls, rank_one
-from oracle import exact_damped_law, l1_error
+from oracle import exact_damped_law, exact_limit_law, l1_error
 from dampedchain import (
+    BoundContext,
     ConvergenceError,
     DampedChain,
     DampingVector,
@@ -16,7 +17,6 @@ from dampedchain import (
     SingularSystemError,
     StochasticMatrix,
     ValidationError,
-    bound_context,
     build_damped_matrix,
     decompose,
     limit_stationary,
@@ -192,6 +192,26 @@ class TestLimit:
             limit = limit_stationary(s, p)
             np.testing.assert_allclose(limit.probs, chains.FIVE_NODE_PI, atol=1e-12)
 
+    @pytest.mark.parametrize("damping", ["uniform", "linear"])
+    @pytest.mark.parametrize("chain_name", ["five_node", "four_node", "eight_node"])
+    def test_matches_the_exact_limit_law(self, chain_name, damping, request):
+        P, d = request.getfixturevalue(chain_name)
+        if damping == "linear":
+            d = chains.linear_damping(P.dim)
+        limit = limit_stationary(decompose(P), d.as_distribution())
+        assert l1_error(limit.probs, exact_limit_law(P.entries, d.weights)) <= 1e-15
+
+    @pytest.mark.parametrize("damping", ["uniform", "linear"])
+    def test_exact_limit_law_is_the_small_eps_limit_with_transient_states(self, damping):
+        # The transient state's weight flows into both classes; without that
+        # inflow the gap to pi(eps) would stay near d's weight on it as eps -> 0.
+        P, _ = ingest(DATA / "two_cycles_transient_edges.txt")
+        d = DampingVector.uniform(P.dim) if damping == "uniform" else chains.linear_damping(P.dim)
+        limit = exact_limit_law(P.entries, d.weights)
+        for eps in (1e-6, 1e-9):
+            law = exact_damped_law(P.entries, d.weights, eps)
+            assert sum(abs(x - y) for x, y in zip(law, limit)) < eps
+
     def test_damped_stationary_converges_to_limit(self, five_node, eight_node):
         for P, d in (five_node, eight_node):
             s = decompose(P)
@@ -225,6 +245,23 @@ def reference_series_length(eps: float, tol: float) -> int:
     return L
 
 
+@pytest.mark.parametrize(
+    "eps, tol",
+    [(eps, 1e-12) for eps in EPS_GRID + (1.0, 1e-4, 1e-5)] + [(0.5, 2.0**-40), (0.3, 2.0)],
+)
+def test_series_length_matches_its_definition(eps, tol):
+    assert series_length(eps, tol) == reference_series_length(eps, tol)
+
+
+def test_series_length_at_a_tie_and_below_the_counting_range():
+    # 0.5^40 equals tol exactly, so L = 40 is the first with 0.5^(L + 1) < tol.
+    assert series_length(0.5, 2.0**-40) == 40
+    # A counting loop would take 2.8e10 steps at eps = 1e-9.
+    for eps in (1e-9, 1e-12, 1e-15):
+        L = series_length(eps, 1e-12)
+        assert (1.0 - eps) ** (L + 1) < 1e-12 <= (1.0 - eps) ** L
+
+
 def seeded_damping(m: int) -> DampingVector:
     weights = np.random.default_rng(m).uniform(0.5, 1.5, m)
     return DampingVector(weights / weights.sum())
@@ -235,7 +272,7 @@ class TestStationarySection:
 
     @staticmethod
     def section(P0, d):
-        context = bound_context(decompose(P0), d, Distribution.uniform(P0.dim), EPS_GRID[0], 2)
+        context = BoundContext(decompose(P0), d, Distribution.uniform(P0.dim), EPS_GRID[0], 2)
         return report.stationary_section(context, EPS_GRID, 1e-10)
 
     def test_no_damped_matrix_and_one_walk_of_max_length(self, monkeypatch):
@@ -341,8 +378,7 @@ class TestClassByClassRoute:
         # The whole-matrix LU has condition about 1/eps on these chains; its
         # error reached 1e-7 on eight-node at eps = 1e-9.
         P = load()
-        weights = np.arange(1.0, P.dim + 1)
-        d = DampingVector(weights / weights.sum())
+        d = chains.linear_damping(P.dim)
         solution = stationary_direct(DampedChain(P, d, eps))
         assert l1_error(solution.pi.probs, exact_damped_law(P.entries, d.weights, eps)) <= 1e-14
 

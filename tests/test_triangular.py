@@ -6,12 +6,12 @@ import pytest
 import chains
 from conftest import count_calls, propagate
 from dampedchain import (
+    BoundContext,
     ContractionError,
     DampedChain,
     Distribution,
     RegimeError,
     StochasticMatrix,
-    bound_context,
     build_damped_matrix,
     decompose,
     limit_stationary,
@@ -140,7 +140,7 @@ class TestBound:
         assert s.regime.value == "regular"
         d = chains.DampingVector.uniform(m)
         with pytest.raises(ContractionError, match="no block length N <= 12"):
-            triangular_sweep(bound_context(s, d, Distribution.uniform(m), 0.1, 3), [0, 1])
+            triangular_sweep(BoundContext(s, d, Distribution.uniform(m), 0.1, 3), [0, 1])
 
     @pytest.mark.parametrize("chain_name", ["five_node", "eight_node"])
     def test_bound_dominates_deviation_from_mixture(self, chain_name, request):
@@ -162,7 +162,7 @@ class TestSweep:
     def test_first_row_compares_start_against_start_limit(self, eight_node):
         P, d = eight_node
         s = decompose(P)
-        sweep = triangular_sweep(bound_context(s, d, POINT_AT_FIRST, 0.1, 2), [0, 5])
+        sweep = triangular_sweep(BoundContext(s, d, POINT_AT_FIRST, 0.1, 2), [0, 5])
         row = sweep.rows[0]
         assert row.n == 0
         np.testing.assert_array_equal(row.trajectory, POINT_AT_FIRST.probs)
@@ -173,7 +173,7 @@ class TestSweep:
     def test_relative_error_profile(self, eight_node):
         P, d = eight_node
         s = decompose(P)
-        sweep = triangular_sweep(bound_context(s, d, POINT_AT_FIRST, 0.1, 2), range(0, 31))
+        sweep = triangular_sweep(BoundContext(s, d, POINT_AT_FIRST, 0.1, 2), range(0, 31))
         by_n = {row.n: row for row in sweep.rows}
         assert by_n[10].rel_error[0] == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert by_n[30].rel_error[0] == pytest.approx(math.exp(-3.0), abs=1e-12)
@@ -188,7 +188,7 @@ class TestSweep:
             P, d = request.getfixturevalue(chain_name)
             block = 2
         p = Distribution.point_mass(P.dim, 0)
-        sweep = triangular_sweep(bound_context(decompose(P), d, p, 0.1, block), range(31))
+        sweep = triangular_sweep(BoundContext(decompose(P), d, p, 0.1, block), range(31))
         assert all(np.all(row.rel_error == 0.0) for row in sweep.rows)
 
     def test_relative_error_is_the_weighted_gap_between_the_limits(self, eight_node):
@@ -196,7 +196,7 @@ class TestSweep:
         s = decompose(P)
         start = limit_stationary(s, POINT_AT_FIRST).probs
         damped = limit_stationary(s, d.as_distribution()).probs
-        for row in triangular_sweep(bound_context(s, d, POINT_AT_FIRST, 0.1, 2), range(0, 31)).rows:
+        for row in triangular_sweep(BoundContext(s, d, POINT_AT_FIRST, 0.1, 2), range(0, 31)).rows:
             via_mixture = np.abs(row.mixture - damped) / damped
             np.testing.assert_allclose(row.rel_error, via_mixture, rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(row.rel_error == 0.0, start == damped)
@@ -204,7 +204,7 @@ class TestSweep:
     def test_bounds_cover_all_rows(self, eight_node):
         P, d = eight_node
         s = decompose(P)
-        sweep = triangular_sweep(bound_context(s, d, POINT_AT_FIRST, 0.1, 2), range(0, 31))
+        sweep = triangular_sweep(BoundContext(s, d, POINT_AT_FIRST, 0.1, 2), range(0, 31))
         for row in sweep.rows:
             assert np.max(np.abs(row.trajectory - row.mixture)) <= row.bound + 1e-12
 
@@ -214,7 +214,7 @@ class TestSweep:
         P, d = five_node
         s = decompose(P)
         p = Distribution.point_mass(5, 0)
-        sweep = triangular_sweep(bound_context(s, d, p, 0.01, 2), [0, 100, 300])
+        sweep = triangular_sweep(BoundContext(s, d, p, 0.01, 2), [0, 100, 300])
         devs = [np.max(np.abs(r.trajectory - chains.FIVE_NODE_PI)) for r in sweep.rows]
         assert devs[0] > devs[1] >= devs[2]
         assert devs[-1] < 3e-3
@@ -225,7 +225,7 @@ class TestSweep:
         s = decompose(P)
         solves = count_calls(monkeypatch, "stationary_direct")
         limits = count_calls(monkeypatch, "limit_stationary")
-        context = bound_context(s, d, Distribution.point_mass(P.dim, 0), 0.1, 2)
+        context = BoundContext(s, d, Distribution.point_mass(P.dim, 0), 0.1, 2)
         triangular_sweep(context, range(0, 31))
         # One solve per closed class; a regular chain's class is P0 itself.
         assert len(solves) == len(s.classes)
