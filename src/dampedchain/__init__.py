@@ -40,7 +40,6 @@ from .structure import (
     class_mass,
     decompose,
     restrict,
-    restrict_damping,
 )
 from .stationary import (
     Method,
@@ -83,7 +82,7 @@ __all__ = [
     # The chain and its structure.
     "StochasticMatrix", "DampingVector", "Distribution", "DampedChain", "build_damped_matrix",
     "tv_distance", "Regime", "ClosedClass", "ChainStructure", "decompose", "class_mass",
-    "restrict", "restrict_damping",
+    "restrict",
     # Stationary laws of P(eps) and their eps -> 0 limit.
     "Method", "StationarySolution", "stationary_direct", "stationary_power", "stationary_series",
     "limit_stationary",

@@ -2,12 +2,11 @@
 
 Five bound families are implemented, numbered as the CLI exposes them (``FAMILIES``):
 
-* family 1, ``stationary_gap_bound`` with whole-matrix constants:
-  per-state bound on |pi(eps) - pi(0)| of the form
-  ``eps * (|d_j - pi0_j| + c * rate / (1 - rate))``.
-* family 2, the same formula with per-class constants
-  (``BoundContext.split_decay``) and the d-limit as reference, for chains
-  that split into several closed classes.
+* family 1, ``stationary_gap_bound`` with the certified constant of
+  ``BoundContext.split_tail``: per-state bound on |pi(eps) - pi(0)| of the form
+  ``eps * (|d_j - pi0_j| + S)``, S bounding ``max_j sum_(n>=1) max_i |P0^n(i, j) - pi0_j|``.
+* family 2, the same formula with the largest S over the closed classes and
+  the d-limit as reference, for chains that split into several closed classes.
 * family 5, ``coupling_bound``: ``(1 - Q(p, pi_eps)) * (1 - Q(P0))^n * (1 - eps)^n``
   on |p(n)_j - pi(eps)_j|, from the one-step maximal coupling.
 * family 6, ``coupling_bound_multistep``: the block-of-N variant driven by the
@@ -28,10 +27,12 @@ from it (``structure.P0``), so the matrix and its classes cannot disagree.
 Every power of a closed class's matrix (P0 itself on a regular chain) comes
 from one :class:`PowerWalk` per class per command, one product per step,
 held by the context. The walk scans each ``Delta_N`` the context is asked for
-and records the deviation ``max_ij |M^N - 1 pi0|`` of families 1 and 2 at
-every step. The ``ContractionError`` search and ``BoundContext.split_decay``
-resume it and never restart it, and the decay rate is read from the class's
-spectrum on the structure (``ChainStructure.spectra``). Q(P0) is the walk's
+and records, as it passes each power n, the column maxima
+``D_n(j) = max_i |M^n(i, j) - pi0_j|`` and ``t_n = max_i TV(M^n(i, .), pi0)``
+from which :meth:`PowerWalk.tail` certifies the constant S of families 1
+and 2 (Dobrushin contraction; Seneta, *Non-negative Matrices and Markov
+Chains*, ch. 3-4). The ``ContractionError`` search and ``split_tail`` resume
+it and never restart it; no eigenvalue is computed. Q(P0) is the walk's
 first power and a singular chain's whole-matrix ``Delta_N`` is 1 by
 structure, so family 5 alone solves no class law and scans P0 at most once.
 
@@ -56,19 +57,25 @@ import numpy as np
 from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, require_dim, require_epsilon
 from .coupling import overlap
 from .errors import ContractionError, RegimeError, ValidationError
-from .expansion import Spectrum, spectrum
+from .expansion import spectrum
 from .stationary import DEFAULT_SOLVER_TOL, StationarySolution, stationary_direct
 from .structure import ChainStructure, Regime, class_mass
 
-DEFAULT_DECAY_HORIZON = 200
+# Most powers a walk forms for the constant of families 1 and 2, and for
+# estimate_decay's amplitude scan.
+WALK_HORIZON = 200
+
+# The walk certifies families 1 and 2 at the first power N whose Dobrushin
+# bound c_N is at or below this; without one by WALK_HORIZON, at the N with
+# the smallest c_N below 1.
+CERTIFY_CONTRACTION = 1e-3
+
+# Significant digits of the certified constants, each rounded up.
+CERTIFIED_DIGITS = 6
 
 # Block lengths of the Delta_N profile in bound reports, also searched for
 # the smallest contracting block when a ContractionError is raised.
 PROFILE_STEPS = tuple(range(1, 13))
-
-# Deviations below this are indistinguishable from float rounding; the
-# amplitude scan stops there instead of dividing noise by a tiny rate**n.
-DECAY_NOISE_FLOOR = 1e-13
 
 # Rows per tile of min_row_overlap's exact scan: one small buffer, reused.
 SCAN_TILE = 64
@@ -86,6 +93,43 @@ FAMILIES = {
 def default_families(regime: Regime) -> list:
     """The families that apply to a ``regime`` chain, run when none is named."""
     return [family for family, (_, needs, _) in FAMILIES.items() if needs in (None, regime)]
+
+
+def _gamma(k: int) -> float:
+    """``gamma_k = k u / (1 - k u)`` with u = 2^-53, the relative error bound of a k-term sum."""
+    u = 2.0**-53
+    return k * u / (1.0 - k * u)
+
+
+def round_up(x: float, digits: int) -> float:
+    """The float nearest the least decimal with ``digits`` significant digits that is >= x >= 0.
+
+    Rounding to nearest is monotonic, so the result is at least x, and it
+    prints as that decimal at any precision from ``digits`` to 15 significant
+    digits.
+    """
+    if x <= 0.0 or not math.isfinite(x):
+        return x
+    num, den = x.as_integer_ratio()
+
+    def below(exponent: int) -> bool:
+        """``x < 10^exponent``, exactly."""
+        return num * 10 ** max(-exponent, 0) < den * 10 ** max(exponent, 0)
+
+    # 10^exponent <= x < 10^(exponent + 1); log10 may be one off next to a power of 10.
+    exponent = math.floor(math.log10(x))
+    while below(exponent):
+        exponent -= 1
+    while not below(exponent + 1):
+        exponent += 1
+    shift = digits - 1 - exponent
+    if shift >= 0:
+        num *= 10**shift
+    else:
+        den *= 10**-shift
+    decimal = -(-num // den)
+    # True division of integers rounds correctly.
+    return decimal / 10**shift if shift >= 0 else float(decimal * 10**-shift)
 
 
 def min_row_overlap(entries: np.ndarray) -> float:
@@ -143,8 +187,7 @@ def min_row_overlap(entries: np.ndarray) -> float:
     bound += half
     np.fill_diagonal(bound, np.inf)
 
-    u = np.finfo(np.float64).eps / 2
-    gamma = (n + 4) * u / (1.0 - (n + 4) * u)
+    gamma = _gamma(n + 4)
     gram_error = 8.0 * gamma * float(sq_norms.max()) + 16.0 * n * math.ulp(0.0)
     margin = 0.5 * math.sqrt(n * gram_error) + 4.0 * gamma * (1.0 + math.sqrt(n)) * float(sums.max())
 
@@ -232,15 +275,72 @@ class GeometricDecay:
         return self.amplitude * self.rate / (1.0 - self.rate)
 
 
+@dataclass(frozen=True)
+class CertifiedTail:
+    """The certified constant of families 1 and 2, found by :meth:`PowerWalk.tail`.
+
+    ``tail_factor`` is at least ``S = max_j sum_(n>=1) max_i |M^n(i, j) - pi0_j|``
+    for the exact law pi0 of M, and at least ``|x_j - pi0_j|`` more, for the
+    computed law x that serves as reference. ``steps`` is the power N where
+    the walk stopped and ``contraction`` its bound c_N on Dobrushin's
+    coefficient of M^N.
+    """
+
+    tail_factor: float
+    steps: int
+    contraction: float
+
+
 class PowerWalk:
     """The powers M, M^2, ... of one matrix, each formed once, one product per step.
 
     The walk holds only its current power and is resumed, never restarted:
-    ``overlap(N)`` advances it to N and scans Q(M^N) once, and ``decay``
-    advances it as far as the decay needs. Its first power is M itself.
-    Given ``law``, a function returning the law pi0 of M, each power's
-    deviation ``max_ij |M^N - 1 pi0|`` is recorded before the walk moves past
-    it, so the law is first fetched on the first product or deviation read.
+    ``overlap(N)`` advances it to N and scans Q(M^N) once, and ``tail``
+    advances it as far as the certificate needs. Its first power is M itself.
+    Given ``law``, a function returning the computed law x of M, each power
+    n's column maxima ``D_n(j) = max_i |M^n(i, j) - x_j|`` and
+    ``t_n = max_i TV(M^n(i, .), x)`` are added to running sums before the walk
+    moves past it, so the law is first fetched on the first product or
+    ``tail`` read. The walk certifies at the first n with
+    ``c_n <= CERTIFY_CONTRACTION``, or at ``WALK_HORIZON`` with the smallest
+    c_n < 1 it saw, and stops recording there.
+
+    The certificate. Let P be M with each row scaled exactly to sum to 1,
+    pi its exact law, ``t_n`` and ``D_n`` taken against pi, ``T_N = sum_(r<=N) t_r``.
+
+    * For a probability vector a, ``|a_j - pi_j| <= TV(a, pi)``, so D_n(j) <= t_n.
+    * ``c_N = 2 max_i TV(P^N(i, .), x)`` bounds Dobrushin's coefficient
+      ``max_(i,k) TV(P^N(i, .), P^N(k, .))`` from above by the triangle
+      inequality, whatever x is. P^n(i, .) - pi = (P^(n-N)(i, .) - pi) P^N
+      sums to 0, so t_n <= c_N t_(n-N), and for n = kN + r with k >= 1 and
+      1 <= r <= N the tail is ``sum_(n>N) D_n(j) <= T_N c_N / (1 - c_N)``.
+    * So ``S <= max_j sum_(n<=N) D_n(j) + T_N c_N / (1 - c_N)`` once c_N < 1.
+
+    Rounding margin. With u = 2^-53, m the size of M and gamma = gamma_(m+H+8)
+    (H = ``WALK_HORIZON``):
+
+    * the row sums of M are within ``rho = max_i |fl(s_i) - 1| + 2 gamma_m``
+      of 1, so M is within rho of P in row L1. A product with a row-stochastic
+      factor adds at most ``gamma_m (1 + rho)`` times the row's L1 norm to
+      its error, whatever the order, FMA use or thread count of the BLAS, and
+      a stochastic factor never amplifies earlier error. With
+      ``eta = 2 gamma_m + rho``, the computed n-th power A_n is within
+      ``e_n = (1 + eta)^n - 1 <= 2 n eta`` (n eta <= 1/2) of P^n in row L1;
+    * the computed x is within ``xi = (N |r|_1 + 2 |x.1 - 1|) / (1 - c_N)``
+      of pi in L1, r = x - x P. Write y = x - pi: y - y P^N is the sum of
+      r P^k over k < N, and y minus (x.1 - 1) pi sums to 0, so Dobrushin
+      contraction gives ``|y|_1 <= N |r|_1 + c_N (|y|_1 + |x.1 - 1|) + |x.1 - 1|``.
+      |r|_1 and x.1 are computed from fl(x M) and widened by ``gamma``, ``eta``
+      and ``gamma_m`` as above;
+    * the computed t_n and the running sums are sums of at most m + H
+      non-negative terms, each within gamma of its value. So, with the
+      computed sums H_N = max_j sum D_n(j) and T_N, the certified
+      ``c_N = 2 (1 + gamma) t_N + e_N`` and ``delta = e_N + xi`` bounding
+      every entry's error, the constant is
+      ``(1 + gamma) (H_N + T_N q) + N delta (1 + q) + xi`` with
+      q = c_N / (1 - c_N). The last xi bounds |x_j - pi_j| in the n = 0
+      term, where x is the reference; the few roundings after the sums fit
+      in gamma's spare 8 u.
     """
 
     def __init__(self, matrix: StochasticMatrix, law=None):
@@ -249,55 +349,90 @@ class PowerWalk:
         self.step = 0
         self.power = None
         self.overlaps = {}
-        self.deviations = []
+        self.recorded = 0
+        self.column_sums = None
+        self.tv_sum = 0.0
+        # (N, c_N, e_N, column sums, T_N) at the smallest c_N < 1 recorded so far.
+        self.best = None
+        self.certified = None
 
     def _advance(self, N: int) -> None:
         entries = self.matrix.entries
         while self.step < N:
-            if self.power is not None and self.law is not None:
-                self.deviation(self.step)
+            if self.power is not None:
+                self._record()
             self.power = entries if self.power is None else self.power @ entries
             self.step += 1
 
-    def deviation(self, N: int) -> float:
-        """``max_ij |M^N - 1 pi0|``."""
-        self._advance(N)
-        if len(self.deviations) < self.step:
-            self.deviations.append(float(np.max(np.abs(self.power - self.law().probs))))
-        return self.deviations[N - 1]
+    @cached_property
+    def _margins(self) -> tuple:
+        """``(gamma, gamma_m, eta)`` of the class docstring, from M's row sums."""
+        m = self.matrix.dim
+        gamma_m = _gamma(m)
+        rho = float(np.abs(self.matrix.entries.sum(axis=1) - 1.0).max()) + 2.0 * gamma_m
+        return _gamma(m + WALK_HORIZON + 8), gamma_m, 2.0 * gamma_m + rho
+
+    def _record(self) -> None:
+        """Add the current power's D_n and t_n to the sums, once, and certify at the first small c_n."""
+        if self.law is None or self.certified is not None or self.recorded == self.step:
+            return
+        dev = self.power - self.law().probs
+        np.abs(dev, out=dev)
+        column = dev.max(axis=0)
+        tv = 0.5 * float(dev.sum(axis=1).max())
+        self.column_sums = column if self.column_sums is None else self.column_sums + column
+        self.tv_sum += tv
+        self.recorded = n = self.step
+        gamma, _, eta = self._margins
+        error = 2.0 * n * eta if n * eta <= 0.5 else math.inf
+        contraction = 2.0 * (1.0 + gamma) * tv + error
+        if contraction < (1.0 if self.best is None else self.best[1]):
+            self.best = (n, contraction, error, self.column_sums, self.tv_sum)
+        if contraction <= CERTIFY_CONTRACTION:
+            self.certified = self._certify(*self.best)
+
+    def _certify(self, N: int, contraction: float, error: float, column_sums, tv_sum: float) -> CertifiedTail:
+        gamma, gamma_m, eta = self._margins
+        x = self.law().probs
+        mass = float(x.sum())
+        residual = (1.0 + gamma) * float(np.abs(x - self.matrix.vecmat(x)).sum()) + eta * (1.0 + gamma) * mass
+        mass_defect = abs(mass - 1.0) + gamma_m * mass
+        xi = (1.0 + gamma) * (N * residual + 2.0 * mass_defect) / (1.0 - contraction)
+        q = contraction / (1.0 - contraction)
+        head = float(column_sums.max())
+        tail = (1.0 + gamma) * (head + tv_sum * q) + N * (error + xi) * (1.0 + q) + xi
+        return CertifiedTail(tail, N, contraction)
+
+    def tail(self) -> CertifiedTail:
+        """The certified constant at the first N <= ``WALK_HORIZON`` with ``c_N <= CERTIFY_CONTRACTION``.
+
+        Without such an N, the walk certifies at ``WALK_HORIZON`` with the
+        smallest c_N it recorded, a looser but valid constant, and raises
+        ContractionError only when no recorded c_N is below 1.
+        """
+        self._advance(1)
+        self._record()
+        while self.certified is None:
+            if self.step >= WALK_HORIZON:
+                if self.best is None:
+                    raise ContractionError(
+                        f"c_N = 2 max_i TV(M^N(i, .), pi0) is not below 1 for any N <= {WALK_HORIZON}; "
+                        "bound families 1 and 2 have no certified constant here"
+                    )
+                self.certified = self._certify(*self.best)
+                break
+            self._advance(self.step + 1)
+            self._record()
+        return self.certified
 
     def overlap(self, N: int) -> float:
         """Q(M^N), the minimal row overlap of the N-th power."""
         if N not in self.overlaps:
-            # A walk past N unscanned (a decay ran first) leaves N to a walk of its own.
+            # A walk past N unscanned (a tail ran first) leaves N to a walk of its own.
             walk = self if N >= self.step else PowerWalk(self.matrix)
             walk._advance(N)
             self.overlaps[N] = min_row_overlap(walk.power)
         return self.overlaps[N]
-
-    def decay(self, rate: float) -> GeometricDecay:
-        """The constants of :func:`estimate_decay` for this walk's matrix and law at ``rate``."""
-        amplitude = 0.0
-        scale = 1.0
-        for N in range(1, DEFAULT_DECAY_HORIZON + 1):
-            dev = self.deviation(N)
-            if dev <= DECAY_NOISE_FLOOR:
-                break
-            scale *= rate
-            if scale <= 0.0:
-                break
-            amplitude = max(amplitude, dev / scale)
-        return GeometricDecay(amplitude, rate)
-
-
-def _decay_rate(spec: Spectrum) -> float:
-    """The second eigenvalue modulus, refused unless it is below 1."""
-    rate = spec.second_modulus
-    if rate >= 1.0:
-        raise ContractionError(
-            f"second eigenvalue modulus {rate} is not below 1; no geometric decay"
-        )
-    return rate
 
 
 def estimate_decay(P0: StochasticMatrix) -> GeometricDecay:
@@ -305,29 +440,45 @@ def estimate_decay(P0: StochasticMatrix) -> GeometricDecay:
 
     The rate is the second-largest eigenvalue modulus; the amplitude is the
     largest observed ratio ``max_ij |P^n[i,j] - pi_j| / rate**n`` over
-    n <= ``DEFAULT_DECAY_HORIZON``. The scan stops once deviations sink below
-    the float noise floor, where the ratio would measure rounding error
-    rather than decay.
-    This is the one-off form of the walk that ``BoundContext.split_decay``
-    continues.
+    n <= ``WALK_HORIZON``. The scan stops once deviations sink to 1e-13, where
+    the ratio would measure rounding error rather than decay. These are
+    estimates, not bounds; families 1 and 2 use :meth:`PowerWalk.tail`.
     """
-    rate = _decay_rate(spectrum(P0))
-    pi0 = stationary_direct(P0).pi
-    return PowerWalk(P0, lambda: pi0).decay(rate)
+    rate = spectrum(P0).second_modulus
+    if rate >= 1.0:
+        raise ContractionError(f"second eigenvalue modulus {rate} is not below 1; no geometric decay")
+    pi0 = stationary_direct(P0).pi.probs
+    amplitude = 0.0
+    scale = 1.0
+    power = P0.entries
+    for n in range(1, WALK_HORIZON + 1):
+        if n > 1:
+            power = power @ P0.entries
+        dev = float(np.max(np.abs(power - pi0)))
+        if dev <= 1e-13:
+            break
+        scale *= rate
+        if scale <= 0.0:
+            break
+        amplitude = max(amplitude, dev / scale)
+    return GeometricDecay(amplitude, rate)
 
 
 def stationary_gap_bound(
-    decay: GeometricDecay,
+    decay: "GeometricDecay | CertifiedTail",
     d: DampingVector,
     reference: Distribution,
     epsilon: float,
 ) -> np.ndarray:
-    """Per-state bound ``eps * (|d_j - ref_j| + amplitude * rate / (1 - rate))``.
+    """Per-state bound ``eps * (|d_j - ref_j| + decay.tail_factor)``.
 
-    With whole-matrix constants and the stationary distribution as reference
-    this bounds |pi(eps) - pi(0)| (family 1); with per-class worst-case
-    constants and the d-limit as reference it is the singular variant
-    (family 2).
+    ``decay`` is a :class:`GeometricDecay`, whose tail factor is
+    ``amplitude * rate / (1 - rate)``, or the :class:`CertifiedTail` of
+    ``BoundContext.split_tail``. With the stationary distribution as reference
+    this bounds |pi(eps) - pi(0)| (family 1), and with the worst constant over
+    the classes and the d-limit as reference it is the singular variant
+    (family 2): ``pi(eps) - pi0 = eps sum_(n>=0) (1 - eps)^n (d P0^n - pi0)``,
+    and on a state j of class J, ``|(d P0^n - pi0)_j| <= max_i |P0^n(i, j) - pi0_j|``.
     """
     require_epsilon(epsilon)
     return epsilon * (np.abs(d.weights - reference.probs) + decay.tail_factor)
@@ -343,7 +494,9 @@ class BoundContext:
     ``pi_eps``, when given, is used as pi(eps). Family 5 reads
     ``start_overlap`` = Q(p, pi_eps) and the raw Q(P0); family 6 reads
     ``start_overlap`` and ``ergodicity(block)``; families 1 and 2 read
-    ``split_decay()``; family 7 and the joint-limit bound read the per-class
+    ``split_tail()``, the certified S of :class:`PowerWalk` over the class
+    walks, so that ``eps (|d_j - ref_j| + S)`` bounds
+    ``|pi(eps)_j - ref_j|`` with no eigenvalue and no fitted constant; family 7 and the joint-limit bound read the per-class
     constants. A regular chain is its own single class. With class masses f,
     superscript j for the restriction to class j renormalized by its mass and
     pi0^j = ``structure.laws[j]``: ``start_gap[j] = f_p[j] (1 - Q(p^j, pi0^j))``
@@ -540,18 +693,32 @@ class BoundContext:
             for j, (rep, law) in enumerate(zip(self.class_reports, self.structure.laws))
         )
 
-    def split_decay(self) -> GeometricDecay:
-        """Families 1 and 2: the worst-case :func:`estimate_decay` constants over the classes.
+    def split_tail(self) -> CertifiedTail:
+        """Families 1 and 2: the certified constant, the worst over the closed classes.
 
-        On a regular chain, the one class, these are P0's own constants. Each
-        rate is read from ``structure.spectra``, and each class's walk resumes
-        where the context left it, to the decay horizon or the noise floor.
+        On a regular chain, the one class, it is P0's own. Each class's walk
+        resumes where the context left it (``PowerWalk.tail``). The damping
+        weights and class masses enter the n = 0 term of family 2's reference
+        with a rounding error below ``2 (|fl(sum d) - 1| + gamma_m)``, and
+        ``2 gamma_3 (1 + S)`` more covers the three roundings of
+        ``eps (|d_j - ref_j| + S)`` in :func:`stationary_gap_bound`, where
+        |d_j - ref_j| <= 1, and the two sums here. The report rounds each
+        per-state value up to 12 significant digits (:func:`round_up`), so the
+        printed value is still an upper bound. S and
+        c_N are then rounded up to ``CERTIFIED_DIGITS`` significant digits, so
+        that the last bits of the BLAS products, which vary with the thread
+        count, reach the report only when a value lies within a few ulps of a
+        6-digit decimal. The report's ``N`` is the longest walk
+        and ``c_N`` the largest c_N.
         """
-        per_class = [
-            walk.decay(_decay_rate(spec))
-            for walk, spec in zip(self.walks, self.structure.spectra)
-        ]
-        return GeometricDecay(max(d.amplitude for d in per_class), max(d.rate for d in per_class))
+        tails = [walk.tail() for walk in self.walks]
+        weights = self.d.weights
+        tail = max(t.tail_factor for t in tails) + 2.0 * (abs(float(weights.sum()) - 1.0) + _gamma(weights.size))
+        return CertifiedTail(
+            round_up(tail + 2.0 * _gamma(3) * (1.0 + tail), CERTIFIED_DIGITS),
+            max(t.steps for t in tails),
+            round_up(max(t.contraction for t in tails), CERTIFIED_DIGITS),
+        )
 
     def require_contraction(self) -> None:
         """Raise ContractionError unless every class has ``Delta_block < 1``.

@@ -46,6 +46,9 @@ DEFAULT_TRIALS = 100_000
 DEFAULT_HORIZON = 30
 
 COMMANDS = ("structure", "stationary", "expand", "bounds", "coupling-sim", "triangular", "report")
+# Commands that compute at one epsilon and so refuse a longer grid; report
+# computes its one-epsilon sections at the grid's first entry.
+ONE_EPSILON_COMMANDS = ("bounds", "coupling-sim", "triangular")
 
 
 def _add_common(sub):
@@ -237,6 +240,11 @@ def run_command(command: str, args) -> dict:
         require_tolerance(args.tol)
     for eps in epsilons:
         require_epsilon(eps)
+    if command in ONE_EPSILON_COMMANDS and len(epsilons) > 1:
+        raise ValidationError(
+            f"{command} reads one epsilon and --epsilon-grid gives {len(epsilons)}; "
+            "use --epsilon or a one-entry grid"
+        )
     if runs("coupling-sim"):
         if args.seed is None:
             raise ChainError("--seed is required for the coupling simulation")

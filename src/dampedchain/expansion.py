@@ -22,7 +22,7 @@ the one-class case. Each class's matrix and pi0 are read from the structure
 (``ChainStructure.matrices`` and ``.laws``), never solved here, and the base
 of the series is ``limit_stationary``'s pi0, the one eps -> 0 limit.
 
-``spectrum`` (eigenvalue reporting, decay rates of the bound families) and
+``spectrum`` (eigenvalue reporting and ``estimate_decay``'s rate) and
 the trajectory fit ``spectral_coefficients`` are independent of the series.
 """
 

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .bounds import FAMILIES, PROFILE_STEPS, BoundContext, stationary_gap_bound
+from .bounds import FAMILIES, PROFILE_STEPS, BoundContext, round_up, stationary_gap_bound
 from .core import DampedChain, DampingVector, Distribution, build_damped_matrix
 from .coupling import CouplingKernel, maximal_coupling, simulate_coupling_time
 from .expansion import expansion
@@ -147,7 +147,7 @@ def bounds_section(context: BoundContext, families, horizon: int) -> dict:
         context.require_family(family)
     structure, d, epsilon, block = context.structure, context.d, context.epsilon, context.block
     # The profile is read first: on a regular chain it comes from the walk of
-    # P0 that the block and the decay of family 1 go on with.
+    # P0 that the block and the certified tail of family 1 go on with.
     ergodicity = [{"N": N, "delta": rounded(context.ergodicity(N).delta)} for N in PROFILE_STEPS]
     n_grid = range(horizon + 1)
     records = []
@@ -155,10 +155,17 @@ def bounds_section(context: BoundContext, families, horizon: int) -> dict:
         record = {"family": FAMILIES[family][0], "id": family, "epsilon": rounded(epsilon)}
         if family in ("1", "2"):
             # A regular chain is the one-class case of the split constants.
-            decay = context.split_decay()
+            tail = context.split_tail()
             reference = limit_stationary(structure, d.as_distribution())
-            record["constants"] = {"amplitude": rounded(decay.amplitude), "rate": rounded(decay.rate)}
-            record["per_state"] = rounded_list(stationary_gap_bound(decay, d, reference, epsilon))
+            record["constants"] = {
+                "label": "certified",
+                "tail_sum": rounded(tail.tail_factor),
+                "N": tail.steps,
+                "c_N": rounded(tail.contraction),
+            }
+            # Rounded up, not to nearest, so that each printed value is still a bound.
+            gaps = stationary_gap_bound(tail, d, reference, epsilon)
+            record["per_state"] = [round_up(float(x), SIGNIFICANT_DIGITS) for x in gaps]
         elif family == "5":
             record["constants"] = {}
             record["by_n"] = [[n, rounded(context.onestep(n))] for n in n_grid]

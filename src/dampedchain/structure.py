@@ -20,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import DampingVector, Distribution, StochasticMatrix, require_dim
+from .core import Distribution, StochasticMatrix, require_dim
 from .errors import RegimeError, SingularSystemError, ValidationError
 
 
@@ -118,8 +118,7 @@ class ChainStructure:
     def spectra(self) -> tuple:
         """Spectrum of each closed class's matrix, one eigen-solve per class.
 
-        The spectrum section and the decay rate of bound families 1 and 2 both
-        read it.
+        Only the spectrum section reads it; no bound computes an eigenvalue.
         """
         # expansion imports this module, so spectrum is imported on first use.
         from .expansion import spectrum
@@ -279,11 +278,3 @@ def restrict(P0: StochasticMatrix, cls: ClosedClass) -> StochasticMatrix:
     _check_closed(P0, cls.states)
     idx = list(cls.states)
     return StochasticMatrix(P0.entries[np.ix_(idx, idx)], P0.row_tol)
-
-
-def restrict_damping(d: DampingVector, cls: ClosedClass) -> DampingVector:
-    """Damping weights renormalized to one closed class: d_k / f, f = class mass."""
-    idx = list(cls.states)
-    weights = d.weights[idx]
-    return DampingVector(weights / weights.sum())
-

@@ -10,7 +10,9 @@ states.
 The closed classes are read from the matrix's link graph, independently of
 ``dampedchain.structure``. ``exact_limit_law`` is d Pi, the eps -> 0 limit of
 pi(eps), transient states included; ``exact_coefficients`` the series
-coefficients a_k; ``exact_min_overlap`` the minimal row overlap Q(P0^N).
+coefficients a_k; ``exact_min_overlap`` the minimal row overlap Q(P0^N);
+``exact_tail_sums`` the partial sums behind the constant of bound families 1
+and 2.
 """
 
 from fractions import Fraction
@@ -153,6 +155,26 @@ def exact_min_overlap(entries, N: int) -> Fraction:
     return min(
         sum(min(a, b) for a, b in zip(power[i], power[j])) for i in range(m) for j in range(i + 1, m)
     )
+
+
+def exact_tail_sums(entries, K: int) -> tuple:
+    """``(columns, tv)`` for the irreducible matrix ``entries`` with exact law pi, as Fractions.
+
+    ``columns[j] = sum_(n<=K) max_i |P^n(i, j) - pi_j|`` and ``tv[n - 1] =
+    max_i TV(P^n(i, .), pi)`` for n = 1..K.
+    """
+    P = exact_matrix(entries)
+    pi = exact_law(P)
+    m = len(P)
+    columns, tv = [Fraction(0)] * m, []
+    power = P
+    for n in range(1, K + 1):
+        if n > 1:
+            power = [[sum(row[k] * P[k][j] for k in range(m)) for j in range(m)] for row in power]
+        gaps = [[abs(x - p) for x, p in zip(row, pi)] for row in power]
+        columns = [c + max(gaps[i][j] for i in range(m)) for j, c in enumerate(columns)]
+        tv.append(max(sum(row) for row in gaps) / 2)
+    return columns, tv
 
 
 def l1_error(values, exact: list) -> float:

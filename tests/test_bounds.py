@@ -1,3 +1,6 @@
+import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chains
-from oracle import exact_min_overlap
+from oracle import exact_damped_law, exact_limit_law, exact_min_overlap, exact_tail_sums
 from dampedchain import (
     BoundContext,
     ContractionError,
@@ -32,7 +35,17 @@ from dampedchain import (
     triangular_limit,
     triangular_sweep,
 )
-from dampedchain.bounds import DECAY_NOISE_FLOOR, PROFILE_STEPS, ErgodicityReport, estimate_decay
+from dampedchain.bounds import (
+    CERTIFIED_DIGITS,
+    CERTIFY_CONTRACTION,
+    PROFILE_STEPS,
+    ErgodicityReport,
+    PowerWalk,
+    WALK_HORIZON,
+    estimate_decay,
+    round_up,
+)
+from dampedchain.io import ingest
 from dampedchain.expansion import expansion
 from dampedchain.stationary import series_sums
 from dampedchain.triangular import triangular_bound
@@ -245,32 +258,34 @@ class TestStationaryGapBound:
         P, d = eight_node
         structure = decompose(P)
         reference = limit_stationary(structure, d.as_distribution())
-        decay = BoundContext(structure, d, d.as_distribution(), eps, 2).split_decay()
+        tail = BoundContext(structure, d, d.as_distribution(), eps, 2).split_tail()
         pi_eps = stationary_direct(build_damped_matrix(DampedChain(P, d, eps))).pi
-        bound = stationary_gap_bound(decay, d, reference, eps)
+        bound = stationary_gap_bound(tail, d, reference, eps)
         assert np.all(np.abs(pi_eps.probs - reference.probs) <= bound + 1e-12)
 
-    def test_split_decay_with_class_laws_is_bit_equal(self, eight_node):
+    def test_split_tail_with_class_laws_is_bit_equal(self, eight_node):
         P, d = eight_node
         structure = decompose(P)
         context = BoundContext(structure, d, Distribution.uniform(8), 0.1, 2)
-        # Each class's decay with its law solved afresh; the context reuses its own.
-        per_class = [estimate_decay(restrict(P, cls)) for cls in structure.classes]
-        expected = (max(c.amplitude for c in per_class), max(c.rate for c in per_class))
-        decay = context.split_decay()
-        assert (decay.amplitude, decay.rate) == expected
+        context.split_tail()
+        # Each class's walk with its law solved afresh; the context reuses its own.
+        for walk, cls in zip(context.walks, structure.classes):
+            M = restrict(P, cls)
+            law = stationary_direct(M).pi
+            assert walk.tail() == PowerWalk(M, lambda: law).tail()
 
     @pytest.mark.parametrize("chain_name", ["five_node", "four_node", "web"])
-    def test_split_decay_on_a_regular_chain_is_estimate_decay(self, chain_name, request):
+    def test_split_tail_does_not_depend_on_the_profile(self, chain_name, request):
         if chain_name == "web":
             P, d = chains.random_web_chain(np.random.default_rng(3), 40)
         else:
             P, d = request.getfixturevalue(chain_name)
-        # The profile walks P0 to N = 12 before the decay resumes the walk.
+        # The profile walks P0 to N = 12 before the certificate resumes the walk.
         context = BoundContext(decompose(P), d, d.as_distribution(), 0.1, 3)
         for N in PROFILE_STEPS:
             context.ergodicity(N)
-        assert context.split_decay() == estimate_decay(P)
+        fresh = BoundContext(decompose(P), d, d.as_distribution(), 0.1, 3)
+        assert context.split_tail() == fresh.split_tail()
 
     def test_estimate_decay_rejects_periodic(self):
         from dampedchain import StochasticMatrix
@@ -278,6 +293,118 @@ class TestStationaryGapBound:
         P = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ContractionError):
             estimate_decay(P)
+
+
+# The tests/data chains that family 1 or 2 accepts: every state in an aperiodic closed class.
+ACCEPTED = [
+    path
+    for path in sorted((Path(__file__).parent / "data").glob("*_edges.txt"))
+    if decompose(ingest(path)[0]).regime is not Regime.UNSUPPORTED
+]
+
+
+def _class_walks(chain_name, request):
+    """``(matrix, law, walk)`` for each closed class of a test chain, its walk certified."""
+    P, d = request.getfixturevalue(chain_name)
+    structure = decompose(P)
+    context = BoundContext(structure, d, d.as_distribution(), 0.1, 2)
+    context.split_tail()
+    return list(zip(structure.matrices, structure.laws, context.walks))
+
+
+class TestCertifiedTail:
+    @pytest.mark.parametrize("chain_name", ["five_node", "four_node", "eight_node"])
+    def test_tail_covers_the_exact_partial_sums(self, chain_name, request):
+        for M, _, walk in _class_walks(chain_name, request):
+            tail = walk.tail()
+            columns, tv = exact_tail_sums(M.entries, 80)
+            # S is at least every partial sum; the last terms are below 1e-10.
+            assert tv[-1] < 1e-10
+            assert Fraction(tail.tail_factor) >= max(columns)
+            # c_N bounds 2 t_N, and so Dobrushin's coefficient of M^N.
+            assert tail.contraction <= CERTIFY_CONTRACTION
+            assert Fraction(tail.contraction) >= 2 * tv[tail.steps - 1]
+
+    @pytest.mark.parametrize("chain_name", ["five_node", "four_node", "eight_node"])
+    def test_walk_stops_at_the_first_small_contraction(self, chain_name, request):
+        for M, law, walk in _class_walks(chain_name, request):
+            power, products = M.entries, []
+            for _ in range(walk.tail().steps):
+                power = naive_matmul(power, M.entries)
+                products.append(power)
+            assert _first_contracting(M.entries, law, products) == walk.tail().steps
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.15, 0.5])
+    @pytest.mark.parametrize("path", ACCEPTED, ids=lambda path: path.stem)
+    def test_families_cover_the_exact_gap(self, path, eps, capsys):
+        from dampedchain.cli import main
+
+        P, _ = ingest(path)
+        d = DampingVector.uniform(P.dim)
+        family = "1" if decompose(P).regime is Regime.REGULAR else "2"
+        assert main(["bounds", "--input", str(path), "--theorem", family, "--epsilon", repr(eps)]) == 0
+        (record,) = json.loads(capsys.readouterr().out)["bounds"]["reports"]
+        # The printed, rounded values against pi(eps) and its eps -> 0 limit d Pi, exactly.
+        pi_eps = exact_damped_law(P.entries, d.weights, eps)
+        limit = exact_limit_law(P.entries, d.weights)
+        for bound, x, y in zip(record["per_state"], pi_eps, limit):
+            assert Fraction(bound) >= abs(x - y)
+
+    def test_rank_one_gap_prints_as_a_bound(self, tmp_path, capsys):
+        # The walk certifies at N = 1 with S about 1e-12, so the printed value
+        # sits a few units of its 12th digit above the exact gap eps |d_0 - pi_0|.
+        from dampedchain.cli import main
+
+        entries, weights = [[0.2, 0.8], [0.2, 0.8]], [0.700000000001, 0.299999999999]
+        path = tmp_path / "rank_one.json"
+        path.write_text(json.dumps({"matrix": entries, "damping": weights}))
+        assert main(["bounds", "--input", str(path), "--theorem", "1", "--epsilon", "0.2"]) == 0
+        (record,) = json.loads(capsys.readouterr().out)["bounds"]["reports"]
+        assert record["constants"]["N"] == 1
+        pi_eps = exact_damped_law(np.array(entries), weights, 0.2)
+        limit = exact_limit_law(np.array(entries), weights)
+        for bound, x, y in zip(record["per_state"], pi_eps, limit):
+            assert Fraction(bound) >= abs(x - y)
+
+    @pytest.mark.parametrize("digits", [CERTIFIED_DIGITS, 12])
+    @given(x=st.one_of(
+        st.floats(min_value=1e-300, max_value=1e300),
+        st.sampled_from([10.0**k for k in range(-20, 21)]),
+        st.sampled_from([math.nextafter(10.0**k, 0.0) for k in range(-20, 21)]),
+    ))
+    def test_round_up_gives_the_least_printable_decimal(self, digits, x):
+        y = round_up(x, digits)
+        assert y >= x
+        assert float(f"{y:.12g}") == y == float(f"{y:.{digits}g}")
+        # One unit less in the last of the digits is below x.
+        decimal = Fraction(f"{y:.{digits - 1}e}")
+        unit = Fraction(10) ** (int(f"{y:.{digits - 1}e}".split("e")[1]) - digits + 1)
+        assert decimal - unit < Fraction(x)
+
+    def test_slow_walk_certifies_at_its_smallest_contraction(self):
+        # Second eigenvalue 0.998: c_N = 0.998^N stays above 1e-3 for N <= 200,
+        # and the walk certifies at N = 200, where c_N is smallest.
+        P = StochasticMatrix(np.array([[0.999, 0.001], [0.001, 0.999]]))
+        d = DampingVector.uniform(2)
+        context = BoundContext(decompose(P), d, d.as_distribution(), 0.1, 1)
+        tail = context.split_tail()
+        assert context.walks[0].step == WALK_HORIZON == tail.steps
+        assert CERTIFY_CONTRACTION < tail.contraction < 1.0
+        assert Fraction(tail.contraction) >= Fraction(998, 1000) ** WALK_HORIZON
+        # S = sum_(n>=1) 0.998^n / 2 = 249.5 exactly.
+        assert tail.tail_factor >= 249.5
+        pi_eps = exact_damped_law(P.entries, d.weights, 0.1)
+        bound = stationary_gap_bound(tail, d, d.as_distribution(), 0.1)
+        assert all(Fraction(b) >= abs(x - Fraction(1, 2)) for b, x in zip(bound, pi_eps))
+
+    def test_walk_without_contraction_is_refused(self):
+        # A 2-cycle: every power has a row at distance 1/2 from pi0, so c_N = 1.
+        P = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        law = Distribution(np.array([0.5, 0.5]))
+        walk = PowerWalk(P, lambda: law)
+        with pytest.raises(ContractionError, match="for any N <= 200"):
+            walk.tail()
+        assert walk.step == WALK_HORIZON
 
 
 class TestCouplingBounds:
@@ -437,6 +564,12 @@ class TestOneContextPerCommand:
         assert len(solves) == 3
 
 
+def _first_contracting(entries, law, products) -> int:
+    """The first n with ``max_i |M^n(i, .) - pi0|_1 <= CERTIFY_CONTRACTION`` among M and the logged products."""
+    powers = [entries, *products]
+    return next(n for n, A in enumerate(powers, 1) if np.abs(A - law.probs).sum(axis=1).max() <= CERTIFY_CONTRACTION)
+
+
 class TestOneWalkPerClass:
     """Each closed class is restricted and walked once per command."""
 
@@ -510,15 +643,13 @@ class TestOneWalkPerClass:
         bounds_section(context, families, 30)
         for entries, law, products in zip(plain, structure.laws, logs):
             # M^2, M^3, ... in order, each once: the profile, the block and the
-            # decay of family 1 or 2 share one walk.
+            # certified tail of family 1 or 2 share one walk.
             power = entries
             for product in products:
                 power = naive_matmul(power, entries)
                 np.testing.assert_allclose(product, power, rtol=0, atol=1e-13)
-            # The decay went on past the profile and stopped at the noise floor.
-            deviations = [np.max(np.abs(A - law.probs)) for A in products]
-            assert len(products) >= PROFILE_STEPS[-1]
-            assert deviations[-1] <= DECAY_NOISE_FLOOR < deviations[-2]
+            # The walk went on past the profile to the first N with a small c_N.
+            assert len(products) + 1 == max(PROFILE_STEPS[-1], _first_contracting(entries, law, products))
 
     @pytest.mark.parametrize(
         "name, block", [("five_node", "2"), ("five_node", "3"), ("eight_node", "2")]
@@ -546,14 +677,12 @@ class TestOneWalkPerClass:
         for entries, law, products in zip(plain, structure.laws, logs):
             # M^2, M^3, ... in order, each once, across the bounds, coupling-sim
             # and triangular sections: one walk serves the profile, the block
-            # and the decay of family 1 or 2.
+            # and the certified tail of family 1 or 2.
             power = entries
             for product in products:
                 power = naive_matmul(power, entries)
                 np.testing.assert_allclose(product, power, rtol=0, atol=1e-13)
-            deviations = [np.max(np.abs(A - law.probs)) for A in products]
-            assert len(products) >= PROFILE_STEPS[-1]
-            assert deviations[-1] <= DECAY_NOISE_FLOOR < deviations[-2]
+            assert len(products) + 1 == max(PROFILE_STEPS[-1], _first_contracting(entries, law, products))
         # P0 is scanned at N = 1 once on the regular chain, and never on the
         # singular one, whose whole-matrix Delta_N is 1 by structure.
         regular = structure.regime is Regime.REGULAR
@@ -570,12 +699,12 @@ class TestOneWalkPerClass:
         argv = ["report", "--input", path, "--epsilon", "0.1", "--seed", "7", "--trials", "200"]
         spectra = count_calls(monkeypatch, "spectrum")
         run_command("report", make_parser().parse_args(argv))
-        # The spectrum section and the family 1 or 2 decay rate share them.
+        # The spectrum section's; the bounds section computes no eigenvalue.
         assert len(spectra) == classes
 
     def test_search_after_the_decay_walk_gives_the_same_answer(self):
         # A 6-cycle with a self-loop at state 0: Delta_N = 1 up to N = 4. The
-        # decay walks far beyond N = 5, so the search must not read its power.
+        # certified tail walks far beyond N = 5, so the search must not read its power.
         entries = np.roll(np.eye(6), 1, axis=1)
         entries[0] = [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]
         structure = decompose(StochasticMatrix(entries))
@@ -584,7 +713,7 @@ class TestOneWalkPerClass:
         for decay_first in (False, True):
             context = BoundContext(structure, d, p, 0.1, 2)
             if decay_first:
-                context.split_decay()
+                context.split_tail()
             with pytest.raises(ContractionError) as info:
                 context.require_contraction()
             messages.append(str(info.value))

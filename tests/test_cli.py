@@ -473,7 +473,7 @@ def test_unsupported_chain_is_refused_before_any_eigen_solve(monkeypatch, comman
 
 @pytest.mark.parametrize(
     "entry",
-    ["expand", "report", "triangular", "limit_stationary", "expansion", "triangular_sweep", "split_decay"],
+    ["expand", "report", "triangular", "limit_stationary", "expansion", "triangular_sweep", "split_tail"],
 )
 @pytest.mark.parametrize("chain", ["transient", "three-cycle"])
 def test_per_class_gate_refuses_every_entry_point(monkeypatch, tmp_path, chain, entry):
@@ -489,7 +489,7 @@ def test_per_class_gate_refuses_every_entry_point(monkeypatch, tmp_path, chain, 
         "limit_stationary": lambda: limit_stationary(structure, p),
         "expansion": lambda: expansion(structure, d),
         "triangular_sweep": lambda: triangular_sweep(BoundContext(structure, d, p, 0.15, 2), range(5)),
-        "split_decay": lambda: BoundContext(structure, d, p, 0.15, 2).split_decay(),
+        "split_tail": lambda: BoundContext(structure, d, p, 0.15, 2).split_tail(),
     }
     solves = count_calls(monkeypatch, "stationary_direct")
     spectra = count_calls(monkeypatch, "spectrum")
@@ -515,6 +515,35 @@ def _web_edges(tmp_path, m: int) -> str:
     path = tmp_path / f"web{m}.txt"
     path.write_text("\n".join(workloads.web_edges(random.Random(5), m)) + "\n")
     return str(path)
+
+
+@pytest.mark.parametrize("chain", ["five_node", "web300"])
+def test_bounds_computes_no_spectrum(monkeypatch, tmp_path, chain):
+    path = _web_edges(tmp_path, 300) if chain == "web300" else FIVE
+    spectra = count_calls(monkeypatch, "spectrum")
+    report = _run(["bounds", "--input", path, "--coupling-N", "3"])
+    assert spectra == []
+    assert report["bounds"]["reports"][0]["constants"]["label"] == "certified"
+
+
+@pytest.mark.parametrize("command", ["bounds", "coupling-sim", "triangular"])
+def test_one_epsilon_commands_refuse_a_longer_grid(monkeypatch, command):
+    solves = count_calls(monkeypatch, "stationary_direct")
+    with pytest.raises(ValidationError) as info:
+        _run([command, "--input", EIGHT, "--seed", "7", "--epsilon-grid", "0.01,0.001,0.0001"])
+    assert str(info.value) == (
+        f"{command} reads one epsilon and --epsilon-grid gives 3; use --epsilon or a one-entry grid"
+    )
+    assert solves == []
+
+
+def test_one_entry_grid_and_report_grid_are_accepted(capsys):
+    bounds = run_json(capsys, "bounds", "--input", EIGHT, "--epsilon-grid", "0.01", "--theorem", "2")
+    assert bounds["bounds"]["epsilon"] == 0.01
+    # report runs its one-epsilon sections at the grid's first entry.
+    report = run_json(capsys, "report", "--input", EIGHT, "--epsilon-grid", "0.01,0.1", "--seed", "7", "--trials", "50")
+    assert report["bounds"]["epsilon"] == 0.01
+    assert [entry["epsilon"] for entry in report["stationary"]["by_epsilon"]] == [0.01, 0.1]
 
 
 def test_report_expansion_base_is_the_stationary_limit(capsys, tmp_path):

@@ -13,7 +13,6 @@ from dampedchain import (
     class_mass,
     decompose,
     restrict,
-    restrict_damping,
 )
 
 
@@ -165,12 +164,6 @@ class TestRestrict:
         P, _ = eight_node
         with pytest.raises(ValidationError):
             restrict(P, ClosedClass((0, 1, 2), 1))
-
-    def test_damping_renormalizes(self, eight_node):
-        P, d = eight_node
-        s = decompose(P)
-        sub = restrict_damping(d, s.classes[0])
-        np.testing.assert_allclose(sub.weights, [0.25, 0.25, 0.25, 0.25], atol=1e-15)
 
 
 def test_restricted_classes_are_regular(eight_node):
