@@ -24,10 +24,12 @@ matrices and laws of the structure (``ChainStructure.matrices`` and
 ``.laws``), and a regular chain is the one-class case. Every function that takes a :class:`ChainStructure` reads P0
 from it (``structure.P0``), so the matrix and its classes cannot disagree.
 
-Every power of a closed class's matrix (P0 itself on a regular chain) comes
-from one :class:`PowerWalk` per class per command, one product per step,
-held by the context. The walk scans each ``Delta_N`` the context is asked for
-and records, as it passes each power n, the column maxima
+:class:`PowerWalk` is the one place where this module forms a matrix power,
+one product per step; ``estimate_decay`` and ``ergodicity_coefficient`` each
+run a walk of their own. A closed class's matrix (P0 itself on a regular
+chain) has one walk per command, held by the context. The walk scans each
+``Delta_N`` the context is asked for and records, as it passes each power n,
+the column maxima
 ``D_n(j) = max_i |M^n(i, j) - pi0_j|`` and ``t_n = max_i TV(M^n(i, .), pi0)``
 from which :meth:`PowerWalk.tail` certifies the constant S of families 1
 and 2 (Dobrushin contraction; Seneta, *Non-negative Matrices and Markov
@@ -50,6 +52,7 @@ The convention ``x^0 = 1`` applies throughout, including when x = 0.
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, Context, Decimal
 from functools import cached_property
 
 import numpy as np
@@ -80,6 +83,9 @@ PROFILE_STEPS = tuple(range(1, 13))
 # Rows per tile of min_row_overlap's exact scan: one small buffer, reused.
 SCAN_TILE = 64
 
+# Decimal arithmetic wide enough that round_up's one quantize is its only rounding.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
 # Each bound family's report name, and the regime it needs with the family to use instead.
 FAMILIES = {
     "1": ("stationary-gap", Regime.REGULAR, "use family 2"),
@@ -104,32 +110,17 @@ def _gamma(k: int) -> float:
 def round_up(x: float, digits: int) -> float:
     """The float nearest the least decimal with ``digits`` significant digits that is >= x >= 0.
 
-    Rounding to nearest is monotonic, so the result is at least x, and it
-    prints as that decimal at any precision from ``digits`` to 15 significant
-    digits.
+    The decimal is x, read exactly, rounded toward +inf at its ``digits``-th
+    significant place. Its conversion to float rounds to nearest, which is
+    monotonic, so the result is at least x (``inf`` when the decimal is
+    beyond the largest float), and it prints as that decimal at any precision
+    from ``digits`` to 15 significant digits.
     """
     if x <= 0.0 or not math.isfinite(x):
         return x
-    num, den = x.as_integer_ratio()
-
-    def below(exponent: int) -> bool:
-        """``x < 10^exponent``, exactly."""
-        return num * 10 ** max(-exponent, 0) < den * 10 ** max(exponent, 0)
-
-    # 10^exponent <= x < 10^(exponent + 1); log10 may be one off next to a power of 10.
-    exponent = math.floor(math.log10(x))
-    while below(exponent):
-        exponent -= 1
-    while not below(exponent + 1):
-        exponent += 1
-    shift = digits - 1 - exponent
-    if shift >= 0:
-        num *= 10**shift
-    else:
-        den *= 10**-shift
-    decimal = -(-num // den)
-    # True division of integers rounds correctly.
-    return decimal / 10**shift if shift >= 0 else float(decimal * 10**-shift)
+    exact = Decimal(x)
+    unit = Decimal(1).scaleb(exact.adjusted() - digits + 1, _EXACT)
+    return float(exact.quantize(unit, rounding=ROUND_CEILING, context=_EXACT))
 
 
 def min_row_overlap(entries: np.ndarray) -> float:
@@ -439,10 +430,11 @@ def estimate_decay(P0: StochasticMatrix) -> GeometricDecay:
     """Empirical decay constants for a single-class aperiodic matrix.
 
     The rate is the second-largest eigenvalue modulus; the amplitude is the
-    largest observed ratio ``max_ij |P^n[i,j] - pi_j| / rate**n`` over
-    n <= ``WALK_HORIZON``. The scan stops once deviations sink to 1e-13, where
-    the ratio would measure rounding error rather than decay. These are
-    estimates, not bounds; families 1 and 2 use :meth:`PowerWalk.tail`.
+    largest observed ratio ``max_ij |P^n[i,j] - pi_j| / rate**n`` over the
+    powers n <= ``WALK_HORIZON`` of a :class:`PowerWalk`. The scan stops once
+    deviations sink to 1e-13, where the ratio would measure rounding error
+    rather than decay. These are estimates, not bounds; families 1 and 2 use
+    :meth:`PowerWalk.tail`.
     """
     rate = spectrum(P0).second_modulus
     if rate >= 1.0:
@@ -450,11 +442,10 @@ def estimate_decay(P0: StochasticMatrix) -> GeometricDecay:
     pi0 = stationary_direct(P0).pi.probs
     amplitude = 0.0
     scale = 1.0
-    power = P0.entries
+    walk = PowerWalk(P0)
     for n in range(1, WALK_HORIZON + 1):
-        if n > 1:
-            power = power @ P0.entries
-        dev = float(np.max(np.abs(power - pi0)))
+        walk._advance(n)
+        dev = float(np.max(np.abs(walk.power - pi0)))
         if dev <= 1e-13:
             break
         scale *= rate

@@ -23,7 +23,7 @@ import sys
 from .bounds import PROFILE_STEPS, BoundContext, default_families
 from .core import DampingVector, Distribution, require_epsilon
 from .coupling import require_simulation
-from .errors import ChainError, ValidationError
+from .errors import ChainError, IngestError, ValidationError
 from .expansion import require_expansion
 from .io import DanglingPolicy, GraphFormat, ingest, load_damping, load_weights
 from .report import (
@@ -251,14 +251,20 @@ def run_command(command: str, args) -> dict:
         require_simulation(args.trials, args.seed, args.horizon)
     if runs("triangular"):
         steps = _parse_grid(args.n_grid) if args.n_grid else range(args.horizon + 1)
-
-    # Preconditions, in section order; only the contraction checks scan.
     families = []
     if runs("bounds"):
         if args.theorem:
             families = [x.strip() for x in args.theorem.split(",")]
         else:
             families = default_families(structure.regime)
+        repeated = [family for i, family in enumerate(families) if family in families[:i]]
+        if repeated:
+            raise ValidationError(
+                f"--theorem {args.theorem!r} names bound family {repeated[0]} more than once; "
+                "name each family once"
+            )
+
+    # Preconditions, in section order; only the contraction checks scan.
     if runs("stationary"):
         for eps in epsilons:
             structure.require_unique_law(eps)
@@ -293,29 +299,32 @@ def run_command(command: str, args) -> dict:
     return build_report(command, echo, sections)
 
 
+def _write(path, flag: str, write, newline=None) -> None:
+    """Call ``write`` on the file ``path`` opened for text; a failed write is an IngestError naming ``flag``."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            write(fh)
+    except OSError as exc:
+        raise IngestError(f"{flag} file {path} cannot be written: {exc.strerror or exc}") from exc
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         report = run_command(args.command, args)
+        # The text and its newline are written apart: the echo can be tens of MB.
+        text = serialize(report)
+        if args.out:
+            _write(args.out, "--out", lambda fh: fh.writelines([text, "\n"]))
+        rows = list(_plot_rows(args.command, report)) if args.plot_data else []
+        if rows:
+            _write(args.plot_data, "--plot-data", lambda fh: csv.writer(fh).writerows(rows), newline="")
     except ChainError as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error, indent=2))
         return 1
-
-    # The text and its newline are written apart: the echo can be tens of MB.
-    text = serialize(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-    else:
+    if not args.out:
         print(text)
-
-    if args.plot_data:
-        rows = list(_plot_rows(args.command, report))
-        if rows:
-            with open(args.plot_data, "w", newline="") as fh:
-                csv.writer(fh).writerows(rows)
     return 0
 
 

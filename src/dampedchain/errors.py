@@ -56,4 +56,4 @@ class ContractionError(ChainError):
 
 
 class IngestError(ChainError):
-    """An input file could not be turned into a valid chain."""
+    """An input file could not be read into a valid chain, or a report file could not be written."""

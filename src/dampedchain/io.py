@@ -6,7 +6,8 @@ Three input formats:
   ids, ``#`` starts a comment. Every node's out-links get uniform weight
   (the hyperlink-matrix convention). Nodes without out-links are rejected
   unless a dangling policy says otherwise, and so is a node id whose dense
-  matrix would not fit in physical memory.
+  matrix would exceed physical memory, where the platform reports its size,
+  or cannot be allocated.
 * matrix CSV -- m lines of m comma-separated probabilities.
 * matrix JSON -- ``{"matrix": [[...]], "damping": [...]}``; damping optional.
 
@@ -80,14 +81,19 @@ def _parse_edge_list(text: str, dangling: DanglingPolicy) -> StochasticMatrix:
     if not edges:
         raise IngestError("edge list contains no edges")
     dense_bytes = 8 * m * m
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    too_large = f"node id {m} needs a dense {m} x {m} matrix of {dense_bytes / 2**30:.1f} GiB"
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        # No os.sysconf (Windows), or no such name: the allocation is the only check.
+        memory = float("inf")
     if dense_bytes > memory:
-        raise IngestError(
-            f"node id {m} needs a dense {m} x {m} matrix of {dense_bytes / 2**30:.1f} GiB, "
-            f"more than the {memory / 2**30:.1f} GiB of physical memory"
-        )
+        raise IngestError(f"{too_large}, more than the {memory / 2**30:.1f} GiB of physical memory")
     rows, cols = np.array(edges).T
-    entries = np.zeros((m, m))
+    try:
+        entries = np.zeros((m, m))
+    except MemoryError:
+        raise IngestError(f"{too_large}, more than could be allocated") from None
     entries[rows, cols] = 1.0
     degree = entries.sum(axis=1)
     entries[rows, cols] = 1.0 / degree[rows]
@@ -154,6 +160,18 @@ def _parse_matrix_json(text: str):
     return matrix, damping
 
 
+def _read_text(path, name: str) -> str:
+    """The UTF-8 text of the file ``path``; a file that cannot be read is an IngestError naming ``name``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise IngestError(f"{name} file not found: {path}") from exc
+    except OSError as exc:
+        raise IngestError(f"{name} file {path} cannot be read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{name} file {path} is not UTF-8 text: {exc}") from exc
+
+
 def ingest(
     path,
     fmt: GraphFormat = None,
@@ -164,10 +182,7 @@ def ingest(
     Only matrix JSON can carry damping weights; other formats return None and
     callers fall back to uniform weights.
     """
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"input file not found: {path}")
-    text = path.read_text()
+    text = _read_text(path, "input")
     fmt = fmt or guess_format(path)
     if fmt is GraphFormat.EDGE_LIST:
         return _parse_edge_list(text, dangling), None
@@ -178,11 +193,9 @@ def ingest(
 
 def load_weights(path, dim: int, name: str, vector_type):
     """A ``vector_type`` of the ``dim`` weights in a whitespace-separated file; errors say ``name``."""
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"{name} file not found: {path}")
+    text = _read_text(path, name)
     try:
-        weights = [float(x) for x in path.read_text().split()]
+        weights = [float(x) for x in text.split()]
     except ValueError as exc:
         raise IngestError(f"{name} file must contain floats: {exc}") from exc
     if len(weights) != dim:

@@ -18,7 +18,7 @@ from . import __version__
 from .bounds import FAMILIES, PROFILE_STEPS, BoundContext, round_up, stationary_gap_bound
 from .core import DampedChain, DampingVector, Distribution, build_damped_matrix
 from .coupling import CouplingKernel, maximal_coupling, simulate_coupling_time
-from .expansion import expansion
+from .expansion import expansion, spectrum
 from .io import MATRIX_SLOT, dumps_with_matrix
 from .stationary import (
     DEFAULT_SERIES_TOL,
@@ -102,7 +102,7 @@ def stationary_section(context: BoundContext, epsilons, tol: float) -> dict:
 
 
 def spectrum_section(structure) -> dict:
-    """Each closed class's spectrum (``structure.spectra``); a regular chain's one class is P0."""
+    """Each closed class's spectrum, one eigen-solve per class matrix; a regular chain's one class is P0."""
 
     def spectrum_entry(spec):
         return {
@@ -114,9 +114,8 @@ def spectrum_section(structure) -> dict:
             "second_modulus": rounded(spec.second_modulus),
         }
 
-    if structure.regime is Regime.REGULAR:
-        return spectrum_entry(structure.spectra[0])
-    return {"per_class": [spectrum_entry(spec) for spec in structure.spectra]}
+    entries = [spectrum_entry(spectrum(M)) for M in structure.matrices]
+    return entries[0] if structure.regime is Regime.REGULAR else {"per_class": entries}
 
 
 def expansion_section(structure, d: DampingVector, order: int, epsilons) -> dict:

@@ -9,7 +9,7 @@ The analysis splits by how the base matrix P0 partitions the state space:
 Transient states are detected and reported; only the direct stationary
 solve of P(eps), eps > 0, works on them. Every analysis runs class by class,
 a regular chain being the one-class case, on the per-class view that
-:class:`ChainStructure` builds once.
+:class:`ChainStructure` builds once: each closed class's matrix and law.
 """
 
 import enum
@@ -50,10 +50,9 @@ class ClosedClass:
 class ChainStructure:
     """Closed classes, transient states and the resulting regime of ``P0``.
 
-    ``matrices``, ``laws`` and ``spectra`` are the per-class view, each built
-    on first use, so a command that shares one structure restricts, solves
-    and eigen-solves each closed class once. ``P0`` takes no part in
-    comparison, hashing or repr.
+    ``matrices`` and ``laws`` are the per-class view, each built on first
+    use, so a command that shares one structure restricts and solves each
+    closed class once. ``P0`` takes no part in comparison, hashing or repr.
     """
 
     classes: tuple
@@ -113,17 +112,6 @@ class ChainStructure:
                     f"closed class {cls.states} splits further; the chain must be treated as singular"
                 ) from exc
         return tuple(laws)
-
-    @cached_property
-    def spectra(self) -> tuple:
-        """Spectrum of each closed class's matrix, one eigen-solve per class.
-
-        Only the spectrum section reads it; no bound computes an eigenvalue.
-        """
-        # expansion imports this module, so spectrum is imported on first use.
-        from .expansion import spectrum
-
-        return tuple(spectrum(M) for M in self.matrices)
 
 
 def _strongly_connected_components(adj, m):

@@ -1,4 +1,4 @@
-"""Exact-rational oracles for the tests.
+"""Independent oracles for the tests: exact rationals and naive loops.
 
 Every input float is read as the exact rational it stores
 (``fractions.Fraction``), and each row of the matrix and the damping weights
@@ -12,12 +12,20 @@ The closed classes are read from the matrix's link graph, independently of
 pi(eps), transient states included; ``exact_coefficients`` the series
 coefficients a_k; ``exact_min_overlap`` the minimal row overlap Q(P0^N);
 ``exact_tail_sums`` the partial sums behind the constant of bound families 1
-and 2.
+and 2; ``exact_round_up`` the upward rounding of their printed values.
+
+The naive loops (``naive_matmul``, ``naive_vecmat``, ``propagate``,
+``naive_min_overlap``) compute in floats, one scalar or one row at a time,
+and ``slice_min_overlap`` is the every-pair scan that ``min_row_overlap`` must
+match bit for bit.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from dampedchain import Distribution, StochasticMatrix
 
 
 def exact_probabilities(values) -> list:
@@ -180,3 +188,91 @@ def exact_tail_sums(entries, K: int) -> tuple:
 def l1_error(values, exact: list) -> float:
     """``sum |values_k - exact_k|``, summed exactly and rounded once."""
     return float(sum(abs(Fraction(x) - y) for x, y in zip(np.asarray(values, dtype=float).tolist(), exact)))
+
+
+def exact_round_up(x: float, digits: int) -> float:
+    """The least decimal with ``digits`` significant digits that is >= x > 0, as the nearest float.
+
+    The decimal exponent comes from exact comparisons with powers of ten. A
+    decimal beyond the largest float gives ``inf``.
+    """
+    value = Fraction(x)
+    # The digit counts put 10^exponent within a factor of 10 of x.
+    exponent = len(str(value.numerator)) - len(str(value.denominator))
+    while Fraction(10) ** exponent > value:
+        exponent -= 1
+    while Fraction(10) ** (exponent + 1) <= value:
+        exponent += 1
+    unit = Fraction(10) ** (exponent - digits + 1)
+    try:
+        return float(math.ceil(value / unit) * unit)
+    except OverflowError:
+        return math.inf
+
+
+def naive_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Triple-loop matrix product, the independent oracle for matrix powers."""
+    m, k = A.shape
+    k2, n = B.shape
+    assert k == k2
+    out = np.zeros((m, n))
+    for i in range(m):
+        for j in range(n):
+            s = 0.0
+            for l in range(k):
+                s += A[i, l] * B[l, j]
+            out[i, j] = s
+    return out
+
+
+def naive_vecmat(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Double-loop row vector times matrix, the oracle for ``vecmat``."""
+    m = entries.shape[0]
+    out = np.zeros(m)
+    for j in range(m):
+        s = 0.0
+        for i in range(m):
+            s += x[i] * entries[i, j]
+        out[j] = s
+    return out
+
+
+def propagate(p: Distribution, P: StochasticMatrix, n: int) -> Distribution:
+    """The n-step law ``p P^n`` by n dense vector-matrix products, the oracle for trajectories."""
+    v = p.probs
+    for _ in range(n):
+        v = v @ P.entries
+    return Distribution(v, max(1, n) * P.row_tol)
+
+
+def naive_min_overlap(entries: np.ndarray) -> float:
+    """Scalar-loop minimal pairwise row overlap."""
+    m = entries.shape[0]
+    q = 1.0
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            s = 0.0
+            for k in range(m):
+                s += min(entries[i, k], entries[j, k])
+            q = min(q, s)
+    return q
+
+
+def slice_min_overlap(entries: np.ndarray) -> float:
+    """Every-pair minimal row overlap, one row against all later rows at a time.
+
+    The bit-for-bit oracle of ``min_row_overlap``: each overlap is the float
+    ``np.minimum(row, rows).sum(axis=1)`` over contiguous rows, and the scan
+    stops at the first overlap of 0.
+    """
+    m = entries.shape[0]
+    q = 1.0
+    for i in range(m):
+        mins = np.minimum(entries[i], entries[i + 1 :])
+        if mins.size:
+            q = min(q, float(mins.sum(axis=1).min()))
+        if q == 0.0:
+            break
+    return q

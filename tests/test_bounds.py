@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chains
-from oracle import exact_damped_law, exact_limit_law, exact_min_overlap, exact_tail_sums
+from oracle import (
+    exact_damped_law,
+    exact_limit_law,
+    exact_min_overlap,
+    exact_round_up,
+    exact_tail_sums,
+    naive_matmul,
+    naive_min_overlap,
+    propagate,
+    slice_min_overlap,
+)
 from dampedchain import (
     BoundContext,
     ContractionError,
@@ -49,15 +60,7 @@ from dampedchain.io import ingest
 from dampedchain.expansion import expansion
 from dampedchain.stationary import series_sums
 from dampedchain.triangular import triangular_bound
-from conftest import (
-    count_calls,
-    log_products,
-    naive_matmul,
-    naive_min_overlap,
-    propagate,
-    rank_one,
-    slice_min_overlap,
-)
+from conftest import count_calls, log_products, rank_one
 
 # Composite tail constant of the five-node example's known decay envelope.
 FIVE_NODE_TAIL_FACTOR = (67 / 4488) * np.sqrt(34) + 49 / 132
@@ -380,6 +383,21 @@ class TestCertifiedTail:
         decimal = Fraction(f"{y:.{digits - 1}e}")
         unit = Fraction(10) ** (int(f"{y:.{digits - 1}e}".split("e")[1]) - digits + 1)
         assert decimal - unit < Fraction(x)
+
+    @pytest.mark.parametrize("digits", [CERTIFIED_DIGITS, 12])
+    @given(x=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_round_up_matches_the_exact_oracle(self, digits, x):
+        assert round_up(x, digits) == exact_round_up(x, digits)
+
+    @pytest.mark.parametrize("digits", [CERTIFIED_DIGITS, 12])
+    def test_round_up_next_to_every_power_of_ten(self, digits):
+        # Every float power of ten and its neighbours, where the decimal
+        # exponent changes, and the largest float, whose round-up is inf.
+        powers = [float(f"1e{k}") for k in range(-323, 309)]
+        xs = [y for p in powers for y in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))]
+        for x in [*xs, sys.float_info.max]:
+            assert round_up(x, digits) == exact_round_up(x, digits), x
+        assert round_up(sys.float_info.max, digits) == math.inf
 
     def test_slow_walk_certifies_at_its_smallest_contraction(self):
         # Second eigenvalue 0.998: c_N = 0.998^N stays above 1e-3 for N <= 200,

@@ -7,7 +7,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import count_calls, naive_matmul, naive_min_overlap
+from conftest import count_calls
+from oracle import naive_matmul, naive_min_overlap
 from dampedchain import (
     BoundContext,
     ContractionError,
@@ -643,6 +644,16 @@ def test_report_refuses_bad_arguments_before_any_scan(monkeypatch, argv, message
     assert scans == [] and solves == []
 
 
+@pytest.mark.parametrize("command", ["bounds", "report"])
+def test_repeated_family_is_refused_before_any_scan(monkeypatch, command):
+    scans = count_calls(monkeypatch, "min_row_overlap")
+    solves = count_calls(monkeypatch, "stationary_direct")
+    with pytest.raises(ValidationError) as info:
+        _run([command, "--input", FIVE, "--theorem", "1,5,1", "--seed", "1"])
+    assert str(info.value) == "--theorem '1,5,1' names bound family 1 more than once; name each family once"
+    assert scans == [] and solves == []
+
+
 def test_family_seven_refuses_epsilon_zero_before_any_scan(monkeypatch):
     scans = count_calls(monkeypatch, "min_row_overlap")
     solves = count_calls(monkeypatch, "stationary_direct")
@@ -740,6 +751,34 @@ def test_refusals_name_their_fault(capsys, tmp_path, case):
     code, out = run_cli(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert code == 1
     assert json.loads(out)["error"] == {"type": error, "message": message.replace("{tmp}", str(tmp_path))}
+
+
+# Each file that cannot be read or written: the command line, with {tmp} a
+# temporary directory holding bom.txt, whose first bytes are 0xff 0xfe, and
+# the start of the IngestError's message.
+UNUSABLE_FILES = {
+    "input-directory": (("structure", "--input", "{tmp}"), "input file {tmp} cannot be read: "),
+    "input-not-utf8": (("structure", "--input", "{tmp}/bom.txt"), "input file {tmp}/bom.txt is not UTF-8 text: "),
+    "damping-directory": (("structure", "--input", FIVE, "--damping", "{tmp}"), "damping file {tmp} cannot be read: "),
+    "initial-not-utf8": (("structure", "--input", FIVE, "--initial", "{tmp}/bom.txt"),
+                         "--initial file {tmp}/bom.txt is not UTF-8 text: "),
+    "out-missing-directory": (("structure", "--input", FIVE, "--out", "{tmp}/missing/r.json"),
+                              "--out file {tmp}/missing/r.json cannot be written: "),
+    "plot-data-missing-directory": (("stationary", "--input", FIVE, "--plot-data", "{tmp}/missing/p.csv"),
+                                    "--plot-data file {tmp}/missing/p.csv cannot be written: "),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_FILES)
+def test_unusable_files_give_the_structured_error(capsys, tmp_path, case):
+    (tmp_path / "bom.txt").write_bytes(b"\xff\xfe1 2\n")
+    argv, start = UNUSABLE_FILES[case]
+    code, out = run_cli(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+    assert code == 1
+    # The error alone is printed: no report precedes a failed write.
+    error = json.loads(out)["error"]
+    assert error["type"] == "IngestError"
+    assert error["message"].startswith(start.replace("{tmp}", str(tmp_path)))
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from dampedchain import (
     build_damped_matrix,
     tv_distance,
 )
-from conftest import naive_matmul, naive_vecmat, propagate
+from oracle import naive_matmul, naive_vecmat, propagate
 from dampedchain.core import SPARSE_MAX_DENSITY, matrix_power
 from dampedchain.io import ingest
 

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,36 @@ class TestBadInput:
             "node id 10000000 needs a dense 10000000 x 10000000 matrix of 745058.1 GiB, more than the "
         )
         assert allocations == []
+
+    @pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+    def test_unknown_memory_size_skips_the_guard(self, monkeypatch, error):
+        # Windows has no os.sysconf; elsewhere a name can be unknown or unreadable.
+        if error is AttributeError:
+            monkeypatch.delattr(os, "sysconf")
+        else:
+
+            def unreadable(name):
+                raise error(name)
+
+            monkeypatch.setattr(os, "sysconf", unreadable)
+        matrix, _ = ingest(DATA / "five_node_edges.txt")
+        np.testing.assert_allclose(matrix.entries, chains.five_node_entries(), atol=1e-15)
+
+    def test_failed_allocation_is_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "huge.txt"
+        path.write_text("1 2\n3 10000000\n")
+        monkeypatch.delattr(os, "sysconf")
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "zeros", no_memory)
+        with pytest.raises(IngestError) as info:
+            ingest(path)
+        assert str(info.value) == (
+            "node id 10000000 needs a dense 10000000 x 10000000 matrix of 745058.1 GiB, "
+            "more than could be allocated"
+        )
 
     def test_missing_file(self):
         with pytest.raises(IngestError, match="not found"):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import chains
-from conftest import count_calls, propagate
+from conftest import count_calls
+from oracle import propagate
 from dampedchain import (
     BoundContext,
     ContractionError,
