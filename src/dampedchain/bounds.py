@@ -498,6 +498,10 @@ class BoundContext:
     :class:`PowerWalk` of ``structure.matrices[j]``, whose gate
     (``require_classes``) refuses every per-class constant of an unsupported chain.
 
+    With ``certify`` False the class walks record nothing for ``split_tail``,
+    which is then refused: a caller that reads neither family 1 nor 2 then
+    solves no class law for them and scans no ``|M^n - pi0|``.
+
     Unless given, ``pi_eps`` is one in-place direct solve of ``chain``, P(eps),
     once ``structure.require_unique_law`` admits it, or is adopted from the
     stationary section's solve (``adopt_direct``).
@@ -508,8 +512,9 @@ class BoundContext:
     which has no per-class constants.
     """
 
-    def __init__(self, structure, d, p, epsilon, block, pi_eps=None):
+    def __init__(self, structure, d, p, epsilon, block, pi_eps=None, certify=True):
         self.structure = structure
+        self.certify = certify
         self.d = d
         self.p = p
         self.chain = DampedChain(structure.P0, d, epsilon)
@@ -543,6 +548,8 @@ class BoundContext:
     @cached_property
     def walks(self) -> tuple:
         structure = self.structure
+        if not self.certify:
+            return tuple(PowerWalk(M) for M in structure.matrices)
         return tuple(
             PowerWalk(M, lambda j=j: structure.laws[j]) for j, M in enumerate(structure.matrices)
         )
@@ -702,6 +709,8 @@ class BoundContext:
         6-digit decimal. The report's ``N`` is the longest walk
         and ``c_N`` the largest c_N.
         """
+        if not self.certify:
+            raise ValidationError("a context built with certify=False records no tail for families 1 and 2")
         tails = [walk.tail() for walk in self.walks]
         weights = self.d.weights
         tail = max(t.tail_factor for t in tails) + 2.0 * (abs(float(weights.sum()) - 1.0) + _gamma(weights.size))
@@ -749,7 +758,7 @@ def coupling_bound(
     n: int,
 ) -> float:
     """One-step coupling bound on ``max_j |p(n)_j - pi(eps)_j|`` (family 5)."""
-    return BoundContext(structure, d, p, epsilon, 1, pi_eps).onestep(n)
+    return BoundContext(structure, d, p, epsilon, 1, pi_eps, certify=False).onestep(n)
 
 
 def coupling_bound_multistep(
@@ -765,7 +774,7 @@ def coupling_bound_multistep(
 
     Both geometric factors carry the exponent ``floor(n / block) * block``.
     """
-    return BoundContext(structure, d, p, epsilon, block, pi_eps).multistep(n)
+    return BoundContext(structure, d, p, epsilon, block, pi_eps, certify=False).multistep(n)
 
 
 def split_bound_context(

@@ -18,6 +18,7 @@ structured error JSON and exit nonzero.
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .bounds import PROFILE_STEPS, BoundContext, default_families
@@ -167,7 +168,7 @@ def _load(args):
 
 def _inputs_echo(args, matrix, damping, p, epsilons) -> dict:
     return {
-        "matrix": matrix.entries,
+        "matrix": matrix,
         "damping": [float(x) for x in damping.weights],
         "initial": [float(x) for x in p.probs],
         "epsilon": args.epsilon,
@@ -182,13 +183,28 @@ def _inputs_echo(args, matrix, damping, p, epsilons) -> dict:
     }
 
 
+# The report section each command's --plot-data table is drawn from; structure has none.
+_PLOT_SECTIONS = {
+    "bounds": "bounds",
+    "report": "bounds",
+    "triangular": "triangular",
+    "coupling-sim": "coupling_sim",
+    "expand": "expansion",
+    "stationary": "stationary",
+}
+
+
 def _plot_rows(command: str, sections: dict):
-    if command in ("bounds", "report") and "bounds" in sections:
+    key = _PLOT_SECTIONS.get(command)
+    if key not in sections:
+        return
+    section = sections[key]
+    if key == "bounds":
         yield ["N", "delta"]
-        for item in sections["bounds"]["ergodicity"]:
+        for item in section["ergodicity"]:
             yield [item["N"], item["delta"]]
-    elif command == "triangular" and "triangular" in sections:
-        rows = sections["triangular"]["rows"]
+    elif key == "triangular":
+        rows = section["rows"]
         m = len(rows[0]["trajectory"]) if rows else 0
         header = ["n", "eps_n", "bound"]
         header += [f"trajectory_{k + 1}" for k in range(m)]
@@ -197,19 +213,18 @@ def _plot_rows(command: str, sections: dict):
         yield header
         for row in rows:
             yield [row["n"], row["eps_n"], row["bound"], *row["trajectory"], *row["mixture"], *row["rel_error"]]
-    elif command == "coupling-sim" and "coupling_sim" in sections:
-        sim = sections["coupling_sim"]
+    elif key == "coupling_sim":
         yield ["n", "tail", "std_error", "onestep_bound"]
-        for n, (t, s, b) in enumerate(zip(sim["tail"], sim["std_error"], sim["onestep_bound"])):
+        for n, (t, s, b) in enumerate(zip(section["tail"], section["std_error"], section["onestep_bound"])):
             yield [n, t, s, b]
-    elif command == "expand" and "expansion" in sections:
-        evals = sections["expansion"].get("evaluations", [])
-        m = len(sections["expansion"]["base"])
+    elif key == "expansion":
+        evals = section.get("evaluations", [])
+        m = len(section["base"])
         yield ["epsilon", *[f"value_{k + 1}" for k in range(m)], "mass_defect"]
         for entry in evals:
             yield [entry["epsilon"], *entry["values"], entry["mass_defect"]]
-    elif command == "stationary" and "stationary" in sections:
-        entries = sections["stationary"]["by_epsilon"]
+    elif key == "stationary":
+        entries = section["by_epsilon"]
         m = len(entries[0]["direct"]["pi"]) if entries else 0
         yield ["epsilon", *[f"pi_{k + 1}" for k in range(m)]]
         for entry in entries:
@@ -229,11 +244,20 @@ def run_command(command: str, args) -> dict:
     epsilons = _epsilons(args)
     p = _initial(args.initial, matrix.dim)
     structure = decompose(matrix)
-    context = BoundContext(structure, damping, p, epsilons[0], args.coupling_n)
-    echo = _inputs_echo(args, matrix, damping, p, epsilons)
 
     def runs(section_command):
         return command in (section_command, "report")
+
+    families = []
+    if runs("bounds"):
+        if args.theorem:
+            families = [x.strip() for x in args.theorem.split(",")]
+        else:
+            families = default_families(structure.regime)
+    # The class walks record what the certified constant of families 1 and 2 needs only when it is read.
+    certify = "1" in families or "2" in families
+    context = BoundContext(structure, damping, p, epsilons[0], args.coupling_n, certify=certify)
+    echo = _inputs_echo(args, matrix, damping, p, epsilons)
 
     # Argument checks; none of them computes. Every command checks each grid epsilon.
     if runs("stationary"):
@@ -251,12 +275,7 @@ def run_command(command: str, args) -> dict:
         require_simulation(args.trials, args.seed, args.horizon)
     if runs("triangular"):
         steps = _parse_grid(args.n_grid) if args.n_grid else range(args.horizon + 1)
-    families = []
     if runs("bounds"):
-        if args.theorem:
-            families = [x.strip() for x in args.theorem.split(",")]
-        else:
-            families = default_families(structure.regime)
         repeated = [family for i, family in enumerate(families) if family in families[:i]]
         if repeated:
             raise ValidationError(
@@ -299,18 +318,40 @@ def run_command(command: str, args) -> dict:
     return build_report(command, echo, sections)
 
 
-def _write(path, flag: str, write, newline=None) -> None:
+def _write(path, flag: str, write, newline=None, mode="w") -> None:
     """Call ``write`` on the file ``path`` opened for text; a failed write is an IngestError naming ``flag``."""
     try:
-        with open(path, "w", newline=newline) as fh:
+        with open(path, mode, newline=newline) as fh:
             write(fh)
     except OSError as exc:
         raise IngestError(f"{flag} file {path} cannot be written: {exc.strerror or exc}") from exc
 
 
+def _require_writable(path, flag: str) -> None:
+    """Refuse, before anything is computed, a report file that :func:`_write` could not open.
+
+    The file is opened for appending and closed, and removed if that made
+    it, so that the check leaves it as it was. A device or pipe is left to
+    the one open that writes it.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not (os.path.isfile(target) or os.path.isdir(target)):
+        return
+    made = not os.path.exists(target)
+    _write(path, flag, lambda fh: None, mode="a")
+    if made:
+        os.remove(target)
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        files = {"--out": args.out}
+        if args.command in _PLOT_SECTIONS:
+            files["--plot-data"] = args.plot_data
+        for flag, path in files.items():
+            if path:
+                _require_writable(path, flag)
         report = run_command(args.command, args)
         # The text and its newline are written apart: the echo can be tens of MB.
         text = serialize(report)

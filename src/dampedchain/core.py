@@ -7,10 +7,18 @@ matrix whose identical rows are a damping vector d:
 
 Everything here is float64 and immutable; the target scale is a few thousand
 states at most. Entries are held dense, and every vector-matrix product goes
-through ``StochasticMatrix.vecmat``. On a matrix with at most
+through ``StochasticMatrix.vecmat``. A matrix with at most
 ``SPARSE_MAX_DENSITY`` of its entries nonzero (edge-list inputs have a handful
-per row) that product reads a row-compressed view of the nonzeros, built on
-first use; a denser matrix, such as a CSV input, keeps the dense product.
+per row) also has a row-compressed view of its nonzeros: the nonzeros of each
+row, in column order. An edge list's view is built from its edges at ingest,
+and a class block's from P0's view (``structure.restrict``); any other
+matrix's is scanned from its array on first use. ``vecmat``, the class search,
+the class blocks, the per-class stationary systems and the matrix echo read
+the view. A denser matrix, such as a CSV input, has none and keeps the dense
+product; :func:`row_nonzeros`, :func:`block_matrix` and :func:`add_block` are
+the places that read its array instead. A scanned view leaves out ``-0.0``
+entries, so :func:`block_matrix` gathers a class block from the array
+unless the view was built from the nonzeros themselves.
 ``DampedChain.vecmat`` multiplies by P(eps) through the rank-one form
 
     x P(eps) = (1 - eps) x P0 + eps (x . 1) d,
@@ -20,6 +28,7 @@ so the trajectory routes never form the dense P(eps).
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +43,13 @@ DEFAULT_ROW_TOL = 1e-12
 SPARSE_MAX_DENSITY = 0.03
 
 
-def _as_float_array(values, name, ndim):
+def _as_float_array(values, name, ndim, finite=True):
     arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if finite and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains NaN or infinite entries")
     return arr
 
@@ -63,6 +72,58 @@ def _freeze(obj, field, arr):
     object.__setattr__(obj, field, arr)
 
 
+class RowNonzeros(NamedTuple):
+    """The nonzeros of a matrix, row by row and in column order within a row.
+
+    ``counts[i]`` is row i's number of nonzeros. ``complete`` says that the
+    array holds no ``-0.0``, so that these are all its entries with nonzero
+    bits; a view scanned from an array does not know that.
+    """
+
+    counts: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    complete: bool = False
+
+    def of_rows(self, rows) -> "RowNonzeros":
+        """The nonzeros of ``rows``, in that order."""
+        starts = np.cumsum(self.counts) - self.counts
+        counts = self.counts[rows]
+        at = np.arange(counts.sum()) + np.repeat(starts[rows] - (np.cumsum(counts) - counts), counts)
+        return RowNonzeros(counts, self.cols[at], self.values[at], self.complete)
+
+
+def _sparse_enough(count: int, m: int) -> bool:
+    return count <= SPARSE_MAX_DENSITY * m * m
+
+
+def _scan(entries: np.ndarray) -> RowNonzeros:
+    rows, cols = np.nonzero(entries)
+    return RowNonzeros(np.bincount(rows, minlength=entries.shape[0]), cols, entries[rows, cols])
+
+
+def _checked_matrix(values, row_tol: float) -> np.ndarray:
+    """``values`` as a float array, refused unless square, in [0, 1] and with rows summing to 1.
+
+    The entries are read three times in all, by a minimum, a maximum and the
+    row sums; the finiteness scan runs only to name a failure.
+    """
+    arr = _as_float_array(values, "matrix", 2, finite=False)
+    in_range = bool(arr.min() >= 0.0) and bool(arr.max() <= 1.0)  # False on NaN
+    if not in_range:
+        _as_float_array(arr, "matrix", 2)  # a NaN or an infinity is named first
+    if arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"matrix must be square, got shape {arr.shape}")
+    if not in_range:
+        raise ValidationError("matrix entries must lie in [0, 1]")
+    sums = arr.sum(axis=1)
+    bad = np.abs(sums - 1.0) > row_tol
+    if np.any(bad):
+        i = int(np.argmax(np.abs(sums - 1.0)))
+        raise ValidationError(f"row {i} sums to {sums[i]!r}, off by more than row_tol={row_tol}")
+    return arr
+
+
 @dataclass(frozen=True)
 class StochasticMatrix:
     """Row-stochastic matrix held as a dense array.
@@ -70,26 +131,33 @@ class StochasticMatrix:
     Every entry must lie in [0, 1] and every row must sum to 1 within
     ``row_tol``. The entry array is copied and marked read-only, so values
     are safe to share across threads. ``vecmat`` is the one vector-matrix
-    product; the sparse view it may use is built on its first call.
+    product. The row-compressed view of a sparse matrix (``_nonzeros``, None
+    for a dense one) comes with the matrix when ingest or ``restrict`` builds
+    it from nonzeros they already hold, and is otherwise scanned from the
+    array on first use.
     """
 
     entries: np.ndarray
     row_tol: float = DEFAULT_ROW_TOL
 
     def __post_init__(self):
-        arr = _as_float_array(self.entries, "matrix", 2)
-        if arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"matrix must be square, got shape {arr.shape}")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValidationError("matrix entries must lie in [0, 1]")
-        sums = arr.sum(axis=1)
-        bad = np.abs(sums - 1.0) > self.row_tol
-        if np.any(bad):
-            i = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValidationError(
-                f"row {i} sums to {sums[i]!r}, off by more than row_tol={self.row_tol}"
-            )
-        _freeze(self, "entries", arr)
+        _freeze(self, "entries", _checked_matrix(self.entries, self.row_tol))
+
+    @classmethod
+    def _of_nonzeros(cls, entries: np.ndarray, nonzeros: RowNonzeros, row_tol: float = DEFAULT_ROW_TOL):
+        """The matrix of ``entries``, whose nonzeros must be exactly ``nonzeros``, with that view.
+
+        ``entries`` is taken over and marked read-only, not copied, so it must
+        be an array that no caller will write.
+        """
+        matrix = cls.__new__(cls)
+        object.__setattr__(matrix, "row_tol", row_tol)
+        entries = _checked_matrix(entries, row_tol)
+        entries.setflags(write=False)
+        object.__setattr__(matrix, "entries", entries)
+        sparse = _sparse_enough(len(nonzeros.values), len(entries))
+        vars(matrix)["_nonzeros"] = nonzeros if sparse else None
+        return matrix
 
     @property
     def dim(self) -> int:
@@ -97,20 +165,84 @@ class StochasticMatrix:
 
     @cached_property
     def _nonzeros(self):
-        """Row-compressed nonzeros (count per row, column ids, values), or None if too dense."""
-        m = self.dim
-        if np.count_nonzero(self.entries) > SPARSE_MAX_DENSITY * m * m:
+        """The row-compressed view, or None if the matrix is too dense for one."""
+        if not _sparse_enough(np.count_nonzero(self.entries), self.dim):
             return None
-        rows, cols = np.nonzero(self.entries)
-        return np.bincount(rows, minlength=m), cols, self.entries[rows, cols]
+        return _scan(self.entries)
 
     def vecmat(self, x: np.ndarray) -> np.ndarray:
         """The row vector ``x @ P``, by the sparse product when P is sparse enough."""
         nonzeros = self._nonzeros
         if nonzeros is None:
             return x @ self.entries
-        counts, cols, values = nonzeros
-        return np.bincount(cols, weights=np.repeat(x, counts) * values, minlength=self.dim)
+        return np.bincount(
+            nonzeros.cols, weights=np.repeat(x, nonzeros.counts) * nonzeros.values, minlength=self.dim
+        )
+
+
+def row_nonzeros(P: StochasticMatrix, rows=None) -> RowNonzeros:
+    """The nonzeros of ``rows`` of P (every row when None), read from P's view.
+
+    A matrix too dense for a view has those rows of its array scanned here.
+    """
+    nonzeros = P._nonzeros
+    if nonzeros is None:
+        return _scan(P.entries if rows is None else P.entries[rows])
+    return nonzeros if rows is None else nonzeros.of_rows(rows)
+
+
+def block_nonzeros(P: StochasticMatrix, states=None) -> tuple:
+    """P's block on ``states`` (all of P when None), from the nonzeros of its rows.
+
+    Returns ``(rows, cols, values, leak)``: each nonzero inside the block with
+    its row and column numbered within ``states``, and the mass each row of
+    the block sends to states outside it, summed from its nonzeros there.
+    """
+    nonzeros = row_nonzeros(P, states)
+    k = len(nonzeros.counts)
+    rows = np.repeat(np.arange(k), nonzeros.counts)
+    if states is None:
+        return rows, nonzeros.cols, nonzeros.values, np.zeros(k)
+    local = np.full(P.dim, -1)
+    local[states] = np.arange(k)
+    cols = local[nonzeros.cols]
+    inside = cols >= 0
+    leak = np.bincount(rows[~inside], weights=nonzeros.values[~inside], minlength=k)
+    return rows[inside], cols[inside], nonzeros.values[inside], leak
+
+
+def block_matrix(P: StochasticMatrix, states: list) -> tuple:
+    """P's block on ``states`` as ``(entries, nonzeros, leak)``; ``leak`` as in :func:`block_nonzeros`.
+
+    The entries are scattered from the block's nonzeros when P's view holds
+    every entry with nonzero bits. Otherwise they are gathered from P's
+    array, which also keeps a ``-0.0`` that a scanned view leaves out.
+    """
+    rows, cols, values, leak = block_nonzeros(P, states)
+    k = len(states)
+    complete = P._nonzeros is not None and P._nonzeros.complete
+    nonzeros = RowNonzeros(np.bincount(rows, minlength=k), cols, values, complete)
+    if complete:
+        entries = np.zeros((k, k))
+        entries[rows, cols] = values
+    else:
+        entries = P.entries[np.ix_(states, states)]
+    return entries, nonzeros, leak
+
+
+def add_block(out: np.ndarray, P: StochasticMatrix, scale: float, states=None) -> None:
+    """``out += scale * B`` for B the block of P on ``states`` (all of P when None).
+
+    Each entry gets the same product and sum as in the dense formula, so
+    ``out`` comes out bit for bit the same whether B's nonzeros are scattered
+    from P's view or, for a matrix too dense for one, B is gathered from its
+    array.
+    """
+    if P._nonzeros is None:
+        out += scale * (P.entries if states is None else P.entries[np.ix_(states, states)])
+        return
+    rows, cols, values, _ = block_nonzeros(P, states)
+    out[rows, cols] += scale * values
 
 
 @dataclass(frozen=True)

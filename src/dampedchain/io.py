@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DampingVector, StochasticMatrix
+from .core import DampingVector, RowNonzeros, StochasticMatrix
 from .errors import IngestError
 
 
@@ -59,7 +59,8 @@ def _parse_edge_list(text: str, dangling: DanglingPolicy) -> StochasticMatrix:
 
     Every node's out-links get uniform weight; duplicate edges are collapsed.
     Dangling nodes (no out-links) follow the policy: reject, add a self-loop,
-    or jump uniformly to every node.
+    or jump uniformly to every node. The out-degrees are counted from the
+    edges, and the matrix's row-compressed view is built from them here.
     """
     edges = []
     m = 0
@@ -89,25 +90,36 @@ def _parse_edge_list(text: str, dangling: DanglingPolicy) -> StochasticMatrix:
         memory = float("inf")
     if dense_bytes > memory:
         raise IngestError(f"{too_large}, more than the {memory / 2**30:.1f} GiB of physical memory")
-    rows, cols = np.array(edges).T
     try:
         entries = np.zeros((m, m))
     except MemoryError:
         raise IngestError(f"{too_large}, more than could be allocated") from None
-    entries[rows, cols] = 1.0
-    degree = entries.sum(axis=1)
-    entries[rows, cols] = 1.0 / degree[rows]
+    # Link i -> j has the key i * m + j, so the sorted distinct keys are the
+    # nonzeros in row order. They are not taken by np.unique, whose first call
+    # maps some 1.2 MB more of NumPy into memory than np.sort's.
+    edges = np.array(edges)
+    keys = np.sort(edges[:, 0] * m + edges[:, 1])
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    degree = np.bincount(keys // m, minlength=m)
+    values = 1.0 / degree[keys // m]
     no_links = np.flatnonzero(degree == 0)
-    if dangling is DanglingPolicy.SELF_LOOP:
-        entries[no_links, no_links] = 1.0
-    elif dangling is DanglingPolicy.UNIFORM_JUMP:
-        entries[no_links] = 1.0 / m
-    elif no_links.size:
-        raise IngestError(
-            f"node {no_links[0] + 1} has no out-links; choose a dangling policy "
-            "(self-loop or uniform-jump) to accept it"
-        )
-    return StochasticMatrix(entries)
+    if no_links.size:
+        if dangling is DanglingPolicy.REJECT:
+            raise IngestError(
+                f"node {no_links[0] + 1} has no out-links; choose a dangling policy "
+                "(self-loop or uniform-jump) to accept it"
+            )
+        if dangling is DanglingPolicy.SELF_LOOP:
+            extra, extra_values = no_links * (m + 1), np.ones(no_links.size)
+        else:
+            extra = (no_links[:, np.newaxis] * m + np.arange(m)).ravel()
+            extra_values = np.full(extra.size, 1.0 / m)
+        keys = np.concatenate([keys, extra])
+        order = np.argsort(keys)
+        keys, values = keys[order], np.concatenate([values, extra_values])[order]
+    rows, cols = keys // m, keys % m
+    entries[rows, cols] = values
+    return StochasticMatrix._of_nonzeros(entries, RowNonzeros(np.bincount(rows, minlength=m), cols, values, True))
 
 
 def _parse_matrix_csv(text: str) -> StochasticMatrix:
@@ -214,54 +226,67 @@ def load_damping(path, dim: int) -> DampingVector:
 MATRIX_SLOT = "\x00matrix"
 
 
-def _matrix_pieces(entries: np.ndarray, indent: int):
-    """Yield ``json.dumps(entries.tolist(), indent=2)`` opened ``indent`` spaces in.
+def _echo_nonzeros(matrix) -> RowNonzeros:
+    """Every entry of ``matrix`` with nonzero bits, row by row: a :class:`StochasticMatrix` or an array.
 
-    Every row is one all-zero row string with the row's nonzero entries
-    spliced in: entry j's ``0.0`` sits at offset ``j * (3 + len(sep))``. An
-    entry whose bits are all zero writes ``0.0``; any other writes
-    ``repr(float(x))``, which is what json's float encoder writes, so ``-0.0``
-    stays ``-0.0``. A non-finite entry raises ``ValueError``, as
-    ``allow_nan=False`` does.
+    A matrix's row-compressed view serves when it is known to hold them all.
+    Otherwise the array is scanned, ``-0.0`` included, and a non-finite entry
+    raises ``ValueError``, as ``allow_nan=False`` does.
     """
-    finite = np.isfinite(entries)
+    if isinstance(matrix, StochasticMatrix):
+        nonzeros = matrix._nonzeros
+        if nonzeros is not None and nonzeros.complete:
+            return nonzeros
+        matrix = matrix.entries
+    finite = np.isfinite(matrix)
     if not finite.all():
-        bad = float(entries[~finite][0])
+        bad = float(matrix[~finite][0])
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    m = entries.shape[0]
+    rows, cols = np.nonzero((matrix != 0.0) | np.signbit(matrix))
+    return RowNonzeros(np.bincount(rows, minlength=matrix.shape[0]), cols, matrix[rows, cols], True)
+
+
+def _matrix_pieces(matrix, indent: int):
+    """Yield ``json.dumps(entries.tolist(), indent=2)`` opened ``indent`` spaces in, a row at a time.
+
+    ``matrix`` is a :class:`StochasticMatrix` or an array of its entries.
+    Every row is one all-zero row string with the row's entries of nonzero
+    bits spliced in (:func:`_echo_nonzeros`): entry j's ``0.0`` sits at offset
+    ``j * (3 + len(sep))``, and the entry writes ``repr(float(x))``, which is
+    what json's float encoder writes, so ``-0.0`` stays ``-0.0``.
+    """
+    nonzeros = _echo_nonzeros(matrix)
+    m = len(nonzeros.counts)
     outer = "\n" + " " * (indent + 2)
     open_row = "[\n" + " " * (indent + 4)
     close_row = outer + "]"
     sep = ",\n" + " " * (indent + 4)
     zero_row = sep.join(["0.0"] * m)
     stride = 3 + len(sep)
-    rows, cols = np.nonzero((entries != 0.0) | np.signbit(entries))
-    values = entries[rows, cols].tolist()
-    offsets = (cols * stride).tolist()
-    bounds = np.searchsorted(rows, np.arange(m + 1)).tolist()
-    yield "[" + outer + open_row
+    values = nonzeros.values.tolist()
+    offsets = (nonzeros.cols * stride).tolist()
+    bounds = [0, *np.cumsum(nonzeros.counts).tolist()]
+    yield "[" + outer
     for i in range(m):
-        if i:
-            yield close_row + "," + outer + open_row
+        row = [open_row]
         at = 0
         for k in range(bounds[i], bounds[i + 1]):
-            yield zero_row[at : offsets[k]]
-            yield repr(values[k])
+            row += (zero_row[at : offsets[k]], repr(values[k]))
             at = offsets[k] + 3
-        yield zero_row[at:]
-    yield close_row + "\n" + " " * indent + "]"
+        row += (zero_row[at:], close_row, "," + outer if i + 1 < m else "\n" + " " * indent + "]")
+        yield "".join(row)
 
 
-def dumps_with_matrix(doc: dict, entries: np.ndarray) -> str:
-    """``json.dumps(doc, indent=2, allow_nan=False)`` of ``doc`` holding ``entries``.
+def dumps_with_matrix(doc: dict, matrix) -> str:
+    """``json.dumps(doc, indent=2, allow_nan=False)`` of ``doc`` holding ``matrix``'s entries.
 
-    ``doc`` holds :data:`MATRIX_SLOT` where the matrix goes; the text is the
-    same as with ``entries.tolist()`` in its place, but the matrix is written
-    row by row from the array instead of through json's per-float encoder.
+    ``matrix`` is a :class:`StochasticMatrix` or an array. ``doc`` holds
+    :data:`MATRIX_SLOT` where the matrix goes; the text is the same as with
+    ``entries.tolist()`` in its place, but the matrix is written row by row
+    from its nonzeros instead of through json's per-float encoder.
     """
     text = json.dumps(doc, indent=2, allow_nan=False)
     head, _, tail = text.partition(json.dumps(MATRIX_SLOT))
     line = head[head.rfind("\n") + 1 :]
     indent = len(line) - len(line.lstrip(" "))
-    return "".join([head, *_matrix_pieces(entries, indent), tail])
-
+    return "".join([head, *_matrix_pieces(matrix, indent), tail])

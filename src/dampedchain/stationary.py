@@ -19,7 +19,9 @@ The power and series routes and every residual only push row vectors through
 P0 or P(eps), by ``vecmat`` (sparse for sparse P0, and the rank-one form for
 P(eps)); none of them builds the dense P(eps), and neither reads the structure
 of P0. The direct route factors dense systems assembled in place from P0 and
-d. For eps > 0 it solves P(eps) by stochastic complementation (C. D. Meyer,
+d, from the nonzeros of P0's rows when P0 has a row-compressed view, so that
+no class block is gathered from the m x m array. For eps > 0 it solves
+P(eps) by stochastic complementation (C. D. Meyer,
 SIAM Review 31, 1989): one small system for the transient states of P0 and
 one per closed class, each well conditioned for every eps > 0, where the
 whole m x m system of a chain with several closed classes has condition about
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, require_dim
+from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, add_block, require_dim
 from .errors import (
     ConvergenceError,
     SingularSystemError,
@@ -90,15 +92,25 @@ def _direct_system(P) -> np.ndarray:
     is its eps = 0 case, so it is solved exactly as P(0) of a chain built on it.
     """
     if isinstance(P, DampedChain):
-        return _damped_system(P.p0.entries, P.damping.weights, P.epsilon)
-    return _damped_system(P.entries, np.zeros(P.dim), 0.0)
+        return _damped_system(P.p0, P.damping.weights, P.epsilon)
+    return _damped_system(P, np.zeros(P.dim), 0.0)
 
 
-def _damped_system(entries: np.ndarray, weights: np.ndarray, epsilon: float) -> np.ndarray:
-    """The system of :func:`_direct_system` for ``(1 - eps) M + eps 1 w``, M = ``entries``."""
-    A = (1.0 - epsilon) * entries.T
-    A += epsilon * weights[:, np.newaxis]
+def _damped_system(M: StochasticMatrix, weights: np.ndarray, epsilon: float, states=None) -> np.ndarray:
+    """The system of :func:`_direct_system` for ``(1 - eps) B + eps 1 w``, B the block of M on ``states``.
+
+    ``states`` None is the whole of M. The system is the transpose of a
+    row-major buffer, so that it is already in the column-major order in
+    which LAPACK factors it. The buffer is filled with ``eps w`` in every row,
+    and ``(1 - eps) B`` is added to it (:func:`add_block`), from the nonzeros
+    of B's rows when M has a row-compressed view: each entry is the same sum
+    of the same two products as in ``(1 - eps) B^T + eps w 1^T``.
+    """
     m = len(weights)
+    buffer = np.empty((m, m))
+    buffer[...] = epsilon * weights
+    add_block(buffer, M, 1.0 - epsilon, states)
+    A = buffer.T
     A[np.arange(m), np.arange(m)] -= 1.0
     A[m - 1, :] = 1.0
     return A
@@ -134,20 +146,22 @@ def _complement_law(chain: DampedChain) -> np.ndarray:
     structure = decompose(chain.p0)
     if structure.class_count == 1 and not structure.transient_states:
         return _law(_direct_system(chain))
-    P0, d, eps = chain.p0.entries, chain.damping.weights, chain.epsilon
+    P0, d, eps = chain.p0, chain.damping.weights, chain.epsilon
     pi = np.zeros(chain.dim)
     entry = d
     T = list(structure.transient_states)
     if T:
-        Q = P0[np.ix_(T, T)]
-        u = np.linalg.solve(np.eye(len(T)) - (1.0 - eps) * Q.T, d[T])
+        # I - (1 - eps) Q_TT^T, as the transpose of a row-major buffer like the class systems.
+        buffer = np.eye(len(T))
+        add_block(buffer, P0, -(1.0 - eps), T)
+        u = np.linalg.solve(buffer.T, d[T])
         pi[T] = eps * u
-        entry = d + (1.0 - eps) * (u @ P0[T, :])
+        entry = d + (1.0 - eps) * (u @ P0.entries[T])
     for cls in structure.classes:
         idx = list(cls.states)
         e = entry[idx]
         mass = e.sum()
-        pi[idx] = mass * _law(_damped_system(P0[np.ix_(idx, idx)], e / mass, eps))
+        pi[idx] = mass * _law(_damped_system(P0, e / mass, eps, idx))
     return pi
 
 

@@ -20,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import Distribution, StochasticMatrix, require_dim
+from .core import Distribution, StochasticMatrix, block_matrix, require_dim, row_nonzeros
 from .errors import RegimeError, SingularSystemError, ValidationError
 
 
@@ -184,10 +184,16 @@ def _class_period(adj, states):
     return abs(g) if g != 0 else 1
 
 
+def _successors(P0: StochasticMatrix) -> list:
+    """Each state's successors: the columns of its row's nonzeros, in order."""
+    nonzeros = row_nonzeros(P0)
+    return [row.tolist() for row in np.split(nonzeros.cols, np.cumsum(nonzeros.counts)[:-1])]
+
+
 def _partition(P0: StochasticMatrix):
     """Closed classes (with periods) and transient states of the transition graph of P0."""
     m = P0.dim
-    adj = [np.flatnonzero(row).tolist() for row in P0.entries]
+    adj = _successors(P0)
 
     components = _strongly_connected_components(adj, m)
 
@@ -250,19 +256,15 @@ def class_mass(p: Distribution, structure: ChainStructure) -> np.ndarray:
     return np.array([p.probs[list(cls.states)].sum() for cls in structure.classes])
 
 
-def _check_closed(P0, states):
-    members = list(states)
-    outside = np.setdiff1d(np.arange(P0.dim), members)
-    if outside.size:
-        leak = P0.entries[np.ix_(members, outside)].sum(axis=1)
-        if np.any(leak > P0.row_tol):
-            raise ValidationError(
-                f"class {tuple(states)} is not closed: transition mass leaks out"
-            )
-
-
 def restrict(P0: StochasticMatrix, cls: ClosedClass) -> StochasticMatrix:
-    """Submatrix of P0 on one closed class, a valid stochastic matrix."""
-    _check_closed(P0, cls.states)
-    idx = list(cls.states)
-    return StochasticMatrix(P0.entries[np.ix_(idx, idx)], P0.row_tol)
+    """Submatrix of P0 on one closed class, a valid stochastic matrix.
+
+    The block and the check that no more than ``row_tol`` of a row's mass
+    leaves the class read only the class rows' nonzeros
+    (:func:`~dampedchain.core.block_matrix`), and the block comes with its
+    own row-compressed view.
+    """
+    entries, nonzeros, leak = block_matrix(P0, list(cls.states))
+    if np.any(leak > P0.row_tol):
+        raise ValidationError(f"class {tuple(cls.states)} is not closed: transition mass leaks out")
+    return StochasticMatrix._of_nonzeros(entries, nonzeros, P0.row_tol)

@@ -781,6 +781,45 @@ def test_unusable_files_give_the_structured_error(capsys, tmp_path, case):
     assert error["message"].startswith(start.replace("{tmp}", str(tmp_path)))
 
 
+@pytest.mark.parametrize("flag", ["--out", "--plot-data"])
+def test_unwritable_report_file_is_refused_before_ingest(capsys, monkeypatch, tmp_path, flag):
+    ingests = count_calls(monkeypatch, "ingest")
+    decompositions = count_calls(monkeypatch, "decompose")
+    path = tmp_path / "missing" / "r.json"
+    code, out = run_cli(capsys, "stationary", "--input", FIVE, flag, str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "IngestError",
+        "message": f"{flag} file {path} cannot be written: No such file or directory",
+    }
+    assert ingests == [] and decompositions == []
+
+
+def test_writability_check_leaves_report_files_as_they_were(capsys, tmp_path):
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.csv"
+    kept.write_text("earlier report\n")
+    code, out = run_cli(
+        capsys, "stationary", "--input", FIVE, "--epsilon", "2", "--out", str(kept), "--plot-data", str(fresh)
+    )
+    assert code == 1 and json.loads(out)["error"]["type"] == "ValidationError"
+    assert kept.read_text() == "earlier report\n"
+    assert not fresh.exists()
+
+
+def test_structure_never_opens_its_plot_file(capsys, tmp_path):
+    # structure writes no plot table, so an unusable --plot-data path is not refused.
+    code, _ = run_cli(capsys, "structure", "--input", FIVE, "--plot-data", str(tmp_path / "missing" / "p.csv"))
+    assert code == 0
+
+
+@pytest.mark.parametrize("theorem, solves", [("5,6", 1), ("1,5,6", 2)])
+def test_only_families_1_and_2_solve_a_class_law_for_the_walk(monkeypatch, theorem, solves):
+    calls = count_calls(monkeypatch, "stationary_direct")
+    _run(["bounds", "--input", FIVE, "--theorem", theorem])
+    # pi(eps), and P0's law only where family 1's certified constant reads it.
+    assert len(calls) == solves
+
+
 @pytest.mark.parametrize(
     "command, argv, section",
     [

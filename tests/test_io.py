@@ -194,6 +194,89 @@ class TestBadInput:
             ingest(path)
 
 
+# Each edge-list text and the IngestError it gives, or None for the edges
+# 1 -> 2 and 2 -> 1. Comments, blank lines, CRLF and tabs are accepted;
+# every bad line is named by its number, counted as str.splitlines counts.
+EDGE_TEXTS = {
+    "comments-and-blank-lines": ("# header\n\n1 2 # first link\n   \n2 1\n", None),
+    "crlf": ("1 2\r\n2 1\r\n", None),
+    "tabs": ("1\t2\n\t2\t1\t\n", None),
+    "no-final-newline": ("1 2\n2 1", None),
+    "duplicate-edges": ("1 2\n1 2\n2 1\n1 2\n", None),
+    "signed-and-padded-ids": ("+1 002\n2 1\n", None),
+    "non-ascii-digits": ("\u0661 2\n2 1\n", None),
+    "line-boundary-in-comment": ("# a comment ending at a vertical tab\x0b1 2\n2 1\n", None),
+    "unicode-spaces-and-breaks": ("1\xa02\u20282\u30001\x0c", None),
+    "three-fields": ("# header\n\n1 2\n2 1 3\n", "line 4: expected 'src dst', got '2 1 3'"),
+    "three-fields-crlf": ("1 2\r\n2 1 3\r\n", "line 2: expected 'src dst', got '2 1 3'"),
+    "one-field": ("1 2\n2\t# no target\n", "line 2: expected 'src dst', got '2\\t# no target'"),
+    "non-integer": ("1 2\n2 x\n", "line 2: node ids must be integers, got '2 x'"),
+    "decimal-id": ("1 2\n2 1.0\n", "line 2: node ids must be integers, got '2 1.0'"),
+    "id-zero": ("1 2\n\n0 1\n", "line 3: node ids are 1-based, got 0 -> 1"),
+    "negative-id": ("1 2\n2 -1\n", "line 2: node ids are 1-based, got 2 -> -1"),
+    "first-bad-line-wins": ("1 2 3\n0 1\n", "line 1: expected 'src dst', got '1 2 3'"),
+    "empty": ("", "edge list contains no edges"),
+    "comments-only": ("# nothing\n\n  # here\n", "edge list contains no edges"),
+    "huge-id": ("1 2\n3 10000000\n", "node id 10000000 needs a dense 10000000 x 10000000 matrix of 745058.1 GiB"),
+    "id-beyond-int64": (
+        "1 2\n3 99999999999999999999\n",
+        "node id 99999999999999999999 needs a dense 99999999999999999999 x 99999999999999999999 matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_TEXTS)
+def test_edge_list_text_is_read_or_refused_by_its_first_bad_line(tmp_path, case):
+    text, message = EDGE_TEXTS[case]
+    path = tmp_path / "graph.txt"
+    path.write_bytes(text.encode())
+    if message is None:
+        matrix, _ = ingest(path)
+        np.testing.assert_array_equal(matrix.entries, [[0.0, 1.0], [1.0, 0.0]])
+        return
+    with pytest.raises(IngestError) as info:
+        ingest(path)
+    if case.startswith(("huge-id", "id-beyond")):
+        assert str(info.value).startswith(message)
+    else:
+        assert str(info.value) == message
+
+
+def _dense_edge_matrix(m, edges, dangling):
+    """The hyperlink matrix of 1-based ``edges`` built on the dense array, as ingest once did."""
+    rows, cols = (np.array(edges) - 1).T
+    entries = np.zeros((m, m))
+    entries[rows, cols] = 1.0
+    degree = entries.sum(axis=1)
+    entries[rows, cols] = 1.0 / degree[rows]
+    no_links = np.flatnonzero(degree == 0)
+    if dangling is DanglingPolicy.SELF_LOOP:
+        entries[no_links, no_links] = 1.0
+    else:
+        entries[no_links] = 1.0 / m
+    return entries
+
+
+@pytest.mark.parametrize("dangling", [DanglingPolicy.SELF_LOOP, DanglingPolicy.UNIFORM_JUMP])
+def test_sparse_edge_list_view_matches_a_dense_build(tmp_path, dangling):
+    # 300 states with up to 5 links each, some of them repeated, and two
+    # dangling nodes: sparse enough for a view under either policy.
+    rng = np.random.default_rng(17)
+    m = 300
+    edges = [(i + 1, int(j) + 1) for i in range(m) if i not in (7, 150) for j in rng.integers(0, m, 5)]
+    path = tmp_path / "graph.txt"
+    path.write_text("".join(f"{src} {dst}\n" for src, dst in edges))
+    matrix, _ = ingest(path, dangling=dangling)
+    expected = _dense_edge_matrix(m, edges, dangling)
+    assert matrix.entries.tobytes() == expected.tobytes()
+    view, scanned = matrix._nonzeros, StochasticMatrix(expected)._nonzeros
+    assert view is not None and view.complete
+    for got, want in zip(view[:3], scanned[:3]):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    x = np.random.default_rng(1).random(m)
+    assert matrix.vecmat(x).tobytes() == StochasticMatrix(expected).vecmat(x).tobytes()
+
+
 def test_csv_ingest(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("0.5,0.5\n0.25,0.75\n")

@@ -1,0 +1,192 @@
+"""The row-compressed view of P0 against the dense array it stands for.
+
+Class blocks, the per-class stationary systems and the damped law are built
+from the nonzeros of P0's rows when P0 is sparse. Each must be bit for bit
+what gathering the same block from the dense array gives, on the test data
+chains, on seeded sparse chains with transient states and interleaved
+classes, on a dense CSV input above the sparse cutoff, and on a sparse
+matrix JSON holding ``-0.0`` entries that its scanned view leaves out.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dampedchain import (
+    DampedChain,
+    DampingVector,
+    StochasticMatrix,
+    ValidationError,
+    decompose,
+    ingest,
+    restrict,
+    stationary_direct,
+)
+from dampedchain.core import SPARSE_MAX_DENSITY, add_block
+from dampedchain.stationary import _damped_system
+
+DATA = Path(__file__).parent / "data"
+EPSILONS = (0.05, 0.5, 1.0)
+
+
+def gathered_system(entries, states, weights, eps):
+    """The stationary system of the block of ``entries`` on ``states``, from the dense gather."""
+    A = (1.0 - eps) * entries[np.ix_(states, states)].T
+    A += eps * weights[:, np.newaxis]
+    m = len(states)
+    A[np.arange(m), np.arange(m)] -= 1.0
+    A[m - 1, :] = 1.0
+    return A
+
+
+def gathered_law(entries, d, eps):
+    """pi(eps) by stochastic complementation with every block gathered from the dense array."""
+    structure = decompose(StochasticMatrix(entries))
+    pi = np.zeros(len(d))
+    entry = d
+    T = list(structure.transient_states)
+    if T:
+        Q = entries[np.ix_(T, T)]
+        u = np.linalg.solve(np.eye(len(T)) - (1.0 - eps) * Q.T, d[T])
+        pi[T] = eps * u
+        entry = d + (1.0 - eps) * (u @ entries[T, :])
+    for cls in structure.classes:
+        idx = list(cls.states)
+        e = entry[idx]
+        mass = e.sum()
+        pi[idx] = mass * np.linalg.solve(gathered_system(entries, idx, e / mass, eps), np.eye(len(idx))[-1])
+    return pi
+
+
+def sparse_edges(seed: int) -> str:
+    """Two closed 80-state classes and 80 transient states, labels shuffled: about 2% nonzeros."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(240) + 1
+    lines = []
+    for start in (0, 80):
+        for i in range(start, start + 80):
+            # A ring and a self-loop make each class one aperiodic class.
+            targets = {i, start + (i - start + 1) % 80, *(start + rng.integers(0, 80, 3))}
+            lines += [f"{label[i]} {label[t]}" for t in sorted(targets)]
+    for i in range(160, 240):
+        targets = {int(rng.integers(0, 160)), *rng.integers(0, 240, 3)}
+        lines += [f"{label[i]} {label[t]}" for t in sorted(targets)]
+    return "\n".join(lines) + "\n"
+
+
+def dense_csv(seed: int) -> str:
+    """Strictly positive blocks of 25 and 35 states and 10 transient rows: every entry of those rows nonzero."""
+    rng = np.random.default_rng(seed)
+    entries = np.zeros((70, 70))
+    entries[:25, :25] = rng.random((25, 25)) + 1e-3
+    entries[25:60, 25:60] = rng.random((35, 35)) + 1e-3
+    entries[60:] = rng.random((10, 70)) + 1e-3
+    entries /= entries.sum(axis=1, keepdims=True)
+    return "\n".join(",".join(repr(float(v)) for v in row) for row in entries) + "\n"
+
+
+def negative_zero_json() -> str:
+    """Two closed 50-state rings with self-loops, 2% nonzeros, and a ``-0.0`` inside each class."""
+    entries = np.zeros((100, 100))
+    for start in (0, 50):
+        for i in range(start, start + 50):
+            entries[i, i] = entries[i, start + (i - start + 1) % 50] = 0.5
+    entries[3, 10] = entries[60, 77] = -0.0
+    return json.dumps({"matrix": entries.tolist()})
+
+
+def _chain(tmp_path, name):
+    if name == "negative-zero-json":
+        path = tmp_path / "matrix.json"
+        path.write_text(negative_zero_json())
+    elif name.startswith("sparse"):
+        path = tmp_path / "sparse.txt"
+        path.write_text(sparse_edges(int(name[-1])))
+    elif name == "dense-csv":
+        path = tmp_path / "dense.csv"
+        path.write_text(dense_csv(5))
+    else:
+        path = DATA / f"{name}_edges.txt"
+    P, _ = ingest(path)
+    w = np.random.default_rng(P.dim).random(P.dim) + 0.1
+    return P, DampingVector(w / w.sum())
+
+
+CHAINS = [path.name.removesuffix("_edges.txt") for path in sorted(DATA.glob("*_edges.txt"))]
+CHAINS += ["sparse-1", "sparse-2", "dense-csv", "negative-zero-json"]
+
+
+def test_the_chains_cover_both_sides_of_the_cutoff(tmp_path):
+    for name in ("sparse-1", "sparse-2"):
+        P, _ = _chain(tmp_path, name)
+        assert P._nonzeros is not None and P._nonzeros.complete
+        assert decompose(P).transient_states and decompose(P).class_count == 2
+    P, _ = _chain(tmp_path, "dense-csv")
+    assert P._nonzeros is None and np.count_nonzero(P.entries) > SPARSE_MAX_DENSITY * P.dim**2
+    P, _ = _chain(tmp_path, "negative-zero-json")
+    assert P._nonzeros is not None and not P._nonzeros.complete and np.signbit(P.entries).sum() == 2
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_restrict_is_the_dense_gather_with_its_own_view(tmp_path, name):
+    P, _ = _chain(tmp_path, name)
+    for cls in decompose(P).classes:
+        idx = list(cls.states)
+        block = restrict(P, cls)
+        assert block.entries.tobytes() == P.entries[np.ix_(idx, idx)].tobytes()
+        scanned = StochasticMatrix(block.entries)._nonzeros
+        if scanned is None:
+            assert block._nonzeros is None
+        else:
+            # The block holds every entry with nonzero bits in its view just when P0's view does.
+            assert block._nonzeros.complete == P._nonzeros.complete
+            for got, want in zip(block._nonzeros[:3], scanned[:3]):
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["eight_node", "sparse-1", "dense-csv"])
+def test_restrict_refuses_a_class_whose_rows_leak(tmp_path, name):
+    from dampedchain.structure import ClosedClass
+
+    P, _ = _chain(tmp_path, name)
+    # A closed class less one of its states: the rows that link to it leak.
+    states = decompose(P).classes[0].states[:-1]
+    with pytest.raises(ValidationError) as info:
+        restrict(P, ClosedClass(states, 1))
+    assert str(info.value) == f"class {states} is not closed: transition mass leaks out"
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_every_system_and_law_is_the_dense_gathers(tmp_path, name):
+    P, d = _chain(tmp_path, name)
+    structure = decompose(P)
+    T = list(structure.transient_states)
+    for eps in EPSILONS:
+        for cls in structure.classes:
+            idx = list(cls.states)
+            w = d.weights[idx] / d.weights[idx].sum()
+            A = _damped_system(P, w, eps, idx)
+            assert A.tobytes() == gathered_system(P.entries, idx, w, eps).tobytes()
+        whole = _damped_system(P, d.weights, eps)
+        assert whole.tobytes() == gathered_system(P.entries, list(range(P.dim)), d.weights, eps).tobytes()
+        if T:
+            buffer = np.eye(len(T))
+            add_block(buffer, P, -(1.0 - eps), T)
+            expected = np.eye(len(T)) - (1.0 - eps) * P.entries[np.ix_(T, T)].T
+            assert buffer.T.tobytes() == expected.tobytes()
+        pi = stationary_direct(DampedChain(P, d, eps)).pi.probs
+        expected = np.clip(gathered_law(P.entries, d.weights, eps), 0.0, 1.0)
+        if structure.class_count == 1 and not T:
+            expected = np.clip(np.linalg.solve(whole, np.eye(P.dim)[-1]), 0.0, 1.0)
+        assert pi.tobytes() == expected.tobytes()
+
+
+def test_a_scanned_view_is_the_view_built_at_ingest(tmp_path):
+    # The same chain as an edge list and as the matrix JSON of its echo.
+    P, _ = _chain(tmp_path, "sparse-1")
+    scanned = StochasticMatrix(P.entries)._nonzeros
+    assert not scanned.complete
+    for got, want in zip(P._nonzeros[:3], scanned[:3]):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
