@@ -140,9 +140,9 @@ def _initial(spec: str, dim: int) -> Distribution:
 
 
 def _epsilons(args):
-    if args.epsilon_grid and args.epsilon is not None:
+    if args.epsilon_grid is not None and args.epsilon is not None:
         raise ValidationError("--epsilon and --epsilon-grid exclude each other; give one of them")
-    if args.epsilon_grid:
+    if args.epsilon_grid is not None:
         try:
             return [float(x) for x in args.epsilon_grid.split(",")]
         except ValueError:
@@ -172,7 +172,7 @@ def _inputs_echo(args, matrix, damping, p, epsilons) -> dict:
         "damping": [float(x) for x in damping.weights],
         "initial": [float(x) for x in p.probs],
         "epsilon": args.epsilon,
-        "epsilon_grid": epsilons if args.epsilon_grid else None,
+        "epsilon_grid": epsilons if args.epsilon_grid is not None else None,
         "order": args.order,
         "coupling_block": args.coupling_n,
         "seed": args.seed,
@@ -250,7 +250,7 @@ def run_command(command: str, args) -> dict:
 
     families = []
     if runs("bounds"):
-        if args.theorem:
+        if args.theorem is not None:
             families = [x.strip() for x in args.theorem.split(",")]
         else:
             families = default_families(structure.regime)
@@ -274,8 +274,12 @@ def run_command(command: str, args) -> dict:
             raise ChainError("--seed is required for the coupling simulation")
         require_simulation(args.trials, args.seed, args.horizon)
     if runs("triangular"):
-        steps = _parse_grid(args.n_grid) if args.n_grid else range(args.horizon + 1)
+        steps = _parse_grid(args.n_grid) if args.n_grid is not None else range(args.horizon + 1)
     if runs("bounds"):
+        if "" in families:
+            raise ValidationError(
+                f"bad --theorem {args.theorem!r}; use a comma list of bound families, e.g. '1' or '5,6'"
+            )
         repeated = [family for i, family in enumerate(families) if family in families[:i]]
         if repeated:
             raise ValidationError(

@@ -14,11 +14,11 @@ row, in column order. An edge list's view is built from its edges at ingest,
 and a class block's from P0's view (``structure.restrict``); any other
 matrix's is scanned from its array on first use. ``vecmat``, the class search,
 the class blocks, the per-class stationary systems and the matrix echo read
-the view. A denser matrix, such as a CSV input, has none and keeps the dense
-product; :func:`row_nonzeros`, :func:`block_matrix` and :func:`add_block` are
-the places that read its array instead. A scanned view leaves out ``-0.0``
-entries, so :func:`block_matrix` gathers a class block from the array
-unless the view was built from the nonzeros themselves.
+the view. Every view holds every entry with nonzero bits, ``-0.0`` included,
+so a block scattered from a view is bit for bit the block gathered from the
+array. A denser matrix, such as a CSV input, has none and keeps the dense
+product; :func:`row_nonzeros` and :func:`add_block` are the places that read
+its array instead.
 ``DampedChain.vecmat`` multiplies by P(eps) through the rank-one form
 
     x P(eps) = (1 - eps) x P0 + eps (x . 1) d,
@@ -75,22 +75,20 @@ def _freeze(obj, field, arr):
 class RowNonzeros(NamedTuple):
     """The nonzeros of a matrix, row by row and in column order within a row.
 
-    ``counts[i]`` is row i's number of nonzeros. ``complete`` says that the
-    array holds no ``-0.0``, so that these are all its entries with nonzero
-    bits; a view scanned from an array does not know that.
+    ``counts[i]`` is row i's number of nonzeros. These are all the matrix's
+    entries with nonzero bits: a ``-0.0`` is one of them.
     """
 
     counts: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    complete: bool = False
 
     def of_rows(self, rows) -> "RowNonzeros":
         """The nonzeros of ``rows``, in that order."""
         starts = np.cumsum(self.counts) - self.counts
         counts = self.counts[rows]
         at = np.arange(counts.sum()) + np.repeat(starts[rows] - (np.cumsum(counts) - counts), counts)
-        return RowNonzeros(counts, self.cols[at], self.values[at], self.complete)
+        return RowNonzeros(counts, self.cols[at], self.values[at])
 
 
 def _sparse_enough(count: int, m: int) -> bool:
@@ -98,7 +96,8 @@ def _sparse_enough(count: int, m: int) -> bool:
 
 
 def _scan(entries: np.ndarray) -> RowNonzeros:
-    rows, cols = np.nonzero(entries)
+    """The nonzeros of ``entries``, ``-0.0`` included."""
+    rows, cols = np.nonzero((entries != 0.0) | np.signbit(entries))
     return RowNonzeros(np.bincount(rows, minlength=entries.shape[0]), cols, entries[rows, cols])
 
 
@@ -155,7 +154,8 @@ class StochasticMatrix:
         entries = _checked_matrix(entries, row_tol)
         entries.setflags(write=False)
         object.__setattr__(matrix, "entries", entries)
-        sparse = _sparse_enough(len(nonzeros.values), len(entries))
+        # As in ``_nonzeros``, a view's ``-0.0`` entries do not count toward its density.
+        sparse = _sparse_enough(np.count_nonzero(nonzeros.values), len(entries))
         vars(matrix)["_nonzeros"] = nonzeros if sparse else None
         return matrix
 
@@ -214,20 +214,14 @@ def block_nonzeros(P: StochasticMatrix, states=None) -> tuple:
 def block_matrix(P: StochasticMatrix, states: list) -> tuple:
     """P's block on ``states`` as ``(entries, nonzeros, leak)``; ``leak`` as in :func:`block_nonzeros`.
 
-    The entries are scattered from the block's nonzeros when P's view holds
-    every entry with nonzero bits. Otherwise they are gathered from P's
-    array, which also keeps a ``-0.0`` that a scanned view leaves out.
+    The entries are scattered from the block's nonzeros, which hold every
+    entry with nonzero bits, so they are bit for bit the gather from P's array.
     """
     rows, cols, values, leak = block_nonzeros(P, states)
     k = len(states)
-    complete = P._nonzeros is not None and P._nonzeros.complete
-    nonzeros = RowNonzeros(np.bincount(rows, minlength=k), cols, values, complete)
-    if complete:
-        entries = np.zeros((k, k))
-        entries[rows, cols] = values
-    else:
-        entries = P.entries[np.ix_(states, states)]
-    return entries, nonzeros, leak
+    entries = np.zeros((k, k))
+    entries[rows, cols] = values
+    return entries, RowNonzeros(np.bincount(rows, minlength=k), cols, values), leak
 
 
 def add_block(out: np.ndarray, P: StochasticMatrix, scale: float, states=None) -> None:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DampingVector, RowNonzeros, StochasticMatrix
+from .core import DampingVector, RowNonzeros, StochasticMatrix, _scan, row_nonzeros
 from .errors import IngestError
 
 
@@ -119,7 +119,7 @@ def _parse_edge_list(text: str, dangling: DanglingPolicy) -> StochasticMatrix:
         keys, values = keys[order], np.concatenate([values, extra_values])[order]
     rows, cols = keys // m, keys % m
     entries[rows, cols] = values
-    return StochasticMatrix._of_nonzeros(entries, RowNonzeros(np.bincount(rows, minlength=m), cols, values, True))
+    return StochasticMatrix._of_nonzeros(entries, RowNonzeros(np.bincount(rows, minlength=m), cols, values))
 
 
 def _parse_matrix_csv(text: str) -> StochasticMatrix:
@@ -229,21 +229,17 @@ MATRIX_SLOT = "\x00matrix"
 def _echo_nonzeros(matrix) -> RowNonzeros:
     """Every entry of ``matrix`` with nonzero bits, row by row: a :class:`StochasticMatrix` or an array.
 
-    A matrix's row-compressed view serves when it is known to hold them all.
-    Otherwise the array is scanned, ``-0.0`` included, and a non-finite entry
-    raises ``ValueError``, as ``allow_nan=False`` does.
+    A matrix's are read from its row-compressed view
+    (:func:`~dampedchain.core.row_nonzeros`). An array is scanned, and a
+    non-finite entry raises ``ValueError``, as ``allow_nan=False`` does.
     """
     if isinstance(matrix, StochasticMatrix):
-        nonzeros = matrix._nonzeros
-        if nonzeros is not None and nonzeros.complete:
-            return nonzeros
-        matrix = matrix.entries
+        return row_nonzeros(matrix)
     finite = np.isfinite(matrix)
     if not finite.all():
         bad = float(matrix[~finite][0])
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    rows, cols = np.nonzero((matrix != 0.0) | np.signbit(matrix))
-    return RowNonzeros(np.bincount(rows, minlength=matrix.shape[0]), cols, matrix[rows, cols], True)
+    return _scan(matrix)
 
 
 def _matrix_pieces(matrix, indent: int):

@@ -185,9 +185,11 @@ def _class_period(adj, states):
 
 
 def _successors(P0: StochasticMatrix) -> list:
-    """Each state's successors: the columns of its row's nonzeros, in order."""
+    """Each state's successors: the columns of its row's nonzero values, in order; a ``-0.0`` is no edge."""
     nonzeros = row_nonzeros(P0)
-    return [row.tolist() for row in np.split(nonzeros.cols, np.cumsum(nonzeros.counts)[:-1])]
+    edge = nonzeros.values != 0.0
+    counts = np.bincount(np.repeat(np.arange(P0.dim), nonzeros.counts)[edge], minlength=P0.dim)
+    return [row.tolist() for row in np.split(nonzeros.cols[edge], np.cumsum(counts)[:-1])]
 
 
 def _partition(P0: StochasticMatrix):

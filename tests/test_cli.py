@@ -395,6 +395,30 @@ def test_report_text_is_what_json_writes(capsys, tmp_path, chain, command):
         assert "-0.0" in out
 
 
+def two_rings_json(n: int, zero: float) -> str:
+    """Two closed n-state rings with self-loops, ``zero`` at a row of the first and a column of the second."""
+    entries = np.zeros((2 * n, 2 * n))
+    for start in (0, n):
+        for i in range(start, start + n):
+            entries[i, i] = entries[i, start + (i - start + 1) % n] = 0.5
+    entries[0, n + 1] = zero
+    return json.dumps({"matrix": entries.tolist()})
+
+
+@pytest.mark.parametrize("n", [2, 50], ids=["dense", "with-view"])
+def test_negative_zero_is_no_edge(capsys, tmp_path, n):
+    reports = {}
+    for name, zero in (("negative", -0.0), ("positive", 0.0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(two_rings_json(n, zero))
+        reports[name] = run_json(capsys, "structure", "--input", str(path))
+    structure = reports["negative"]["structure"]
+    assert structure == reports["positive"]["structure"]
+    assert structure["regime"] == "singular" and not structure["transient_states"]
+    echoed = reports["negative"]["inputs"]["matrix"][0][n + 1]
+    assert echoed == 0.0 and np.signbit(echoed)
+
+
 class TestUnsupportedChainBounds:
     """Families 5 and 6 on a chain with transient states walk the whole matrix."""
 
@@ -578,6 +602,10 @@ def test_coupling_sim_refuses_epsilon_zero_before_simulating(monkeypatch, path):
     assert simulations == [] and solves == []
 
 
+BAD_THEOREM = "bad --theorem {}; use a comma list of bound families, e.g. '1' or '5,6'"
+BAD_N_GRID = "bad --n-grid {}; use 'a:b', 'a:b:s' with s != 0, or a comma list of integers"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -598,6 +626,18 @@ def test_coupling_sim_refuses_epsilon_zero_before_simulating(monkeypatch, path):
             "--epsilon and --epsilon-grid exclude each other; give one of them",
         ),
         (("structure", "--coupling-N", "0"), "block length must be at least 1"),
+        # An empty flag value, or an empty entry in one, is refused, not read as an absent flag.
+        (("stationary", "--epsilon-grid="), "bad --epsilon-grid ''; use comma-separated numbers"),
+        (("expand", "--epsilon-grid", "0.1,"), "bad --epsilon-grid '0.1,'; use comma-separated numbers"),
+        (
+            ("stationary", "--epsilon-grid=", "--epsilon", "0.1"),
+            "--epsilon and --epsilon-grid exclude each other; give one of them",
+        ),
+        (("bounds", "--theorem="), BAD_THEOREM.format("''")),
+        (("bounds", "--theorem", "1,,5"), BAD_THEOREM.format("'1,,5'")),
+        (("report", "--seed", "1", "--theorem", " , "), BAD_THEOREM.format("' , '")),
+        (("triangular", "--n-grid="), BAD_N_GRID.format("''")),
+        (("report", "--seed", "1", "--n-grid", "0,,3"), BAD_N_GRID.format("'0,,3'")),
     ],
 )
 def test_bad_arguments_are_refused_before_any_solve(monkeypatch, argv, message):

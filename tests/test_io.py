@@ -270,7 +270,10 @@ def test_sparse_edge_list_view_matches_a_dense_build(tmp_path, dangling):
     expected = _dense_edge_matrix(m, edges, dangling)
     assert matrix.entries.tobytes() == expected.tobytes()
     view, scanned = matrix._nonzeros, StochasticMatrix(expected)._nonzeros
-    assert view is not None and view.complete
+    # The view holds every entry with nonzero bits: scattered onto zeros, it is the array.
+    rebuilt = np.zeros((m, m))
+    rebuilt[np.repeat(np.arange(m), view.counts), view.cols] = view.values
+    assert rebuilt.tobytes() == expected.tobytes()
     for got, want in zip(view[:3], scanned[:3]):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     x = np.random.default_rng(1).random(m)

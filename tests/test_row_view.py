@@ -1,11 +1,13 @@
 """The row-compressed view of P0 against the dense array it stands for.
 
-Class blocks, the per-class stationary systems and the damped law are built
-from the nonzeros of P0's rows when P0 is sparse. Each must be bit for bit
-what gathering the same block from the dense array gives, on the test data
+Every view holds every entry with nonzero bits, ``-0.0`` included. Class
+blocks, the per-class stationary systems and the damped law are built from
+the nonzeros of P0's rows when P0 is sparse. Each must be bit for bit what
+gathering the same block from the dense array gives, on the test data
 chains, on seeded sparse chains with transient states and interleaved
-classes, on a dense CSV input above the sparse cutoff, and on a sparse
-matrix JSON holding ``-0.0`` entries that its scanned view leaves out.
+classes, on a dense CSV input above the sparse cutoff, and on sparse matrix
+JSON holding ``-0.0`` entries: small classes, and classes sparse enough for
+their blocks to carry views of their own.
 """
 
 import json
@@ -97,10 +99,44 @@ def negative_zero_json() -> str:
     return json.dumps({"matrix": entries.tolist()})
 
 
+def sparse_classes_json(seed: int) -> str:
+    """Two closed 200-state classes and 40 transient states, labels shuffled, with ``-0.0`` entries.
+
+    Each class row has a ring edge, a self-loop and up to 3 random links, so
+    a class block is about 2% nonzeros and carries a view of its own. One
+    ``-0.0`` lies inside the first class and one in a transient row.
+    """
+    rng = np.random.default_rng(seed)
+    entries = np.zeros((440, 440))
+    for start in (0, 200):
+        for i in range(start, start + 200):
+            targets = [i, start + (i - start + 1) % 200, *(start + rng.integers(0, 200, 3))]
+            entries[i, targets] = rng.random(len(targets)) + 0.1
+    for i in range(400, 440):
+        entries[i, [rng.integers(0, 400), *rng.integers(0, 440, 3)]] = rng.random(4) + 0.1
+    entries /= entries.sum(axis=1, keepdims=True)
+    for i, j in ((5, 150), (420, 300)):
+        assert entries[i, j] == 0.0
+        entries[i, j] = -0.0
+    label = rng.permutation(440)
+    return json.dumps({"matrix": entries[np.ix_(label, label)].tolist()})
+
+
+def scattered(view) -> np.ndarray:
+    """The dense array of a row-compressed view: its nonzeros scattered onto zeros."""
+    m = len(view.counts)
+    entries = np.zeros((m, m))
+    entries[np.repeat(np.arange(m), view.counts), view.cols] = view.values
+    return entries
+
+
 def _chain(tmp_path, name):
     if name == "negative-zero-json":
         path = tmp_path / "matrix.json"
         path.write_text(negative_zero_json())
+    elif name == "sparse-classes-json":
+        path = tmp_path / "classes.json"
+        path.write_text(sparse_classes_json(4))
     elif name.startswith("sparse"):
         path = tmp_path / "sparse.txt"
         path.write_text(sparse_edges(int(name[-1])))
@@ -115,18 +151,23 @@ def _chain(tmp_path, name):
 
 
 CHAINS = [path.name.removesuffix("_edges.txt") for path in sorted(DATA.glob("*_edges.txt"))]
-CHAINS += ["sparse-1", "sparse-2", "dense-csv", "negative-zero-json"]
+CHAINS += ["sparse-1", "sparse-2", "dense-csv", "negative-zero-json", "sparse-classes-json"]
 
 
 def test_the_chains_cover_both_sides_of_the_cutoff(tmp_path):
-    for name in ("sparse-1", "sparse-2"):
+    for name in ("sparse-1", "sparse-2", "sparse-classes-json"):
         P, _ = _chain(tmp_path, name)
-        assert P._nonzeros is not None and P._nonzeros.complete
+        assert scattered(P._nonzeros).tobytes() == P.entries.tobytes()
         assert decompose(P).transient_states and decompose(P).class_count == 2
     P, _ = _chain(tmp_path, "dense-csv")
     assert P._nonzeros is None and np.count_nonzero(P.entries) > SPARSE_MAX_DENSITY * P.dim**2
     P, _ = _chain(tmp_path, "negative-zero-json")
-    assert P._nonzeros is not None and not P._nonzeros.complete and np.signbit(P.entries).sum() == 2
+    assert np.signbit(P.entries).sum() == 2 and scattered(P._nonzeros).tobytes() == P.entries.tobytes()
+    # Each class block of 200 states has a view of its own, and one holds a -0.0.
+    P, _ = _chain(tmp_path, "sparse-classes-json")
+    blocks = [restrict(P, cls) for cls in decompose(P).classes]
+    assert [M.dim for M in blocks] == [200, 200] and all(M._nonzeros is not None for M in blocks)
+    assert np.signbit(P.entries).sum() == 2 and sum(np.signbit(M.entries).sum() for M in blocks) == 1
 
 
 @pytest.mark.parametrize("name", CHAINS)
@@ -135,14 +176,16 @@ def test_restrict_is_the_dense_gather_with_its_own_view(tmp_path, name):
     for cls in decompose(P).classes:
         idx = list(cls.states)
         block = restrict(P, cls)
-        assert block.entries.tobytes() == P.entries[np.ix_(idx, idx)].tobytes()
-        scanned = StochasticMatrix(block.entries)._nonzeros
+        gathered = StochasticMatrix(P.entries[np.ix_(idx, idx)])
+        assert block.entries.tobytes() == gathered.entries.tobytes()
+        assert stationary_direct(block).pi.probs.tobytes() == stationary_direct(gathered).pi.probs.tobytes()
+        scanned = gathered._nonzeros
         if scanned is None:
             assert block._nonzeros is None
         else:
-            # The block holds every entry with nonzero bits in its view just when P0's view does.
-            assert block._nonzeros.complete == P._nonzeros.complete
-            for got, want in zip(block._nonzeros[:3], scanned[:3]):
+            # The block's view holds every entry with nonzero bits, as the view scanned from the gather does.
+            assert scattered(block._nonzeros).tobytes() == block.entries.tobytes()
+            for got, want in zip(block._nonzeros, scanned):
                 assert got.tobytes() == want.tobytes()
 
 
@@ -187,6 +230,6 @@ def test_a_scanned_view_is_the_view_built_at_ingest(tmp_path):
     # The same chain as an edge list and as the matrix JSON of its echo.
     P, _ = _chain(tmp_path, "sparse-1")
     scanned = StochasticMatrix(P.entries)._nonzeros
-    assert not scanned.complete
-    for got, want in zip(P._nonzeros[:3], scanned[:3]):
+    assert scattered(scanned).tobytes() == P.entries.tobytes()
+    for got, want in zip(P._nonzeros, scanned):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
