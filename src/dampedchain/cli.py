@@ -139,6 +139,12 @@ def _initial(spec: str, dim: int) -> Distribution:
     return load_weights(spec, dim, "--initial", Distribution)
 
 
+def _require_nonempty(flag: str, value, use: str) -> None:
+    """Refuse an empty value of a flag that can name a file: it is no absent flag and no path."""
+    if value == "":
+        raise ValidationError(f"bad {flag} ''; use {use}")
+
+
 def _epsilons(args):
     if args.epsilon_grid is not None and args.epsilon is not None:
         raise ValidationError("--epsilon and --epsilon-grid exclude each other; give one of them")
@@ -238,6 +244,9 @@ def run_command(command: str, args) -> dict:
     first, then each section's preconditions in section order, all before any
     section computes.
     """
+    _require_nonempty("--input", args.input, "a file path")
+    _require_nonempty("--damping", args.damping, "'uniform' or a file path")
+    _require_nonempty("--initial", args.initial, "'uniform', 'point:K' or a file path")
     if args.horizon < 0:
         raise ValidationError(f"--horizon must be at least 0, got {args.horizon}")
     matrix, damping = _load(args)
@@ -354,7 +363,9 @@ def main(argv=None) -> int:
         if args.command in _PLOT_SECTIONS:
             files["--plot-data"] = args.plot_data
         for flag, path in files.items():
-            if path:
+            _require_nonempty(flag, path, "a file path")
+        for flag, path in files.items():
+            if path is not None:
                 _require_writable(path, flag)
         report = run_command(args.command, args)
         # The text and its newline are written apart: the echo can be tens of MB.

@@ -27,7 +27,6 @@ from .stationary import (
     series_sums,
     stationary_direct,
     stationary_power,
-    stationary_series,
 )
 from .structure import Regime
 from .triangular import triangular_sweep
@@ -72,13 +71,14 @@ def stationary_section(context: BoundContext, epsilons, tol: float) -> dict:
     """The three solutions at each epsilon of the context's P0 and d, and the limit law.
 
     The context adopts the direct solve at its epsilon as its pi(eps), so a
-    command solves that system once.
+    command solves that system once. The series solutions of the whole grid
+    come from one :func:`series_sums` walk.
     """
     structure, d = context.structure, context.d
     P0 = structure.P0
     iteration_tol = min(tol, DEFAULT_SERIES_TOL)
     grid = [eps for eps in epsilons if 0.0 < eps <= 1.0]
-    sums = series_sums(P0, d, grid, iteration_tol)
+    series = dict(zip(grid, series_sums(P0, d, grid, iteration_tol)))
     by_epsilon = []
     for eps in epsilons:
         damped = DampedChain(P0, d, eps)
@@ -91,7 +91,7 @@ def stationary_section(context: BoundContext, epsilons, tol: float) -> dict:
             stationary_power(damped, Distribution.uniform(P0.dim), tol=iteration_tol)
         )
         if eps > 0.0:
-            entry["series"] = _solution_entry(stationary_series(P0, d, eps, iteration_tol, sums))
+            entry["series"] = _solution_entry(series[eps])
         by_epsilon.append(entry)
 
     section = {"by_epsilon": by_epsilon}

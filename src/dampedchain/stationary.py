@@ -11,9 +11,10 @@ Three independent routes to the stationary distribution are provided:
       pi(eps)_j = eps * sum_l (d P0^l)_j (1 - eps)^l.
 
 The series route needs no structural assumptions on P0 and is what makes the
-eps -> 0 analysis tractable. ``series_sums`` serves a whole eps grid from one
-walk of ``d P0^l``, to the longest series length on the grid, adding each step
-into one accumulator row per eps; ``stationary_series`` is its one-eps case.
+eps -> 0 analysis tractable. ``series_sums`` returns the series solution at
+every eps of a grid from one walk of ``d P0^l``, to the longest series length
+on the grid, adding each step into one accumulator row per eps;
+``stationary_series`` is its one-eps case.
 
 The power and series routes and every residual only push row vectors through
 P0 or P(eps), by ``vecmat`` (sparse for sparse P0, and the rank-one form for
@@ -26,7 +27,8 @@ SIAM Review 31, 1989): one small system for the transient states of P0 and
 one per closed class, each well conditioned for every eps > 0, where the
 whole m x m system of a chain with several closed classes has condition about
 1/eps. A regular chain is the one-class case, whose system is the whole
-P(eps)'s. A matrix, and P(0) = P0, is solved whole.
+P(eps)'s. A matrix, and P(0) = P0, is solved whole, as the eps = 0 system of
+the matrix. ``_damped_system`` assembles every one of these systems.
 
 ``limit_stationary`` returns the eps -> 0 limit for both regimes, including
 its dependence on the initial distribution in the singular case. It reads
@@ -84,27 +86,18 @@ def _residual(pi: np.ndarray, P) -> float:
     return float(np.max(np.abs(P.vecmat(pi) - pi)))
 
 
-def _direct_system(P) -> np.ndarray:
-    """``P^T - I`` with the normalization row of ones in place of the last equation.
-
-    For a :class:`DampedChain` the system ``(1 - eps) P0^T + eps d 1^T - I`` is
-    assembled in one m x m buffer, without forming P(eps) on its own. A matrix
-    is its eps = 0 case, so it is solved exactly as P(0) of a chain built on it.
-    """
-    if isinstance(P, DampedChain):
-        return _damped_system(P.p0, P.damping.weights, P.epsilon)
-    return _damped_system(P, np.zeros(P.dim), 0.0)
-
-
 def _damped_system(M: StochasticMatrix, weights: np.ndarray, epsilon: float, states=None) -> np.ndarray:
-    """The system of :func:`_direct_system` for ``(1 - eps) B + eps 1 w``, B the block of M on ``states``.
+    """The stationary system of ``(1 - eps) B + eps 1 w``, B the block of M on ``states``.
 
-    ``states`` None is the whole of M. The system is the transpose of a
+    That is its transpose minus I, with the normalization row of ones in
+    place of the last equation. ``states`` None is the whole of M; a matrix
+    is the eps = 0 case, with zero weights. The system is the transpose of a
     row-major buffer, so that it is already in the column-major order in
     which LAPACK factors it. The buffer is filled with ``eps w`` in every row,
     and ``(1 - eps) B`` is added to it (:func:`add_block`), from the nonzeros
     of B's rows when M has a row-compressed view: each entry is the same sum
-    of the same two products as in ``(1 - eps) B^T + eps w 1^T``.
+    of the same two products as in ``(1 - eps) B^T + eps w 1^T``, and P(eps)
+    is never formed on its own.
     """
     m = len(weights)
     buffer = np.empty((m, m))
@@ -117,7 +110,7 @@ def _damped_system(M: StochasticMatrix, weights: np.ndarray, epsilon: float, sta
 
 
 def _law(A: np.ndarray) -> np.ndarray:
-    """The solution of ``A x = e_m``: the stationary law of a system from :func:`_direct_system`."""
+    """The solution of ``A x = e_m``: the stationary law of a system from :func:`_damped_system`."""
     b = np.zeros(A.shape[0])
     b[-1] = 1.0
     return np.linalg.solve(A, b)
@@ -143,10 +136,10 @@ def _complement_law(chain: DampedChain) -> np.ndarray:
     covers every state is its own kernel: its system is P(eps)'s, with ``d``
     itself as the weights.
     """
-    structure = decompose(chain.p0)
-    if structure.class_count == 1 and not structure.transient_states:
-        return _law(_direct_system(chain))
     P0, d, eps = chain.p0, chain.damping.weights, chain.epsilon
+    structure = decompose(P0)
+    if structure.class_count == 1 and not structure.transient_states:
+        return _law(_damped_system(P0, d, eps))
     pi = np.zeros(chain.dim)
     entry = d
     T = list(structure.transient_states)
@@ -183,7 +176,8 @@ def stationary_direct(P, solver_tol: float = DEFAULT_SOLVER_TOL) -> StationarySo
         if isinstance(P, DampedChain) and P.epsilon > 0.0:
             pi = _complement_law(P)
         else:
-            pi = _law(_direct_system(P))
+            M = P.p0 if isinstance(P, DampedChain) else P
+            pi = _law(_damped_system(M, np.zeros(M.dim), 0.0))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "stationary system is singular; the matrix (or P0, at eps = 0) has several closed "
@@ -253,31 +247,23 @@ def series_length(epsilon: float, tol: float) -> int:
     return L
 
 
-@dataclass(frozen=True)
-class SeriesSums:
-    """Truncated series ``eps * sum_{l <= L} (1 - eps)^l d P0^l``, one row per epsilon.
-
-    ``lengths[k]`` is the L of ``epsilons[k]`` at truncation tolerance ``tol``;
-    ``sums[k]`` is its sum, before renormalization.
-    """
-
-    epsilons: tuple
-    tol: float
-    lengths: tuple
-    sums: np.ndarray
-
-
 def series_sums(
     P0: StochasticMatrix,
     d: DampingVector,
     epsilons,
     tol: float = DEFAULT_SERIES_TOL,
-) -> SeriesSums:
-    """Sum the series for every epsilon of a grid from one walk of ``d P0^l``.
+) -> list:
+    """The geometric-mixture series solution at every epsilon of a grid, from one walk of ``d P0^l``.
 
-    The walk runs to the longest series length on the grid, max L products by
-    P0, and adds each step into every row whose series is still open, so the
-    memory is one row per epsilon whatever the walk's length.
+    Each series is truncated at the first L with ``(1 - eps)^(L + 1) < tol``;
+    since every trajectory entry lies in [0, 1] the dropped tail is below
+    ``tol`` per coordinate. The truncated sum is renormalized (its exact mass
+    is ``1 - (1 - eps)^(L + 1)``), which perturbs entries by less than
+    ``tol``. The walk runs to the longest series length on the grid, max L
+    products by P0, and adds each step into every row whose series is still
+    open, so the memory is one row per epsilon whatever the walk's length.
+    The k-th solution is that of ``epsilons[k]``, with L as its term count and
+    its residual against ``DampedChain(P0, d, epsilons[k])``.
     """
     require_dim("damping", d.dim, P0.dim)
     epsilons = tuple(float(eps) for eps in epsilons)
@@ -292,7 +278,12 @@ def series_sums(
             v = P0.vecmat(v)
         sums += weights[:, np.newaxis] * v
         weights = np.where(open_until > l, weights * decay, 0.0)
-    return SeriesSums(epsilons, tol, lengths, sums)
+    solutions = []
+    for eps, L, row in zip(epsilons, lengths, sums):
+        pi = row / row.sum()
+        residual = _residual(pi, DampedChain(P0, d, eps))
+        solutions.append(StationarySolution(Distribution(pi, P0.row_tol), Method.SERIES, L, residual))
+    return solutions
 
 
 def stationary_series(
@@ -300,27 +291,9 @@ def stationary_series(
     d: DampingVector,
     epsilon: float,
     tol: float = DEFAULT_SERIES_TOL,
-    sums: SeriesSums = None,
 ) -> StationarySolution:
-    """Evaluate the geometric-mixture series for the damped stationary law.
-
-    Truncates at the first L with ``(1 - eps)^(L + 1) < tol``; since every
-    trajectory entry lies in [0, 1] the dropped tail is below ``tol`` per
-    coordinate. The truncated sum is renormalized (its exact mass is
-    ``1 - (1 - eps)^(L + 1)``), which perturbs entries by less than ``tol``.
-    This is the one-epsilon case of :func:`series_sums`; a caller solving a
-    grid passes the ``sums`` of one walk over it, made with the same ``tol``.
-    """
-    if sums is None:
-        sums = series_sums(P0, d, (epsilon,), tol)
-    if sums.tol != tol:
-        raise ValidationError(f"series sums were made with tol {sums.tol}, not {tol}")
-    if epsilon not in sums.epsilons:
-        raise ValidationError(f"epsilon {epsilon} is not on the grid of the series sums")
-    k = sums.epsilons.index(epsilon)
-    pi = sums.sums[k] / sums.sums[k].sum()
-    residual = _residual(pi, DampedChain(P0, d, epsilon))
-    return StationarySolution(Distribution(pi, P0.row_tol), Method.SERIES, sums.lengths[k], residual)
+    """The geometric-mixture series solution at one epsilon: the one-epsilon case of :func:`series_sums`."""
+    return series_sums(P0, d, (epsilon,), tol)[0]
 
 
 def limit_stationary(structure: ChainStructure, p: Distribution) -> Distribution:

@@ -638,6 +638,9 @@ BAD_N_GRID = "bad --n-grid {}; use 'a:b', 'a:b:s' with s != 0, or a comma list o
         (("report", "--seed", "1", "--theorem", " , "), BAD_THEOREM.format("' , '")),
         (("triangular", "--n-grid="), BAD_N_GRID.format("''")),
         (("report", "--seed", "1", "--n-grid", "0,,3"), BAD_N_GRID.format("'0,,3'")),
+        (("structure", "--input="), "bad --input ''; use a file path"),
+        (("stationary", "--damping="), "bad --damping ''; use 'uniform' or a file path"),
+        (("report", "--seed", "1", "--initial="), "bad --initial ''; use 'uniform', 'point:K' or a file path"),
     ],
 )
 def test_bad_arguments_are_refused_before_any_solve(monkeypatch, argv, message):
@@ -794,30 +797,39 @@ def test_refusals_name_their_fault(capsys, tmp_path, case):
 
 
 # Each file that cannot be read or written: the command line, with {tmp} a
-# temporary directory holding bom.txt, whose first bytes are 0xff 0xfe, and
-# the start of the IngestError's message.
+# temporary directory holding bom.txt, whose first bytes are 0xff 0xfe, the
+# type of the error and the start of its message. An empty path is refused
+# before any file is read, probed or written.
 UNUSABLE_FILES = {
-    "input-directory": (("structure", "--input", "{tmp}"), "input file {tmp} cannot be read: "),
-    "input-not-utf8": (("structure", "--input", "{tmp}/bom.txt"), "input file {tmp}/bom.txt is not UTF-8 text: "),
-    "damping-directory": (("structure", "--input", FIVE, "--damping", "{tmp}"), "damping file {tmp} cannot be read: "),
-    "initial-not-utf8": (("structure", "--input", FIVE, "--initial", "{tmp}/bom.txt"),
+    "input-directory": (("structure", "--input", "{tmp}"), "IngestError", "input file {tmp} cannot be read: "),
+    "input-not-utf8": (("structure", "--input", "{tmp}/bom.txt"), "IngestError",
+                       "input file {tmp}/bom.txt is not UTF-8 text: "),
+    "damping-directory": (("structure", "--input", FIVE, "--damping", "{tmp}"), "IngestError",
+                          "damping file {tmp} cannot be read: "),
+    "initial-not-utf8": (("structure", "--input", FIVE, "--initial", "{tmp}/bom.txt"), "IngestError",
                          "--initial file {tmp}/bom.txt is not UTF-8 text: "),
-    "out-missing-directory": (("structure", "--input", FIVE, "--out", "{tmp}/missing/r.json"),
+    "out-missing-directory": (("structure", "--input", FIVE, "--out", "{tmp}/missing/r.json"), "IngestError",
                               "--out file {tmp}/missing/r.json cannot be written: "),
     "plot-data-missing-directory": (("stationary", "--input", FIVE, "--plot-data", "{tmp}/missing/p.csv"),
-                                    "--plot-data file {tmp}/missing/p.csv cannot be written: "),
+                                    "IngestError", "--plot-data file {tmp}/missing/p.csv cannot be written: "),
+    "input-empty": (("structure", "--input="), "ValidationError", "bad --input ''; use a file path"),
+    "damping-empty": (("stationary", "--input", FIVE, "--damping="), "ValidationError", "bad --damping ''"),
+    "initial-empty": (("stationary", "--input", FIVE, "--initial="), "ValidationError", "bad --initial ''"),
+    "out-empty": (("bounds", "--input", FIVE, "--out="), "ValidationError", "bad --out ''; use a file path"),
+    "plot-data-empty": (("bounds", "--input", FIVE, "--plot-data="), "ValidationError",
+                        "bad --plot-data ''; use a file path"),
 }
 
 
 @pytest.mark.parametrize("case", UNUSABLE_FILES)
 def test_unusable_files_give_the_structured_error(capsys, tmp_path, case):
     (tmp_path / "bom.txt").write_bytes(b"\xff\xfe1 2\n")
-    argv, start = UNUSABLE_FILES[case]
+    argv, error_type, start = UNUSABLE_FILES[case]
     code, out = run_cli(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert code == 1
     # The error alone is printed: no report precedes a failed write.
     error = json.loads(out)["error"]
-    assert error["type"] == "IngestError"
+    assert error["type"] == error_type
     assert error["message"].startswith(start.replace("{tmp}", str(tmp_path)))
 
 

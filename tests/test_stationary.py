@@ -27,7 +27,7 @@ from dampedchain import (
 )
 from dampedchain import report
 from dampedchain.io import ingest
-from dampedchain.stationary import _direct_system, series_length, series_sums
+from dampedchain.stationary import _damped_system, series_length, series_sums
 
 DATA = Path(__file__).parent / "data"
 
@@ -50,6 +50,20 @@ class TestDirect:
         d = DampingVector(np.array([0.1, 0.2, 0.3, 0.4]))
         sol = stationary_direct(rank_one(d))
         np.testing.assert_allclose(sol.pi.probs, d.weights, atol=1e-12)
+
+    @pytest.mark.parametrize("chain", ["five_node", "four_node", "dense-csv"])
+    def test_a_matrix_is_solved_as_its_chain_at_zero_damping(self, chain, request, tmp_path):
+        if chain == "dense-csv":
+            M, _ = chains.random_regular_chain(np.random.default_rng(3), 40)
+            path = tmp_path / "dense.csv"
+            path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in M.entries) + "\n")
+            P, _ = ingest(path)
+            d = chains.linear_damping(P.dim)
+        else:
+            P, d = request.getfixturevalue(chain)
+        whole, at_zero = stationary_direct(P), stationary_direct(DampedChain(P, d, 0.0))
+        assert whole.pi.probs.tobytes() == at_zero.pi.probs.tobytes()
+        assert whole.residual == at_zero.residual
 
     def test_split_chain_at_zero_damping_is_rejected(self, eight_node):
         P, _ = eight_node
@@ -296,7 +310,8 @@ class TestStationarySection:
         monkeypatch.setattr(report, "series_sums", spy)
         self.section(P0, d)
         assert builds == []
-        assert walks == [max(reference_series_length(eps, 1e-12) for eps in EPS_GRID)]
+        # The walk, then one residual product per epsilon.
+        assert walks == [max(reference_series_length(eps, 1e-12) for eps in EPS_GRID) + len(EPS_GRID)]
 
     @pytest.mark.parametrize("m", [300, 12])
     def test_counts_and_laws_match_dense_reference(self, m):
@@ -312,23 +327,33 @@ class TestStationarySection:
 
     def test_grid_walk_gives_the_one_epsilon_laws_bit_for_bit(self, eight_node):
         P, d = eight_node
-        sums = series_sums(P, d, EPS_GRID)
-        for eps in EPS_GRID:
-            shared = stationary_series(P, d, eps, sums=sums)
+        for shared, eps in zip(series_sums(P, d, EPS_GRID), EPS_GRID):
             alone = stationary_series(P, d, eps)
             np.testing.assert_array_equal(shared.pi.probs, alone.pi.probs)
             assert shared.iterations_or_terms == alone.iterations_or_terms
-        with pytest.raises(ValidationError, match="grid"):
-            stationary_series(P, d, 0.25, sums=sums)
-        with pytest.raises(ValidationError, match="tol"):
-            stationary_series(P, d, 0.1, tol=1e-14, sums=sums)
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*_edges.txt")), ids=lambda path: path.stem)
+    def test_every_grid_entry_is_the_one_epsilon_solution(self, path):
+        # A repeated epsilon, and eps = 1 whose series is its first term (L = 0).
+        P, _ = ingest(path)
+        d = chains.linear_damping(P.dim)
+        grid = (0.05, 0.5, 1.0, 0.05, 0.15)
+        solutions = series_sums(P, d, grid)
+        assert len(solutions) == len(grid) and solutions[2].iterations_or_terms == 0
+        for shared, eps in zip(solutions, grid):
+            alone = stationary_series(P, d, eps)
+            assert shared.pi.probs.tobytes() == alone.pi.probs.tobytes()
+            assert shared.residual == alone.residual
+            assert shared.iterations_or_terms == alone.iterations_or_terms
+            assert shared.method is alone.method is Method.SERIES
 
     def test_in_place_direct_system_matches_built_matrix(self, five_node, eight_node):
         for P, d in (five_node, eight_node):
             for eps in (0.05, 0.5, 1.0):
                 chain = DampedChain(P, d, eps)
                 np.testing.assert_array_equal(
-                    _direct_system(chain), _direct_system(build_damped_matrix(chain))
+                    _damped_system(P, d.weights, eps),
+                    _damped_system(build_damped_matrix(chain), np.zeros(P.dim), 0.0),
                 )
         P, d = eight_node
         with pytest.raises(SingularSystemError, match="per class"):
@@ -346,7 +371,7 @@ def test_every_route_matches_exact_rational_solve(eps):
         stationary_direct(chain),
         stationary_power(chain, Distribution.uniform(P.dim), tol=1e-15),
         stationary_series(P, d, eps, tol=1e-15),
-        stationary_series(P, d, eps, 1e-15, series_sums(P, d, (0.05, 0.15, 0.5, 1.0), 1e-15)),
+        series_sums(P, d, (0.05, 0.15, 0.5, 1.0), 1e-15)[(0.05, 0.15, 0.5, 1.0).index(eps)],
     )
     for solution in routes:
         np.testing.assert_allclose(solution.pi.probs, exact, rtol=0, atol=1e-12)
@@ -395,7 +420,7 @@ class TestClassByClassRoute:
         for eps in (0.02, 0.15, 0.5, 1.0):
             chain = DampedChain(P, d, eps)
             assert np.array_equal(
-                stationary_direct(chain).pi.probs, np.linalg.solve(_direct_system(chain), last)
+                stationary_direct(chain).pi.probs, np.linalg.solve(_damped_system(P, d.weights, eps), last)
             )
 
     def test_one_graph_search_per_matrix(self, monkeypatch):
