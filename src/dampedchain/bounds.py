@@ -27,9 +27,9 @@ from it (``structure.P0``), so the matrix and its classes cannot disagree.
 :class:`PowerWalk` is the one place where this module forms a matrix power,
 one product per step; ``estimate_decay`` and ``ergodicity_coefficient`` each
 run a walk of their own. A closed class's matrix (P0 itself on a regular
-chain) has one walk per command, held by the context. The walk scans each
-``Delta_N`` the context is asked for and records, as it passes each power n,
-the column maxima
+chain) has one walk, ``ChainStructure.walks``, shared by every context on
+the structure. The walk scans each ``Delta_N`` a context is asked for and
+records, as it passes each power n, the column maxima
 ``D_n(j) = max_i |M^n(i, j) - pi0_j|`` and ``t_n = max_i TV(M^n(i, .), pi0)``
 from which :meth:`PowerWalk.tail` certifies the constant S of families 1
 and 2 (Dobrushin contraction; Seneta, *Non-negative Matrices and Markov
@@ -294,7 +294,8 @@ class PowerWalk:
     moves past it, so the law is first fetched on the first product or
     ``tail`` read. The walk certifies at the first n with
     ``c_n <= CERTIFY_CONTRACTION``, or at ``WALK_HORIZON`` with the smallest
-    c_n < 1 it saw, and stops recording there.
+    c_n < 1 it saw, and stops recording there. Only ``ChainStructure.walks``,
+    one per closed class, are given a law.
 
     The certificate. Let P be M with each row scaled exactly to sum to 1,
     pi its exact law, ``t_n`` and ``D_n`` taken against pi, ``T_N = sum_(r<=N) t_r``.
@@ -494,13 +495,10 @@ class BoundContext:
     (0 when f_p[j] = 0), ``damping_gap[j] = f_d[j] (1 - Q(d^j, pi0^j))``,
     ``drift_scale[j] = |f_p[j] - f_d[j]|``,
     ``coupled[j] = f_d[j] (1 - Q(pi_eps^j, pi0^j)) + start_gap[j]`` and
-    ``class_reports[j]`` is Delta_block of ``walks[j]``, the one
+    ``class_reports[j]`` is Delta_block of ``structure.walks[j]``, the one
     :class:`PowerWalk` of ``structure.matrices[j]``, whose gate
-    (``require_classes``) refuses every per-class constant of an unsupported chain.
-
-    With ``certify`` False the class walks record nothing for ``split_tail``,
-    which is then refused: a caller that reads neither family 1 nor 2 then
-    solves no class law for them and scans no ``|M^n - pi0|``.
+    (``require_classes``) refuses every per-class constant of an unsupported
+    chain. Every context built on one structure shares its walks.
 
     Unless given, ``pi_eps`` is one in-place direct solve of ``chain``, P(eps),
     once ``structure.require_unique_law`` admits it, or is adopted from the
@@ -512,9 +510,8 @@ class BoundContext:
     which has no per-class constants.
     """
 
-    def __init__(self, structure, d, p, epsilon, block, pi_eps=None, certify=True):
+    def __init__(self, structure, d, p, epsilon, block, pi_eps=None):
         self.structure = structure
-        self.certify = certify
         self.d = d
         self.p = p
         self.chain = DampedChain(structure.P0, d, epsilon)
@@ -546,18 +543,10 @@ class BoundContext:
         return overlap(self.p.probs, self.pi_eps.probs)
 
     @cached_property
-    def walks(self) -> tuple:
-        structure = self.structure
-        if not self.certify:
-            return tuple(PowerWalk(M) for M in structure.matrices)
-        return tuple(
-            PowerWalk(M, lambda j=j: structure.laws[j]) for j, M in enumerate(structure.matrices)
-        )
-
-    @cached_property
     def _whole_walk(self) -> PowerWalk:
         """The walk of P0 itself, on a regular or unsupported chain."""
-        return self.walks[0] if self.structure.regime is Regime.REGULAR else PowerWalk(self.structure.P0)
+        structure = self.structure
+        return structure.walks[0] if structure.regime is Regime.REGULAR else PowerWalk(structure.P0)
 
     def _whole_overlap(self, N: int) -> float:
         return 0.0 if self.structure.regime is Regime.SINGULAR else self._whole_walk.overlap(N)
@@ -586,7 +575,8 @@ class BoundContext:
 
     @cached_property
     def class_reports(self) -> tuple:
-        return tuple(ErgodicityReport.from_overlap(self.block, w.overlap(self.block)) for w in self.walks)
+        walks = self.structure.walks
+        return tuple(ErgodicityReport.from_overlap(self.block, w.overlap(self.block)) for w in walks)
 
     @cached_property
     def _masses(self) -> tuple:
@@ -695,7 +685,7 @@ class BoundContext:
         """Families 1 and 2: the certified constant, the worst over the closed classes.
 
         On a regular chain, the one class, it is P0's own. Each class's walk
-        resumes where the context left it (``PowerWalk.tail``). The damping
+        resumes where any context left it (``PowerWalk.tail``). The damping
         weights and class masses enter the n = 0 term of family 2's reference
         with a rounding error below ``2 (|fl(sum d) - 1| + gamma_m)``, and
         ``2 gamma_3 (1 + S)`` more covers the three roundings of
@@ -709,9 +699,7 @@ class BoundContext:
         6-digit decimal. The report's ``N`` is the longest walk
         and ``c_N`` the largest c_N.
         """
-        if not self.certify:
-            raise ValidationError("a context built with certify=False records no tail for families 1 and 2")
-        tails = [walk.tail() for walk in self.walks]
+        tails = [walk.tail() for walk in self.structure.walks]
         weights = self.d.weights
         tail = max(t.tail_factor for t in tails) + 2.0 * (abs(float(weights.sum()) - 1.0) + _gamma(weights.size))
         return CertifiedTail(
@@ -738,7 +726,7 @@ class BoundContext:
             problem = f"Delta_{self.block} = 1"
         # A class is scanned at N only while every class before it contracts
         # there, so the search stops at the first such N.
-        walks = [self.walks[j] for j in bad]
+        walks = [self.structure.walks[j] for j in bad]
         for N in range(self.block + 1, PROFILE_STEPS[-1] + 1):
             reports = (ErgodicityReport.from_overlap(N, walk.overlap(N)) for walk in walks)
             if all(rep.delta < 1.0 for rep in reports):
@@ -758,7 +746,7 @@ def coupling_bound(
     n: int,
 ) -> float:
     """One-step coupling bound on ``max_j |p(n)_j - pi(eps)_j|`` (family 5)."""
-    return BoundContext(structure, d, p, epsilon, 1, pi_eps, certify=False).onestep(n)
+    return BoundContext(structure, d, p, epsilon, 1, pi_eps).onestep(n)
 
 
 def coupling_bound_multistep(
@@ -774,7 +762,7 @@ def coupling_bound_multistep(
 
     Both geometric factors carry the exponent ``floor(n / block) * block``.
     """
-    return BoundContext(structure, d, p, epsilon, block, pi_eps, certify=False).multistep(n)
+    return BoundContext(structure, d, p, epsilon, block, pi_eps).multistep(n)
 
 
 def split_bound_context(

@@ -26,7 +26,7 @@ from .core import DampingVector, Distribution, require_epsilon
 from .coupling import require_simulation
 from .errors import ChainError, IngestError, ValidationError
 from .expansion import require_expansion
-from .io import DanglingPolicy, GraphFormat, ingest, load_damping, load_weights
+from .io import DanglingPolicy, GraphFormat, ingest, load_damping, load_weights, physical_memory
 from .report import (
     bounds_section,
     build_report,
@@ -45,6 +45,12 @@ from .triangular import sweep_grid
 DEFAULT_EPSILON = 0.15
 DEFAULT_TRIALS = 100_000
 DEFAULT_HORIZON = 30
+
+# Peak bytes that one number of a per-step report table costs: its float, its
+# list slot and its share of the indent-2 JSON text. Peak RSS grew by 237-249
+# bytes a number for the bounds, triangular and expand tables of 10^5 to 10^6
+# rows of a five-state chain, and by 128-138 for the simulator's.
+REPORT_BYTES_PER_NUMBER = 256
 
 COMMANDS = ("structure", "stationary", "expand", "bounds", "coupling-sim", "triangular", "report")
 # Commands that compute at one epsilon and so refuse a longer grid; report
@@ -123,7 +129,19 @@ def _parse_grid(raw: str):
     if len(parts) not in (2, 3) or parts[2:] == [0]:
         raise ValidationError(bad)
     start, stop, step = (*parts, 1)[:3]
-    return list(range(start, stop + (1 if step > 0 else -1), step))
+    return range(start, stop + (1 if step > 0 else -1), step)
+
+
+def _require_table_fits(flag: str, value, rows: int, width: int) -> None:
+    """Refuse a ``flag`` value whose report table of ``rows`` rows of ``width`` numbers cannot fit in memory."""
+    need = rows * width * REPORT_BYTES_PER_NUMBER
+    memory = physical_memory()
+    if need > memory:
+        raise ValidationError(
+            f"{flag} {value} asks for a report table of {rows} rows of {width} numbers, about "
+            f"{need / 2**30:.1f} GiB at {REPORT_BYTES_PER_NUMBER} bytes a number, more than the "
+            f"{memory / 2**30:.1f} GiB of physical memory; use a smaller {flag}"
+        )
 
 
 def _initial(spec: str, dim: int) -> Distribution:
@@ -263,9 +281,7 @@ def run_command(command: str, args) -> dict:
             families = [x.strip() for x in args.theorem.split(",")]
         else:
             families = default_families(structure.regime)
-    # The class walks record what the certified constant of families 1 and 2 needs only when it is read.
-    certify = "1" in families or "2" in families
-    context = BoundContext(structure, damping, p, epsilons[0], args.coupling_n, certify=certify)
+    context = BoundContext(structure, damping, p, epsilons[0], args.coupling_n)
     echo = _inputs_echo(args, matrix, damping, p, epsilons)
 
     # Argument checks; none of them computes. Every command checks each grid epsilon.
@@ -282,8 +298,19 @@ def run_command(command: str, args) -> dict:
         if args.seed is None:
             raise ChainError("--seed is required for the coupling simulation")
         require_simulation(args.trials, args.seed, args.horizon)
+    # Each flag's per-step tables, as rows times the numbers in a row: n and the
+    # bound of families 5 and 6, the simulator's three columns, and a sweep
+    # row's n, eps_n, bound and three m-vectors.
+    horizon_width = 2 * len({"5", "6"}.intersection(families)) + 3 * runs("coupling-sim")
     if runs("triangular"):
         steps = _parse_grid(args.n_grid) if args.n_grid is not None else range(args.horizon + 1)
+        if args.n_grid is None:
+            horizon_width += 3 * matrix.dim + 3
+        else:
+            _require_table_fits("--n-grid", repr(args.n_grid), len(steps), 3 * matrix.dim + 3)
+    _require_table_fits("--horizon", args.horizon, args.horizon + 1, horizon_width)
+    if runs("expand"):
+        _require_table_fits("--order", args.order, args.order, matrix.dim)
     if runs("bounds"):
         if "" in families:
             raise ValidationError(

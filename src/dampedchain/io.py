@@ -54,6 +54,15 @@ def _validated(kind, values: np.ndarray, name: str):
         raise IngestError(f"{name} failed validation: {exc}") from exc
 
 
+def physical_memory() -> float:
+    """Bytes of physical memory, or ``inf`` where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        # No os.sysconf (Windows), or no such name: the allocation is the only check.
+        return float("inf")
+
+
 def _parse_edge_list(text: str, dangling: DanglingPolicy) -> StochasticMatrix:
     """The hyperlink matrix of an edge list.
 
@@ -83,11 +92,7 @@ def _parse_edge_list(text: str, dangling: DanglingPolicy) -> StochasticMatrix:
         raise IngestError("edge list contains no edges")
     dense_bytes = 8 * m * m
     too_large = f"node id {m} needs a dense {m} x {m} matrix of {dense_bytes / 2**30:.1f} GiB"
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        # No os.sysconf (Windows), or no such name: the allocation is the only check.
-        memory = float("inf")
+    memory = physical_memory()
     if dense_bytes > memory:
         raise IngestError(f"{too_large}, more than the {memory / 2**30:.1f} GiB of physical memory")
     try:
@@ -98,11 +103,10 @@ def _parse_edge_list(text: str, dangling: DanglingPolicy) -> StochasticMatrix:
     # nonzeros in row order. They are not taken by np.unique, whose first call
     # maps some 1.2 MB more of NumPy into memory than np.sort's.
     edges = np.array(edges)
-    keys = np.sort(edges[:, 0] * m + edges[:, 1])
-    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-    degree = np.bincount(keys // m, minlength=m)
-    values = 1.0 / degree[keys // m]
-    no_links = np.flatnonzero(degree == 0)
+    keys = edges[:, 0] * m + edges[:, 1]
+    linked = np.zeros(m, dtype=bool)
+    linked[edges[:, 0]] = True
+    no_links = np.flatnonzero(~linked)
     if no_links.size:
         if dangling is DanglingPolicy.REJECT:
             raise IngestError(
@@ -110,16 +114,17 @@ def _parse_edge_list(text: str, dangling: DanglingPolicy) -> StochasticMatrix:
                 "(self-loop or uniform-jump) to accept it"
             )
         if dangling is DanglingPolicy.SELF_LOOP:
-            extra, extra_values = no_links * (m + 1), np.ones(no_links.size)
+            extra = no_links * (m + 1)
         else:
             extra = (no_links[:, np.newaxis] * m + np.arange(m)).ravel()
-            extra_values = np.full(extra.size, 1.0 / m)
         keys = np.concatenate([keys, extra])
-        order = np.argsort(keys)
-        keys, values = keys[order], np.concatenate([values, extra_values])[order]
+    keys = np.sort(keys)
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
     rows, cols = keys // m, keys % m
+    degree = np.bincount(rows, minlength=m)
+    values = 1.0 / degree[rows]
     entries[rows, cols] = values
-    return StochasticMatrix._of_nonzeros(entries, RowNonzeros(np.bincount(rows, minlength=m), cols, values))
+    return StochasticMatrix._of_nonzeros(entries, RowNonzeros(degree, cols, values))
 
 
 def _parse_matrix_csv(text: str) -> StochasticMatrix:

@@ -9,7 +9,7 @@ The analysis splits by how the base matrix P0 partitions the state space:
 Transient states are detected and reported; only the direct stationary
 solve of P(eps), eps > 0, works on them. Every analysis runs class by class,
 a regular chain being the one-class case, on the per-class view that
-:class:`ChainStructure` builds once: each closed class's matrix and law.
+:class:`ChainStructure` builds once: each closed class's matrix, law and power walk.
 """
 
 import enum
@@ -50,9 +50,9 @@ class ClosedClass:
 class ChainStructure:
     """Closed classes, transient states and the resulting regime of ``P0``.
 
-    ``matrices`` and ``laws`` are the per-class view, each built on first
-    use, so a command that shares one structure restricts and solves each
-    closed class once. ``P0`` takes no part in comparison, hashing or repr.
+    ``matrices``, ``laws`` and ``walks`` are the per-class view, each built on
+    first use, so everything that shares one structure restricts, solves and
+    walks each closed class once. ``P0`` takes no part in comparison, hashing or repr.
     """
 
     classes: tuple
@@ -112,6 +112,18 @@ class ChainStructure:
                     f"closed class {cls.states} splits further; the chain must be treated as singular"
                 ) from exc
         return tuple(laws)
+
+    @cached_property
+    def walks(self) -> tuple:
+        """Each class matrix's :class:`~dampedchain.bounds.PowerWalk`, given the class law.
+
+        A walk depends only on its class, so every bound context built on the
+        structure shares its Delta_N scans and certified tail.
+        """
+        # bounds imports this module, so the walk is imported on first use.
+        from .bounds import PowerWalk
+
+        return tuple(PowerWalk(M, lambda j=j: self.laws[j]) for j, M in enumerate(self.matrices))
 
 
 def _strongly_connected_components(adj, m):

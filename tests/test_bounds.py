@@ -271,8 +271,8 @@ class TestStationaryGapBound:
         structure = decompose(P)
         context = BoundContext(structure, d, Distribution.uniform(8), 0.1, 2)
         context.split_tail()
-        # Each class's walk with its law solved afresh; the context reuses its own.
-        for walk, cls in zip(context.walks, structure.classes):
+        # Each class's walk with its law solved afresh; the structure's reuses its own.
+        for walk, cls in zip(structure.walks, structure.classes):
             M = restrict(P, cls)
             law = stationary_direct(M).pi
             assert walk.tail() == PowerWalk(M, lambda: law).tail()
@@ -312,7 +312,7 @@ def _class_walks(chain_name, request):
     structure = decompose(P)
     context = BoundContext(structure, d, d.as_distribution(), 0.1, 2)
     context.split_tail()
-    return list(zip(structure.matrices, structure.laws, context.walks))
+    return list(zip(structure.matrices, structure.laws, structure.walks))
 
 
 class TestCertifiedTail:
@@ -389,6 +389,12 @@ class TestCertifiedTail:
     def test_round_up_matches_the_exact_oracle(self, digits, x):
         assert round_up(x, digits) == exact_round_up(x, digits)
 
+    @pytest.mark.parametrize("x", [0.0, -1 / 3, math.inf, math.nan])
+    def test_round_up_leaves_what_is_not_a_positive_float(self, x):
+        # -1/3 rounded toward +inf at 6 digits would be -0.333333, and inf has no digits.
+        y = round_up(x, CERTIFIED_DIGITS)
+        assert y == x or (math.isnan(x) and math.isnan(y))
+
     @pytest.mark.parametrize("digits", [CERTIFIED_DIGITS, 12])
     def test_round_up_next_to_every_power_of_ten(self, digits):
         # Every float power of ten and its neighbours, where the decimal
@@ -406,7 +412,7 @@ class TestCertifiedTail:
         d = DampingVector.uniform(2)
         context = BoundContext(decompose(P), d, d.as_distribution(), 0.1, 1)
         tail = context.split_tail()
-        assert context.walks[0].step == WALK_HORIZON == tail.steps
+        assert context.structure.walks[0].step == WALK_HORIZON == tail.steps
         assert CERTIFY_CONTRACTION < tail.contraction < 1.0
         assert Fraction(tail.contraction) >= Fraction(998, 1000) ** WALK_HORIZON
         # S = sum_(n>=1) 0.998^n / 2 = 249.5 exactly.
@@ -720,16 +726,36 @@ class TestOneWalkPerClass:
         # The spectrum section's; the bounds section computes no eigenvalue.
         assert len(spectra) == classes
 
+    @pytest.mark.parametrize("chain_name", ["web", "eight_node"])
+    def test_contexts_on_one_structure_share_its_class_walks(self, chain_name, request, monkeypatch):
+        if chain_name == "web":
+            P, d = chains.random_web_chain(np.random.default_rng(3), 40)
+        else:
+            P, d = request.getfixturevalue(chain_name)
+        structure = decompose(P)
+        first = BoundContext(structure, d, d.as_distribution(), 0.1, 3)
+        profile = [first.ergodicity(N) for N in PROFILE_STEPS]
+        reports, tail = first.class_reports, first.split_tail()
+        products = [log_products(M) for M in structure.matrices]
+        scans = count_calls(monkeypatch, "min_row_overlap")
+        # Another epsilon and start: every N the first context scanned is read, not formed or scanned.
+        second = BoundContext(structure, d, Distribution.uniform(P.dim), 0.02, 3)
+        assert [second.ergodicity(N) for N in PROFILE_STEPS] == profile
+        assert second.class_reports == reports
+        assert second.split_tail() == tail
+        assert scans == [] and products == [[] for _ in products]
+
     def test_search_after_the_decay_walk_gives_the_same_answer(self):
         # A 6-cycle with a self-loop at state 0: Delta_N = 1 up to N = 4. The
         # certified tail walks far beyond N = 5, so the search must not read its power.
         entries = np.roll(np.eye(6), 1, axis=1)
         entries[0] = [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]
-        structure = decompose(StochasticMatrix(entries))
+        P = StochasticMatrix(entries)
         d, p = DampingVector.uniform(6), Distribution.uniform(6)
         messages = []
         for decay_first in (False, True):
-            context = BoundContext(structure, d, p, 0.1, 2)
+            # A structure of its own, so that the walk has scanned nothing yet.
+            context = BoundContext(decompose(P), d, p, 0.1, 2)
             if decay_first:
                 context.split_tail()
             with pytest.raises(ContractionError) as info:

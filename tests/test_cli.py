@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 from pathlib import Path
 
@@ -654,6 +655,51 @@ def test_bad_arguments_are_refused_before_any_solve(monkeypatch, argv, message):
     assert solves == [] and spectra == []
 
 
+# Per-step tables on the five-state chain: the flag, its rows and the numbers in a row.
+TABLES = [
+    (("coupling-sim", "--seed", "1", "--trials", "20", "--horizon", "40"), "--horizon", "40", 41, 3),
+    (("bounds", "--theorem", "5,6", "--horizon", "40"), "--horizon", "40", 41, 4),
+    (("bounds", "--theorem", "1,6", "--horizon", "40"), "--horizon", "40", 41, 2),
+    (("triangular", "--horizon", "40"), "--horizon", "40", 41, 18),
+    (("triangular", "--n-grid", "0:40:2"), "--n-grid", "'0:40:2'", 21, 18),
+    (("expand", "--order", "40"), "--order", "40", 40, 5),
+    # Families 1, 5 and 6, the simulator and the sweep.
+    (("report", "--seed", "1", "--trials", "20", "--horizon", "40"), "--horizon", "40", 41, 4 + 3 + 18),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value, rows, width", TABLES)
+def test_a_table_fits_up_to_physical_memory(monkeypatch, argv, flag, value, rows, width):
+    import dampedchain.cli as cli
+
+    need = rows * width * cli.REPORT_BYTES_PER_NUMBER
+    monkeypatch.setattr(cli, "physical_memory", lambda: need - 1)
+    with pytest.raises(ValidationError) as info:
+        _run([argv[0], "--input", FIVE, *argv[1:]])
+    assert str(info.value).startswith(f"{flag} {value} asks for a report table of {rows} rows of {width} numbers")
+    monkeypatch.setattr(cli, "physical_memory", lambda: need)
+    _run([argv[0], "--input", FIVE, *argv[1:]])
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("coupling-sim", "--seed", "1", "--trials", "1", "--horizon", "1000000000000"), "--horizon"),
+        (("triangular", "--epsilon", "0.1", "--n-grid", "0:1000000000"), "--n-grid"),
+        (("expand", "--order", "1000000000"), "--order"),
+        (("bounds", "--theorem", "5", "--horizon", "30000000"), "--horizon"),
+    ],
+)
+def test_oversized_tables_are_refused_before_any_solve(monkeypatch, argv, flag):
+    import dampedchain.cli as cli
+
+    monkeypatch.setattr(cli, "physical_memory", lambda: 8 * 2**30)
+    solves = count_calls(monkeypatch, "stationary_direct")
+    with pytest.raises(ValidationError, match=f"^{flag} .* GiB of physical memory; use a smaller {flag}$"):
+        _run([argv[0], "--input", FIVE, *argv[1:]])
+    assert solves == []
+
+
 @pytest.mark.parametrize(
     "regime, families",
     [(Regime.REGULAR, ["1", "5", "6"]), (Regime.SINGULAR, ["2", "5", "6", "7"]), (Regime.UNSUPPORTED, ["5", "6"])],
@@ -858,18 +904,37 @@ def test_writability_check_leaves_report_files_as_they_were(capsys, tmp_path):
     assert not fresh.exists()
 
 
+def test_a_device_report_file_is_opened_only_to_write(capsys, monkeypatch):
+    import dampedchain.cli as cli
+
+    opened = []
+    write = cli._write
+
+    def spy(path, flag, *rest, **kwargs):
+        opened.append(path)
+        write(path, flag, *rest, **kwargs)
+
+    monkeypatch.setattr(cli, "_write", spy)
+    code, out = run_cli(capsys, "bounds", "--input", FIVE, "--out", os.devnull)
+    # The writability check leaves a device alone; the report's write is its one open.
+    assert (code, out, opened) == (0, "", [os.devnull])
+
+
 def test_structure_never_opens_its_plot_file(capsys, tmp_path):
     # structure writes no plot table, so an unusable --plot-data path is not refused.
     code, _ = run_cli(capsys, "structure", "--input", FIVE, "--plot-data", str(tmp_path / "missing" / "p.csv"))
     assert code == 0
 
 
-@pytest.mark.parametrize("theorem, solves", [("5,6", 1), ("1,5,6", 2)])
-def test_only_families_1_and_2_solve_a_class_law_for_the_walk(monkeypatch, theorem, solves):
+@pytest.mark.parametrize("theorem", ["5,6", "1,5,6"])
+def test_each_law_is_solved_once_whatever_the_families(monkeypatch, theorem):
     calls = count_calls(monkeypatch, "stationary_direct")
     _run(["bounds", "--input", FIVE, "--theorem", theorem])
-    # pi(eps), and P0's law only where family 1's certified constant reads it.
-    assert len(calls) == solves
+    # pi(eps), and P0's law, which the class walk records as the profile passes
+    # its powers, whether or not family 1 reads the certified constant.
+    solved = [args[0] for args in calls]
+    assert len(solved) == 2
+    assert sorted(type(x).__name__ for x in solved) == ["DampedChain", "StochasticMatrix"]
 
 
 @pytest.mark.parametrize(

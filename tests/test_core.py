@@ -4,13 +4,21 @@ from hypothesis import given, strategies as st
 
 import chains
 from dampedchain import (
+    CouplingKernel,
     DampedChain,
     DampingVector,
     DimensionMismatchError,
     Distribution,
+    GeometricDecay,
+    SingularSystemError,
     StochasticMatrix,
     ValidationError,
     build_damped_matrix,
+    ergodicity_coefficient,
+    maximal_coupling,
+    simulate_coupling_time,
+    spectrum,
+    stationary_direct,
     tv_distance,
 )
 from oracle import naive_matmul, naive_vecmat, propagate
@@ -216,3 +224,56 @@ class TestTvDistance:
         assert tv_distance(p, q) == tv_distance(q, p)
         assert tv_distance(p, r) <= tv_distance(p, q) + tv_distance(q, r) + 1e-14
         assert 0.0 <= tv_distance(p, q) <= 1.0
+
+
+def _simulation_from(start_dim: int):
+    """A 4-trial simulation of a 2-state kernel from the uniform coupling on ``start_dim`` states."""
+    start = maximal_coupling(Distribution.uniform(start_dim), Distribution.uniform(start_dim))
+    kernel = CouplingKernel(StochasticMatrix(np.full((2, 2), 0.5)))
+    return simulate_coupling_time(kernel, start, 4, 1, 3)
+
+
+# Each refusal of an unusable input to a public function: the call, its error and its message.
+REFUSALS = {
+    "damping-sum": (lambda: DampingVector(np.array([0.5, 0.6])), ValidationError, "damping weights sum to"),
+    "distribution-sum": (lambda: Distribution(np.array([0.5, 0.6])), ValidationError, "distribution sums to"),
+    "point-mass-past-the-end": (lambda: Distribution.point_mass(3, 3), ValidationError, "state 3 outside 0..2"),
+    "point-mass-negative": (lambda: Distribution.point_mass(3, -1), ValidationError, "state -1 outside 0..2"),
+    "matrix-1d": (lambda: StochasticMatrix(np.array([0.5, 0.5])), ValidationError, "must be 2-dimensional"),
+    "matrix-empty": (lambda: StochasticMatrix(np.empty((0, 0))), ValidationError, "must be non-empty"),
+    "matrix-not-square": (lambda: StochasticMatrix(np.full((2, 3), 1 / 3)), ValidationError, "must be square"),
+    "tv-sizes": (
+        lambda: tv_distance(Distribution.uniform(2), Distribution.uniform(3)),
+        DimensionMismatchError,
+        "dims differ: 2 vs 3",
+    ),
+    "coupling-sizes": (
+        lambda: maximal_coupling(Distribution.uniform(2), Distribution.uniform(3)),
+        DimensionMismatchError,
+        "dims differ: 2 vs 3",
+    ),
+    "simulation-start-size": (lambda: _simulation_from(3), DimensionMismatchError, "start joint dim 3 != kernel"),
+    "ergodicity-zero-steps": (
+        lambda: ergodicity_coefficient(StochasticMatrix(np.eye(2)), 0),
+        ValidationError,
+        "at least 1",
+    ),
+    "decay-rate-one": (lambda: GeometricDecay(0.5, 1.0), ValidationError, "rate must lie in"),
+    "decay-negative-amplitude": (lambda: GeometricDecay(-1.0, 0.5), ValidationError, "amplitude must be non-negative"),
+    "residual-above-tol": (
+        lambda: stationary_direct(chains.five_node()[0], solver_tol=1e-30),
+        SingularSystemError,
+        "exceeds 1.0e-30",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS.values()), ids=list(REFUSALS))
+def test_unusable_inputs_are_refused(case):
+    call, error, message = case
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_one_state_has_no_second_eigenvalue():
+    assert spectrum(StochasticMatrix(np.array([[1.0]]))).second_modulus == 0.0
