@@ -65,7 +65,7 @@ from .stationary import DEFAULT_SOLVER_TOL, StationarySolution, stationary_direc
 from .structure import ChainStructure, Regime, class_mass
 
 # Most powers a walk forms for the constant of families 1 and 2, and for
-# estimate_decay's amplitude scan.
+# estimate_decay's amplitude scan; also the longest block a context takes.
 WALK_HORIZON = 200
 
 # The walk certifies families 1 and 2 at the first power N whose Dobrushin
@@ -480,9 +480,10 @@ class BoundContext:
     """The n-free constants of bound families 1, 2, 5, 6 and 7 and of the joint-limit bound.
 
     Build one per command from the structure of ``structure.P0``, damping
-    ``d``, start ``p``, epsilon in [0, 1] and a block of at least 1. Building
-    it checks these and the sizes of ``p`` and ``pi_eps``; nothing is computed
-    then. Each constant is computed the first time it is read, and kept, and
+    ``d``, start ``p``, epsilon in [0, 1] and a block from 1 to
+    ``WALK_HORIZON``, the most powers a walk forms. Building it checks these
+    and the sizes of ``p`` and ``pi_eps``; nothing is computed then. Each
+    constant is computed the first time it is read, and kept, and
     ``pi_eps``, when given, is used as pi(eps). Family 5 reads
     ``start_overlap`` = Q(p, pi_eps) and the raw Q(P0); family 6 reads
     ``start_overlap`` and ``ergodicity(block)``; families 1 and 2 read
@@ -517,6 +518,10 @@ class BoundContext:
         self.chain = DampedChain(structure.P0, d, epsilon)
         if block < 1:
             raise ValidationError("block length must be at least 1")
+        if block > WALK_HORIZON:
+            raise ValidationError(
+                f"block length must be at most {WALK_HORIZON}, the most powers a walk forms; got {block}"
+            )
         require_dim("start", p.dim, structure.P0.dim)
         self.epsilon = epsilon
         self.block = block

@@ -148,8 +148,18 @@ def bounds_section(context: BoundContext, families, horizon: int) -> dict:
     # The profile is read first: on a regular chain it comes from the walk of
     # P0 that the block and the certified tail of family 1 go on with.
     ergodicity = [{"N": N, "delta": rounded(context.ergodicity(N).delta)} for N in PROFILE_STEPS]
-    n_grid = range(horizon + 1)
     records = []
+    section = {"epsilon": rounded(epsilon), "reports": records, "ergodicity": ergodicity}
+    # Every Delta_block the section reads is scanned next, before the certified
+    # tail of family 1 or 2 walks past the block and would leave it to a new walk.
+    if structure.regime is Regime.SINGULAR:
+        section["class_ergodicity"] = [
+            {"class": j + 1, "N": block, "delta": rounded(rep.delta)}
+            for j, rep in enumerate(context.class_reports)
+        ]
+    if "6" in families:
+        context.ergodicity(block)
+    n_grid = range(horizon + 1)
     for family in families:
         record = {"family": FAMILIES[family][0], "id": family, "epsilon": rounded(epsilon)}
         if family in ("1", "2"):
@@ -175,14 +185,6 @@ def bounds_section(context: BoundContext, families, horizon: int) -> dict:
             record["constants"] = {"block": rounded(block), "n": rounded(horizon)}
             record["per_state"] = rounded_list(context.bound_vector(horizon))
         records.append(record)
-
-    section = {"epsilon": rounded(epsilon), "reports": records}
-    section["ergodicity"] = ergodicity
-    if structure.regime is Regime.SINGULAR:
-        section["class_ergodicity"] = [
-            {"class": j + 1, "N": block, "delta": rounded(rep.delta)}
-            for j, rep in enumerate(context.class_reports)
-        ]
     return section
 
 

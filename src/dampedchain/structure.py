@@ -6,14 +6,15 @@ The analysis splits by how the base matrix P0 partitions the state space:
 * singular  -- two or more closed aperiodic classes covering every state;
 * unsupported -- anything else (periodic classes or transient states).
 
-Transient states are detected and reported; only the direct stationary
-solve of P(eps), eps > 0, works on them. Every analysis runs class by class,
-a regular chain being the one-class case, on the per-class view that
-:class:`ChainStructure` builds once: each closed class's matrix, law and power walk.
+One depth-first search of P0's transition graph finds the closed classes,
+their periods and the transient states (:func:`decompose`). Transient states
+are reported; only the direct stationary solve of P(eps), eps > 0, works on
+them. Every analysis runs class by class, a regular chain being the
+one-class case, on the per-class view that :class:`ChainStructure` builds
+once: each closed class's matrix, law and power walk.
 """
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -126,76 +127,6 @@ class ChainStructure:
         return tuple(PowerWalk(M, lambda j=j: self.laws[j]) for j, M in enumerate(self.matrices))
 
 
-def _strongly_connected_components(adj, m):
-    """Kosaraju's two searches, on explicit stacks: recursion would overflow near m ~ 5000.
-
-    Each component comes out sorted; the components come in no particular order.
-    """
-    seen = [False] * m
-    finished = []
-    for root in range(m):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            v, successors = stack[-1]
-            for w in successors:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, iter(adj[w])))
-                    break
-            else:
-                stack.pop()
-                finished.append(v)
-    reverse = [[] for _ in range(m)]
-    for v in range(m):
-        for w in adj[v]:
-            reverse[w].append(v)
-    # In the reversed graph, the states reached from the latest finisher not yet
-    # in a component are its component.
-    assigned = [False] * m
-    components = []
-    for root in reversed(finished):
-        if assigned[root]:
-            continue
-        assigned[root] = True
-        comp, stack = [], [root]
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in reverse[v]:
-                if not assigned[w]:
-                    assigned[w] = True
-                    stack.append(w)
-        components.append(sorted(comp))
-    return components
-
-
-def _class_period(adj, states):
-    """gcd of cycle lengths inside one strongly connected component.
-
-    BFS levels from an arbitrary root; every internal edge (u, v) contributes
-    level[u] + 1 - level[v] to the gcd.
-    """
-    members = set(states)
-    root = states[0]
-    level = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v in members and v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
-    g = 0
-    for u in states:
-        for v in adj[u]:
-            if v in members:
-                g = gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g != 0 else 1
-
-
 def _successors(P0: StochasticMatrix) -> list:
     """Each state's successors: the columns of its row's nonzero values, in order; a ``-0.0`` is no edge."""
     nonzeros = row_nonzeros(P0)
@@ -205,24 +136,84 @@ def _successors(P0: StochasticMatrix) -> list:
 
 
 def _partition(P0: StochasticMatrix):
-    """Closed classes (with periods) and transient states of the transition graph of P0."""
+    """Closed classes (with periods) and transient states of the transition graph of P0.
+
+    One depth-first search (Tarjan, 1972) on explicit stacks, since recursion
+    would overflow near m ~ 1000. A state's index is its place on the stack of
+    unfinished states, which holds them in the order they were reached. Its
+    low link is the least index that it, or a state below it in the search
+    tree, reaches by one edge to a state on that stack, so a state whose low
+    link is its own index roots a component: the states from it up. An edge
+    to a state on the stack stays inside the component; an edge to a finished
+    state leaves it. So a component is closed when none of its edges reaches
+    a component that finished before it.
+
+    A closed class's period is the gcd of ``depth(u) + 1 - depth(v)`` over its
+    edges (u, v), with depths in the search tree, which spans the class from
+    its root. Around a cycle the depths telescope, so each cycle's length is a
+    sum of terms and the gcd divides the period. Each term is a multiple of the
+    period: with L the length of a path from v to the root, the closed walks
+    root -> u -> v -> root and root -> v -> root have lengths
+    ``depth(u) + 1 + L`` and ``depth(v) + L`` (depths from the root).
+    """
     m = P0.dim
     adj = _successors(P0)
-
-    components = _strongly_connected_components(adj, m)
-
-    closed = []
-    transient = []
-    for comp in components:
-        members = set(comp)
-        leaks = any(w not in members for u in comp for w in adj[u])
-        if leaks:
-            transient.extend(comp)
-        else:
-            closed.append(ClosedClass(tuple(comp), _class_period(adj, comp)))
+    index = [-1] * m  # -1 until reached, m once its component is finished
+    low = [0] * m
+    depth = [0] * m
+    leaks = [False] * m
+    unfinished, closed, transient = [], [], []
+    for root in range(m):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = len(unfinished)
+        unfinished.append(root)
+        path = [(root, iter(adj[root]))]
+        while path:
+            v, successors = path[-1]
+            for w in successors:
+                seen = index[w]
+                if seen < 0:
+                    index[w] = low[w] = len(unfinished)
+                    unfinished.append(w)
+                    depth[w] = depth[v] + 1
+                    path.append((w, iter(adj[w])))
+                    break
+                if seen == m:
+                    leaks[v] = True
+                elif seen < low[v]:
+                    low[v] = seen
+            else:
+                path.pop()
+                if low[v] == index[v]:
+                    comp = unfinished[index[v]:]
+                    del unfinished[index[v]:]
+                    for u in comp:
+                        index[u] = m
+                    if any(leaks[u] for u in comp):
+                        transient.extend(comp)
+                    else:
+                        closed.append(ClosedClass(tuple(sorted(comp)), _period(adj, depth, comp)))
+                if path:
+                    u = path[-1][0]
+                    if index[v] == m:
+                        leaks[u] = True
+                    elif low[v] < low[u]:
+                        low[u] = low[v]
     closed.sort(key=lambda c: c.states[0])
     transient.sort()
     return tuple(closed), tuple(transient)
+
+
+def _period(adj, depth, states) -> int:
+    """The gcd of :func:`_partition`'s terms over a closed class's edges, all inside it; it stops at 1."""
+    g = 0
+    for u in states:
+        for v in adj[u]:
+            g = gcd(g, depth[u] + 1 - depth[v])
+        if g == 1:
+            break
+    return g
 
 
 def decompose(P0: StochasticMatrix) -> ChainStructure:

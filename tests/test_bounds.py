@@ -31,6 +31,7 @@ from dampedchain import (
     Regime,
     RegimeError,
     StochasticMatrix,
+    ValidationError,
     build_damped_matrix,
     class_mass,
     coupling_bound,
@@ -652,18 +653,25 @@ class TestOneWalkPerClass:
         assert decays == [] and spectra == []
 
     @pytest.mark.parametrize(
-        "chain_name, families",
-        [("five_node", ["1", "5", "6"]), ("eight_node", FAMILIES)],
-        ids=["regular", "singular"],
+        "chain_name, families, block",
+        [
+            ("five_node", ["1", "5", "6"], 2),
+            ("eight_node", FAMILIES, 2),
+            # The certified tail walks past the block before a later record or
+            # the class profile reads it, so the block is scanned first.
+            ("eight_node", ["2"], 3),
+            ("four_node", ["1", "6"], 14),
+        ],
+        ids=["regular", "singular", "singular-tail-past-block", "regular-tail-past-block"],
     )
-    def test_bounds_section_forms_each_class_power_once(self, chain_name, families, request):
+    def test_bounds_section_forms_each_class_power_once(self, chain_name, families, block, request):
         from dampedchain.report import bounds_section
 
         P, d = request.getfixturevalue(chain_name)
         structure = decompose(P)
         plain = [M.entries for M in structure.matrices]
         logs = [log_products(M) for M in structure.matrices]
-        context = BoundContext(structure, d, Distribution.uniform(P.dim), 0.15, 2)
+        context = BoundContext(structure, d, Distribution.uniform(P.dim), 0.15, block)
         bounds_section(context, families, 30)
         for entries, law, products in zip(plain, structure.laws, logs):
             # M^2, M^3, ... in order, each once: the profile, the block and the
@@ -672,8 +680,11 @@ class TestOneWalkPerClass:
             for product in products:
                 power = naive_matmul(power, entries)
                 np.testing.assert_allclose(product, power, rtol=0, atol=1e-13)
-            # The walk went on past the profile to the first N with a small c_N.
-            assert len(products) + 1 == max(PROFILE_STEPS[-1], _first_contracting(entries, law, products))
+            # The walk went on past the profile and the block to the first N with a small c_N.
+            walked = max(PROFILE_STEPS[-1], _first_contracting(entries, law, products))
+            if "6" in families:
+                walked = max(walked, block)
+            assert len(products) + 1 == walked
 
     @pytest.mark.parametrize(
         "name, block", [("five_node", "2"), ("five_node", "3"), ("eight_node", "2")]
@@ -925,3 +936,13 @@ def test_inputs_of_the_wrong_size_are_refused(chain_name, call, message, request
     with pytest.raises(DimensionMismatchError) as info:
         call(decompose(P), d)
     assert str(info.value) == f"{message} != matrix dim {P.dim}"
+
+
+def test_block_length_runs_from_one_to_the_walk_horizon(five_node):
+    # A longer block would ask for more powers than a certificate walk ever forms.
+    P, d = five_node
+    structure, start = decompose(P), Distribution.uniform(5)
+    assert BoundContext(structure, d, start, 0.15, WALK_HORIZON).ergodicity(WALK_HORIZON).step == WALK_HORIZON
+    with pytest.raises(ValidationError) as info:
+        BoundContext(structure, d, start, 0.15, WALK_HORIZON + 1)
+    assert str(info.value) == f"block length must be at most {WALK_HORIZON}, the most powers a walk forms; got {WALK_HORIZON + 1}"

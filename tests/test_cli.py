@@ -642,6 +642,7 @@ BAD_N_GRID = "bad --n-grid {}; use 'a:b', 'a:b:s' with s != 0, or a comma list o
         (("structure", "--input="), "bad --input ''; use a file path"),
         (("stationary", "--damping="), "bad --damping ''; use 'uniform' or a file path"),
         (("report", "--seed", "1", "--initial="), "bad --initial ''; use 'uniform', 'point:K' or a file path"),
+        (("bounds", "--coupling-N", "201"), "block length must be at most 200, the most powers a walk forms; got 201"),
     ],
 )
 def test_bad_arguments_are_refused_before_any_solve(monkeypatch, argv, message):

@@ -429,10 +429,8 @@ class TestClassByClassRoute:
         from dampedchain import structure
 
         searches = []
-        search = structure._strongly_connected_components
-        monkeypatch.setattr(
-            structure, "_strongly_connected_components", lambda *a: searches.append(a) or search(*a)
-        )
+        search = structure._partition
+        monkeypatch.setattr(structure, "_partition", lambda *a: searches.append(a) or search(*a))
         P, d = chains.eight_node()
         first = decompose(P)
         for eps in (0.1, 0.5):

@@ -93,11 +93,12 @@ def brute_force_structure(adjacency):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.3]))
+@given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.05, 0.1, 0.3]))
 def test_decompose_matches_brute_force(m, seed, density):
     # One random successor per state gives cycles of every length, periodic
     # ones and self-loops among them, with trees of transient states leading
-    # into them; extra edges at ``density`` merge them.
+    # into them; extra edges at ``density`` merge them, and sparse ones chain
+    # transient components several levels deep.
     rng = np.random.default_rng(seed)
     adjacency = rng.random((m, m)) < density
     adjacency[np.arange(m), rng.integers(0, m, m)] = True
@@ -106,6 +107,19 @@ def test_decompose_matches_brute_force(m, seed, density):
     assert [(c.states, c.period) for c in s.classes] == classes
     assert s.transient_states == transient
     assert s.regime is regime
+
+
+def test_a_path_deeper_than_the_recursion_limit_is_searched():
+    # 0 -> 1 -> ... -> 1499 -> 1498: one closed 2-cycle at the end of a path
+    # 1500 states deep, past Python's default recursion limit of 1000.
+    m = 1500
+    entries = np.zeros((m, m))
+    entries[np.arange(m - 1), np.arange(1, m)] = 1.0
+    entries[m - 1, m - 2] = 1.0
+    s = decompose(StochasticMatrix(entries))
+    assert [(c.states, c.period) for c in s.classes] == [((m - 2, m - 1), 2)]
+    assert s.transient_states == tuple(range(m - 2))
+    assert s.regime is Regime.UNSUPPORTED
 
 
 class TestClassMass:
