@@ -96,6 +96,12 @@ FAMILIES = {
 }
 
 
+def require_known_family(family: str) -> None:
+    """Refuse a bound family that ``FAMILIES`` does not name."""
+    if family not in FAMILIES:
+        raise RegimeError(f"unknown bound family {family!r}; choose from 1, 2, 5, 6, 7")
+
+
 def default_families(regime: Regime) -> list:
     """The families that apply to a ``regime`` chain, run when none is named."""
     return [family for family, (_, needs, _) in FAMILIES.items() if needs in (None, regime)]
@@ -566,8 +572,7 @@ class BoundContext:
 
     def require_family(self, family: str) -> None:
         """Refuse an unknown bound family, or one whose regime, epsilon or contraction fails here."""
-        if family not in FAMILIES:
-            raise RegimeError(f"unknown bound family {family!r}; choose from 1, 2, 5, 6, 7")
+        require_known_family(family)
         _, regime, instead = FAMILIES[family]
         if regime not in (None, self.structure.regime):
             raise RegimeError(f"bound family {family} needs a {regime.value} chain; {instead}")

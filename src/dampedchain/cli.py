@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .bounds import PROFILE_STEPS, BoundContext, default_families
+from .bounds import PROFILE_STEPS, BoundContext, default_families, require_known_family
 from .core import DampingVector, Distribution, require_epsilon
 from .coupling import require_simulation
 from .errors import ChainError, IngestError, ValidationError
@@ -322,11 +322,14 @@ def run_command(command: str, args) -> dict:
                 f"--theorem {args.theorem!r} names bound family {repeated[0]} more than once; "
                 "name each family once"
             )
+        for family in families:
+            require_known_family(family)
 
     # Preconditions, in section order; only the contraction checks scan.
     if runs("stationary"):
         for eps in epsilons:
             structure.require_unique_law(eps)
+            structure.require_n_step_limit(eps)
     if runs("expand"):
         require_expansion(structure, args.order)
     for family in families:

@@ -13,12 +13,13 @@ per row) also has a row-compressed view of its nonzeros: the nonzeros of each
 row, in column order. An edge list's view is built from its edges at ingest,
 and a class block's from P0's view (``structure.restrict``); any other
 matrix's is scanned from its array on first use. ``vecmat``, the class search,
-the class blocks, the per-class stationary systems and the matrix echo read
-the view. Every view holds every entry with nonzero bits, ``-0.0`` included,
-so a block scattered from a view is bit for bit the block gathered from the
-array. A denser matrix, such as a CSV input, has none and keeps the dense
-product; :func:`row_nonzeros` and :func:`add_block` are the places that read
-its array instead.
+the one block gather (:func:`block_matrix`), the stationary systems (each adds
+a whole matrix, :func:`add_block`) and the matrix echo read the view. Every
+view holds every entry with nonzero bits, ``-0.0`` included, so a block
+scattered from a view is bit for bit the block gathered from the array. A
+denser matrix, such as a CSV input, has none and keeps the dense product;
+:func:`row_nonzeros` and :func:`add_block` are the places that read its array
+instead.
 ``DampedChain.vecmat`` multiplies by P(eps) through the rank-one form
 
     x P(eps) = (1 - eps) x P0 + eps (x . 1) d,
@@ -191,52 +192,41 @@ def row_nonzeros(P: StochasticMatrix, rows=None) -> RowNonzeros:
     return nonzeros if rows is None else nonzeros.of_rows(rows)
 
 
-def block_nonzeros(P: StochasticMatrix, states=None) -> tuple:
-    """P's block on ``states`` (all of P when None), from the nonzeros of its rows.
+def block_matrix(P: StochasticMatrix, states: list) -> tuple:
+    """P's block on ``states`` as ``(entries, nonzeros, leak)``, from the nonzeros of its rows.
 
-    Returns ``(rows, cols, values, leak)``: each nonzero inside the block with
-    its row and column numbered within ``states``, and the mass each row of
-    the block sends to states outside it, summed from its nonzeros there.
+    ``nonzeros`` is the block's row-compressed view, its rows and columns
+    numbered within ``states``, and ``leak`` the mass each row of the block
+    sends to states outside it, summed from its nonzeros there. The entries
+    are scattered from the block's nonzeros, which hold every entry with
+    nonzero bits, so they are bit for bit the gather from P's array.
     """
     nonzeros = row_nonzeros(P, states)
-    k = len(nonzeros.counts)
+    k = len(states)
     rows = np.repeat(np.arange(k), nonzeros.counts)
-    if states is None:
-        return rows, nonzeros.cols, nonzeros.values, np.zeros(k)
     local = np.full(P.dim, -1)
     local[states] = np.arange(k)
     cols = local[nonzeros.cols]
     inside = cols >= 0
     leak = np.bincount(rows[~inside], weights=nonzeros.values[~inside], minlength=k)
-    return rows[inside], cols[inside], nonzeros.values[inside], leak
-
-
-def block_matrix(P: StochasticMatrix, states: list) -> tuple:
-    """P's block on ``states`` as ``(entries, nonzeros, leak)``; ``leak`` as in :func:`block_nonzeros`.
-
-    The entries are scattered from the block's nonzeros, which hold every
-    entry with nonzero bits, so they are bit for bit the gather from P's array.
-    """
-    rows, cols, values, leak = block_nonzeros(P, states)
-    k = len(states)
+    rows, cols, values = rows[inside], cols[inside], nonzeros.values[inside]
     entries = np.zeros((k, k))
     entries[rows, cols] = values
     return entries, RowNonzeros(np.bincount(rows, minlength=k), cols, values), leak
 
 
-def add_block(out: np.ndarray, P: StochasticMatrix, scale: float, states=None) -> None:
-    """``out += scale * B`` for B the block of P on ``states`` (all of P when None).
+def add_block(out: np.ndarray, P: StochasticMatrix, scale: float) -> None:
+    """``out += scale * P``, scattered from P's nonzeros when P has a row-compressed view.
 
     Each entry gets the same product and sum as in the dense formula, so
-    ``out`` comes out bit for bit the same whether B's nonzeros are scattered
-    from P's view or, for a matrix too dense for one, B is gathered from its
-    array.
+    ``out`` comes out bit for bit the same whether P's nonzeros are scattered
+    or, for a matrix too dense for a view, its array is added whole.
     """
-    if P._nonzeros is None:
-        out += scale * (P.entries if states is None else P.entries[np.ix_(states, states)])
+    nonzeros = P._nonzeros
+    if nonzeros is None:
+        out += scale * P.entries
         return
-    rows, cols, values, _ = block_nonzeros(P, states)
-    out[rows, cols] += scale * values
+    out[np.repeat(np.arange(P.dim), nonzeros.counts), nonzeros.cols] += scale * nonzeros.values
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,6 @@ digits). State ids in reports are 1-based, matching the edge-list input
 convention.
 """
 
-import json
-from importlib import resources
-
 import numpy as np
 
 from . import __version__
@@ -242,8 +239,3 @@ def serialize(report: dict) -> str:
     inputs = report["inputs"]
     shell = dict(report, inputs=dict(inputs, matrix=MATRIX_SLOT))
     return dumps_with_matrix(shell, inputs["matrix"])
-
-
-def load_schema() -> dict:
-    with resources.files("dampedchain.schemas").joinpath("report.schema.json").open() as fh:
-        return json.load(fh)

@@ -19,10 +19,10 @@ on the grid, adding each step into one accumulator row per eps;
 The power and series routes and every residual only push row vectors through
 P0 or P(eps), by ``vecmat`` (sparse for sparse P0, and the rank-one form for
 P(eps)); none of them builds the dense P(eps), and neither reads the structure
-of P0. The direct route factors dense systems assembled in place from P0 and
-d, from the nonzeros of P0's rows when P0 has a row-compressed view, so that
-no class block is gathered from the m x m array. For eps > 0 it solves
-P(eps) by stochastic complementation (C. D. Meyer,
+of P0. The direct route factors dense systems assembled in place from a
+matrix and d, from its nonzeros when it has a row-compressed view; a class
+system reads its class matrix (``ChainStructure.matrices``), gathered once
+per matrix. For eps > 0 it solves P(eps) by stochastic complementation (C. D. Meyer,
 SIAM Review 31, 1989): one small system for the transient states of P0 and
 one per closed class, each well conditioned for every eps > 0, where the
 whole m x m system of a chain with several closed classes has condition about
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, add_block, require_dim
+from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, add_block, block_matrix, require_dim
 from .errors import (
     ConvergenceError,
     SingularSystemError,
@@ -86,23 +86,21 @@ def _residual(pi: np.ndarray, P) -> float:
     return float(np.max(np.abs(P.vecmat(pi) - pi)))
 
 
-def _damped_system(M: StochasticMatrix, weights: np.ndarray, epsilon: float, states=None) -> np.ndarray:
-    """The stationary system of ``(1 - eps) B + eps 1 w``, B the block of M on ``states``.
+def _damped_system(M: StochasticMatrix, weights: np.ndarray, epsilon: float) -> np.ndarray:
+    """The stationary system of ``(1 - eps) M + eps 1 w``.
 
     That is its transpose minus I, with the normalization row of ones in
-    place of the last equation. ``states`` None is the whole of M; a matrix
-    is the eps = 0 case, with zero weights. The system is the transpose of a
-    row-major buffer, so that it is already in the column-major order in
-    which LAPACK factors it. The buffer is filled with ``eps w`` in every row,
-    and ``(1 - eps) B`` is added to it (:func:`add_block`), from the nonzeros
-    of B's rows when M has a row-compressed view: each entry is the same sum
-    of the same two products as in ``(1 - eps) B^T + eps w 1^T``, and P(eps)
-    is never formed on its own.
+    place of the last equation; a matrix is the eps = 0 case, with zero
+    weights. The system is the transpose of a row-major buffer, so that it is
+    already in the column-major order in which LAPACK factors it. The buffer
+    is filled with ``eps w`` in every row, and ``(1 - eps) M`` is added to it
+    (:func:`add_block`): each entry is the same sum of the same two products
+    as in ``(1 - eps) M^T + eps w 1^T``, and P(eps) is never formed on its own.
     """
     m = len(weights)
     buffer = np.empty((m, m))
     buffer[...] = epsilon * weights
-    add_block(buffer, M, 1.0 - epsilon, states)
+    add_block(buffer, M, 1.0 - epsilon)
     A = buffer.T
     A[np.arange(m), np.arange(m)] -= 1.0
     A[m - 1, :] = 1.0
@@ -132,9 +130,10 @@ def _complement_law(chain: DampedChain) -> np.ndarray:
 
     Each system is of one class's size and well conditioned for every
     eps > 0, where the whole m x m system of P(eps) on a chain with several
-    closed classes has condition about 1/eps. A chain whose one closed class
-    covers every state is its own kernel: its system is P(eps)'s, with ``d``
-    itself as the weights.
+    closed classes has condition about 1/eps. Class j's system is built on
+    ``structure.matrices[j]``. A chain whose one closed class covers every
+    state is its own kernel: its system is P(eps)'s, with ``d`` itself as the
+    weights.
     """
     P0, d, eps = chain.p0, chain.damping.weights, chain.epsilon
     structure = decompose(P0)
@@ -145,16 +144,18 @@ def _complement_law(chain: DampedChain) -> np.ndarray:
     T = list(structure.transient_states)
     if T:
         # I - (1 - eps) Q_TT^T, as the transpose of a row-major buffer like the class systems.
-        buffer = np.eye(len(T))
-        add_block(buffer, P0, -(1.0 - eps), T)
-        u = np.linalg.solve(buffer.T, d[T])
+        Q = block_matrix(P0, T)[0]
+        Q *= 1.0 - eps
+        np.subtract(np.eye(len(T)), Q, out=Q)
+        u = np.linalg.solve(Q.T, d[T])
+        del Q  # so that it and the rows of T below are not held at once
         pi[T] = eps * u
         entry = d + (1.0 - eps) * (u @ P0.entries[T])
-    for cls in structure.classes:
+    for cls, M in zip(structure.classes, structure.matrices):
         idx = list(cls.states)
         e = entry[idx]
         mass = e.sum()
-        pi[idx] = mass * _law(_damped_system(P0, e / mass, eps, idx))
+        pi[idx] = mass * _law(_damped_system(M, e / mass, eps))
     return pi
 
 

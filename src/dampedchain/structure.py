@@ -53,7 +53,10 @@ class ChainStructure:
 
     ``matrices``, ``laws`` and ``walks`` are the per-class view, each built on
     first use, so everything that shares one structure restricts, solves and
-    walks each closed class once. ``P0`` takes no part in comparison, hashing or repr.
+    walks each closed class once, and :func:`decompose` keeps one structure
+    per matrix. ``matrices`` holds any chain's closed classes; ``laws`` and
+    ``walks`` carry the gate, ``require_classes``. ``P0`` takes no part in
+    comparison, hashing or repr.
     """
 
     classes: tuple
@@ -66,7 +69,7 @@ class ChainStructure:
         return len(self.classes)
 
     def require_classes(self) -> None:
-        """Refuse an unsupported chain; ``matrices``, and so every per-class quantity, calls this first."""
+        """Refuse an unsupported chain; ``laws`` and ``walks``, and so every per-class constant, call it first."""
         if self.regime is Regime.UNSUPPORTED:
             raise RegimeError(
                 "per-class analysis needs a regular or singular chain (every state in an aperiodic closed "
@@ -82,21 +85,30 @@ class ChainStructure:
                 "the eps -> 0 limit)"
             )
 
+    def require_n_step_limit(self, epsilon: float) -> None:
+        """Refuse epsilon = 0 on a chain with a periodic closed class, where P0's n-step law has no limit."""
+        for j, cls in enumerate(self.classes):
+            if epsilon == 0.0 and not cls.aperiodic:
+                raise RegimeError(
+                    f"closed class {j + 1} of P0 ({cls.size} states from state {cls.states[0] + 1}) has "
+                    f"period {cls.period}, so the n-step law of P(0) = P0 has no limit and the power route "
+                    "cannot converge; use epsilon > 0"
+                )
+
     @cached_property
     def matrices(self) -> tuple:
-        """The matrix of each closed class, in ``classes`` order.
+        """The matrix of each closed class, in ``classes`` order, on any chain.
 
-        A regular chain's one class covers every state in natural order, so its
-        matrix is P0 itself; any other chain's are one :func:`restrict` per class.
+        A class that covers every state in natural order has P0 itself as its
+        matrix; every other class's is one :func:`restrict`.
         """
-        self.require_classes()
-        if self.regime is Regime.REGULAR:
+        if self.class_count == 1 and not self.transient_states:
             return (self.P0,)
         return tuple(restrict(self.P0, cls) for cls in self.classes)
 
     @cached_property
     def laws(self) -> tuple:
-        """Stationary law of each closed class, one direct solve of its matrix.
+        """Stationary law of each closed class, one direct solve of its matrix, behind ``require_classes``.
 
         A class whose stationary system is singular holds several closed
         classes, which is refused with RegimeError naming the class.
@@ -104,6 +116,7 @@ class ChainStructure:
         # stationary imports this module, so its solver is imported on first use.
         from .stationary import stationary_direct
 
+        self.require_classes()
         laws = []
         for cls, M in zip(self.classes, self.matrices):
             try:
@@ -116,7 +129,7 @@ class ChainStructure:
 
     @cached_property
     def walks(self) -> tuple:
-        """Each class matrix's :class:`~dampedchain.bounds.PowerWalk`, given the class law.
+        """Each class matrix's :class:`~dampedchain.bounds.PowerWalk`, given the class law, behind the gate.
 
         A walk depends only on its class, so every bound context built on the
         structure shares its Delta_N scans and certified tail.
@@ -124,6 +137,7 @@ class ChainStructure:
         # bounds imports this module, so the walk is imported on first use.
         from .bounds import PowerWalk
 
+        self.require_classes()
         return tuple(PowerWalk(M, lambda j=j: self.laws[j]) for j, M in enumerate(self.matrices))
 
 
@@ -225,24 +239,18 @@ def decompose(P0: StochasticMatrix) -> ChainStructure:
     singular for several aperiodic classes covering all states, and
     unsupported otherwise.
 
-    The graph search runs once per matrix: its result is kept on ``P0``, which
-    is immutable, so a command's structure and every direct solve of a P(eps)
-    built on ``P0`` share one search. Each call returns a new structure, whose
-    per-class view is built on first use.
+    The structure is kept on ``P0``, which is immutable, and every call on
+    the matrix returns it: a command's sections and every direct solve of a
+    P(eps) built on ``P0`` share one graph search and one per-class view.
     """
     cache = vars(P0)
-    if "_partition" not in cache:
-        cache["_partition"] = _partition(P0)
-    closed, transient = cache["_partition"]
-
-    all_aperiodic = all(c.aperiodic for c in closed)
-    if not transient and all_aperiodic and len(closed) == 1:
-        regime = Regime.REGULAR
-    elif not transient and all_aperiodic and len(closed) >= 2:
-        regime = Regime.SINGULAR
-    else:
-        regime = Regime.UNSUPPORTED
-    return ChainStructure(closed, transient, regime, P0)
+    if "_structure" not in cache:
+        closed, transient = _partition(P0)
+        regime = Regime.REGULAR if len(closed) == 1 else Regime.SINGULAR
+        if transient or not all(c.aperiodic for c in closed):
+            regime = Regime.UNSUPPORTED
+        cache["_structure"] = ChainStructure(closed, transient, regime, P0)
+    return cache["_structure"]
 
 
 def class_mass(p: Distribution, structure: ChainStructure) -> np.ndarray:

@@ -10,22 +10,24 @@ from dampedchain import StochasticMatrix
 from oracle import naive_min_overlap  # noqa: F401
 
 
-@pytest.fixture(scope="session")
+# Function-scoped: a matrix keeps its structure (``decompose``), with its class
+# matrices, laws and walks, so each test gets matrices no other test has read.
+@pytest.fixture
 def five_node():
     return chains.five_node()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def four_node():
     return chains.four_node()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def eight_node():
     return chains.eight_node()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def three_node_defective():
     return chains.three_node_defective()
 

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
@@ -29,7 +30,6 @@ from dampedchain import (
 )
 from dampedchain.bounds import default_families
 from dampedchain.cli import main
-from dampedchain.report import load_schema
 
 DATA = Path(__file__).parent / "data"
 FIVE = str(DATA / "five_node_edges.txt")
@@ -41,6 +41,11 @@ GATE = (
     "per-class analysis needs a regular or singular chain (every state in an aperiodic closed class); "
     "stationary, coupling-sim and bound families 5 and 6 still run on this chain"
 )
+
+
+def load_schema() -> dict:
+    """The report schema the package ships."""
+    return json.loads(resources.files("dampedchain.schemas").joinpath("report.schema.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -744,6 +749,15 @@ def test_repeated_family_is_refused_before_any_scan(monkeypatch, command):
     assert scans == [] and solves == []
 
 
+def test_unknown_family_is_refused_before_any_scan(monkeypatch):
+    # Family 7's contraction check would scan each class at the block first.
+    scans = count_calls(monkeypatch, "min_row_overlap")
+    with pytest.raises(RegimeError) as info:
+        _run(["bounds", "--input", EIGHT, "--theorem", "7,9"])
+    assert str(info.value) == "unknown bound family '9'; choose from 1, 2, 5, 6, 7"
+    assert scans == []
+
+
 def test_family_seven_refuses_epsilon_zero_before_any_scan(monkeypatch):
     scans = count_calls(monkeypatch, "min_row_overlap")
     solves = count_calls(monkeypatch, "stationary_direct")
@@ -781,6 +795,34 @@ def test_epsilon_zero_is_refused_without_a_unique_law(monkeypatch, entry):
             _run([entry[0], "--input", EIGHT, *entry[1:]])
     assert str(info.value) == NO_UNIQUE_LAW
     assert solves == []
+
+
+@pytest.mark.parametrize(
+    "edges, command, message",
+    [
+        ("1 2\n2 1\n2 3\n3 2\n", "stationary", "closed class 1 of P0 (3 states from state 1) has period 2"),
+        # The uniform start of the 2-cycle is stationary, but the chain has no n-step limit either.
+        ("1 2\n2 1\n", "stationary", "closed class 1 of P0 (2 states from state 1) has period 2"),
+        # The stationary section's check comes before the expansion's gate.
+        ("1 2\n2 1\n", "report", "closed class 1 of P0 (2 states from state 1) has period 2"),
+        ("1 2\n2 3\n3 4\n4 3\n", "stationary", "closed class 1 of P0 (2 states from state 3) has period 2"),
+    ],
+    ids=["three-state", "two-cycle", "report", "transient"],
+)
+def test_epsilon_zero_is_refused_on_a_periodic_class(monkeypatch, tmp_path, edges, command, message):
+    path = tmp_path / "periodic.txt"
+    path.write_text(edges)
+    solves = count_calls(monkeypatch, "stationary_direct")
+    powers = count_calls(monkeypatch, "stationary_power")
+    with pytest.raises(RegimeError) as info:
+        _run([command, "--input", str(path), "--epsilon", "0", "--seed", "1"])
+    assert str(info.value) == (
+        f"{message}, so the n-step law of P(0) = P0 has no limit and the power route cannot converge; "
+        "use epsilon > 0"
+    )
+    assert solves == [] and powers == []
+    # Any epsilon > 0 damps the period away.
+    assert _run(["stationary", "--input", str(path), "--epsilon", "0.1"])["stationary"]["by_epsilon"]
 
 
 @pytest.mark.parametrize("path", [FIVE, TRANSIENT], ids=["regular", "one-class-unsupported"])

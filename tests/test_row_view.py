@@ -1,13 +1,13 @@
 """The row-compressed view of P0 against the dense array it stands for.
 
 Every view holds every entry with nonzero bits, ``-0.0`` included. Class
-blocks, the per-class stationary systems and the damped law are built from
-the nonzeros of P0's rows when P0 is sparse. Each must be bit for bit what
-gathering the same block from the dense array gives, on the test data
-chains, on seeded sparse chains with transient states and interleaved
-classes, on a dense CSV input above the sparse cutoff, and on sparse matrix
-JSON holding ``-0.0`` entries: small classes, and classes sparse enough for
-their blocks to carry views of their own.
+blocks, the transient block, the stationary systems and the damped law are
+built from the nonzeros of the matrix's rows when it is sparse. Each must be
+bit for bit what gathering the same block from the dense array gives, on the
+test data chains, on seeded sparse chains with transient states and
+interleaved classes, on a dense CSV input above the sparse cutoff, and on
+sparse matrix JSON holding ``-0.0`` entries: small classes, and classes
+sparse enough for their blocks to carry views of their own.
 """
 
 import json
@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from dampedchain import (
     DampedChain,
     DampingVector,
@@ -26,7 +27,7 @@ from dampedchain import (
     restrict,
     stationary_direct,
 )
-from dampedchain.core import SPARSE_MAX_DENSITY, add_block
+from dampedchain.core import SPARSE_MAX_DENSITY, block_matrix
 from dampedchain.stationary import _damped_system
 
 DATA = Path(__file__).parent / "data"
@@ -206,24 +207,37 @@ def test_every_system_and_law_is_the_dense_gathers(tmp_path, name):
     P, d = _chain(tmp_path, name)
     structure = decompose(P)
     T = list(structure.transient_states)
+    if T:
+        assert block_matrix(P, T)[0].tobytes() == P.entries[np.ix_(T, T)].tobytes()
     for eps in EPSILONS:
-        for cls in structure.classes:
+        for cls, M in zip(structure.classes, structure.matrices):
             idx = list(cls.states)
             w = d.weights[idx] / d.weights[idx].sum()
-            A = _damped_system(P, w, eps, idx)
+            A = _damped_system(M, w, eps)
             assert A.tobytes() == gathered_system(P.entries, idx, w, eps).tobytes()
         whole = _damped_system(P, d.weights, eps)
         assert whole.tobytes() == gathered_system(P.entries, list(range(P.dim)), d.weights, eps).tobytes()
-        if T:
-            buffer = np.eye(len(T))
-            add_block(buffer, P, -(1.0 - eps), T)
-            expected = np.eye(len(T)) - (1.0 - eps) * P.entries[np.ix_(T, T)].T
-            assert buffer.T.tobytes() == expected.tobytes()
         pi = stationary_direct(DampedChain(P, d, eps)).pi.probs
         expected = np.clip(gathered_law(P.entries, d.weights, eps), 0.0, 1.0)
         if structure.class_count == 1 and not T:
             expected = np.clip(np.linalg.solve(whole, np.eye(P.dim)[-1]), 0.0, 1.0)
         assert pi.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["eight_node", "two_cycles_transient", "sparse-1", "dense-csv"])
+def test_a_grid_of_solves_gathers_each_class_block_once(tmp_path, monkeypatch, name):
+    P, d = _chain(tmp_path, name)
+    structure = decompose(P)
+    gathers = count_calls(monkeypatch, "row_nonzeros")
+    for eps in (0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.5, 1.0):
+        stationary_direct(DampedChain(P, d, eps))
+    # Each call that names rows gathers a block: a class's once, from the
+    # structure's class matrices, and the transient block once per solve.
+    blocks = [tuple(args[1]) for args in gathers if len(args) > 1 and args[1] is not None]
+    expected = [cls.states for cls in structure.classes]
+    if structure.transient_states:
+        expected += [structure.transient_states] * 8
+    assert sorted(blocks) == sorted(expected)
 
 
 def test_a_scanned_view_is_the_view_built_at_ingest(tmp_path):

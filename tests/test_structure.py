@@ -1,10 +1,12 @@
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dampedchain import (
+    DampingVector,
     Distribution,
     Regime,
     RegimeError,
@@ -12,7 +14,16 @@ from dampedchain import (
     ValidationError,
     class_mass,
     decompose,
+    expansion,
+    ingest,
+    limit_stationary,
     restrict,
+)
+
+# The refusal of every per-class law and walk on an unsupported chain.
+GATE = (
+    "per-class analysis needs a regular or singular chain (every state in an aperiodic closed class); "
+    "stationary, coupling-sim and bound families 5 and 6 still run on this chain"
 )
 
 
@@ -208,6 +219,29 @@ class TestPerClassView:
             np.testing.assert_array_equal(M.entries, P.entries[np.ix_(cls.states, cls.states)])
             # An independent oracle: the law is a fixed point of its class matrix.
             np.testing.assert_allclose(law.probs @ M.entries, law.probs, atol=1e-14)
+
+    def test_one_structure_per_matrix(self, eight_node):
+        P, _ = eight_node
+        assert decompose(P) is decompose(P)
+        assert decompose(StochasticMatrix(P.entries)) is not decompose(P)
+
+    def test_an_unsupported_chain_has_class_matrices_and_no_laws_or_walks(self):
+        P, _ = ingest(Path(__file__).parent / "data" / "two_cycles_transient_edges.txt")
+        s = decompose(P)
+        assert s.regime is Regime.UNSUPPORTED and s.transient_states
+        assert [M.entries.tobytes() for M in s.matrices] == [
+            P.entries[np.ix_(cls.states, cls.states)].tobytes() for cls in s.classes
+        ]
+        refusals = {
+            "laws": lambda: s.laws,
+            "walks": lambda: s.walks,
+            "limit_stationary": lambda: limit_stationary(s, Distribution.uniform(P.dim)),
+            "expansion": lambda: expansion(s, DampingVector.uniform(P.dim)),
+        }
+        for refused in refusals.values():
+            with pytest.raises(RegimeError) as info:
+                refused()
+            assert str(info.value) == GATE
 
     def test_p0_takes_no_part_in_equality_or_repr(self, eight_node, five_node):
         P8, _ = eight_node
