@@ -177,8 +177,7 @@ def _epsilons(args):
 
 
 def _load(args):
-    fmt = GraphFormat(args.format) if args.format else None
-    matrix, damping = ingest(args.input, fmt, DanglingPolicy(args.dangling_policy))
+    matrix, damping = ingest(args.input, args.format, args.dangling_policy)
     if args.damping is not None and damping is not None:
         raise ValidationError(
             f"{args.input} holds damping weights and --damping names {args.damping}; give one of them"

@@ -10,16 +10,16 @@ states at most. Entries are held dense, and every vector-matrix product goes
 through ``StochasticMatrix.vecmat``. A matrix with at most
 ``SPARSE_MAX_DENSITY`` of its entries nonzero (edge-list inputs have a handful
 per row) also has a row-compressed view of its nonzeros: the nonzeros of each
-row, in column order. An edge list's view is built from its edges at ingest,
-and a class block's from P0's view (``structure.restrict``); any other
-matrix's is scanned from its array on first use. ``vecmat``, the class search,
-the one block gather (:func:`block_matrix`), the stationary systems (each adds
-a whole matrix, :func:`add_block`) and the matrix echo read the view. Every
-view holds every entry with nonzero bits, ``-0.0`` included, so a block
-scattered from a view is bit for bit the block gathered from the array. A
-denser matrix, such as a CSV input, has none and keeps the dense product;
-:func:`row_nonzeros` and :func:`add_block` are the places that read its array
-instead.
+row, in column order. An edge list's view is built from its edges at ingest;
+any other matrix's, a class block's included, is scanned from its array on
+first use. ``vecmat``, the class search, the stationary systems (each adds a
+whole matrix, :func:`add_block`) and the matrix echo read the view. Every view
+holds every entry with nonzero bits, ``-0.0`` included, so a matrix scattered
+from its view is bit for bit its array. A denser matrix, such as a CSV input,
+has none and keeps the dense product; :func:`row_nonzeros` and
+:func:`add_block` are the places that read its array instead. Blocks of a
+matrix, a closed class's or the transient states', are gathered from its
+array (``P.entries[np.ix_(S, S)]``).
 ``DampedChain.vecmat`` multiplies by P(eps) through the rank-one form
 
     x P(eps) = (1 - eps) x P0 + eps (x . 1) d,
@@ -84,13 +84,6 @@ class RowNonzeros(NamedTuple):
     cols: np.ndarray
     values: np.ndarray
 
-    def of_rows(self, rows) -> "RowNonzeros":
-        """The nonzeros of ``rows``, in that order."""
-        starts = np.cumsum(self.counts) - self.counts
-        counts = self.counts[rows]
-        at = np.arange(counts.sum()) + np.repeat(starts[rows] - (np.cumsum(counts) - counts), counts)
-        return RowNonzeros(counts, self.cols[at], self.values[at])
-
 
 def _sparse_enough(count: int, m: int) -> bool:
     return count <= SPARSE_MAX_DENSITY * m * m
@@ -132,9 +125,9 @@ class StochasticMatrix:
     ``row_tol``. The entry array is copied and marked read-only, so values
     are safe to share across threads. ``vecmat`` is the one vector-matrix
     product. The row-compressed view of a sparse matrix (``_nonzeros``, None
-    for a dense one) comes with the matrix when ingest or ``restrict`` builds
-    it from nonzeros they already hold, and is otherwise scanned from the
-    array on first use.
+    for a dense one) comes with the matrix when ingest builds it from the
+    nonzeros it already holds, and is otherwise scanned from the array on
+    first use.
     """
 
     entries: np.ndarray
@@ -181,38 +174,10 @@ class StochasticMatrix:
         )
 
 
-def row_nonzeros(P: StochasticMatrix, rows=None) -> RowNonzeros:
-    """The nonzeros of ``rows`` of P (every row when None), read from P's view.
-
-    A matrix too dense for a view has those rows of its array scanned here.
-    """
+def row_nonzeros(P: StochasticMatrix) -> RowNonzeros:
+    """The nonzeros of P, row by row: P's view, or a scan of its array when P is too dense for one."""
     nonzeros = P._nonzeros
-    if nonzeros is None:
-        return _scan(P.entries if rows is None else P.entries[rows])
-    return nonzeros if rows is None else nonzeros.of_rows(rows)
-
-
-def block_matrix(P: StochasticMatrix, states: list) -> tuple:
-    """P's block on ``states`` as ``(entries, nonzeros, leak)``, from the nonzeros of its rows.
-
-    ``nonzeros`` is the block's row-compressed view, its rows and columns
-    numbered within ``states``, and ``leak`` the mass each row of the block
-    sends to states outside it, summed from its nonzeros there. The entries
-    are scattered from the block's nonzeros, which hold every entry with
-    nonzero bits, so they are bit for bit the gather from P's array.
-    """
-    nonzeros = row_nonzeros(P, states)
-    k = len(states)
-    rows = np.repeat(np.arange(k), nonzeros.counts)
-    local = np.full(P.dim, -1)
-    local[states] = np.arange(k)
-    cols = local[nonzeros.cols]
-    inside = cols >= 0
-    leak = np.bincount(rows[~inside], weights=nonzeros.values[~inside], minlength=k)
-    rows, cols, values = rows[inside], cols[inside], nonzeros.values[inside]
-    entries = np.zeros((k, k))
-    entries[rows, cols] = values
-    return entries, RowNonzeros(np.bincount(rows, minlength=k), cols, values), leak
+    return _scan(P.entries) if nonzeros is None else nonzeros
 
 
 def add_block(out: np.ndarray, P: StochasticMatrix, scale: float) -> None:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DampingVector, RowNonzeros, StochasticMatrix, _scan, row_nonzeros
-from .errors import IngestError
+from .errors import IngestError, ValidationError
 
 
 class GraphFormat(enum.Enum):
@@ -44,6 +44,15 @@ def guess_format(path) -> GraphFormat:
     if suffix == ".csv":
         return GraphFormat.MATRIX_CSV
     return GraphFormat.EDGE_LIST
+
+
+def _choice(kind, value, name: str):
+    """``kind(value)``, for a member of the enum ``kind`` or its value string; anything else is refused."""
+    try:
+        return kind(value)
+    except ValueError:
+        choices = ", ".join(repr(member.value) for member in kind)
+        raise ValidationError(f"{name} must be one of {choices}, got {value!r}") from None
 
 
 def _validated(kind, values: np.ndarray, name: str):
@@ -196,11 +205,14 @@ def ingest(
 ):
     """Read a file and return ``(matrix, damping_or_None)``.
 
-    Only matrix JSON can carry damping weights; other formats return None and
-    callers fall back to uniform weights.
+    ``fmt`` (guessed from the file name when None) and ``dangling`` are each
+    a member of their enum or its value string, such as ``"edges"`` or
+    ``"self-loop"``. Only matrix JSON can carry damping weights; other formats
+    return None and callers fall back to uniform weights.
     """
+    fmt = guess_format(path) if fmt is None else _choice(GraphFormat, fmt, "format")
+    dangling = _choice(DanglingPolicy, dangling, "dangling policy")
     text = _read_text(path, "input")
-    fmt = fmt or guess_format(path)
     if fmt is GraphFormat.EDGE_LIST:
         return _parse_edge_list(text, dangling), None
     if fmt is GraphFormat.MATRIX_CSV:

@@ -22,7 +22,8 @@ P(eps)); none of them builds the dense P(eps), and neither reads the structure
 of P0. The direct route factors dense systems assembled in place from a
 matrix and d, from its nonzeros when it has a row-compressed view; a class
 system reads its class matrix (``ChainStructure.matrices``), gathered once
-per matrix. For eps > 0 it solves P(eps) by stochastic complementation (C. D. Meyer,
+per matrix, and the transient system P0's transient block, gathered from its
+array. For eps > 0 it solves P(eps) by stochastic complementation (C. D. Meyer,
 SIAM Review 31, 1989): one small system for the transient states of P0 and
 one per closed class, each well conditioned for every eps > 0, where the
 whole m x m system of a chain with several closed classes has condition about
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, add_block, block_matrix, require_dim
+from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, add_block, require_dim
 from .errors import (
     ConvergenceError,
     SingularSystemError,
@@ -131,7 +132,8 @@ def _complement_law(chain: DampedChain) -> np.ndarray:
     Each system is of one class's size and well conditioned for every
     eps > 0, where the whole m x m system of P(eps) on a chain with several
     closed classes has condition about 1/eps. Class j's system is built on
-    ``structure.matrices[j]``. A chain whose one closed class covers every
+    ``structure.matrices[j]``, and the transient system in place on Q_TT
+    gathered from P0's array. A chain whose one closed class covers every
     state is its own kernel: its system is P(eps)'s, with ``d`` itself as the
     weights.
     """
@@ -144,7 +146,7 @@ def _complement_law(chain: DampedChain) -> np.ndarray:
     T = list(structure.transient_states)
     if T:
         # I - (1 - eps) Q_TT^T, as the transpose of a row-major buffer like the class systems.
-        Q = block_matrix(P0, T)[0]
+        Q = P0.entries[np.ix_(T, T)]
         Q *= 1.0 - eps
         np.subtract(np.eye(len(T)), Q, out=Q)
         u = np.linalg.solve(Q.T, d[T])

@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import Distribution, StochasticMatrix, block_matrix, require_dim, row_nonzeros
+from .core import Distribution, StochasticMatrix, require_dim, row_nonzeros
 from .errors import RegimeError, SingularSystemError, ValidationError
 
 
@@ -272,12 +272,15 @@ def class_mass(p: Distribution, structure: ChainStructure) -> np.ndarray:
 def restrict(P0: StochasticMatrix, cls: ClosedClass) -> StochasticMatrix:
     """Submatrix of P0 on one closed class, a valid stochastic matrix.
 
-    The block and the check that no more than ``row_tol`` of a row's mass
-    leaves the class read only the class rows' nonzeros
-    (:func:`~dampedchain.core.block_matrix`), and the block comes with its
-    own row-compressed view.
+    The class must be a non-empty set of distinct states of P0. The block is
+    gathered from P0's array, and a class is refused as not closed when a
+    block row misses summing to 1 by more than ``row_tol``. The block's view,
+    if it is sparse enough for one, is scanned on first use.
     """
-    entries, nonzeros, leak = block_matrix(P0, list(cls.states))
-    if np.any(leak > P0.row_tol):
-        raise ValidationError(f"class {tuple(cls.states)} is not closed: transition mass leaks out")
-    return StochasticMatrix._of_nonzeros(entries, nonzeros, P0.row_tol)
+    idx = list(cls.states)
+    if not idx or len(set(idx)) < len(idx) or not all(0 <= i < P0.dim for i in idx):
+        raise ValidationError(f"class {tuple(idx)} must be one or more distinct states in 0..{P0.dim - 1}")
+    block = P0.entries[np.ix_(idx, idx)]
+    if np.any(np.abs(block.sum(axis=1) - 1.0) > P0.row_tol):
+        raise ValidationError(f"class {tuple(idx)} is not closed: transition mass leaks out")
+    return StochasticMatrix(block, P0.row_tol)

@@ -13,6 +13,7 @@ from dampedchain import (
     GraphFormat,
     IngestError,
     StochasticMatrix,
+    ValidationError,
     ingest,
     load_damping,
 )
@@ -57,6 +58,48 @@ class TestDangling:
     def test_uniform_jump(self, tmp_path):
         matrix, _ = ingest(self._write(tmp_path), dangling=DanglingPolicy.UNIFORM_JUMP)
         np.testing.assert_allclose(matrix.entries[2], [1 / 3, 1 / 3, 1 / 3])
+
+
+@pytest.mark.parametrize("dangling", list(DanglingPolicy))
+@pytest.mark.parametrize("fmt", [None, GraphFormat.EDGE_LIST])
+def test_a_choice_is_its_enum_member_or_its_value_string(tmp_path, fmt, dangling):
+    path = tmp_path / "dangling.txt"
+    path.write_text("1 2\n2 1\n2 3\n")  # node 3 has no out-links
+    as_string = (None if fmt is None else fmt.value, dangling.value)
+    if dangling is DanglingPolicy.REJECT:
+        for args in ((fmt, dangling), as_string):
+            with pytest.raises(IngestError, match="node 3 has no out-links"):
+                ingest(path, *args)
+        return
+    matrix, _ = ingest(path, fmt, dangling)
+    from_strings, _ = ingest(path, *as_string)
+    assert from_strings.entries.tobytes() == matrix.entries.tobytes()
+    assert matrix.entries[2, 2] == (1.0 if dangling is DanglingPolicy.SELF_LOOP else 1 / 3)
+
+
+@pytest.mark.parametrize(
+    "fmt, dangling, message",
+    [
+        ("text", "reject", "format must be one of 'edges', 'csv', 'json', got 'text'"),
+        ("", "reject", "format must be one of 'edges', 'csv', 'json', got ''"),
+        (None, "bogus", "dangling policy must be one of 'reject', 'self-loop', 'uniform-jump', got 'bogus'"),
+        (None, "SELF_LOOP", "dangling policy must be one of 'reject', 'self-loop', 'uniform-jump', got 'SELF_LOOP'"),
+    ],
+)
+def test_an_unknown_choice_is_refused(tmp_path, fmt, dangling, message):
+    path = tmp_path / "dangling.txt"
+    path.write_text("1 2\n2 1\n2 3\n")
+    with pytest.raises(ValidationError) as info:
+        ingest(path, fmt, dangling)
+    assert str(info.value) == message
+
+
+def test_a_format_string_picks_the_parser(tmp_path):
+    # A file named like JSON, read as the edge list it holds.
+    path = tmp_path / "graph.json"
+    path.write_text("1 2\n2 1\n")
+    matrix, damping = ingest(path, "edges")
+    assert damping is None and matrix.entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def naive_edge_matrix(edges, dangling):

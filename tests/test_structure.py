@@ -190,6 +190,17 @@ class TestRestrict:
         with pytest.raises(ValidationError):
             restrict(P, ClosedClass((0, 1, 2), 1))
 
+    @pytest.mark.parametrize("states", [(99,), (5,), (-1,), (), (0, 0)])
+    def test_a_class_that_is_not_a_set_of_states_is_refused(self, five_node, states):
+        from dampedchain.structure import ClosedClass
+
+        P, _ = five_node
+        with pytest.raises(ValidationError) as info:
+            restrict(P, ClosedClass(states, 1))
+        assert str(info.value) == f"class {states} must be one or more distinct states in 0..4"
+        # The states of a class that decompose found pass.
+        assert restrict(P, decompose(P).classes[0]).dim == 5
+
 
 def test_restricted_classes_are_regular(eight_node):
     P, _ = eight_node
