@@ -26,16 +26,18 @@ from it (``structure.P0``), so the matrix and its classes cannot disagree.
 
 :class:`PowerWalk` is the one place where this module forms a matrix power,
 one product per step; ``estimate_decay`` and ``ergodicity_coefficient`` each
-run a walk of their own. A closed class's matrix (P0 itself on a regular
-chain) has one walk, ``ChainStructure.walks``, shared by every context on
-the structure. The walk scans each ``Delta_N`` a context is asked for and
-records, as it passes each power n, the column maxima
+run a walk of their own. The walks a context reads belong to the
+structure: each closed class's matrix has one, ``ChainStructure.walks``, and
+P0 has one, ``ChainStructure.walk`` (the class walk on a regular chain, a
+walk without a law on any other), each shared by every context on the
+structure. A walk scans each ``Delta_N`` a context is asked for and, given
+its class law, records as it passes each power n the column maxima
 ``D_n(j) = max_i |M^n(i, j) - pi0_j|`` and ``t_n = max_i TV(M^n(i, .), pi0)``
 from which :meth:`PowerWalk.tail` certifies the constant S of families 1
 and 2 (Dobrushin contraction; Seneta, *Non-negative Matrices and Markov
 Chains*, ch. 3-4). The ``ContractionError`` search and ``split_tail`` resume
-it and never restart it; no eigenvalue is computed. Q(P0) is the walk's
-first power and a singular chain's whole-matrix ``Delta_N`` is 1 by
+it and never restart it; no eigenvalue is computed. Q(P0) is the first power
+of P0's walk and a singular chain's whole-matrix ``Delta_N`` is 1 by
 structure, so family 5 alone solves no class law and scans P0 at most once.
 
 Each ``Delta_N`` reads the minimal row overlap Q of ``min_row_overlap``. Its
@@ -511,10 +513,10 @@ class BoundContext:
     once ``structure.require_unique_law`` admits it, or is adopted from the
     stationary section's solve (``adopt_direct``).
     Callers of a family call ``require_family``, of the joint-limit bound ``require_contraction``.
-    The whole matrix's Delta_N is the one class's on a regular chain, 1 by
-    structure on a singular chain (rows in different closed classes share no
-    support), and read from a walk of P0 of its own on an unsupported chain,
-    which has no per-class constants.
+    The whole matrix's Delta_N is 1 by structure on a singular chain (rows in
+    different closed classes share no support) and is otherwise read from
+    P0's walk, ``structure.walk``: the one class's on a regular chain, a walk
+    without a law on an unsupported chain, which has no per-class constants.
     """
 
     def __init__(self, structure, d, p, epsilon, block, pi_eps=None):
@@ -553,14 +555,8 @@ class BoundContext:
     def start_overlap(self) -> float:
         return overlap(self.p.probs, self.pi_eps.probs)
 
-    @cached_property
-    def _whole_walk(self) -> PowerWalk:
-        """The walk of P0 itself, on a regular or unsupported chain."""
-        structure = self.structure
-        return structure.walks[0] if structure.regime is Regime.REGULAR else PowerWalk(structure.P0)
-
     def _whole_overlap(self, N: int) -> float:
-        return 0.0 if self.structure.regime is Regime.SINGULAR else self._whole_walk.overlap(N)
+        return 0.0 if self.structure.regime is Regime.SINGULAR else self.structure.walk.overlap(N)
 
     def ergodicity(self, N: int) -> ErgodicityReport:
         """The whole matrix's ergodicity coefficient ``Delta_N``."""

@@ -385,6 +385,21 @@ def _require_writable(path, flag: str) -> None:
         os.remove(target)
 
 
+def _print(text: str) -> bool:
+    """Print ``text`` to stdout; False if the reader has closed the pipe.
+
+    Stdout is then pointed at ``os.devnull``, as Python's ``signal`` docs
+    advise, so that the interpreter's final flush does not raise again.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
@@ -406,10 +421,10 @@ def main(argv=None) -> int:
             _write(args.plot_data, "--plot-data", lambda fh: csv.writer(fh).writerows(rows), newline="")
     except ChainError as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(error, indent=2))
+        _print(json.dumps(error, indent=2))
         return 1
-    if not args.out:
-        print(text)
+    if not args.out and not _print(text):
+        return 1
     return 0
 
 

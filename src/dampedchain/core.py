@@ -7,7 +7,11 @@ matrix whose identical rows are a damping vector d:
 
 Everything here is float64 and immutable; the target scale is a few thousand
 states at most. Entries are held dense, and every vector-matrix product goes
-through ``StochasticMatrix.vecmat``. A matrix with at most
+through ``StochasticMatrix.vecmat`` but two, which stay dense: the direct
+solve's weights on the transient rows (``u @ P0.entries[T]`` in
+``stationary._complement_law``) and the expansion's recursion on a class
+(``rhs @ Z_inv`` and ``-coeffs[k] @ M.entries`` in
+``expansion._class_series``). A matrix with at most
 ``SPARSE_MAX_DENSITY`` of its entries nonzero (edge-list inputs have a handful
 per row) also has a row-compressed view of its nonzeros: the nonzeros of each
 row, in column order. An edge list's view is built from its edges at ingest;
@@ -19,7 +23,8 @@ from its view is bit for bit its array. A denser matrix, such as a CSV input,
 has none and keeps the dense product; :func:`row_nonzeros` and
 :func:`add_block` are the places that read its array instead. Blocks of a
 matrix, a closed class's or the transient states', are gathered from its
-array (``P.entries[np.ix_(S, S)]``).
+array (``P.entries[np.ix_(S, S)]``); a class block is checked and held as
+its class matrix's array, with no copy (``StochasticMatrix._of_nonzeros``).
 ``DampedChain.vecmat`` multiplies by P(eps) through the rank-one form
 
     x P(eps) = (1 - eps) x P0 + eps (x . 1) d,
@@ -122,9 +127,10 @@ class StochasticMatrix:
     """Row-stochastic matrix held as a dense array.
 
     Every entry must lie in [0, 1] and every row must sum to 1 within
-    ``row_tol``. The entry array is copied and marked read-only, so values
-    are safe to share across threads. ``vecmat`` is the one vector-matrix
-    product. The row-compressed view of a sparse matrix (``_nonzeros``, None
+    ``row_tol``. The entry array is copied, unless the package built it
+    (``_of_nonzeros``), and marked read-only, so values are safe to share
+    across threads. ``vecmat`` is the vector-matrix product (see the module
+    docstring for the two dense ones). The row-compressed view of a sparse matrix (``_nonzeros``, None
     for a dense one) comes with the matrix when ingest builds it from the
     nonzeros it already holds, and is otherwise scanned from the array on
     first use.
@@ -137,20 +143,23 @@ class StochasticMatrix:
         _freeze(self, "entries", _checked_matrix(self.entries, self.row_tol))
 
     @classmethod
-    def _of_nonzeros(cls, entries: np.ndarray, nonzeros: RowNonzeros, row_tol: float = DEFAULT_ROW_TOL):
-        """The matrix of ``entries``, whose nonzeros must be exactly ``nonzeros``, with that view.
+    def _of_nonzeros(cls, entries: np.ndarray, nonzeros: RowNonzeros = None, row_tol: float = DEFAULT_ROW_TOL):
+        """The matrix of ``entries``, an array the package built, checked as any matrix is.
 
         ``entries`` is taken over and marked read-only, not copied, so it must
-        be an array that no caller will write.
+        be an array that no caller will write. Given ``nonzeros``, which must
+        be exactly the nonzeros of ``entries``, the matrix has that view;
+        without it, the view is scanned on first use.
         """
         matrix = cls.__new__(cls)
         object.__setattr__(matrix, "row_tol", row_tol)
         entries = _checked_matrix(entries, row_tol)
         entries.setflags(write=False)
         object.__setattr__(matrix, "entries", entries)
-        # As in ``_nonzeros``, a view's ``-0.0`` entries do not count toward its density.
-        sparse = _sparse_enough(np.count_nonzero(nonzeros.values), len(entries))
-        vars(matrix)["_nonzeros"] = nonzeros if sparse else None
+        if nonzeros is not None:
+            # As in ``_nonzeros``, a view's ``-0.0`` entries do not count toward its density.
+            sparse = _sparse_enough(np.count_nonzero(nonzeros.values), len(entries))
+            vars(matrix)["_nonzeros"] = nonzeros if sparse else None
         return matrix
 
     @property

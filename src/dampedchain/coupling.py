@@ -55,32 +55,41 @@ def overlap(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def _maximal_joint(p: np.ndarray, q: np.ndarray):
+    """The maximal coupling of p and q and its diagonal mass, at most 1.
+
+    The excess product is divided by the excess mass of q, not by 1 - Q*,
+    which equals it only when both vectors sum to exactly 1. So the rows sum
+    to p whenever q has excess mass, and each marginal misses its vector by
+    at most |sum p - sum q|.
+    """
     mins = np.minimum(p, q)
-    shared = mins.sum()
+    shared = min(float(mins.sum()), 1.0)
+    excess = (q - mins).sum()
     m = p.shape[0]
-    if 1.0 - shared <= 0.0:
-        # Equal marginals: all mass on the diagonal.
+    if excess <= 0.0:
+        # q is covered by p: all of its mass on the diagonal.
         joint = np.zeros((m, m))
         np.fill_diagonal(joint, mins)
-        return joint, 1.0
-    joint = np.outer(p - mins, q - mins) / (1.0 - shared)
+        return joint, shared
+    joint = np.outer(p - mins, q - mins) / excess
     joint[np.diag_indices(m)] += mins
-    return joint, float(shared)
+    return joint, shared
 
 
 def maximal_coupling(p1: Distribution, p2: Distribution) -> CouplingJoint:
     """Joint distribution maximizing the probability that both coordinates agree.
 
     The diagonal carries ``min(p1_i, p2_i)``; the remaining mass is the outer
-    product of the excesses scaled by ``1 / (1 - Q*)``. Marginals are checked
-    to 1e-12 before returning.
+    product of the excesses scaled by one over p2's excess mass. Marginals are
+    checked to 1e-12, widened by ``|sum p1 - sum p2|``, before returning.
     """
     if p1.dim != p2.dim:
         raise DimensionMismatchError(f"dims differ: {p1.dim} vs {p2.dim}")
     joint, shared = _maximal_joint(p1.probs, p2.probs)
-    if np.max(np.abs(joint.sum(axis=1) - p1.probs)) > MARGINAL_TOL:
+    tol = MARGINAL_TOL + abs(p1.probs.sum() - p2.probs.sum())
+    if np.max(np.abs(joint.sum(axis=1) - p1.probs)) > tol:
         raise ValidationError("coupling row marginal deviates from the first distribution")
-    if np.max(np.abs(joint.sum(axis=0) - p2.probs)) > MARGINAL_TOL:
+    if np.max(np.abs(joint.sum(axis=0) - p2.probs)) > tol:
         raise ValidationError("coupling column marginal deviates from the second distribution")
     return CouplingJoint(joint, shared)
 

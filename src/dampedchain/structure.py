@@ -7,11 +7,13 @@ The analysis splits by how the base matrix P0 partitions the state space:
 * unsupported -- anything else (periodic classes or transient states).
 
 One depth-first search of P0's transition graph finds the closed classes,
-their periods and the transient states (:func:`decompose`). Transient states
-are reported; only the direct stationary solve of P(eps), eps > 0, works on
-them. Every analysis runs class by class, a regular chain being the
-one-class case, on the per-class view that :class:`ChainStructure` builds
-once: each closed class's matrix, law and power walk.
+their periods and the transient states (:func:`decompose`). On a chain with
+transient states or a periodic class, the direct, power and series solves of
+P(eps), the meeting-time simulator and bound families 5 and 6 run; every
+per-class law, walk and constant is refused (``require_classes``). Every
+analysis runs class by class, a regular chain being the one-class case, on
+the per-matrix objects that :class:`ChainStructure` holds once: each closed
+class's matrix, law and power walk, and P0's own walk.
 """
 
 import enum
@@ -51,10 +53,12 @@ class ClosedClass:
 class ChainStructure:
     """Closed classes, transient states and the resulting regime of ``P0``.
 
-    ``matrices``, ``laws`` and ``walks`` are the per-class view, each built on
-    first use, so everything that shares one structure restricts, solves and
-    walks each closed class once, and :func:`decompose` keeps one structure
-    per matrix. ``matrices`` holds any chain's closed classes; ``laws`` and
+    The structure is the one holder of every per-matrix object, each built on
+    first use: the per-class view ``matrices``, ``laws`` and ``walks``, and
+    P0's walk ``walk``. So everything that shares one structure restricts,
+    solves and walks each closed class, and walks P0, once, and
+    :func:`decompose` keeps one structure per matrix. ``matrices`` holds any
+    chain's closed classes and ``walk`` is built on any chain; ``laws`` and
     ``walks`` carry the gate, ``require_classes``. ``P0`` takes no part in
     comparison, hashing or repr.
     """
@@ -139,6 +143,20 @@ class ChainStructure:
 
         self.require_classes()
         return tuple(PowerWalk(M, lambda j=j: self.laws[j]) for j, M in enumerate(self.matrices))
+
+    @cached_property
+    def walk(self):
+        """P0's one :class:`~dampedchain.bounds.PowerWalk`, on any chain.
+
+        On a regular chain it is the one class walk, ``walks[0]``, with its
+        law; on any other chain it is a walk without a law, built on first
+        use. Every bound context built on the structure shares its Delta_N
+        scans. A singular chain's contexts never read it: rows in different
+        closed classes share no support, so Q(P0^N) = 0 by structure.
+        """
+        from .bounds import PowerWalk
+
+        return self.walks[0] if self.regime is Regime.REGULAR else PowerWalk(self.P0)
 
 
 def _successors(P0: StochasticMatrix) -> list:
@@ -273,14 +291,16 @@ def restrict(P0: StochasticMatrix, cls: ClosedClass) -> StochasticMatrix:
     """Submatrix of P0 on one closed class, a valid stochastic matrix.
 
     The class must be a non-empty set of distinct states of P0. The block is
-    gathered from P0's array, and a class is refused as not closed when a
-    block row misses summing to 1 by more than ``row_tol``. The block's view,
-    if it is sparse enough for one, is scanned on first use.
+    gathered from P0's array once and becomes the class matrix's array, not
+    copied. The matrix's own row check is the leak check: a class is refused
+    as not closed when a block row misses summing to 1 by more than
+    ``row_tol``. The block's view, if it is sparse enough for one, is scanned
+    on first use.
     """
     idx = list(cls.states)
     if not idx or len(set(idx)) < len(idx) or not all(0 <= i < P0.dim for i in idx):
         raise ValidationError(f"class {tuple(idx)} must be one or more distinct states in 0..{P0.dim - 1}")
-    block = P0.entries[np.ix_(idx, idx)]
-    if np.any(np.abs(block.sum(axis=1) - 1.0) > P0.row_tol):
-        raise ValidationError(f"class {tuple(idx)} is not closed: transition mass leaks out")
-    return StochasticMatrix(block, P0.row_tol)
+    try:
+        return StochasticMatrix._of_nonzeros(P0.entries[np.ix_(idx, idx)], row_tol=P0.row_tol)
+    except ValidationError as exc:
+        raise ValidationError(f"class {tuple(idx)} is not closed: transition mass leaks out") from exc

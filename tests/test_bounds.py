@@ -756,6 +756,20 @@ class TestOneWalkPerClass:
         assert second.split_tail() == tail
         assert scans == [] and products == [[] for _ in products]
 
+    @pytest.mark.parametrize("name", ["transient_edges", "two_cycles_transient_edges"])
+    def test_contexts_on_an_unsupported_chain_share_the_walk_of_p0(self, name, monkeypatch):
+        # Such a chain has no class walks; P0's own walk is the structure's too.
+        P, _ = ingest(Path(__file__).parent / "data" / f"{name}.txt")
+        d, structure = DampingVector.uniform(P.dim), decompose(P)
+        assert structure.regime is Regime.UNSUPPORTED
+        first = BoundContext(structure, d, d.as_distribution(), 0.1, 3)
+        profile = [first.ergodicity(N) for N in PROFILE_STEPS]
+        products = log_products(P)
+        scans = count_calls(monkeypatch, "min_row_overlap")
+        second = BoundContext(structure, d, Distribution.uniform(P.dim), 0.3, 3)
+        assert [second.ergodicity(N) for N in PROFILE_STEPS] == profile
+        assert scans == [] and products == []
+
     def test_search_after_the_decay_walk_gives_the_same_answer(self):
         # A 6-cycle with a self-loop at state 0: Delta_N = 1 up to N = 4. The
         # certified tail walks far beyond N = 5, so the search must not read its power.

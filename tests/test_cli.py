@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -1045,3 +1047,24 @@ class TestInitialFile:
         assert json.loads(out)["error"]["message"] == (
             "damping failed validation: damping weights must be strictly positive"
         )
+
+
+def test_a_reader_that_closes_the_pipe_gets_no_traceback(capsys, tmp_path):
+    # A ring of 200 self-looped states, whose structure report echoes the matrix.
+    edges = tmp_path / "ring.txt"
+    edges.write_text("".join(f"{i} {i}\n{i} {i % 200 + 1}\n" for i in range(1, 201)))
+    code, out = run_cli(capsys, "structure", "--input", str(edges))
+    # More than a 64 KiB pipe buffer holds, so the write meets the closed pipe.
+    assert code == 0 and len(out) > 1 << 18
+    env = dict(os.environ, PYTHONPATH=str(Path(main.__code__.co_filename).parents[1]))
+    reader = subprocess.Popen(
+        [sys.executable, "-m", "dampedchain.cli", "structure", "--input", str(edges)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert reader.stdout.read(20) == out.encode()[:20]
+    reader.stdout.close()
+    stderr = reader.stderr.read()
+    assert reader.wait(timeout=120) == 1
+    assert stderr == b""

@@ -121,6 +121,24 @@ class TestMaximalCoupling:
         expected[0, 2] = 0.5
         np.testing.assert_allclose(joint.joint, expected, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([0.5 + 9.5e-13, 0.5], [0.5 - 9.5e-13, 0.5]),
+            # Both sums above 1 within row_tol, and excess mass on both sides.
+            ([0.3 + 6e-13, 0.3, 0.4 + 1e-13], [0.3, 0.3 + 1e-12, 0.4 - 1e-13]),
+        ],
+    )
+    def test_near_equal_distributions_off_unit_sum_are_coupled(self, a, b):
+        p, q = Distribution(np.array(a)), Distribution(np.array(b))
+        joint = maximal_coupling(p, q)
+        # Each marginal misses its vector by at most the difference of their sums.
+        gap = abs(p.probs.sum() - q.probs.sum())
+        assert np.max(np.abs(joint.joint.sum(axis=1) - p.probs)) <= 1e-15 + gap
+        assert np.max(np.abs(joint.joint.sum(axis=0) - q.probs)) <= 1e-15 + gap
+        assert joint.diagonal_mass == pytest.approx(np.minimum(p.probs, q.probs).sum(), abs=1e-15)
+        assert np.all(joint.joint >= 0.0)
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5).filter(lambda v: sum(v) > 0.05),

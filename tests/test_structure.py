@@ -1,3 +1,4 @@
+import tracemalloc
 from math import gcd
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chains
 from dampedchain import (
     DampingVector,
     Distribution,
@@ -200,6 +202,21 @@ class TestRestrict:
         assert str(info.value) == f"class {states} must be one or more distinct states in 0..4"
         # The states of a class that decompose found pass.
         assert restrict(P, decompose(P).classes[0]).dim == 5
+
+    def test_a_class_block_is_held_once(self):
+        # A dense chain, so the class matrix has no view to scan.
+        P, _ = chains.random_singular_chain(np.random.default_rng(0), (1024, 8))
+        cls = decompose(P).classes[0]
+        assert cls.size == 1024
+        tracemalloc.start()
+        try:
+            M = restrict(P, cls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The gather is the class matrix's array; a copy of it would double the peak.
+        assert peak <= 1.1 * M.entries.nbytes
+        assert M.entries.tobytes() == P.entries[np.ix_(cls.states, cls.states)].tobytes()
 
 
 def test_restricted_classes_are_regular(eight_node):
