@@ -6,25 +6,25 @@ matrix whose identical rows are a damping vector d:
     P(eps) = (1 - eps) * P0 + eps * D,    D[i, j] = d[j].
 
 Everything here is float64 and immutable; the target scale is a few thousand
-states at most. Entries are held dense, and every vector-matrix product goes
-through ``StochasticMatrix.vecmat`` but two, which stay dense: the direct
-solve's weights on the transient rows (``u @ P0.entries[T]`` in
-``stationary._complement_law``) and the expansion's recursion on a class
-(``rhs @ Z_inv`` and ``-coeffs[k] @ M.entries`` in
-``expansion._class_series``). A matrix with at most
-``SPARSE_MAX_DENSITY`` of its entries nonzero (edge-list inputs have a handful
-per row) also has a row-compressed view of its nonzeros: the nonzeros of each
-row, in column order. An edge list's view is built from its edges at ingest;
-any other matrix's, a class block's included, is scanned from its array on
-first use. ``vecmat``, the class search, the stationary systems (each adds a
-whole matrix, :func:`add_block`) and the matrix echo read the view. Every view
-holds every entry with nonzero bits, ``-0.0`` included, so a matrix scattered
-from its view is bit for bit its array. A denser matrix, such as a CSV input,
-has none and keeps the dense product; :func:`row_nonzeros` and
-:func:`add_block` are the places that read its array instead. Blocks of a
-matrix, a closed class's or the transient states', are gathered from its
-array (``P.entries[np.ix_(S, S)]``); a class block is checked and held as
-its class matrix's array, with no copy (``StochasticMatrix._of_nonzeros``).
+states at most. Entries are held dense. Every product of a row vector with
+P0, P(eps) or a class matrix goes through ``vecmat``, and :func:`trajectory`
+is the one loop that steps a row vector, but for ``-coeffs[k] @ M.entries``
+in ``expansion._class_series``: by the sparse product it would sum in another
+order and move printed coefficients in their 12th digit. A matrix with at
+most ``SPARSE_MAX_DENSITY`` of its entries nonzero (edge-list inputs have a
+handful per row) also has a row-compressed view of its nonzeros: the nonzeros
+of each row, in column order. An edge list's view is built from its edges at
+ingest; any other matrix's, a class block's included, is scanned from its
+array on first use. ``vecmat``, the class search, the stationary systems
+(each adds a whole matrix, :func:`add_block`) and the matrix echo read the
+view. Every view holds every entry with nonzero bits, ``-0.0`` included, so a
+matrix scattered from its view is bit for bit its array. A denser matrix,
+such as a CSV input, has none and keeps the dense product;
+:func:`row_nonzeros` and :func:`add_block` are the places that read its array
+instead. Blocks of a matrix, a closed class's or the transient states', are
+gathered from its array (``P.entries[np.ix_(S, S)]``); a class block is
+checked and held as its class matrix's array, with no copy
+(``StochasticMatrix._of_nonzeros``).
 ``DampedChain.vecmat`` multiplies by P(eps) through the rank-one form
 
     x P(eps) = (1 - eps) x P0 + eps (x . 1) d,
@@ -130,10 +130,10 @@ class StochasticMatrix:
     ``row_tol``. The entry array is copied, unless the package built it
     (``_of_nonzeros``), and marked read-only, so values are safe to share
     across threads. ``vecmat`` is the vector-matrix product (see the module
-    docstring for the two dense ones). The row-compressed view of a sparse matrix (``_nonzeros``, None
-    for a dense one) comes with the matrix when ingest builds it from the
-    nonzeros it already holds, and is otherwise scanned from the array on
-    first use.
+    docstring for the one dense product left). The row-compressed view of a
+    sparse matrix (``_nonzeros``, None for a dense one) comes with the matrix
+    when ingest builds it from the nonzeros it already holds, and is otherwise
+    scanned from the array on first use.
     """
 
     entries: np.ndarray
@@ -290,6 +290,17 @@ class DampedChain:
         """The row vector ``x @ P(eps)`` by the rank-one form; P(eps) is not built."""
         eps = self.epsilon
         return (1.0 - eps) * self.p0.vecmat(x) + (eps * x.sum()) * self.damping.weights
+
+
+def trajectory(M, x: np.ndarray):
+    """Yield ``x, x M, x M^2, ...``, each vector formed by ``M.vecmat`` when it is taken.
+
+    ``M`` is a :class:`StochasticMatrix` or a :class:`DampedChain`; k + 1
+    vectors cost k products, since the first is ``x`` itself.
+    """
+    while True:
+        yield x
+        x = M.vecmat(x)
 
 
 def build_damped_matrix(chain: DampedChain) -> StochasticMatrix:

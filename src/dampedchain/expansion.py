@@ -27,10 +27,11 @@ the trajectory fit ``spectral_coefficients`` are independent of the series.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .core import DampingVector, Distribution, StochasticMatrix, require_dim, require_epsilon
+from .core import DampingVector, Distribution, StochasticMatrix, require_dim, require_epsilon, trajectory
 from .errors import IllConditionedError, SpectralStructureError, ValidationError
 from .stationary import limit_stationary, stationary_direct
 from .structure import ChainStructure, class_mass
@@ -171,7 +172,8 @@ def spectral_coefficients(
     """Fit trajectory samples against the distinct eigenvalues.
 
     For each state j, solves the square Vandermonde system
-    ``sum_l rho_l**n c_{j,l} = (d P0^n)_j`` over n = 0..m_bar-1. The fitted
+    ``sum_l rho_l**n c_{j,l} = (d P0^n)_j`` over n = 0..m_bar-1 (d's
+    :func:`~dampedchain.core.trajectory`). The fitted
     constant must match the directly solved stationary distribution; a
     mismatch beyond 1e-6 means the trajectory carries polynomial-in-n terms,
     i.e. the matrix is defective, and no coefficient table exists.
@@ -182,11 +184,7 @@ def spectral_coefficients(
     """
     rhos = np.array([rep for rep, _ in spec.distinct], dtype=complex)
     mbar = len(rhos)
-    samples = np.empty((mbar, P0.dim))
-    v = d.weights
-    for n in range(mbar):
-        samples[n] = v
-        v = v @ P0.entries
+    samples = np.array(list(islice(trajectory(P0, d.weights), mbar)))
     V = np.vander(rhos, N=mbar, increasing=True).T  # V[n, l] = rho_l**n
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > VANDERMONDE_COND_LIMIT:
@@ -214,6 +212,7 @@ def _class_series(M: StochasticMatrix, pi0: np.ndarray, d: np.ndarray, n_max: in
     rhs = d - pi0
     for k in range(n_max):
         coeffs[k] = rhs @ Z_inv
+        # Not M.vecmat: its order of summation moves printed coefficients (12th digit).
         rhs = -coeffs[k] @ M.entries
     return coeffs
 

@@ -76,6 +76,7 @@ def stationary_section(context: BoundContext, epsilons, tol: float) -> dict:
     iteration_tol = min(tol, DEFAULT_SERIES_TOL)
     grid = [eps for eps in epsilons if 0.0 < eps <= 1.0]
     series = dict(zip(grid, series_sums(P0, d, grid, iteration_tol)))
+    start = Distribution.uniform(P0.dim)
     by_epsilon = []
     for eps in epsilons:
         damped = DampedChain(P0, d, eps)
@@ -84,9 +85,7 @@ def stationary_section(context: BoundContext, epsilons, tol: float) -> dict:
         if eps == context.epsilon:
             context.adopt_direct(direct)
         entry["direct"] = _solution_entry(direct)
-        entry["power"] = _solution_entry(
-            stationary_power(damped, Distribution.uniform(P0.dim), tol=iteration_tol)
-        )
+        entry["power"] = _solution_entry(stationary_power(damped, start, tol=iteration_tol))
         if eps > 0.0:
             entry["series"] = _solution_entry(series[eps])
         by_epsilon.append(entry)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, add_block, require_dim
+from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, add_block, require_dim, trajectory
 from .errors import (
     ConvergenceError,
     SingularSystemError,
@@ -125,7 +125,8 @@ def _complement_law(chain: DampedChain) -> np.ndarray:
 
     * ``pi_T = eps u`` with ``u = d_T (I - (1 - eps) Q_TT)^-1``;
     * class j is entered with weights ``e_j = d_j + (1 - eps) u R_Tj``,
-      which is ``d_j + ((1 - eps) / eps) pi_T R_Tj``;
+      which is ``d_j + ((1 - eps) / eps) pi_T R_Tj``: all of them are
+      ``d + (1 - eps) P0.vecmat(u)`` with u scattered onto an m-vector;
     * pi on C_j is ``|e_j|`` times the law of ``(1 - eps) P_j + eps 1 e_j/|e_j|``,
       which is irreducible and aperiodic for eps > 0 whatever P_j's period.
 
@@ -149,10 +150,10 @@ def _complement_law(chain: DampedChain) -> np.ndarray:
         Q = P0.entries[np.ix_(T, T)]
         Q *= 1.0 - eps
         np.subtract(np.eye(len(T)), Q, out=Q)
-        u = np.linalg.solve(Q.T, d[T])
-        del Q  # so that it and the rows of T below are not held at once
-        pi[T] = eps * u
-        entry = d + (1.0 - eps) * (u @ P0.entries[T])
+        u = np.zeros(chain.dim)
+        u[T] = np.linalg.solve(Q.T, d[T])
+        pi = eps * u
+        entry = d + (1.0 - eps) * P0.vecmat(u)
     for cls, M in zip(structure.classes, structure.matrices):
         idx = list(cls.states)
         e = entry[idx]
@@ -202,8 +203,9 @@ def stationary_power(
 ) -> StationarySolution:
     """Power iteration from ``p0`` until successive iterates are ``tol``-close.
 
-    ``P`` is a :class:`StochasticMatrix` or a :class:`DampedChain`; each step
-    is one ``P.vecmat`` product, the rank-one form for a damped chain.
+    ``P`` is a :class:`StochasticMatrix` or a :class:`DampedChain`; the
+    iterates are the :func:`~dampedchain.core.trajectory` of ``p0`` by P, its
+    own walk, which reads neither the series walk nor an LU solve.
     Convergence is measured in total variation between successive iterates,
     which is cheap; the residual against P is recomputed for the report.
     Raises ConvergenceError carrying the last iterate after
@@ -211,9 +213,9 @@ def stationary_power(
     """
     require_dim("start", p0.dim, P.dim)
     require_tolerance(tol)
-    prev = p0.probs
-    for it in range(DEFAULT_MAX_ITER):
-        nxt = P.vecmat(prev)
+    iterates = trajectory(P, p0.probs)
+    prev = next(iterates)
+    for it, nxt in zip(range(DEFAULT_MAX_ITER), iterates):
         if 0.5 * np.abs(nxt - prev).sum() < tol:
             res = _residual(nxt, P)
             return StationarySolution(Distribution(nxt, max(P.row_tol, 1e-9)), Method.POWER, it, res)
@@ -262,9 +264,10 @@ def series_sums(
     since every trajectory entry lies in [0, 1] the dropped tail is below
     ``tol`` per coordinate. The truncated sum is renormalized (its exact mass
     is ``1 - (1 - eps)^(L + 1)``), which perturbs entries by less than
-    ``tol``. The walk runs to the longest series length on the grid, max L
-    products by P0, and adds each step into every row whose series is still
-    open, so the memory is one row per epsilon whatever the walk's length.
+    ``tol``. The walk, d's :func:`~dampedchain.core.trajectory` by P0, runs
+    to the longest series length on the grid, max L products, and adds each
+    step into every row whose series is still open, so the memory is one row
+    per epsilon whatever the walk's length.
     The k-th solution is that of ``epsilons[k]``, with L as its term count and
     its residual against ``DampedChain(P0, d, epsilons[k])``.
     """
@@ -275,10 +278,7 @@ def series_sums(
     decay = 1.0 - np.array(epsilons)
     weights = np.array(epsilons)
     sums = np.zeros((len(epsilons), P0.dim))
-    v = d.weights
-    for l in range(max(lengths, default=-1) + 1):
-        if l > 0:
-            v = P0.vecmat(v)
+    for l, v in zip(range(max(lengths, default=-1) + 1), trajectory(P0, d.weights)):
         sums += weights[:, np.newaxis] * v
         weights = np.where(open_until > l, weights * decay, 0.0)
     solutions = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DampingVector, Distribution, require_dim
+from .core import DampingVector, Distribution, require_dim, trajectory
 from .bounds import BoundContext
 from .errors import ValidationError
 from .stationary import limit_stationary
@@ -132,9 +132,9 @@ def triangular_sweep(context: BoundContext, n_grid) -> TriangularSweep:
 
     For each n the sweep pairs the n-step law of the damped chain with the
     mixture at ``t = eps * n`` and evaluates the explicit bound from the
-    context's constants. Trajectories are advanced incrementally, so a dense
-    grid costs one vector-matrix product per step, by the rank-one form of
-    P(eps) (``DampedChain.vecmat``).
+    context's constants. The n-step laws are read off the start's
+    :func:`~dampedchain.core.trajectory` by P(eps) at the grid's steps, so a
+    grid up to n costs n products, by the rank-one form (``DampedChain.vecmat``).
     """
     grid = sweep_grid(context, n_grid)
     structure, epsilon = context.structure, context.epsilon
@@ -143,15 +143,10 @@ def triangular_sweep(context: BoundContext, n_grid) -> TriangularSweep:
     gap = np.abs(start_side - damped_side) / damped_side
 
     rows = []
-    v = context.p.probs
-    step = 0
-    for n in grid:
-        for _ in range(n - step):
-            v = context.chain.vecmat(v)
-        step = n
+    wanted = set(grid)
+    laws = (v for n, v in enumerate(trajectory(context.chain, context.p.probs)) if n in wanted)
+    for n, v in zip(grid, laws):
         t = epsilon * n
         limit = _mixture(start_side, damped_side, t)
-        rows.append(
-            SweepRow(n, t, v.copy(), limit.values, limit.weight * gap, context.joint_limit(n, t))
-        )
+        rows.append(SweepRow(n, t, v, limit.values, limit.weight * gap, context.joint_limit(n, t)))
     return TriangularSweep(epsilon, context.block, tuple(rows))

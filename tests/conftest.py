@@ -1,11 +1,13 @@
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import chains
-from dampedchain import StochasticMatrix
+from dampedchain import DampedChain, StochasticMatrix
 # tests/test_acceptance.py imports this oracle from here.
 from oracle import naive_min_overlap  # noqa: F401
 
@@ -56,6 +58,32 @@ def count_calls(monkeypatch, name: str) -> list:
 
         monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def count_products(monkeypatch) -> dict:
+    """Count the row-vector products by ``StochasticMatrix.vecmat`` and ``DampedChain.vecmat`` from now on.
+
+    The counts are keyed by the class name. A product by P(eps) also counts
+    as one by P0, which its rank-one form calls.
+    """
+    counts = {"StochasticMatrix": 0, "DampedChain": 0}
+    for cls in (StochasticMatrix, DampedChain):
+
+        def spy(self, x, _name=cls.__name__, _original=cls.vecmat):
+            counts[_name] += 1
+            return _original(self, x)
+
+        monkeypatch.setattr(cls, "vecmat", spy)
+    return counts
+
+
+def benchmark_workloads():
+    """The benchmark's input generators, ``perfbench/workloads.py``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 class _LoggedEntries(np.ndarray):

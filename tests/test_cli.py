@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import count_calls
+from conftest import benchmark_workloads, count_calls, count_products
 from oracle import naive_matmul, naive_min_overlap
 from dampedchain import (
     BoundContext,
@@ -537,17 +538,27 @@ def test_per_class_gate_refuses_every_entry_point(monkeypatch, tmp_path, chain, 
 
 def _web_edges(tmp_path, m: int) -> str:
     """The benchmark's web graph ``web_edges(random.Random(5), m)``, written to a file."""
-    import importlib.util
-    import random
-
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     path = tmp_path / f"web{m}.txt"
-    path.write_text("\n".join(workloads.web_edges(random.Random(5), m)) + "\n")
+    path.write_text("\n".join(benchmark_workloads().web_edges(random.Random(5), m)) + "\n")
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, by_p0, by_damped",
+    [
+        (("stationary", "--epsilon-grid", "0.02,0.1,0.5"), 1460, 92),
+        (("triangular", "--coupling-N", "3", "--epsilon", "0.1", "--n-grid", "0:200:7"), 197, 196),
+    ],
+    ids=["stationary", "triangular"],
+)
+def test_row_vector_products_on_the_benchmark_web_chain(monkeypatch, tmp_path, argv, by_p0, by_damped):
+    # The series walk, the power route and the residuals, or the sweep to n = 196:
+    # each trajectory makes one product a step and none ahead of the vectors it yields.
+    workloads = benchmark_workloads()
+    files, _ = workloads.generate(workloads.WORKLOADS["web-regular"], 1, str(tmp_path))
+    products = count_products(monkeypatch)
+    _run([*argv, "--input", files["edges"]])
+    assert products == {"StochasticMatrix": by_p0, "DampedChain": by_damped}
 
 
 @pytest.mark.parametrize("chain", ["five_node", "web300"])

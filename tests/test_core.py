@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -21,8 +23,9 @@ from dampedchain import (
     stationary_direct,
     tv_distance,
 )
+from conftest import count_products
 from oracle import naive_matmul, naive_vecmat, propagate
-from dampedchain.core import SPARSE_MAX_DENSITY, matrix_power
+from dampedchain.core import SPARSE_MAX_DENSITY, matrix_power, trajectory
 from dampedchain.io import ingest
 
 
@@ -161,6 +164,28 @@ class TestVecmat:
         x = _random_law(m, 4)
         expected = naive_vecmat(x, build_damped_matrix(chain).entries)
         np.testing.assert_allclose(chain.vecmat(x), expected, rtol=0, atol=1e-15)
+
+
+class TestTrajectory:
+    def test_first_vector_is_the_start_itself_with_no_product(self, monkeypatch, five_node):
+        P, d = five_node
+        products = count_products(monkeypatch)
+        assert next(trajectory(P, d.weights)) is d.weights
+        assert products == {"StochasticMatrix": 0, "DampedChain": 0}
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    @pytest.mark.parametrize("damped", [False, True], ids=["P0", "P(eps)"])
+    def test_k_products_for_k_plus_one_vectors(self, monkeypatch, k, damped):
+        P0, _ = chains.random_web_chain(np.random.default_rng(7), 300)
+        M = DampedChain(P0, DampingVector(_random_law(300, 5)), 0.2) if damped else P0
+        x = _random_law(300, 6)
+        expected = [x]
+        for _ in range(k):
+            expected.append(M.vecmat(expected[-1]))
+        products = count_products(monkeypatch)
+        vectors = list(islice(trajectory(M, x), k + 1))
+        assert products == {"StochasticMatrix": k, "DampedChain": k if damped else 0}
+        assert [v.tobytes() for v in vectors] == [v.tobytes() for v in expected]
 
 
 class TestPropagate:

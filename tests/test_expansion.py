@@ -24,7 +24,7 @@ from dampedchain import (
 from dampedchain.errors import IllConditionedError
 from dampedchain.expansion import DEFAULT_CLUSTER_TOL, Spectrum, cluster_eigenvalues, spectral_coefficients
 from dampedchain.report import expansion_section, rounded
-from conftest import rank_one
+from conftest import count_products, rank_one
 
 
 class TestSpectrum:
@@ -159,6 +159,16 @@ class TestSpectralCoefficients:
             assert np.max(np.abs(rebuilt.real - v)) < 1e-8
             assert np.max(np.abs(rebuilt.imag)) < 1e-10
             v = v @ P.entries
+
+    def test_samples_are_the_first_mbar_trajectory_vectors(self, monkeypatch, five_node):
+        P, d = five_node
+        spec = spectrum(P)
+        products = count_products(monkeypatch)
+        spectral_coefficients(P, d, spec)
+        mbar = len(spec.distinct)
+        # m_bar - 1 = 3 steps of d by P0, and the residual of the fit's direct solve.
+        assert mbar == 4
+        assert products["StochasticMatrix"] == (mbar - 1) + 1
 
     def test_defective_matrix_is_detected(self):
         # Upper-triangular chain: eigenvalue 1/2 twice with a single eigenvector.

@@ -7,17 +7,22 @@ bit for bit what gathering the same block from the dense array gives, on the
 test data chains, on seeded sparse chains with transient states and
 interleaved classes, on a dense CSV input above the sparse cutoff, and on
 sparse matrix JSON holding ``-0.0`` entries: small classes, and classes
-sparse enough for their blocks to carry views of their own.
+sparse enough for their blocks to carry views of their own. The weights with
+which the classes are entered from the transient states are one product by
+P0, which on a chain with a view sums in another order than the dense gather
+of P0's transient rows: on the web chains with a sink or with dangling
+states, the law is held to that gather within a relative 1e-14.
 """
 
 import json
+import random
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import count_calls
+from conftest import benchmark_workloads, count_calls
 from dampedchain import (
     DampedChain,
     DampingVector,
@@ -27,6 +32,7 @@ from dampedchain import (
     ingest,
     restrict,
     stationary_direct,
+    stationary_series,
 )
 from dampedchain.core import SPARSE_MAX_DENSITY
 from dampedchain.stationary import _damped_system
@@ -124,6 +130,28 @@ def sparse_classes_json(seed: int) -> str:
     return json.dumps({"matrix": entries[np.ix_(label, label)].tolist()})
 
 
+def web_sink_edges() -> str:
+    """The benchmark's web 300 with state 1 linked to a self-looped sink: 300 transient states."""
+    lines = benchmark_workloads().web_edges(random.Random(5), 300)
+    return "\n".join(lines + ["1 301", "301 301"]) + "\n"
+
+
+def dangling_web_edges(m: int = 400, dangling: int = 40) -> str:
+    """A web graph in which ``dangling`` states have no out-links and every other state 6 and a self-loop.
+
+    Read with the self-loop policy, each dangling state is a one-state
+    closed class and every other state is transient.
+    """
+    rng = random.Random(7)
+    sinks = set(rng.sample(range(m), dangling))
+    lines = []
+    for i in range(m):
+        if i not in sinks:
+            targets = sorted([i, *rng.sample([k for k in range(m) if k != i], 6)])
+            lines += [f"{i + 1} {t + 1}" for t in targets]
+    return "\n".join(lines) + "\n"
+
+
 def scattered(view) -> np.ndarray:
     """The dense array of a row-compressed view: its nonzeros scattered onto zeros."""
     m = len(view.counts)
@@ -145,9 +173,15 @@ def _chain(tmp_path, name):
     elif name == "dense-csv":
         path = tmp_path / "dense.csv"
         path.write_text(dense_csv(5))
+    elif name == "web300-sink":
+        path = tmp_path / "web300sink.txt"
+        path.write_text(web_sink_edges())
+    elif name == "dangling-web":
+        path = tmp_path / "dangling.txt"
+        path.write_text(dangling_web_edges())
     else:
         path = DATA / f"{name}_edges.txt"
-    P, _ = ingest(path)
+    P, _ = ingest(path, dangling="self-loop" if name == "dangling-web" else "reject")
     w = np.random.default_rng(P.dim).random(P.dim) + 0.1
     return P, DampingVector(w / w.sum())
 
@@ -221,6 +255,28 @@ def test_every_system_and_law_is_the_dense_gathers(tmp_path, name):
         if structure.class_count == 1 and not T:
             expected = np.clip(np.linalg.solve(whole, np.eye(P.dim)[-1]), 0.0, 1.0)
         assert pi.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["web300-sink", "dangling-web", "transient", "two_cycles_transient"])
+def test_transient_weights_are_one_product_by_p0(tmp_path, name):
+    # The classes are entered with d + (1 - eps) P0.vecmat(u), u scattered onto the
+    # transient states. Against the gather of P0's transient rows, u @ P0[T]: on a
+    # chain with a view the sparse product sums in another order, and on a dense
+    # chain it is the same product.
+    P, d = _chain(tmp_path, name)
+    structure = decompose(P)
+    assert structure.transient_states
+    assert (P._nonzeros is not None) == (name in ("web300-sink", "dangling-web"))
+    if name == "dangling-web":
+        assert structure.class_count == 40 and len(structure.transient_states) == 360
+    for eps in (0.05, 0.15, 0.5):
+        pi = stationary_direct(DampedChain(P, d, eps)).pi.probs
+        gathered = np.clip(gathered_law(P.entries, d.weights, eps), 0.0, 1.0)
+        if P._nonzeros is None:
+            assert pi.tobytes() == gathered.tobytes()
+        else:
+            np.testing.assert_allclose(pi, gathered, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(pi, stationary_series(P, d, eps).pi.probs, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["eight_node", "two_cycles_transient", "sparse-1", "dense-csv"])

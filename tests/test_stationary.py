@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import chains
-from conftest import count_calls, rank_one
+from conftest import count_calls, count_products, rank_one
 from oracle import exact_damped_law, exact_limit_law, l1_error
 from dampedchain import (
     BoundContext,
@@ -293,18 +293,14 @@ class TestStationarySection:
         P0, _ = chains.random_web_chain(np.random.default_rng(7), 300)
         d = seeded_damping(300)
         builds = count_calls(monkeypatch, "build_damped_matrix")
-        products = []
-        vecmat = StochasticMatrix.vecmat
-        monkeypatch.setattr(
-            StochasticMatrix, "vecmat", lambda self, x: products.append(self) or vecmat(self, x)
-        )
+        products = count_products(monkeypatch)
         walks = []
         sums = report.series_sums
 
         def spy(*args, **kwargs):
-            before = len(products)
+            before = products["StochasticMatrix"]
             result = sums(*args, **kwargs)
-            walks.append(len(products) - before)
+            walks.append(products["StochasticMatrix"] - before)
             return result
 
         monkeypatch.setattr(report, "series_sums", spy)
