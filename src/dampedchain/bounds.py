@@ -7,7 +7,7 @@ Five bound families are implemented, numbered as the CLI exposes them (``FAMILIE
   ``eps * (|d_j - pi0_j| + S)``, S bounding ``max_j sum_(n>=1) max_i |P0^n(i, j) - pi0_j|``.
 * family 2, the same formula with the largest S over the closed classes and
   the d-limit as reference, for chains that split into several closed classes.
-* family 5, ``coupling_bound``: ``(1 - Q(p, pi_eps)) * (1 - Q(P0))^n * (1 - eps)^n``
+* family 5, ``coupling_bound``: ``(1 - Q(p, pi_eps)) * (Delta_1 (1 - eps))^n``
   on |p(n)_j - pi(eps)_j|, from the one-step maximal coupling.
 * family 6, ``coupling_bound_multistep``: the block-of-N variant driven by the
   ergodicity coefficient ``Delta_N = (1 - Q(P0^N))^(1/N)``, with floor(n/N)*N
@@ -30,13 +30,14 @@ run a walk of their own. The walks a context reads belong to the
 structure: each closed class's matrix has one, ``ChainStructure.walks``, and
 P0 has one, ``ChainStructure.walk`` (the class walk on a regular chain, a
 walk without a law on any other), each shared by every context on the
-structure. A walk scans each ``Delta_N`` a context is asked for and, given
-its class law, records as it passes each power n the column maxima
+structure. A walk scans each ``Delta_N`` a context is asked for once and
+keeps its :class:`ErgodicityReport` (:meth:`PowerWalk.ergodicity`); given its
+class law, it records as it passes each power n the column maxima
 ``D_n(j) = max_i |M^n(i, j) - pi0_j|`` and ``t_n = max_i TV(M^n(i, .), pi0)``
 from which :meth:`PowerWalk.tail` certifies the constant S of families 1
 and 2 (Dobrushin contraction; Seneta, *Non-negative Matrices and Markov
 Chains*, ch. 3-4). The ``ContractionError`` search and ``split_tail`` resume
-it and never restart it; no eigenvalue is computed. Q(P0) is the first power
+it and never restart it; no eigenvalue is computed. Delta_1 is the first power
 of P0's walk and a singular chain's whole-matrix ``Delta_N`` is 1 by
 structure, so family 5 alone solves no class law and scans P0 at most once.
 
@@ -252,7 +253,7 @@ def ergodicity_coefficient(P0: StochasticMatrix, N: int) -> ErgodicityReport:
     """
     if N < 1:
         raise ValidationError("step count N must be at least 1")
-    return ErgodicityReport.from_overlap(N, PowerWalk(P0).overlap(N))
+    return PowerWalk(P0).ergodicity(N)
 
 
 @dataclass(frozen=True)
@@ -294,12 +295,12 @@ class PowerWalk:
     """The powers M, M^2, ... of one matrix, each formed once, one product per step.
 
     The walk holds only its current power and is resumed, never restarted:
-    ``overlap(N)`` advances it to N and scans Q(M^N) once, and ``tail``
-    advances it as far as the certificate needs. Its first power is M itself.
-    Given ``law``, a function returning the computed law x of M, each power
-    n's column maxima ``D_n(j) = max_i |M^n(i, j) - x_j|`` and
-    ``t_n = max_i TV(M^n(i, .), x)`` are added to running sums before the walk
-    moves past it, so the law is first fetched on the first product or
+    ``ergodicity(N)`` advances it to N and keeps Delta_N from one scan of
+    Q(M^N), and ``tail`` advances it as far as the certificate needs. Its
+    first power is M itself. Given ``law``, a function returning the computed
+    law x of M, each power n's column maxima ``D_n(j) = max_i |M^n(i, j) - x_j|``
+    and ``t_n = max_i TV(M^n(i, .), x)`` are added to running sums before the
+    walk moves past it, so the law is first fetched on the first product or
     ``tail`` read. The walk certifies at the first n with
     ``c_n <= CERTIFY_CONTRACTION``, or at ``WALK_HORIZON`` with the smallest
     c_n < 1 it saw, and stops recording there. Only ``ChainStructure.walks``,
@@ -348,7 +349,7 @@ class PowerWalk:
         self.law = law
         self.step = 0
         self.power = None
-        self.overlaps = {}
+        self.reports = {}
         self.recorded = 0
         self.column_sums = None
         self.tv_sum = 0.0
@@ -425,14 +426,14 @@ class PowerWalk:
             self._record()
         return self.certified
 
-    def overlap(self, N: int) -> float:
-        """Q(M^N), the minimal row overlap of the N-th power."""
-        if N not in self.overlaps:
+    def ergodicity(self, N: int) -> ErgodicityReport:
+        """Delta_N of M from one scan of Q(M^N), kept: every reader of N gets the one report."""
+        if N not in self.reports:
             # A walk past N unscanned (a tail ran first) leaves N to a walk of its own.
             walk = self if N >= self.step else PowerWalk(self.matrix)
             walk._advance(N)
-            self.overlaps[N] = min_row_overlap(walk.power)
-        return self.overlaps[N]
+            self.reports[N] = ErgodicityReport.from_overlap(N, min_row_overlap(walk.power))
+        return self.reports[N]
 
 
 def estimate_decay(P0: StochasticMatrix) -> GeometricDecay:
@@ -493,7 +494,7 @@ class BoundContext:
     and the sizes of ``p`` and ``pi_eps``; nothing is computed then. Each
     constant is computed the first time it is read, and kept, and
     ``pi_eps``, when given, is used as pi(eps). Family 5 reads
-    ``start_overlap`` = Q(p, pi_eps) and the raw Q(P0); family 6 reads
+    ``start_overlap`` = Q(p, pi_eps) and ``ergodicity(1)``; family 6 reads
     ``start_overlap`` and ``ergodicity(block)``; families 1 and 2 read
     ``split_tail()``, the certified S of :class:`PowerWalk` over the class
     walks, so that ``eps (|d_j - ref_j| + S)`` bounds
@@ -504,7 +505,7 @@ class BoundContext:
     (0 when f_p[j] = 0), ``damping_gap[j] = f_d[j] (1 - Q(d^j, pi0^j))``,
     ``drift_scale[j] = |f_p[j] - f_d[j]|``,
     ``coupled[j] = f_d[j] (1 - Q(pi_eps^j, pi0^j)) + start_gap[j]`` and
-    ``class_reports[j]`` is Delta_block of ``structure.walks[j]``, the one
+    ``class_reports[j]`` is ``structure.walks[j].ergodicity(block)``, the one
     :class:`PowerWalk` of ``structure.matrices[j]``, whose gate
     (``require_classes``) refuses every per-class constant of an unsupported
     chain. Every context built on one structure shares its walks.
@@ -514,7 +515,7 @@ class BoundContext:
     stationary section's solve (``adopt_direct``).
     Callers of a family call ``require_family``, of the joint-limit bound ``require_contraction``.
     The whole matrix's Delta_N is 1 by structure on a singular chain (rows in
-    different closed classes share no support) and is otherwise read from
+    different closed classes share no support) and is otherwise the report of
     P0's walk, ``structure.walk``: the one class's on a regular chain, a walk
     without a law on an unsupported chain, which has no per-class constants.
     """
@@ -555,12 +556,11 @@ class BoundContext:
     def start_overlap(self) -> float:
         return overlap(self.p.probs, self.pi_eps.probs)
 
-    def _whole_overlap(self, N: int) -> float:
-        return 0.0 if self.structure.regime is Regime.SINGULAR else self.structure.walk.overlap(N)
-
     def ergodicity(self, N: int) -> ErgodicityReport:
-        """The whole matrix's ergodicity coefficient ``Delta_N``."""
-        return ErgodicityReport.from_overlap(N, self._whole_overlap(N))
+        """The whole matrix's ``Delta_N``: 1 by structure on a singular chain, else P0's walk's report."""
+        if self.structure.regime is Regime.SINGULAR:
+            return ErgodicityReport.from_overlap(N, 0.0)
+        return self.structure.walk.ergodicity(N)
 
     def require_coupling_epsilon(self) -> None:
         if not 0.0 < self.epsilon <= 1.0:
@@ -581,8 +581,7 @@ class BoundContext:
 
     @cached_property
     def class_reports(self) -> tuple:
-        walks = self.structure.walks
-        return tuple(ErgodicityReport.from_overlap(self.block, w.overlap(self.block)) for w in walks)
+        return tuple(walk.ergodicity(self.block) for walk in self.structure.walks)
 
     @cached_property
     def _masses(self) -> tuple:
@@ -614,9 +613,9 @@ class BoundContext:
         return self._class_gaps(self.pi_eps.probs, self._masses[1]) + self.start_gap
 
     def onestep(self, n: int) -> float:
-        """Family 5: ``(1 - Q(p, pi_eps)) * ((1 - Q(P0)) (1 - eps))^n``."""
+        """Family 5: ``(1 - Q(p, pi_eps)) * (Delta_1 (1 - eps))^n``, with Delta_1 = ``ergodicity(1)``."""
         self.require_family("5")  # before pi_eps is solved
-        rate = (1.0 - self._whole_overlap(1)) * (1.0 - self.epsilon)
+        rate = self.ergodicity(1).delta * (1.0 - self.epsilon)
         return (1.0 - self.start_overlap) * rate**n
 
     def multistep(self, n: int) -> float:
@@ -721,7 +720,7 @@ class BoundContext:
         class contracts, or says that none does. Q(P^N) never decreases with N,
         so only N > block can qualify and only the failing classes can fail
         there: the search resumes their walks from the block, and reads the
-        overlaps a regular chain's profile already scanned.
+        reports a regular chain's profile already holds.
         """
         bad = [j for j, rep in enumerate(self.class_reports) if rep.delta >= 1.0]
         if not bad:
@@ -734,8 +733,7 @@ class BoundContext:
         # there, so the search stops at the first such N.
         walks = [self.structure.walks[j] for j in bad]
         for N in range(self.block + 1, PROFILE_STEPS[-1] + 1):
-            reports = (ErgodicityReport.from_overlap(N, walk.overlap(N)) for walk in walks)
-            if all(rep.delta < 1.0 for rep in reports):
+            if all(walk.ergodicity(N).delta < 1.0 for walk in walks):
                 hint = f"increase the block length to N = {N}, the smallest with Delta_N < 1"
                 break
         else:
@@ -751,7 +749,7 @@ def coupling_bound(
     epsilon: float,
     n: int,
 ) -> float:
-    """One-step coupling bound on ``max_j |p(n)_j - pi(eps)_j|`` (family 5)."""
+    """One-step coupling bound on ``max_j |p(n)_j - pi(eps)_j|`` (family 5), driven by Delta_1."""
     return BoundContext(structure, d, p, epsilon, 1, pi_eps).onestep(n)
 
 
@@ -764,9 +762,10 @@ def coupling_bound_multistep(
     block: int,
     n: int,
 ) -> float:
-    """Block-of-N coupling bound (family 6); reduces to family 5 at block = 1.
+    """Block-of-N coupling bound (family 6), driven by Delta_block.
 
-    Both geometric factors carry the exponent ``floor(n / block) * block``.
+    Both geometric factors carry the exponent ``floor(n / block) * block``, so
+    at block = 1 it is family 5's bound up to rounding: ``a^n b^n`` for ``(a b)^n``.
     """
     return BoundContext(structure, d, p, epsilon, block, pi_eps).multistep(n)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -61,7 +62,7 @@ from dampedchain.io import ingest
 from dampedchain.expansion import expansion
 from dampedchain.stationary import series_sums
 from dampedchain.triangular import triangular_bound
-from conftest import count_calls, log_products, rank_one
+from conftest import benchmark_workloads, count_calls, log_products, rank_one
 
 # Composite tail constant of the five-node example's known decay envelope.
 FIVE_NODE_TAIL_FACTOR = (67 / 4488) * np.sqrt(34) + 49 / 132
@@ -769,6 +770,28 @@ class TestOneWalkPerClass:
         second = BoundContext(structure, d, Distribution.uniform(P.dim), 0.3, 3)
         assert [second.ergodicity(N) for N in PROFILE_STEPS] == profile
         assert scans == [] and products == []
+
+    @pytest.mark.parametrize("chain_name", ["web300", "eight_node"])
+    def test_every_reader_of_a_delta_gets_the_walks_one_report(self, chain_name, request, tmp_path):
+        if chain_name == "web300":
+            path = tmp_path / "web300.txt"
+            path.write_text("\n".join(benchmark_workloads().web_edges(random.Random(5), 300)) + "\n")
+            P, _ = ingest(path)
+        else:
+            P, _ = request.getfixturevalue(chain_name)
+        structure = decompose(P)
+        d = DampingVector.uniform(P.dim)
+        # Two contexts on one structure, at different epsilons and starts.
+        for eps, p in ((0.1, d.as_distribution()), (0.02, Distribution.point_mass(P.dim, 0))):
+            context = BoundContext(structure, d, p, eps, 3)
+            for j, walk in enumerate(structure.walks):
+                assert context.class_reports[j] is walk.ergodicity(3)
+            if structure.regime is Regime.REGULAR:
+                for N in PROFILE_STEPS:
+                    assert context.ergodicity(N) is structure.walk.ergodicity(N)
+            # Family 5's rate is the profile's Delta_1.
+            rate = context.ergodicity(1).delta * (1.0 - eps)
+            assert context.onestep(4) == (1.0 - context.start_overlap) * rate**4
 
     def test_search_after_the_decay_walk_gives_the_same_answer(self):
         # A 6-cycle with a self-loop at state 0: Delta_N = 1 up to N = 4. The

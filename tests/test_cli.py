@@ -497,6 +497,25 @@ def test_coupling_sim_reads_only_the_one_step_overlap(monkeypatch, name, scans):
     assert len(overlaps) == scans
 
 
+# Chains whose rows are all equal: 1 - Q(P0) is summation noise, which Delta_1 snaps to 0.
+IDENTICAL_ROWS = {"three-rows": [[0.7, 0.2, 0.1]] * 3, "seven-uniform-rows": [[1 / 7] * 7] * 7}
+
+
+@pytest.mark.parametrize("rows", IDENTICAL_ROWS.values(), ids=IDENTICAL_ROWS)
+def test_family_five_reads_the_profiles_delta_one(capsys, tmp_path, rows):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({"matrix": rows}))
+    args = ("--input", str(path), "--initial", "point:1", "--horizon", "3")
+    bounds = run_json(capsys, "bounds", *args, "--coupling-N", "1", "--theorem", "5,6")["bounds"]
+    assert bounds["ergodicity"][0] == {"N": 1, "delta": 0.0}
+    onestep, multistep = (record["by_n"] for record in bounds["reports"])
+    # At block 1 family 6 is family 5, and Delta_1 = 0 leaves only the start term.
+    assert onestep == multistep
+    assert onestep[0][1] > 0.0 and [value for _, value in onestep[1:]] == [0.0] * 3
+    sim = run_json(capsys, "coupling-sim", *args, "--seed", "1", "--trials", "100")["coupling_sim"]
+    assert sim["onestep_bound"] == [value for _, value in onestep]
+
+
 @pytest.mark.parametrize("command", ["expand", "report"])
 def test_unsupported_chain_is_refused_before_any_eigen_solve(monkeypatch, command):
     spectra = count_calls(monkeypatch, "spectrum")
@@ -1079,3 +1098,50 @@ def test_a_reader_that_closes_the_pipe_gets_no_traceback(capsys, tmp_path):
     stderr = reader.stderr.read()
     assert reader.wait(timeout=120) == 1
     assert stderr == b""
+
+
+# Node 4 has no out-links; each dangling policy gives it the edges written here.
+DANGLING_EDGES = "1 2\n2 3\n3 1\n3 4\n"
+POLICY_EDGES = {"self-loop": "4 4\n", "uniform-jump": "4 1\n4 2\n4 3\n4 4\n"}
+
+
+def test_a_dangling_node_is_refused_without_a_policy(capsys, tmp_path):
+    path = tmp_path / "dangling.txt"
+    path.write_text(DANGLING_EDGES)
+    code, out = run_cli(capsys, "structure", "--input", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "IngestError",
+        "message": "node 4 has no out-links; choose a dangling policy (self-loop or uniform-jump) to accept it",
+    }
+
+
+@pytest.mark.parametrize("policy", POLICY_EDGES)
+def test_a_dangling_policy_is_the_edges_it_adds(capsys, tmp_path, policy):
+    dangling, explicit = tmp_path / "dangling.txt", tmp_path / "explicit.txt"
+    dangling.write_text(DANGLING_EDGES)
+    explicit.write_text(DANGLING_EDGES + POLICY_EDGES[policy])
+    for command, args in (("structure", ()), ("stationary", ("--epsilon-grid", "0.05,0.5"))):
+        got = run_json(capsys, command, "--input", str(dangling), "--dangling-policy", policy, *args)
+        want = run_json(capsys, command, "--input", str(explicit), *args)
+        assert got[command] == want[command]
+        assert got["inputs"]["matrix"] == want["inputs"]["matrix"]
+        assert got["inputs"]["dangling_policy"] == policy
+
+
+def test_the_format_flag_overrides_the_file_extension(capsys, tmp_path):
+    document = json.dumps({"matrix": [[0.5, 0.5], [0.25, 0.75]], "damping": [0.9, 0.1]})
+    data, named = tmp_path / "matrix.data", tmp_path / "matrix.json"
+    data.write_text(document)
+    named.write_text(document)
+    args = ("--epsilon-grid", "0.05,0.5")
+    got = run_json(capsys, "stationary", "--input", str(data), "--format", "json", *args)
+    assert got == run_json(capsys, "stationary", "--input", str(named), *args)
+    assert got["inputs"]["damping"] == [0.9, 0.1]
+    # Read as the edge list its extension names, the document is refused.
+    code, out = run_cli(capsys, "structure", "--input", str(data), "--format", "edges")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "IngestError",
+        "message": f"line 1: expected 'src dst', got {document!r}",
+    }

@@ -10,8 +10,8 @@ sparse matrix JSON holding ``-0.0`` entries: small classes, and classes
 sparse enough for their blocks to carry views of their own. The weights with
 which the classes are entered from the transient states are one product by
 P0, which on a chain with a view sums in another order than the dense gather
-of P0's transient rows: on the web chains with a sink or with dangling
-states, the law is held to that gather within a relative 1e-14.
+of P0's transient rows: on every chain with a view and transient states, the
+law is held to that gather within a relative 1e-14.
 """
 
 import json
@@ -237,11 +237,14 @@ def test_restrict_refuses_a_class_whose_rows_leak(tmp_path, name):
     assert str(info.value) == f"class {states} is not closed: transition mass leaks out"
 
 
-@pytest.mark.parametrize("name", CHAINS)
+@pytest.mark.parametrize("name", [*CHAINS, "web300-sink", "dangling-web"])
 def test_every_system_and_law_is_the_dense_gathers(tmp_path, name):
     P, d = _chain(tmp_path, name)
     structure = decompose(P)
     T = list(structure.transient_states)
+    # The transient weights are one product by P0 (see the module docstring):
+    # with a view it sums in another order than the gather's u @ P0[T].
+    reordered = bool(T) and P._nonzeros is not None
     for eps in EPSILONS:
         for cls, M in zip(structure.classes, structure.matrices):
             idx = list(cls.states)
@@ -254,7 +257,10 @@ def test_every_system_and_law_is_the_dense_gathers(tmp_path, name):
         expected = np.clip(gathered_law(P.entries, d.weights, eps), 0.0, 1.0)
         if structure.class_count == 1 and not T:
             expected = np.clip(np.linalg.solve(whole, np.eye(P.dim)[-1]), 0.0, 1.0)
-        assert pi.tobytes() == expected.tobytes()
+        if reordered:
+            np.testing.assert_allclose(pi, expected, rtol=1e-14, atol=0)
+        else:
+            assert pi.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("name", ["web300-sink", "dangling-web", "transient", "two_cycles_transient"])
