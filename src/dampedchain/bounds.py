@@ -64,7 +64,7 @@ from .core import DampedChain, DampingVector, Distribution, StochasticMatrix, re
 from .coupling import overlap
 from .errors import ContractionError, RegimeError, ValidationError
 from .expansion import spectrum
-from .stationary import DEFAULT_SOLVER_TOL, StationarySolution, stationary_direct
+from .stationary import StationarySolution, stationary_direct
 from .structure import ChainStructure, Regime, class_mass
 
 # Most powers a walk forms for the constant of families 1 and 2, and for
@@ -251,9 +251,19 @@ def ergodicity_coefficient(P0: StochasticMatrix, N: int) -> ErgodicityReport:
     between rows of P0**N. Converges to the modulus of the second eigenvalue
     as N grows.
     """
+    return PowerWalk(P0).ergodicity(N)
+
+
+def _require_step_count(N: int) -> None:
+    """Refuse a step count N below 1: Delta_N is the N-th root of a scan of M^N."""
     if N < 1:
         raise ValidationError("step count N must be at least 1")
-    return PowerWalk(P0).ergodicity(N)
+
+
+def _require_step(n: int) -> None:
+    """Refuse a step n below 0: a per-n bound is on the law after n steps."""
+    if n < 0:
+        raise ValidationError(f"step n must be at least 0, got {n}")
 
 
 @dataclass(frozen=True)
@@ -428,6 +438,7 @@ class PowerWalk:
 
     def ergodicity(self, N: int) -> ErgodicityReport:
         """Delta_N of M from one scan of Q(M^N), kept: every reader of N gets the one report."""
+        _require_step_count(N)
         if N not in self.reports:
             # A walk past N unscanned (a tail ran first) leaves N to a walk of its own.
             walk = self if N >= self.step else PowerWalk(self.matrix)
@@ -492,8 +503,7 @@ class BoundContext:
     ``d``, start ``p``, epsilon in [0, 1] and a block from 1 to
     ``WALK_HORIZON``, the most powers a walk forms. Building it checks these
     and the sizes of ``p`` and ``pi_eps``; nothing is computed then. Each
-    constant is computed the first time it is read, and kept, and
-    ``pi_eps``, when given, is used as pi(eps). Family 5 reads
+    constant is computed the first time it is read, and kept. Family 5 reads
     ``start_overlap`` = Q(p, pi_eps) and ``ergodicity(1)``; family 6 reads
     ``start_overlap`` and ``ergodicity(block)``; families 1 and 2 read
     ``split_tail()``, the certified S of :class:`PowerWalk` over the class
@@ -510,9 +520,10 @@ class BoundContext:
     (``require_classes``) refuses every per-class constant of an unsupported
     chain. Every context built on one structure shares its walks.
 
-    Unless given, ``pi_eps`` is one in-place direct solve of ``chain``, P(eps),
-    once ``structure.require_unique_law`` admits it, or is adopted from the
-    stationary section's solve (``adopt_direct``).
+    pi(eps) is ``pi_eps`` when given, else the law of ``direct``, the one
+    direct solve of ``chain``, P(eps), once ``structure.require_unique_law``
+    admits it; the stationary section reports that same solve at the
+    context's epsilon.
     Callers of a family call ``require_family``, of the joint-limit bound ``require_contraction``.
     The whole matrix's Delta_N is 1 by structure on a singular chain (rows in
     different closed classes share no support) and is otherwise the report of
@@ -539,18 +550,14 @@ class BoundContext:
             self.pi_eps = pi_eps
 
     @cached_property
-    def pi_eps(self) -> Distribution:
+    def direct(self) -> StationarySolution:
+        """The direct solve of ``chain``, P(eps), once ``structure.require_unique_law`` admits it."""
         self.structure.require_unique_law(self.epsilon)
-        return stationary_direct(self.chain).pi
+        return stationary_direct(self.chain)
 
-    def adopt_direct(self, solution: StationarySolution) -> None:
-        """Take ``solution``, a ``stationary_direct`` of ``chain``, as pi_eps if none is held yet.
-
-        It is taken only if its residual passes the default tolerance, so
-        ``pi_eps`` is the law, or the refusal, of the context's own solve.
-        """
-        if "pi_eps" not in self.__dict__ and solution.residual <= DEFAULT_SOLVER_TOL:
-            self.pi_eps = solution.pi
+    @cached_property
+    def pi_eps(self) -> Distribution:
+        return self.direct.pi
 
     @cached_property
     def start_overlap(self) -> float:
@@ -558,6 +565,7 @@ class BoundContext:
 
     def ergodicity(self, N: int) -> ErgodicityReport:
         """The whole matrix's ``Delta_N``: 1 by structure on a singular chain, else P0's walk's report."""
+        _require_step_count(N)
         if self.structure.regime is Regime.SINGULAR:
             return ErgodicityReport.from_overlap(N, 0.0)
         return self.structure.walk.ergodicity(N)
@@ -614,12 +622,14 @@ class BoundContext:
 
     def onestep(self, n: int) -> float:
         """Family 5: ``(1 - Q(p, pi_eps)) * (Delta_1 (1 - eps))^n``, with Delta_1 = ``ergodicity(1)``."""
+        _require_step(n)
         self.require_family("5")  # before pi_eps is solved
         rate = self.ergodicity(1).delta * (1.0 - self.epsilon)
         return (1.0 - self.start_overlap) * rate**n
 
     def multistep(self, n: int) -> float:
         """Family 6: both geometric factors carry ``floor(n / block) * block``."""
+        _require_step(n)
         report = self.ergodicity(self.block)
         exponent = (n // self.block) * self.block
         return (
@@ -640,6 +650,7 @@ class BoundContext:
         where superscript j denotes restriction to the class renormalized by
         the class mass, and f are class masses (see the class docstring).
         """
+        _require_step(n)
         exponent = (n // self.block) * self.block
         survival = (1.0 - self.epsilon) ** n
         out = np.empty(sum(cls.size for cls in self.structure.classes))
@@ -661,6 +672,7 @@ class BoundContext:
         vanishes. The value is the maximum over states, and it requires every
         class's ``Delta_N < 1`` (see :meth:`require_contraction`).
         """
+        _require_step(n)
         exponent = (n // self.block) * self.block
         discretization = abs((1.0 - self.epsilon) ** n - math.exp(-t))
         worst = 0.0

@@ -25,7 +25,7 @@ from .bounds import PROFILE_STEPS, BoundContext, default_families, require_known
 from .core import DampingVector, Distribution, require_epsilon
 from .coupling import require_simulation
 from .errors import ChainError, IngestError, ValidationError
-from .expansion import require_expansion
+from .expansion import require_expansion, require_order
 from .io import DanglingPolicy, GraphFormat, ingest, load_damping, load_weights, physical_memory
 from .report import (
     bounds_section,
@@ -38,7 +38,6 @@ from .report import (
     structure_section,
     triangular_section,
 )
-from .stationary import DEFAULT_SOLVER_TOL, require_tolerance
 from .structure import decompose
 from .triangular import sweep_grid
 
@@ -102,7 +101,6 @@ def _add_common(sub):
     sub.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     sub.add_argument("--n-grid", default=None, help="sweep steps: 'a:b[:s]' or comma list")
     sub.add_argument("--theorem", default=None, help="bound families, e.g. '1' or '5,6'")
-    sub.add_argument("--tol", type=float, default=DEFAULT_SOLVER_TOL)
     sub.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     sub.add_argument("--plot-data", default=None, help="write a CSV plot table here")
 
@@ -201,7 +199,6 @@ def _inputs_echo(args, matrix, damping, p, epsilons) -> dict:
         "seed": args.seed,
         "trials": args.trials,
         "horizon": args.horizon,
-        "tolerance": args.tol,
         "dangling_policy": args.dangling_policy,
     }
 
@@ -266,6 +263,9 @@ def run_command(command: str, args) -> dict:
     _require_nonempty("--initial", args.initial, "'uniform', 'point:K' or a file path")
     if args.horizon < 0:
         raise ValidationError(f"--horizon must be at least 0, got {args.horizon}")
+    # Every report echoes the counts and the seed, so every command checks them; the seed when given.
+    require_simulation(args.trials, 0 if args.seed is None else args.seed, args.horizon)
+    require_order(args.order)
     matrix, damping = _load(args)
     epsilons = _epsilons(args)
     p = _initial(args.initial, matrix.dim)
@@ -284,8 +284,6 @@ def run_command(command: str, args) -> dict:
     echo = _inputs_echo(args, matrix, damping, p, epsilons)
 
     # Argument checks; none of them computes. Every command checks each grid epsilon.
-    if runs("stationary"):
-        require_tolerance(args.tol)
     for eps in epsilons:
         require_epsilon(eps)
     if command in ONE_EPSILON_COMMANDS and len(epsilons) > 1:
@@ -296,7 +294,6 @@ def run_command(command: str, args) -> dict:
     if runs("coupling-sim"):
         if args.seed is None:
             raise ChainError("--seed is required for the coupling simulation")
-        require_simulation(args.trials, args.seed, args.horizon)
     # Each flag's per-step tables, as rows times the numbers in a row: n and the
     # bound of families 5 and 6, the simulator's three columns, and a sweep
     # row's n, eps_n, bound and three m-vectors.
@@ -347,7 +344,7 @@ def run_command(command: str, args) -> dict:
     if runs("structure"):
         sections["structure"] = structure_section(structure)
     if runs("stationary"):
-        sections["stationary"] = stationary_section(context, epsilons, args.tol)
+        sections["stationary"] = stationary_section(context, epsilons)
     if runs("expand"):
         sections["spectrum"] = spectrum_section(structure)
         sections["expansion"] = expansion_section(structure, damping, args.order, epsilons)

@@ -217,10 +217,15 @@ def _class_series(M: StochasticMatrix, pi0: np.ndarray, d: np.ndarray, n_max: in
     return coeffs
 
 
-def require_expansion(structure: ChainStructure, n_max: int) -> None:
-    """Refuse an order below 1, then an unsupported chain (``ChainStructure.require_classes``)."""
+def require_order(n_max: int) -> None:
+    """Refuse an expansion order below 1."""
     if n_max < 1:
         raise ValidationError("expansion order must be at least 1")
+
+
+def require_expansion(structure: ChainStructure, n_max: int) -> None:
+    """Refuse an order below 1, then an unsupported chain (``ChainStructure.require_classes``)."""
+    require_order(n_max)
     structure.require_classes()
 
 

@@ -17,14 +17,7 @@ from .core import DampedChain, DampingVector, Distribution, build_damped_matrix
 from .coupling import CouplingKernel, maximal_coupling, simulate_coupling_time
 from .expansion import expansion, spectrum
 from .io import MATRIX_SLOT, dumps_with_matrix
-from .stationary import (
-    DEFAULT_SERIES_TOL,
-    DEFAULT_SOLVER_TOL,
-    limit_stationary,
-    series_sums,
-    stationary_direct,
-    stationary_power,
-)
+from .stationary import limit_stationary, series_sums, stationary_direct, stationary_power
 from .structure import Regime
 from .triangular import triangular_sweep
 
@@ -64,28 +57,27 @@ def _solution_entry(solution) -> dict:
     }
 
 
-def stationary_section(context: BoundContext, epsilons, tol: float) -> dict:
+def stationary_section(context: BoundContext, epsilons) -> dict:
     """The three solutions at each epsilon of the context's P0 and d, and the limit law.
 
-    The context adopts the direct solve at its epsilon as its pi(eps), so a
-    command solves that system once. The series solutions of the whole grid
-    come from one :func:`series_sums` walk.
+    The direct solution at the context's epsilon is ``context.direct``, the
+    solve that gives the context its pi(eps) unless one was given to it, so a
+    command solves that system once; every other epsilon is solved here. The
+    series solutions of the whole grid come from one :func:`series_sums` walk.
+    Every route runs at its default tolerance.
     """
     structure, d = context.structure, context.d
     P0 = structure.P0
-    iteration_tol = min(tol, DEFAULT_SERIES_TOL)
     grid = [eps for eps in epsilons if 0.0 < eps <= 1.0]
-    series = dict(zip(grid, series_sums(P0, d, grid, iteration_tol)))
+    series = dict(zip(grid, series_sums(P0, d, grid)))
     start = Distribution.uniform(P0.dim)
     by_epsilon = []
     for eps in epsilons:
         damped = DampedChain(P0, d, eps)
         entry = {"epsilon": rounded(eps)}
-        direct = stationary_direct(damped, solver_tol=max(tol, DEFAULT_SOLVER_TOL))
-        if eps == context.epsilon:
-            context.adopt_direct(direct)
+        direct = context.direct if eps == context.epsilon else stationary_direct(damped)
         entry["direct"] = _solution_entry(direct)
-        entry["power"] = _solution_entry(stationary_power(damped, start, tol=iteration_tol))
+        entry["power"] = _solution_entry(stationary_power(damped, start))
         if eps > 0.0:
             entry["series"] = _solution_entry(series[eps])
         by_epsilon.append(entry)
@@ -196,7 +188,7 @@ def coupling_sim_section(context: BoundContext, trials: int, seed: int, horizon:
         "seed": seed,
         "horizon": horizon,
         "generator": estimate.generator,
-        "start_overlap": rounded(start.diagonal_mass),
+        "start_overlap": rounded(context.start_overlap),
         "tail": rounded_list(estimate.tail),
         "std_error": rounded_list(estimate.std_error),
         "onestep_bound": rounded_list(bound),

@@ -723,8 +723,8 @@ class TestOneWalkPerClass:
         # singular one, whose whole-matrix Delta_N is 1 by structure.
         regular = structure.regime is Regime.REGULAR
         assert sum(args[0] is structure.P0.entries for args in scans) == int(regular)
-        # One solve for the stationary section's epsilon, which the context
-        # adopts as pi(eps), and one per class.
+        # One solve at the context's epsilon, the context's direct solve that
+        # the stationary section reports and pi(eps) reads, and one per class.
         assert len(solves) == 1 + structure.class_count
 
     @pytest.mark.parametrize("name, classes", [("five_node", 1), ("eight_node", 2)])

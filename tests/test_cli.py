@@ -32,7 +32,7 @@ from dampedchain import (
     triangular_sweep,
 )
 from dampedchain.bounds import default_families
-from dampedchain.cli import main
+from dampedchain.cli import COMMANDS, main
 
 DATA = Path(__file__).parent / "data"
 FIVE = str(DATA / "five_node_edges.txt")
@@ -173,10 +173,10 @@ def test_coupling_sim_rejects_bad_arguments(capsys, bad):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("stationary", "--tol", "0"), "tolerance must be positive"),
-        (("stationary", "--tol=-1e-3"), "tolerance must be positive"),
-        (("report", "--seed", "7", "--tol", "0"), "tolerance must be positive"),
-        (("stationary", "--epsilon-grid", "0,0.1,1.5", "--tol", "0"), "tolerance must be positive"),
+        (("stationary", "--trials", "0"), "at least one trial is required"),
+        (("stationary", "--seed=-1"), "seed must lie in [0, 2**128), got -1"),
+        (("report", "--seed", "7", "--order", "0"), "expansion order must be at least 1"),
+        (("stationary", "--epsilon-grid", "0,0.1,1.5", "--trials", "0"), "at least one trial is required"),
         (("stationary", "--epsilon-grid", "0.1,1.5"), "epsilon must lie in [0, 1], got 1.5"),
         (("stationary", "--epsilon-grid", "0.1,-0.2"), "epsilon must lie in [0, 1], got -0.2"),
         (("stationary", "--epsilon-grid", "0.1,nan"), "epsilon must lie in [0, 1], got nan"),
@@ -208,11 +208,29 @@ def test_coupling_sim_rejects_bad_arguments(capsys, bad):
     ],
 )
 def test_stationary_rejects_bad_tolerance_and_grid(capsys, argv, message):
-    # A bad tolerance is reported before any eps is solved; each eps is checked
-    # as it is solved, so the first bad one names itself.
+    # A bad count or seed is reported before any eps is checked or solved, even
+    # on a command that does not read it; each eps is checked in grid order, so
+    # the first bad one names itself.
     code, out = run_cli(capsys, *argv, "--input", FIVE)
     assert code == 1
     assert json.loads(out)["error"] == {"type": "ValidationError", "message": message}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_echoed_flag_value_escapes_its_check(capsys, command):
+    # Every report echoes these flags, so every command refuses a bad value,
+    # as a structured error and not a traceback, even when it does not read it.
+    base = (command, "--input", FIVE, "--seed", "1", "--trials", "200")
+    bads = (("--epsilon", "nan"), ("--epsilon-grid", "0.1,inf"), ("--trials", "0"), ("--seed", "-1"), ("--order", "0"))
+    for bad in bads:
+        code, out = run_cli(capsys, *base, *bad)
+        assert code == 1, bad
+        assert json.loads(out)["error"]["type"] == "ValidationError", bad
+    # The solvers' tolerances are no flag: each route runs at its default.
+    with pytest.raises(SystemExit) as info:
+        main([*base, "--tol", "1e-3"])
+    assert info.value.code == 2
+    assert "tolerance" not in run_json(capsys, *base)["inputs"]
 
 
 @pytest.mark.parametrize(
@@ -746,17 +764,10 @@ def test_default_families_are_those_that_apply(regime, families):
     assert default_families(regime) == families
 
 
-def test_bad_tolerance_is_refused_before_a_bad_later_epsilon(monkeypatch):
-    solves = count_calls(monkeypatch, "stationary_direct")
-    with pytest.raises(ValidationError, match="tolerance must be positive"):
-        _run(["stationary", "--input", FIVE, "--epsilon-grid", "0.1,2", "--tol", "nan"])
-    assert solves == []
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--tol", "0"), "tolerance must be positive"),
+        (("--order", "0"), "expansion order must be at least 1"),
         (("--epsilon-grid", "0.1,2"), "epsilon must lie in [0, 1], got 2.0"),
         (("--trials", "0"), "at least one trial is required"),
     ],

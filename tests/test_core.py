@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import chains
 from dampedchain import (
+    BoundContext,
     CouplingKernel,
     DampedChain,
     DampingVector,
@@ -16,15 +17,20 @@ from dampedchain import (
     StochasticMatrix,
     ValidationError,
     build_damped_matrix,
+    coupling_bound,
+    coupling_bound_multistep,
+    decompose,
     ergodicity_coefficient,
     maximal_coupling,
     simulate_coupling_time,
     spectrum,
+    split_bound_context,
     stationary_direct,
     tv_distance,
 )
 from conftest import count_products
 from oracle import naive_matmul, naive_vecmat, propagate
+from dampedchain.bounds import PowerWalk
 from dampedchain.core import SPARSE_MAX_DENSITY, matrix_power, trajectory
 from dampedchain.io import ingest
 
@@ -259,6 +265,16 @@ def _simulation_from(start_dim: int):
 
 
 # Each refusal of an unusable input to a public function: the call, its error and its message.
+def _bound_args(chain):
+    """The structure, damping and start ``point:1`` of a test chain, at eps = 0.1."""
+    P0, d = chain()
+    return decompose(P0), d, Distribution.point_mass(P0.dim, 0), 0.1
+
+
+def _pi_eps(chain):
+    return stationary_direct(DampedChain(*chain(), 0.1)).pi
+
+
 REFUSALS = {
     "damping-sum": (lambda: DampingVector(np.array([0.5, 0.6])), ValidationError, "damping weights sum to"),
     "distribution-sum": (lambda: Distribution(np.array([0.5, 0.6])), ValidationError, "distribution sums to"),
@@ -282,6 +298,49 @@ REFUSALS = {
         lambda: ergodicity_coefficient(StochasticMatrix(np.eye(2)), 0),
         ValidationError,
         "at least 1",
+    ),
+    "walk-ergodicity-zero-steps": (
+        lambda: PowerWalk(StochasticMatrix(np.eye(2))).ergodicity(0),
+        ValidationError,
+        "step count N must be at least 1",
+    ),
+    "context-ergodicity-zero-steps": (
+        lambda: BoundContext(*_bound_args(chains.five_node), 2).ergodicity(0),
+        ValidationError,
+        "step count N must be at least 1",
+    ),
+    # A singular chain's whole-matrix Delta_N is 1 by structure, read without a scan.
+    "singular-ergodicity-zero-steps": (
+        lambda: BoundContext(*_bound_args(chains.eight_node), 2).ergodicity(0),
+        ValidationError,
+        "step count N must be at least 1",
+    ),
+    "singular-ergodicity-negative-steps": (
+        lambda: BoundContext(*_bound_args(chains.eight_node), 2).ergodicity(-1),
+        ValidationError,
+        "step count N must be at least 1",
+    ),
+    "onestep-negative-step": (
+        lambda: coupling_bound(*_bound_args(chains.five_node)[:3], _pi_eps(chains.five_node), 0.1, n=-1),
+        ValidationError,
+        "step n must be at least 0, got -1",
+    ),
+    "multistep-negative-step": (
+        lambda: coupling_bound_multistep(
+            *_bound_args(chains.five_node)[:3], _pi_eps(chains.five_node), 0.1, block=2, n=-3
+        ),
+        ValidationError,
+        "step n must be at least 0, got -3",
+    ),
+    "joint-limit-negative-step": (
+        lambda: BoundContext(*_bound_args(chains.five_node), 2).joint_limit(-2, 0.1),
+        ValidationError,
+        "step n must be at least 0, got -2",
+    ),
+    "split-bound-negative-step": (
+        lambda: split_bound_context(*_bound_args(chains.eight_node), 2).bound_vector(-1),
+        ValidationError,
+        "step n must be at least 0, got -1",
     ),
     "decay-rate-one": (lambda: GeometricDecay(0.5, 1.0), ValidationError, "rate must lie in"),
     "decay-negative-amplitude": (lambda: GeometricDecay(-1.0, 0.5), ValidationError, "amplitude must be non-negative"),

@@ -287,7 +287,7 @@ class TestStationarySection:
     @staticmethod
     def section(P0, d):
         context = BoundContext(decompose(P0), d, Distribution.uniform(P0.dim), EPS_GRID[0], 2)
-        return report.stationary_section(context, EPS_GRID, 1e-10)
+        return report.stationary_section(context, EPS_GRID)
 
     def test_no_damped_matrix_and_one_walk_of_max_length(self, monkeypatch):
         P0, _ = chains.random_web_chain(np.random.default_rng(7), 300)
