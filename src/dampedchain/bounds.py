@@ -45,10 +45,13 @@ Each ``Delta_N`` reads the minimal row overlap Q of ``min_row_overlap``. Its
 scan skips the row pairs that a lower bound cannot let reach the minimum:
 ``Q(a, b) >= (s_a + s_b) / 2 - sqrt(n |a - b|_2^2) / 2`` for rows a, b of
 length n with sums s_a, s_b, where one Gram product ``A A^T`` gives every
-squared distance. The bound is compared with a margin derived from
-``gamma_n = n u / (1 - n u)``, which covers the rounding of any BLAS's product
-and of every sum, so the result is the same float as scanning every pair,
-whatever the BLAS thread count.
+squared distance. The pairs the bound leaves are screened on a float32 copy
+of the power, and only those whose float32 score is near the smallest are
+scored again in float64. Both the bound and the screen are compared with
+margins derived from ``gamma_n = n u / (1 - n u)`` (u the unit roundoff of
+each precision), which cover the rounding of any BLAS's products and of every
+sum and entries below float32's range, so the result is the same float as
+scanning every pair, whatever the BLAS thread count.
 
 The convention ``x^0 = 1`` applies throughout, including when x = 0.
 """
@@ -86,6 +89,9 @@ PROFILE_STEPS = tuple(range(1, 13))
 # Rows per tile of min_row_overlap's exact scan: one small buffer, reused.
 SCAN_TILE = 64
 
+# Partner rows per tile of min_row_overlap's float32 screen, in a buffer of its own.
+SCREEN_TILE = 256
+
 # Decimal arithmetic wide enough that round_up's one quantize is its only rounding.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
@@ -110,9 +116,8 @@ def default_families(regime: Regime) -> list:
     return [family for family, (_, needs, _) in FAMILIES.items() if needs in (None, regime)]
 
 
-def _gamma(k: int) -> float:
-    """``gamma_k = k u / (1 - k u)`` with u = 2^-53, the relative error bound of a k-term sum."""
-    u = 2.0**-53
+def _gamma(k: int, u: float = 2.0**-53) -> float:
+    """``gamma_k = k u / (1 - k u)``, the relative error bound of a k-term sum with unit roundoff u (float64's by default)."""
     return k * u / (1.0 - k * u)
 
 
@@ -132,13 +137,37 @@ def round_up(x: float, digits: int) -> float:
     return float(exact.quantize(unit, rounding=ROUND_CEILING, context=_EXACT))
 
 
+def _exact_min(entries: np.ndarray, i: int, partners: np.ndarray, tile: np.ndarray) -> float:
+    """The smallest float overlap ``np.minimum(entries[i], rows).sum(axis=1)`` of row i with the ascending ``partners``; inf if none."""
+    q = math.inf
+    for start in range(0, partners.size, len(tile)):
+        q = min(q, float(_pair_minima(entries, i, partners[start : start + len(tile)], tile).sum(axis=1).min()))
+    return q
+
+
+def _pair_minima(entries: np.ndarray, i: int, chunk: np.ndarray, tile: np.ndarray) -> np.ndarray:
+    """``np.minimum(entries[i], entries[chunk])``, written into the first rows of ``tile``; ``chunk`` ascends."""
+    out = tile[: chunk.size]
+    first, last = int(chunk[0]), int(chunk[-1])
+    if last - first == chunk.size - 1:
+        np.minimum(entries[i], entries[first : last + 1], out=out)
+    else:
+        # mode="clip" lets take write into out unbuffered; chunk is in range.
+        np.take(entries, chunk, axis=0, out=out, mode="clip")
+        np.minimum(entries[i], out, out=out)
+    return out
+
+
 def min_row_overlap(entries: np.ndarray) -> float:
     """Smallest pairwise row overlap ``min(1, min_{i<j} sum_k min(A[i,k], A[j,k]))``.
 
     ``entries`` is an m x n float64 array with finite, non-negative entries.
-    Every overlap that is computed is the float ``np.minimum(A[i], rows).sum(axis=1)``
-    over contiguous rows, so the result is bit for bit that of scanning every
-    pair; the scan only skips pairs that provably cannot reach the minimum.
+    Every overlap that decides the result is the float
+    ``np.minimum(A[i], rows).sum(axis=1)`` over contiguous rows, so the result
+    is bit for bit that of scanning every pair; the scan only skips pairs that
+    provably cannot reach the minimum. It skips them in two steps: a lower
+    bound rules most pairs out, and a float32 screen of the rest leaves only
+    the pairs near the minimum to be scored exactly.
 
     Lower bound. For rows a, b with sums s_a, s_b,
     ``Q(a, b) = (s_a + s_b - |a - b|_1) / 2 >= (s_a + s_b) / 2 - sqrt(n |a - b|_2^2) / 2``,
@@ -157,17 +186,55 @@ def min_row_overlap(entries: np.ndarray) -> float:
       within gamma_n of its value, and the remaining arithmetic of the bound
       rounds by a few u (1 + sqrt(n)) max_a s_a; ``4 gamma (1 + sqrt(n)) max_a s_a``
       covers all of them with a factor 2 to spare, including the rounding of
-      ``q + margin`` itself.
+      ``t + margin`` itself.
 
-    So a pair whose computed bound exceeds the running minimum q plus
+    So a pair whose computed bound exceeds a threshold t plus
     ``margin = sqrt(n E) / 2 + 4 gamma (1 + sqrt(n)) max_a s_a`` has a computed
-    overlap above q and is skipped; the pair giving the float minimum never is.
+    overlap above t, and no pair at or below the float minimum is skipped
+    while t is at least that minimum.
+
+    Screen. Each pair the bound leaves is scored on a float32 copy of A: the
+    elementwise minimum of the two rows, summed by one BLAS matrix-vector
+    product with a ones vector, ``SCREEN_TILE`` partner rows at a time. Let Q
+    be a pair's exact overlap, q its float64 overlap and S its score. With
+    v = 2^-24, gamma'_k = k v / (1 - k v), ``r = 3 gamma'_n`` (``spread``)
+    and ``a = 4 n 2^-126`` (``floor``):
+
+    * rounding is monotonic, so the float32 minimum of two entries is their
+      minimum c rounded to float32, within ``v c + 2^-126`` of c. The
+      absolute term covers entries below float32's subnormal range, which
+      round to 0, and a BLAS that flushes subnormals to 0;
+    * the float32 sum of the n minima, in any order and with any FMA use or
+      thread count, is within gamma'_n of their sum plus 2^-126 for each
+      addition that underflows, and q is within gamma_n Q of Q. As
+      gamma'_n >= v and gamma'_n v dwarfs gamma_n, ``|S - q| <= r Q + a``;
+    * so every pair has ``q <= (S + a) (1 + 2 r)``, and the running threshold
+      ``t = min(q0, (S_min + a) (1 + 2 r))``, with q0 the exact overlaps
+      scored so far and S_min the smallest score so far, is at least the
+      float minimum q*. It is the threshold of the lower bound;
+    * the pair giving q* has ``S <= q* (1 + r / (1 - gamma_n)) + a``, at most
+      ``reach = t (1 + 2 r) + a`` whenever it is screened. So when a row is
+      screened, its pairs scored at or below the reach are scored again
+      exactly at once, and the pair giving q* is among them. q0 holds only
+      exact overlaps, so the result is q*.
+
+    n <= 2^16 keeps r <= 1/8, where the factor 1 + 2 r exceeds the exact
+    factors it stands for, ``(1 - gamma_n) / (1 - gamma_n - r)`` and
+    ``1 + r / (1 - gamma_n)``, by far more than the few u of rounding in
+    computing t and reach. For longer rows, or row sums beyond 2^64, where
+    float32 could overflow, every pair is scored exactly.
 
     The scan starts from the exact overlap of the pair with the smallest
     bound (where rows with disjoint support exist, as in a web chain's first
-    powers, it is typically such a pair, and the scan stops at once at 0),
-    then compares each row with the later rows whose bound is within the
-    margin of the running minimum, ``SCAN_TILE`` rows at a time.
+    powers, it is typically such a pair, and the scan stops at once at 0).
+    Then each row with a later partner whose bound is within the margin of
+    the running threshold is screened against those partners, and the pairs
+    within the reach are scored again. The scan stops at an overlap of 0.
+    A score costs about a third of an exact overlap, so the screen pays only
+    while it rules out more pairs than it keeps. Once it has kept more pairs
+    than it ruled out, as where every overlap is within the margin of the
+    smallest, the rest of the scan is exact. The float32 copy of A is the
+    screen's one m x n buffer.
     """
     m, n = entries.shape
     if m < 2:
@@ -190,26 +257,46 @@ def min_row_overlap(entries: np.ndarray) -> float:
     gamma = _gamma(n + 4)
     gram_error = 8.0 * gamma * float(sq_norms.max()) + 16.0 * n * math.ulp(0.0)
     margin = 0.5 * math.sqrt(n * gram_error) + 4.0 * gamma * (1.0 + math.sqrt(n)) * float(sums.max())
+    # The screen's error bound holds up to these sizes; past them every pair is scored exactly.
+    screens = n <= 2**16 and float(sums.max()) <= 2.0**64
+    spread = 3.0 * _gamma(n, 2.0**-24) if screens else math.inf
+    floor = 4.0 * n * 2.0**-126
+    widen = 1.0 + 2.0 * spread
 
     a, b = sorted(divmod(int(bound.argmin()), m))
-    q = min(1.0, float(np.minimum(entries[a], entries[b : b + 1]).sum(axis=1)[0]))
-    tile = np.empty((min(SCAN_TILE, m - 1), n))
-    for i in range(m - 1):
+    exact_tile = np.empty((min(SCAN_TILE, m - 1), n))
+    q = min(1.0, _exact_min(entries, a, np.array([b]), exact_tile))
+    best = math.inf
+
+    def threshold() -> float:
+        return min(q, (best + floor) * widen)
+
+    low = None
+    balance = 0
+    # The threshold only falls: a row with no partner within it now never has one.
+    for i in np.flatnonzero((bound <= q + margin).any(axis=1)).tolist():
         if q == 0.0:
-            break
-        row = entries[i]
-        partners = np.flatnonzero(bound[i, i + 1 :] <= q + margin) + (i + 1)
-        for start in range(0, partners.size, SCAN_TILE):
-            chunk = partners[start : start + SCAN_TILE]
-            out = tile[: chunk.size]
-            first, last = int(chunk[0]), int(chunk[-1])
-            if last - first == chunk.size - 1:
-                np.minimum(row, entries[first : last + 1], out=out)
-            else:
-                # mode="clip" lets take write into out unbuffered; chunk is in range.
-                np.take(entries, chunk, axis=0, out=out, mode="clip")
-                np.minimum(row, out, out=out)
-            q = min(q, float(out.sum(axis=1).min()))
+            return q
+        partners = np.flatnonzero(bound[i, i + 1 :] <= threshold() + margin) + (i + 1)
+        if partners.size == 0:
+            continue
+        if screens:
+            if low is None:
+                low = entries.astype(np.float32)
+                screen_tile = np.empty((min(SCREEN_TILE, m - 1), n), dtype=np.float32)
+                ones = np.ones(n, dtype=np.float32)
+            scores = np.empty(partners.size, dtype=np.float32)
+            for start in range(0, partners.size, SCREEN_TILE):
+                chunk = partners[start : start + SCREEN_TILE]
+                np.matmul(_pair_minima(low, i, chunk, screen_tile), ones, out=scores[start : start + chunk.size])
+            best = min(best, float(scores.min()))
+            # Rounding the reach to float32 for the comparison keeps every score at or below it.
+            near = partners[scores <= threshold() * widen + floor]
+            # The screen pays only while it rules out more pairs than it keeps.
+            balance += partners.size - 2 * near.size
+            screens = balance >= 0
+            partners = near
+        q = min(q, _exact_min(entries, i, partners, exact_tile))
     return q
 
 

@@ -235,6 +235,127 @@ class TestMinRowOverlapOracle:
             entries[i, j] = np.nextafter(entries[i, j], rng.choice([0.0, 1.0]))
         assert min_row_overlap(entries) == slice_min_overlap(entries)
 
+    def test_profile_powers_of_the_benchmark_web_chain(self, tmp_path, monkeypatch):
+        # web-regular's seed-1 input: every power the Delta_N profile scans.
+        workloads = benchmark_workloads()
+        files, _ = workloads.generate(workloads.WORKLOADS["web-regular"], 1, str(tmp_path))
+        P, _ = ingest(files["edges"])
+        walk = PowerWalk(P)
+        minima = count_calls(monkeypatch, "_pair_minima")
+        for N in PROFILE_STEPS:
+            minima.clear()
+            walk._advance(N)
+            assert min_row_overlap(walk.power) == slice_min_overlap(walk.power), N
+            if N == 3:
+                # Every pair passes the lower bound here, and the screen rules
+                # out nearly all of them, so it screens every row to the end.
+                screened = {args[1] for args in minima if args[0].dtype == np.float32}
+                assert screened == set(range(P.dim - 1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_entries_below_float32s_subnormal_range(self, seed):
+        # float32's smallest subnormal is about 1.4e-45: 1e-50 rounds to 0 there,
+        # so every score of these rows is 0 and each overlap is decided exactly.
+        rng = np.random.default_rng(seed)
+        tiny = 1e-50 * (rng.random((40, 40)) + 0.5)
+        assert min_row_overlap(tiny) == slice_min_overlap(tiny)
+        # Entries from 1e-50 to 1e-30 straddle float32's subnormal and normal ranges.
+        straddle = 10.0 ** rng.uniform(-50, -30, (40, 40))
+        assert min_row_overlap(straddle) == slice_min_overlap(straddle)
+        # Normal rows whose smallest overlaps differ only in such entries.
+        rows = np.tile(stochastic(rng.random((1, 40)) + 0.5), (40, 1))
+        rows[:, :8] = 10.0 ** rng.uniform(-50, -35, (40, 8))
+        assert min_row_overlap(rows) == slice_min_overlap(rows)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_in_float32_tie_in_the_screen(self, seed):
+        # Rows apart by relative 1e-12 in float64 round to one float32 row, so
+        # every pair has the same score: the screen keeps all of row 0's
+        # partners, and the rest of the scan is exact.
+        rng = np.random.default_rng(seed)
+        x = stochastic(rng.random((1, 64)) + 0.5)
+        entries = x * (1.0 + 1e-12 * rng.standard_normal((50, 64)))
+        low = entries.astype(np.float32)
+        assert np.all(low == low[0]) and len(np.unique(entries, axis=0)) == 50
+        assert min_row_overlap(entries) == slice_min_overlap(entries)
+
+    def test_the_screen_stops_where_every_pair_ties(self, monkeypatch):
+        # 0.5 I + 0.5 J / m: every pair overlaps in 0.5. The screen of row 0
+        # keeps all its partners and rules none out, so the other rows are
+        # scored exactly without a screen.
+        m = 60
+        entries = np.full((m, m), 0.5 / m) + 0.5 * np.eye(m)
+        minima = count_calls(monkeypatch, "_pair_minima")
+        assert min_row_overlap(entries) == slice_min_overlap(entries)
+        assert {args[1] for args in minima if args[0].dtype == np.float32} == {0}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_apart_by_float32s_resolution(self, seed):
+        # Overlaps apart by about float32's unit roundoff: rounding reorders
+        # the scores, and only the screen's margin keeps the minimal pair.
+        rng = np.random.default_rng(seed)
+        x = stochastic(rng.random((1, 64)) + 0.5)
+        entries = x * (1.0 + 3e-8 * rng.standard_normal((50, 64)))
+        assert min_row_overlap(entries) == slice_min_overlap(entries)
+
+    def test_subnormal_rounding_reorders_the_scores(self):
+        # In units v = 2^-149, float32's smallest subnormal: rows 0 and 1
+        # overlap in ten entries of 0.75 v, 7.5 v in all, each scored as v, so
+        # their score is 10 v. Every other pair overlaps in whole entries of 8 v
+        # and scores what it is, at least 8 v. The minimal pair's score is above
+        # the smallest score by more than any relative margin.
+        v = 2.0**-149
+        entries = np.zeros((40, 80))
+        entries[np.arange(40), np.arange(40)] = 1.0
+        entries[:2, :2] *= 0.5
+        entries[:2, 40:50] = 0.75 * v
+        entries[0, 78] = entries[1, 77] = 8 * v
+        entries[2:, 77:80] = 8 * v
+        q = min_row_overlap(entries)
+        assert q == slice_min_overlap(entries) == 7.5 * v
+
+    def test_subnormal_rounding_lifts_the_minimal_score_past_the_first_overlap(self):
+        # In units v = 2^-149: rows 0 and 1 alternate 0.75 v and 2 v, so they
+        # overlap in 0.75 v per entry, 7.5 v in all, each entry scored as v.
+        # Row 2 holds 0.9 v: its pairs overlap in 8.25 v, and the smallest
+        # lower bound picks pair (0, 2) first. The minimal pair's score, 10 v,
+        # is above that first overlap by more than any relative margin.
+        v = 2.0**-149
+        entries = np.full((3, 10), 0.9 * v)
+        entries[0] = np.where(np.arange(10) % 2, 2.0, 0.75) * v
+        entries[1] = np.where(np.arange(10) % 2, 0.75, 2.0) * v
+        q = min_row_overlap(entries)
+        assert q == slice_min_overlap(entries) == 7.5 * v
+
+    @pytest.mark.parametrize("m", [256, 257, 258])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_partner_counts_around_a_tile(self, m, last):
+        # Heavy-tailed rows: the lower bound leaves every pair, so row 0 has
+        # m - 1 = 255, 256 or 257 partners, one short of a full tile, a full
+        # tile and one over. Its partner j, with mass only where row 0's
+        # entries are smallest, gives the minimal overlap: the first partner,
+        # or the last, which ends the first tile or is alone in the second.
+        rng = np.random.default_rng(m)
+        entries = stochastic(rng.random((m, m)) ** 8 + 1e-9)
+        j = m - 1 if last else 1
+        smallest = entries[0] <= np.quantile(entries[0], 0.2)
+        entries[j] = stochastic((smallest * rng.random(m) + 1e-9)[np.newaxis])[0]
+        sums = entries.sum(axis=1)
+        gram = entries @ entries.T
+        distance = np.diag(gram)[:, np.newaxis] + np.diag(gram) - 2 * gram
+        lower = (sums[:, np.newaxis] + sums) / 2 - np.sqrt(m * np.maximum(distance, 0)) / 2
+        q = min_row_overlap(entries)
+        assert q == slice_min_overlap(entries) == slice_min_overlap(entries[[0, j]])
+        assert lower[0, 1:].max() < q
+
+    def test_entries_beyond_the_screens_range(self):
+        # Row sums beyond 2^64, or rows longer than 2^16: every pair is scored exactly.
+        rng = np.random.default_rng(5)
+        huge = 1e30 * stochastic(rng.random((40, 40)))
+        assert min_row_overlap(huge) == slice_min_overlap(huge)
+        long_rows = stochastic(rng.random((40, 2**16 + 1)))
+        assert min_row_overlap(long_rows) == slice_min_overlap(long_rows)
+
 
 class TestStationaryGapBound:
     def test_five_node_reference_constants(self, five_node):

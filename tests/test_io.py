@@ -330,6 +330,25 @@ def test_csv_ingest(tmp_path):
     np.testing.assert_array_equal(matrix.entries, [[0.5, 0.5], [0.25, 0.75]])
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0.5,0.5\n\n0.5,x\n1__0,2\n", "line 3: could not parse CSV floats: '0.5,x'"),
+        ("0.5,0.5\n1__0,0.5\n", "line 2: could not parse CSV floats: '1__0,0.5'"),
+        ("0.5,\n", "line 1: could not parse CSV floats: '0.5,'"),
+        (" \n\t\n", "CSV matrix is empty"),
+        ("0.5,0.5\n1.0\n", "CSV matrix must be square, got 2 rows of width 2"),
+        ("1.0\n1.0\n", "CSV matrix must be square, got 2 rows of width 1"),
+    ],
+)
+def test_csv_refusals_name_the_first_bad_line(tmp_path, text, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(IngestError) as info:
+        ingest(path)
+    assert str(info.value) == message
+
+
 def emit(entries, damping=None):
     """Matrix JSON of ``entries``, written by ``dumps_with_matrix`` as the report echo is."""
     doc = {"dim": entries.shape[0], "matrix": MATRIX_SLOT}
