@@ -158,7 +158,7 @@ def test_coupling_sim_runs_and_is_deterministic(capsys):
     second = run_json(capsys, *args)
     assert first == second
     sim = first["coupling_sim"]
-    assert sim["generator"] == "philox4x64-steptrial"
+    assert sim["generator"] == "philox4x64-steptrial-damped"
     assert len(sim["tail"]) == 11
 
 
@@ -605,6 +605,16 @@ def test_bounds_computes_no_spectrum(monkeypatch, tmp_path, chain):
     report = _run(["bounds", "--input", path, "--coupling-N", "3"])
     assert spectra == []
     assert report["bounds"]["reports"][0]["constants"]["label"] == "certified"
+
+
+@pytest.mark.parametrize("command", ["coupling-sim", "report"])
+def test_simulator_builds_no_dense_damped_matrix(monkeypatch, tmp_path, command):
+    # The simulator's kernel moves on P0's nonzeros and d; nothing forms P(eps).
+    web = _web_edges(tmp_path, 300)
+    builds = count_calls(monkeypatch, "build_damped_matrix")
+    report = _run([command, "--input", web, "--epsilon", "0.1", "--coupling-N", "3", "--seed", "7", "--trials", "500"])
+    assert builds == []
+    assert report["coupling_sim"]["generator"] == "philox4x64-steptrial-damped"
 
 
 @pytest.mark.parametrize("command", ["bounds", "coupling-sim", "triangular"])

@@ -12,11 +12,13 @@ from dampedchain import (
     Distribution,
     ValidationError,
     build_damped_matrix,
+    ingest,
     maximal_coupling,
     simulate_coupling_time,
     stationary_direct,
 )
 from dampedchain import coupling
+from dampedchain.cli import DEFAULT_HORIZON
 from dampedchain.core import matrix_power
 
 
@@ -81,6 +83,51 @@ def reference_tail(kernel, start, trials, seed, horizon):
                 else:
                     excess = list(accumulate(b - min(a, b) for a, b in zip(rows[i], rows[j])))
                     i, j = k, (draw(excess, u2) if excess[-1] > 0.0 else k)
+            if i == j:
+                break
+            exceed[n] += 1
+    return np.array(exceed) / trials
+
+
+def damped_reference_tail(chain, start, trials, seed, horizon):
+    """The documented draw layout of a damped chain's kernel, one trial at a time in plain Python.
+
+    It reads P0's rows at their nonzeros, ``-0.0`` included, and d; it never forms P(eps).
+    """
+    rows = chain.p0.entries.tolist()
+    d = chain.damping.weights.tolist()
+    eps = chain.epsilon
+    m = len(rows)
+    support = [[c for c, x in enumerate(row) if x != 0.0 or math.copysign(1.0, x) < 0.0] for row in rows]
+    row_cdfs = [list(accumulate(rows[i][c] for c in support[i])) for i in range(m)]
+    d_cdf = list(accumulate(d))
+    start_cdf = list(accumulate(start.joint.ravel().tolist()))
+
+    def draw(cdf, u):
+        target = u * cdf[-1]
+        return sum(c <= target for c in cdf)
+
+    def entry(x, c):
+        return (1.0 - eps) * rows[x][c] + eps * d[c]
+
+    exceed = [0] * (horizon + 1)
+    for t in range(trials):
+
+        def words(step):
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=(step << 128) + t))
+            return rng.random(4).tolist()
+
+        i, j = divmod(draw(start_cdf, words(0)[0]), m)
+        for n in range(horizon + 1):
+            if n:
+                u0, u1, u2, u3 = words(n)
+                k = draw(d_cdf, u0) if u3 < eps else support[i][draw(row_cdfs[i], u0)]
+                a, b = entry(i, k), entry(j, k)
+                if u1 * a < min(a, b):
+                    i, j = k, k
+                else:
+                    excess = list(accumulate(rows[j][c] - min(rows[i][c], rows[j][c]) for c in support[j]))
+                    i, j = k, (support[j][draw(excess, u2)] if excess[-1] > 0.0 else k)
             if i == j:
                 break
             exceed[n] += 1
@@ -256,7 +303,7 @@ class TestSimulator:
         kernel = CouplingKernel(P_eps)
         start = maximal_coupling(Distribution.uniform(5), pi)
         estimate = simulate_coupling_time(kernel, start, trials=10, seed=0, horizon=3)
-        assert estimate.generator == "philox4x64-steptrial"
+        assert estimate.generator == "philox4x64-steptrial-damped"
 
     def test_tail_dominated_by_onestep_bound(self, five_node):
         from dampedchain import coupling_bound, decompose
@@ -356,7 +403,142 @@ class TestDraw:
         # every word at its top the meet test fails all the same.
         P = chains.StochasticMatrix(np.array([[0.3, 0.7], [0.3, np.nextafter(0.7, 0.0)]]))
         top = np.nextafter(1.0, 0.0)
-        monkeypatch.setattr(coupling, "_step_words", lambda seed, step, first, count: np.full((count, 4), top))
+        monkeypatch.setattr(coupling, "_step_words", lambda seed, step, trial: np.full((trial.size, 4), top))
         start = maximal_coupling(Distribution.point_mass(2, 0), Distribution.point_mass(2, 1))
         estimate = simulate_coupling_time(CouplingKernel(P), start, trials=3, seed=0, horizon=2)
         np.testing.assert_array_equal(estimate.tail, [1.0, 0.0, 0.0])
+
+
+def _damped_case(chain, eps, initial):
+    """A damped chain's kernel, built on the chain itself, and the start coupling of p with pi(eps)."""
+    P, d = chain
+    damped = DampedChain(P, d, eps)
+    pi = stationary_direct(damped).pi
+    p = Distribution.uniform(P.dim) if initial == "uniform" else Distribution.point_mass(P.dim, 0)
+    return damped, CouplingKernel(damped), maximal_coupling(p, pi)
+
+
+DAMPED_CASES = [("five_node", "uniform"), ("four_node", "point"), ("eight_node", "uniform")]
+
+
+class TestStepWords:
+    @pytest.mark.parametrize("seed", [0, 7, (1 << 128) - 1])
+    @pytest.mark.parametrize("step", [0, 1, DEFAULT_HORIZON, (1 << 64) + 5])
+    def test_words_are_numpy_philox_at_each_counter(self, seed, step):
+        # Scattered ids are evaluated directly; a run of consecutive ids comes from
+        # NumPy's generator. Both hold the first and last trial of a block of 7-long rows.
+        block = coupling.BLOCK_ELEMENTS // 7
+        scattered = np.array([0, 3, 4, 1000, block - 1, block, 2 * block - 1, 1 << 40])
+        for trial in (scattered, np.arange(block - 2, block + 3)):
+            expected = [
+                np.random.Generator(np.random.Philox(key=seed, counter=(step << 128) + int(t))).random(4)
+                for t in trial
+            ]
+            np.testing.assert_array_equal(coupling._step_words(seed, step, trial), expected)
+
+
+class TestDampedKernel:
+    @pytest.mark.parametrize("chain", ["five_node", "four_node", "eight_node"])
+    @pytest.mark.parametrize("eps", [0.05, 0.5, 1.0])
+    def test_pair_law_is_the_dense_kernels(self, request, chain, eps):
+        P, d = request.getfixturevalue(chain)
+        damped = DampedChain(P, d, eps)
+        kernel, dense = CouplingKernel(damped), CouplingKernel(build_damped_matrix(damped))
+        assert kernel.matrix is damped
+        for i in range(P.dim):
+            for j in range(P.dim):
+                assert np.max(np.abs(kernel.pair_law(i, j) - dense.pair_law(i, j))) <= 1e-15
+
+    @pytest.mark.parametrize("chain, initial", DAMPED_CASES, ids=[c for c, _ in DAMPED_CASES])
+    @pytest.mark.parametrize("eps", [0.05, 0.5])
+    def test_tail_matches_exact_absorption(self, request, chain, initial, eps):
+        _, kernel, start = _damped_case(request.getfixturevalue(chain), eps, initial)
+        trials, horizon = 40_000, 12
+        exact = exact_tail(kernel, start, horizon)
+        estimate = simulate_coupling_time(kernel, start, trials=trials, seed=5, horizon=horizon)
+        # Trials are independent, so each count is exactly Bin(trials, exact[n]).
+        for n in range(horizon + 1):
+            count = round(estimate.tail[n] * trials)
+            lo, hi = binomial_central_interval(trials, exact[n], 0.0027)
+            assert lo <= count <= hi, f"n={n}: {count} outside [{lo}, {hi}]"
+
+    @pytest.mark.parametrize(
+        "chain, initial, eps",
+        [("five_node", "uniform", 0.05), ("four_node", "point", 0.5), ("eight_node", "uniform", 0.05)],
+    )
+    def test_matches_per_trial_reference_loop(self, request, chain, initial, eps):
+        damped, kernel, start = _damped_case(request.getfixturevalue(chain), eps, initial)
+        estimate = simulate_coupling_time(kernel, start, trials=1500, seed=42, horizon=15)
+        expected = damped_reference_tail(damped, start, trials=1500, seed=42, horizon=15)
+        assert expected[1] > 0.0
+        np.testing.assert_array_equal(estimate.tail, expected)
+
+    def test_full_damping_meets_in_one_move(self, four_node):
+        # At eps = 1 both rows of P(1) are d, so every pair meets at its first move.
+        _, kernel, start = _damped_case(four_node, 1.0, "point")
+        estimate = simulate_coupling_time(kernel, start, trials=5000, seed=3, horizon=6)
+        assert estimate.tail[0] > 0.0
+        np.testing.assert_array_equal(estimate.tail[1:], 0.0)
+
+
+# Rows of 1 to 4 nonzeros, so most rows are padded; -0.0 entries lead, sit inside
+# and trail rows, and count as nonzeros of the row.
+SIGNED_ZEROS = np.array(
+    [
+        [-0.0, 0.5, -0.0, 0.5],
+        [0.25, 0.25, 0.25, 0.25],
+        [1.0, -0.0, 0.0, -0.0],
+        [0.0, 0.75, 0.0, 0.25],
+    ]
+)
+
+
+def _dense_csv(tmp_path):
+    """A 6-state row-stochastic matrix with every entry positive, read from a CSV file."""
+    entries = np.random.default_rng(3).uniform(0.1, 1.0, (6, 6))
+    entries /= entries.sum(axis=1, keepdims=True)
+    path = tmp_path / "dense.csv"
+    path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in entries) + "\n")
+    return ingest(str(path))[0]
+
+
+class TestRowWalk:
+    """The walk on P0's padded nonzeros against the dense rows it replaced."""
+
+    @pytest.fixture(params=["unequal-rows", "signed-zeros", "dense-csv"])
+    def matrix(self, request, tmp_path):
+        if request.param == "unequal-rows":
+            return chains.eight_node()[0]
+        if request.param == "signed-zeros":
+            return chains.StochasticMatrix(SIGNED_ZEROS)
+        P = _dense_csv(tmp_path)
+        assert CouplingKernel(P)._rows.cols.shape == (6, 6)  # k = m
+        return P
+
+    def test_plain_kernel_keeps_the_dense_row_draws(self, matrix):
+        m = matrix.dim
+        kernel = CouplingKernel(matrix)
+        start = maximal_coupling(Distribution.uniform(m), Distribution.point_mass(m, m - 1))
+        estimate = simulate_coupling_time(kernel, start, trials=1500, seed=9, horizon=12)
+        expected = reference_tail(kernel, start, trials=1500, seed=9, horizon=12)
+        assert expected[1] > 0.0
+        np.testing.assert_array_equal(estimate.tail, expected)
+
+    def test_damped_kernel_matches_its_reference_loop(self, matrix):
+        m = matrix.dim
+        damped = DampedChain(matrix, chains.linear_damping(m), 0.2)
+        start = maximal_coupling(Distribution.uniform(m), Distribution.point_mass(m, m - 1))
+        estimate = simulate_coupling_time(CouplingKernel(damped), start, trials=1500, seed=9, horizon=12)
+        expected = damped_reference_tail(damped, start, trials=1500, seed=9, horizon=12)
+        assert expected[1] > 0.0
+        np.testing.assert_array_equal(estimate.tail, expected)
+
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+    def test_extreme_words_draw_only_states_with_mass(self, matrix, u):
+        # The first and last word draw a row's first and last positive entry, never padding.
+        kernel = CouplingKernel(matrix)
+        m = matrix.dim
+        i = np.arange(m)
+        i_next, _ = kernel._move(i, i, np.full((m, 4), u))
+        positive = [np.flatnonzero(row > 0.0) for row in matrix.entries]
+        np.testing.assert_array_equal(i_next, [cols[-1] if u else cols[0] for cols in positive])
